@@ -11,9 +11,10 @@ and a reproducible scenario harness.
 __version__ = "0.1.0"
 
 from .characteristics import (CharacteristicCurve, ClassLabel, Direction,
-                              SpotcheckReport, Termination, classify,
-                              dual_growth_spotcheck, gradient_beta,
-                              invariant_drift, predict_blowup, trace)
+                              SpaceTimeField, SpotcheckReport, Termination,
+                              classify, dual_growth_spotcheck, gradient_beta,
+                              invariant_drift, predict_blowup, trace,
+                              trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import (BlowUpError, ConfigError, DomainError, EllipticStart,

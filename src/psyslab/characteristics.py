@@ -8,6 +8,10 @@ record the Riemann invariants, the scaled gradient beta, and the
 accumulated Riccati integral K(t) = int k(u) ds, from which finite-time
 gradient blow-up is predicted via 1 + beta0 * K(t*) = 0.
 
+Curves are traced in batches: one RK4 loop advances every curve of a
+batch, and all of them share one temporal window per time, so the
+snapshot coefficients are combined once per time for the whole batch.
+
 Curves are classified over a finite horizon: B means the curve ran the
 whole horizon with -u growing beyond a factor and still increasing; A
 means it hit the u = 0 interface or stayed bounded; anything else is
@@ -18,15 +22,18 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import EllipticStart, WindowTooShort
-from .field import derivative_coefficients, phase_vector, trig_coefficients
+from .field import trig_coefficients
 from .riemann import Family, beta_from_gradient, q_of_u, riccati_k
 from .solver import Trajectory
+
+#: width of the low block in the phase split m = _BLOCK * a + b
+_BLOCK = 32
 
 
 class Direction(enum.Enum):
@@ -62,28 +69,59 @@ class CurveSample(NamedTuple):
     K_accum: float
 
 
-@dataclass
+@dataclass(eq=False)
 class CharacteristicCurve:
+    """One traced curve.  Each column holds one entry per sample, in
+    traversal order (times monotone along the direction)."""
+
     family: Family
     direction: Direction
-    samples: list  # [CurveSample], times monotone along traversal
+    t: np.ndarray
+    x: np.ndarray  # unwrapped (lifted) positions
+    u: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    beta: np.ndarray
+    K_accum: np.ndarray
     termination: Termination
     t_hit: Optional[float] = None  # boundary-hit time, if any
 
     @property
+    def samples(self) -> list:
+        """The samples as CurveSample tuples, built on each access."""
+        columns = (getattr(self, name).tolist() for name in CurveSample._fields)
+        return [CurveSample(*row) for row in zip(*columns)]
+
+    @property
     def t_start(self) -> float:
-        return self.samples[0].t
+        return float(self.t[0])
 
     @property
     def t_end(self) -> float:
-        return self.samples[-1].t
+        return float(self.t[-1])
 
-    def own_invariant(self, sample: CurveSample) -> float:
-        return sample.r1 if self.family is Family.first else sample.r2
+    @property
+    def own_invariant(self) -> np.ndarray:
+        """The curve's own Riemann invariant: r1 for family 1, r2 for 2."""
+        return self.r1 if self.family is Family.first else self.r2
 
 
-class _SpaceTimeField:
-    """Spectral-in-x, cubic-in-t evaluator over a trajectory's snapshots."""
+class SpaceTimeField:
+    """Spectral-in-x, cubic-in-t evaluator over a trajectory's snapshots.
+
+    Building it takes two FFTs per snapshot, so build it once per
+    trajectory and hand it to the tracing functions through their
+    ``field`` argument; each builds its own when none is given.
+
+    Only the (u, v) coefficients are stored; derivative rows are the
+    window-combined rows times 2 pi i m, Nyquist zeroed.  The layout has
+    two levels: mode m = 32 a + b sits at [a, b], so the phases
+    exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and
+    cosines rather than n/2 + 1, and no long cumulative product
+    accumulates error with m.  Sums over the layout go through
+    ``einsum`` without ``optimize``, which never calls BLAS: threaded
+    BLAS is far slower than the loop on products this small.
+    """
 
     def __init__(self, trajectory: Trajectory):
         snaps = trajectory.snapshots
@@ -94,25 +132,32 @@ class _SpaceTimeField:
         # Lagrange weights
         tiny = 1e-9 * float(np.max(np.diff(times), initial=0.0))
         self.law = trajectory.law
-        self.n = trajectory.grid.n
         idx = [0]
         for i in range(1, len(times)):
             if times[i] - times[idx[-1]] > tiny:
                 idx.append(i)
-        snaps = [snaps[i] for i in idx]
-        if len(snaps) < 2:
+        if len(idx) < 2:
             raise WindowTooShort("tracing needs at least 2 distinct times")
         self.times = times[idx]
-        self.U = np.array([trig_coefficients(s.u) for _, s in snaps])
-        self.V = np.array([trig_coefficients(s.v) for _, s in snaps])
-        self.UX = np.array([derivative_coefficients(row) for row in self.U])
-        self.VX = np.array([derivative_coefficients(row) for row in self.V])
+        n_modes = trajectory.grid.n // 2 + 1
+        rows = -(-n_modes // _BLOCK)
+        coeffs = np.zeros((len(idx), 2, rows * _BLOCK), dtype=complex)
+        for k, i in enumerate(idx):
+            state = snaps[i][1]
+            coeffs[k, 0, :n_modes] = trig_coefficients(state.u)
+            coeffs[k, 1, :n_modes] = trig_coefficients(state.v)
+        self._coeffs = coeffs.reshape(len(idx), 2, rows, _BLOCK)
+        dmul = 2j * np.pi * np.arange(rows * _BLOCK)
+        dmul[n_modes - 1:] = 0.0  # Nyquist derivative zeroed, padding unused
+        self._dmul = dmul.reshape(rows, _BLOCK)
+        self._lo = 2.0 * np.pi * np.arange(_BLOCK)
+        self._hi = 2.0 * np.pi * _BLOCK * np.arange(rows)
 
     def _window(self, t: float):
         k = min(4, len(self.times))
         i = int(np.searchsorted(self.times, t))
         i0 = min(max(i - 2, 0), len(self.times) - k)
-        ts = self.times[i0:i0 + k]
+        ts = self.times[i0:i0 + k].tolist()
         w = np.empty(k)
         for a in range(k):
             num = 1.0
@@ -122,80 +167,112 @@ class _SpaceTimeField:
             w[a] = num
         return i0, k, w
 
-    def eval_u(self, t: float, x: float) -> float:
+    def coefficients(self, t: float) -> np.ndarray:
+        """Rows (u, v, u_x, v_x) of the field at time t, in the split
+        layout: the 4 nearest snapshots combined with Lagrange weights."""
         i0, k, w = self._window(t)
-        ph = phase_vector(self.n, x)
-        return float(w @ np.real(self.U[i0:i0 + k] @ ph))
+        uv = np.einsum("s,sfab->fab", w, self._coeffs[i0:i0 + k])
+        return np.concatenate((uv, uv * self._dmul))
 
-    def eval_all(self, t: float, x: float):
-        """(u, v, u_x, v_x) at one space-time point."""
-        i0, k, w = self._window(t)
-        ph = phase_vector(self.n, x)
-        out = []
-        for M in (self.U, self.V, self.UX, self.VX):
-            out.append(float(w @ np.real(M[i0:i0 + k] @ ph)))
-        return tuple(out)
+    def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
+        """Values of coefficient rows at the points x (modulo 1), one row
+        of len(x) values per coefficient row."""
+        xm = np.asarray(x, dtype=float) % 1.0
+        nx = len(xm)
+        lo = np.multiply.outer(xm, self._lo)
+        hi = np.multiply.outer(self._hi, xm)
+        # the complex sum over b in real arithmetic: entries 2b and 2b + 1
+        # of the interleaved (re, im) coefficients meet (cos, -sin) for
+        # the real parts (columns :nx) and (sin, cos) for the imaginary
+        # parts (columns nx:)
+        phase = np.empty((2, nx, _BLOCK, 2))
+        phase[0, :, :, 0] = phase[1, :, :, 1] = np.cos(lo)
+        phase[1, :, :, 0] = np.sin(lo)
+        np.negative(phase[1, :, :, 0], out=phase[0, :, :, 1])
+        rows, blocks = coeffs.shape[:2]
+        part = np.einsum("rk,jk->rj", coeffs.view(float).reshape(rows * blocks, -1),
+                         phase.reshape(2 * nx, 2 * _BLOCK))
+        # Re(exp(i hi) * part) summed over a
+        out = np.einsum("faj,aj->fj", part.reshape(rows, blocks, 2 * nx),
+                        np.concatenate((np.cos(hi), -np.sin(hi)), axis=1))
+        return out[:, :nx] + out[:, nx:]
+
+    def values(self, t: float, x) -> np.ndarray:
+        """(u, v, u_x, v_x) at time t and the points x, shape (4, len(x))."""
+        return self.evaluate(self.coefficients(t), x)
 
 
-def _field_of(trajectory: Trajectory) -> _SpaceTimeField:
-    # coefficient stacks are expensive; memoize on the trajectory
-    fld = getattr(trajectory, "_stf_cache", None)
-    if fld is None:
-        fld = _SpaceTimeField(trajectory)
-        trajectory._stf_cache = fld
-    return fld
-
-
-def _speed(law, u: float, fam: Family) -> float:
+def _speed(law, u, sign):
     # clamp: transient stage points may graze the u = 0 interface
-    return fam.sign * np.sqrt(max(-law.dp(u), 0.0))
+    return sign * np.sqrt(np.maximum(-law.dp(u), 0.0))
 
 
-def _make_sample(law, fam: Family, t, x, u, v, ux, vx, K) -> CurveSample:
-    uc = min(u, 0.0)
+def _curve(law, fam: Family, direction: Direction, t, cols, termination,
+           t_hit=None) -> CharacteristicCurve:
+    """Curve from its sample columns x, u, v, u_x, v_x, K.  The derived
+    quantities use u clamped to 0 (the boundary sample may overshoot)."""
+    x, u, v, ux, vx, K = (np.array(c, dtype=float) for c in cols)
+    uc = np.minimum(u, 0.0)
     qv = q_of_u(law, uc)
-    sq = np.sqrt(max(-law.dp(uc), 0.0))  # -q'(u)
-    rx = vx + sq * ux if fam is Family.first else vx - sq * ux
-    beta = rx * max(-law.dp(uc), 0.0) ** 0.25
-    return CurveSample(t, x, u, v - qv, v + qv, beta, K)
+    g = np.maximum(-law.dp(uc), 0.0)  # -p'(u) = q'(u)^2
+    rx = vx + fam.sign * np.sqrt(g) * ux
+    return CharacteristicCurve(fam, direction, np.array(t, dtype=float), x, u,
+                               v - qv, v + qv, rx * g ** 0.25, K,
+                               termination, t_hit)
 
 
-def gradient_beta(trajectory: Trajectory, x0: float, fam: Family,
-                  at_end: bool = False) -> float:
+def gradient_beta(trajectory: Trajectory, x0, fam: Family,
+                  at_end: bool = False, *,
+                  field: Optional[SpaceTimeField] = None):
     """beta at x0 recomputed from the spectral gradients of a snapshot.
 
     Uses the first snapshot (the last with ``at_end=True``):
     r_x = v_x -+ q'(u) u_x with q'(u) = -sqrt(-p'(u)), then
-    beta = r_x (-p'(u))^(1/4).
+    beta = r_x (-p'(u))^(1/4).  ``x0`` is a point or an array of
+    points; the result has the same shape.
     """
     t, _state = trajectory.snapshots[-1 if at_end else 0]
-    fld = _field_of(trajectory)
-    u, v, ux, vx = fld.eval_all(t, x0)
-    sq = np.sqrt(max(-trajectory.law.dp(min(u, 0.0)), 0.0))
-    rx = vx + sq * ux if fam is Family.first else vx - sq * ux
-    return beta_from_gradient(trajectory.law, u, rx)
+    fld = SpaceTimeField(trajectory) if field is None else field
+    u, _v, ux, vx = fld.values(t, np.atleast_1d(x0))
+    sq = np.sqrt(np.maximum(-trajectory.law.dp(np.minimum(u, 0.0)), 0.0))
+    beta = beta_from_gradient(trajectory.law, u, vx + fam.sign * sq * ux)
+    return float(beta[0]) if np.ndim(x0) == 0 else beta
 
 
-def trace(trajectory: Trajectory, x0: float, fam: Family,
-          direction: Direction = Direction.forward, *,
-          t_start: Optional[float] = None, t_stop: Optional[float] = None,
-          eps_b: float = 1e-3, step_factor: float = 0.5) -> CharacteristicCurve:
-    """Trace one characteristic through the trajectory's window.
+def trace_batch(trajectory: Trajectory, x0, families,
+                direction: Direction = Direction.forward, *,
+                t_start: Optional[float] = None,
+                t_stop: Optional[float] = None, eps_b: float = 1e-3,
+                step_factor: float = 0.5,
+                field: Optional[SpaceTimeField] = None) -> list:
+    """Trace a batch of characteristics through the trajectory's window.
 
-    Integrates dx/dt = lambda_fam(u(t, x)) with RK4 at a step of
-    ``step_factor`` times the snapshot spacing.  Forward curves start at
-    the first snapshot, backward curves at the last (the only part of
-    the window behind them), unless ``t_start`` overrides.  Tracing
-    stops at the window edge (or ``t_stop``), or as soon as the
-    interpolated u rises above -eps_b: the curve reached the hyperbolic
-    boundary.  The boundary sample is recorded with u clamped to 0 in
-    the derived quantities and K_accum carried from the previous sample
-    (k diverges at the interface).
+    ``x0`` holds the start points; ``families`` is one Family for all
+    of them or one per point.  Every curve integrates
+    dx/dt = lambda_fam(u(t, x)) with RK4 at a step of ``step_factor``
+    times the snapshot spacing, from the same start time in the same
+    direction.  Forward curves start at the first snapshot, backward
+    curves at the last (the only part of the window behind them),
+    unless ``t_start`` overrides.  A curve stops at the window edge (or
+    ``t_stop``), or as soon as the interpolated u rises above -eps_b:
+    it reached the hyperbolic boundary and leaves the batch.  The
+    boundary sample is recorded with u clamped to 0 in the derived
+    quantities and K_accum carried from the previous sample (k diverges
+    at the interface).
 
-    Positions are recorded unwrapped; reduce modulo 1 for plotting.
+    Returns one entry per start point: its CharacteristicCurve, or an
+    EllipticStart error for a start with u >= 0, which does not stop
+    the other curves.  Positions are recorded unwrapped; reduce modulo
+    1 for plotting.
     """
-    fld = _field_of(trajectory)
-    law = trajectory.law
+    fld = SpaceTimeField(trajectory) if field is None else field
+    law = fld.law
+    x = np.array(x0, dtype=float).reshape(-1)
+    fams = ([families] * len(x) if isinstance(families, Family)
+            else list(families))
+    if len(fams) != len(x):
+        raise ValueError("need one family per start point")
+    sign = np.array([f.sign for f in fams])
     times = fld.times
     t_lo, t_hi = float(times[0]), float(times[-1])
 
@@ -208,10 +285,11 @@ def trace(trajectory: Trajectory, x0: float, fam: Family,
         t_goal = t_lo if t_stop is None else max(t_stop, t_lo)
         span = t_start - t_goal
     if not t_lo <= t_start <= t_hi or span <= 0.0:
-        u0, v0, ux0, vx0 = fld.eval_all(min(max(t_start, t_lo), t_hi), x0)
-        s = _make_sample(law, fam, t_start, x0, u0, v0, ux0, vx0, 0.0)
-        return CharacteristicCurve(fam, direction, [s],
-                                   Termination.left_trajectory_window)
+        vals = fld.values(min(max(t_start, t_lo), t_hi), x)
+        return [_curve(law, fam, direction, [t_start],
+                       [x[[b]], *vals[:, [b]], [0.0]],
+                       Termination.left_trajectory_window)
+                for b, fam in enumerate(fams)]
 
     spacing = float(np.median(np.diff(times)))
     if len(trajectory.series) >= 3:
@@ -221,51 +299,90 @@ def trace(trajectory: Trajectory, x0: float, fam: Family,
                 "snapshot spacing exceeds 5 solver steps; tracer accuracy "
                 "degrades (lower snapshot_stride)", stacklevel=2)
 
-    u0, v0, ux0, vx0 = fld.eval_all(t_start, x0)
-    if u0 >= 0.0:
-        raise EllipticStart(f"u(t={t_start:g}, x={x0:g}) = {u0:g} >= 0")
-
-    samples = [_make_sample(law, fam, t_start, x0, u0, v0, ux0, vx0, 0.0)]
-    if u0 > -eps_b:
-        return CharacteristicCurve(fam, direction, samples,
-                                   Termination.reached_boundary, t_hit=t_start)
-
     n_steps = max(1, int(np.ceil(span / (step_factor * spacing))))
     h = direction.sign * span / n_steps
-    t, x = t_start, x0
-    k_prev = riccati_k(law, u0)
-    K = 0.0
-    termination = Termination.reached_horizon
-    t_hit = None
+    # sample columns (x, u, v, u_x, v_x, K) per step; curve b owns rows
+    # 0 .. count[b] - 1 of column b
+    hist = np.empty((n_steps + 1, 6, len(x)))
+    ts = np.empty(n_steps + 1)
+    ts[0] = t_start
+    hist[0, 0] = x
+    hist[0, 1:5] = fld.values(t_start, x)
+    hist[0, 5] = 0.0
+    u = hist[0, 1].copy()
+    count = np.ones(len(x), dtype=int)
+    t_hit = np.full(len(x), np.nan)
+    t_hit[(u < 0.0) & (u > -eps_b)] = t_start
+    active = np.flatnonzero(u <= -eps_b)
+    K = np.zeros(len(x))
+    k_prev = np.zeros(len(x))
+    k_prev[active] = riccati_k(law, u[active])
 
-    for _ in range(n_steps):
-        k1 = _speed(law, fld.eval_u(t, x), fam)
-        k2 = _speed(law, fld.eval_u(t + 0.5 * h, x + 0.5 * h * k1), fam)
-        k3 = _speed(law, fld.eval_u(t + 0.5 * h, x + 0.5 * h * k2), fam)
-        k4 = _speed(law, fld.eval_u(t + h, x + h * k3), fam)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + h
-        u, v, ux, vx = fld.eval_all(t, x)
-        if u > -eps_b:
-            samples.append(_make_sample(law, fam, t, x, u, v, ux, vx, K))
-            termination = Termination.reached_boundary
-            t_hit = t
+    t = t_start
+    for step in range(1, n_steps + 1):
+        if not active.size:
             break
-        k_cur = riccati_k(law, u)
-        K += 0.5 * (k_prev + k_cur) * h
-        k_prev = k_cur
-        samples.append(_make_sample(law, fam, t, x, u, v, ux, vx, K))
+        xa, sa = x[active], sign[active]
+        c_mid = fld.coefficients(t + 0.5 * h)[:1]
+        c_end = fld.coefficients(t + h)
+        k1 = _speed(law, u[active], sa)
+        k2 = _speed(law, fld.evaluate(c_mid, xa + 0.5 * h * k1)[0], sa)
+        k3 = _speed(law, fld.evaluate(c_mid, xa + 0.5 * h * k2)[0], sa)
+        k4 = _speed(law, fld.evaluate(c_end[:1], xa + h * k3)[0], sa)
+        xa = xa + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+        vals = fld.evaluate(c_end, xa)
+        x[active] = xa
+        u[active] = vals[0]
+        hit = vals[0] > -eps_b
+        inside = active[~hit]
+        k_cur = riccati_k(law, vals[0][~hit])
+        K[inside] += 0.5 * (k_prev[inside] + k_cur) * h
+        k_prev[inside] = k_cur
+        ts[step] = t
+        row = hist[step]
+        row[0, active] = xa
+        row[1:5, active] = vals
+        row[5, active] = K[active]
+        count[active] += 1
+        t_hit[active[hit]] = t
+        active = inside
 
-    return CharacteristicCurve(fam, direction, samples, termination, t_hit)
+    curves = []
+    for b, fam in enumerate(fams):
+        if hist[0, 1, b] >= 0.0:
+            curves.append(EllipticStart(
+                f"u(t={t_start:g}, x={hist[0, 0, b]:g}) = {hist[0, 1, b]:g} >= 0"))
+            continue
+        c = count[b]
+        hit_b = not np.isnan(t_hit[b])
+        curves.append(_curve(
+            law, fam, direction, ts[:c], hist[:c, :, b].T,
+            Termination.reached_boundary if hit_b else Termination.reached_horizon,
+            float(t_hit[b]) if hit_b else None))
+    return curves
+
+
+def trace(trajectory: Trajectory, x0: float, fam: Family,
+          direction: Direction = Direction.forward, *,
+          t_start: Optional[float] = None, t_stop: Optional[float] = None,
+          eps_b: float = 1e-3, step_factor: float = 0.5) -> CharacteristicCurve:
+    """Trace one characteristic: ``trace_batch`` with a single curve.
+
+    Raises EllipticStart when u(t_start, x0) >= 0.
+    """
+    curve, = trace_batch(trajectory, [x0], fam, direction, t_start=t_start,
+                         t_stop=t_stop, eps_b=eps_b, step_factor=step_factor)
+    if isinstance(curve, EllipticStart):
+        raise curve
+    return curve
 
 
 def invariant_drift(curve: CharacteristicCurve) -> float:
     """max over samples of |r_fam(t) - r_fam(t_start)| for the curve's
     own family."""
-    if not curve.samples:
-        raise ValueError("curve has no samples")
-    r0 = curve.own_invariant(curve.samples[0])
-    return max(abs(curve.own_invariant(s) - r0) for s in curve.samples)
+    r = curve.own_invariant
+    return float(np.max(np.abs(r - r[0])))
 
 
 def predict_blowup(curve: CharacteristicCurve, beta0: float,
@@ -283,30 +400,29 @@ def predict_blowup(curve: CharacteristicCurve, beta0: float,
     fall a hair beyond the window; a small allowance recovers them
     without inventing data far from the measurement.
     """
-    if beta0 == 0.0 or not curve.samples:
+    if beta0 == 0.0:
         return None
+    t, K = curve.t, curve.K_accum
     K_star = -1.0 / beta0
-    prev = curve.samples[0]
-    if 1.0 + beta0 * prev.K_accum <= 0.0:
-        return prev.t
-    for s in curve.samples[1:]:
-        if 1.0 + beta0 * s.K_accum <= 0.0:
-            dK = s.K_accum - prev.K_accum
-            theta = (K_star - prev.K_accum) / dK if dK != 0.0 else 1.0
-            return prev.t + theta * (s.t - prev.t)
-        prev = s
-    if extrapolate > 0.0 and len(curve.samples) >= 2:
+    blown = np.flatnonzero(1.0 + beta0 * K <= 0.0)
+    if blown.size:
+        i = blown[0]
+        if i == 0:
+            return float(t[0])
+        dK = K[i] - K[i - 1]
+        theta = (K_star - K[i - 1]) / dK if dK != 0.0 else 1.0
+        return float(t[i - 1] + theta * (t[i] - t[i - 1]))
+    if extrapolate > 0.0 and len(t) >= 2:
         span = abs(curve.t_end - curve.t_start)
-        last = curve.samples[-1]
-        before = next((s for s in reversed(curve.samples)
-                       if s.K_accum != last.K_accum), None)
-        if before is not None:
-            slope = (last.K_accum - before.K_accum) / (last.t - before.t)
+        moved = np.flatnonzero(K != K[-1])
+        if moved.size:
+            j = moved[-1]
+            slope = (K[-1] - K[j]) / (t[-1] - t[j])
             if slope != 0.0:
-                t_root = last.t + (K_star - last.K_accum) / slope
-                overshoot = (t_root - last.t) * curve.direction.sign
+                t_root = t[-1] + (K_star - K[-1]) / slope
+                overshoot = (t_root - t[-1]) * curve.direction.sign
                 if 0.0 <= overshoot <= extrapolate * span:
-                    return t_root
+                    return float(t_root)
     return None
 
 
@@ -324,23 +440,20 @@ def classify(curve: CharacteristicCurve, horizon: float,
     a_label = ClassLabel.A_plus if plus else ClassLabel.A_minus
     b_label = ClassLabel.B_plus if plus else ClassLabel.B_minus
 
-    if curve.termination is Termination.reached_boundary or \
-            curve.samples[-1].u > -eps_b:
+    u = curve.u
+    if curve.termination is Termination.reached_boundary or u[-1] > -eps_b:
         return a_label
     span = abs(curve.t_end - curve.t_start)
     if curve.termination is not Termination.reached_horizon or \
             span < horizon * (1.0 - 1e-9):
         return ClassLabel.undetermined
 
-    mu0 = -curve.samples[0].u
-    mu_end = -curve.samples[-1].u
-    if mu_end <= growth_factor * mu0:
+    if -u[-1] <= growth_factor * -u[0]:
         return a_label
 
-    tail = [-s.u for s in curve.samples
-            if abs(s.t - curve.t_start) >= 0.75 * span]
-    tol = 1e-9 * max(1.0, max(tail))
-    if all(b - a >= -tol for a, b in zip(tail, tail[1:])):
+    tail = -u[np.abs(curve.t - curve.t[0]) >= 0.75 * span]
+    tol = 1e-9 * max(1.0, float(np.max(tail)))
+    if np.all(np.diff(tail) >= -tol):
         return b_label
     return ClassLabel.undetermined
 
@@ -356,8 +469,8 @@ class SpotcheckReport:
     sample_points: int
     horizon: float
     growth_factor: float
-    labels: dict = field(default_factory=dict)  # {(Direction, Family): [ClassLabel]}
-    violations: list = field(default_factory=list)
+    labels: dict = dc_field(default_factory=dict)  # {(Direction, Family): [ClassLabel]}
+    violations: list = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -379,29 +492,30 @@ class SpotcheckReport:
 
 def dual_growth_spotcheck(trajectory: Trajectory, sample_points: int,
                           horizon: Optional[float] = None,
-                          growth_factor: float = 10.0) -> SpotcheckReport:
+                          growth_factor: float = 10.0, *,
+                          field: Optional[SpaceTimeField] = None) -> SpotcheckReport:
     """Trace both families from seeded points and flag same-direction
     (B, B) pairs across the families.
 
-    Seeds with elliptic start points are recorded as undetermined.
-    Expected outcome on any trajectory of the system: zero violations.
+    One batch per direction holds both families.  Seeds with elliptic
+    start points are recorded as undetermined.  Expected outcome on any
+    trajectory of the system: zero violations.
     """
+    fld = SpaceTimeField(trajectory) if field is None else field
     window = trajectory.t_end - trajectory.t0
     if horizon is None:
         horizon = window
     report = SpotcheckReport(sample_points, horizon, growth_factor)
     seeds = [(j + 0.5) / sample_points for j in range(sample_points)]
     for direction in Direction:
-        for fam in Family:
-            labels = []
-            for x0 in seeds:
-                try:
-                    curve = trace(trajectory, x0, fam, direction)
-                except EllipticStart:
-                    labels.append(ClassLabel.undetermined)
-                    continue
-                labels.append(classify(curve, horizon, growth_factor))
-            report.labels[(direction, fam)] = labels
+        curves = trace_batch(trajectory, seeds * len(Family),
+                             [fam for fam in Family for _ in seeds],
+                             direction, field=fld)
+        for i, fam in enumerate(Family):
+            report.labels[(direction, fam)] = [
+                ClassLabel.undetermined if isinstance(c, EllipticStart)
+                else classify(c, horizon, growth_factor)
+                for c in curves[i * sample_points:(i + 1) * sample_points]]
     for direction in Direction:
         b = ClassLabel.B_plus if direction is Direction.forward else ClassLabel.B_minus
         s1 = [seeds[i] for i, lab in

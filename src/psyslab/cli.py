@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characteristics import (ClassLabel, Direction, classify, gradient_beta,
-                              predict_blowup, trace)
+from .characteristics import (ClassLabel, Direction, SpaceTimeField, classify,
+                              gradient_beta, predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart
@@ -109,9 +110,12 @@ def _coerce(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: unknown key {key!r}")
     conv = _CONVERTERS[_FIELDS[key]]
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    if conv is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -120,8 +124,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"n = {n} is not a power of two in [16, 4096]")
     if cfg.law not in ("quadratic", "quartic"):
         raise ConfigError(f"law must be quadratic or quartic, got {cfg.law!r}")
-    if cfg.quartic_a < 0.0:
-        raise ConfigError("quartic_a must be >= 0")
     if cfg.preset not in PRESETS:
         raise ConfigError(f"preset must be one of {PRESETS}, got {cfg.preset!r}")
     if cfg.family not in ("first", "second", "both"):
@@ -130,10 +132,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("direction must be forward, backward, or both")
     if cfg.gauge not in ("log1p", "rational"):
         raise ConfigError("gauge must be log1p or rational")
-    if not 0.0 < cfg.cfl_safety <= 1.0:
-        raise ConfigError("cfl_safety must be in (0, 1]")
-    if cfg.snapshot_stride < 1:
-        raise ConfigError("snapshot_stride must be >= 1")
+    if not cfg.t_max > cfg.t0:
+        raise ConfigError(f"t_max = {cfg.t_max:g} must exceed t0 = {cfg.t0:g}")
+    try:
+        cfg.law_obj()
+        cfg.solver_config()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -166,15 +171,20 @@ def _echo_config(cfg: RunConfig, stream=sys.stderr):
 
 
 def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
+    """The preset's initial state; parameters the preset rejects are a
+    ConfigError."""
     law = cfg.law_obj()
-    if cfg.preset == "constant":
-        return constant_state(grid, cfg.u0, cfg.v0)
-    if cfg.preset == "simple_wave":
-        return simple_wave_state(law, grid, cfg.u_center, cfg.amplitude,
-                                 cfg.mode, cfg.r2_value)
-    if cfg.preset == "random_trig":
-        return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
-                                 cfg.u_offset)
+    try:
+        if cfg.preset == "constant":
+            return constant_state(grid, cfg.u0, cfg.v0)
+        if cfg.preset == "simple_wave":
+            return simple_wave_state(law, grid, cfg.u_center, cfg.amplitude,
+                                     cfg.mode, cfg.r2_value)
+        if cfg.preset == "random_trig":
+            return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
+                                     cfg.u_offset)
+    except ValueError as exc:
+        raise ConfigError(f"preset {cfg.preset}: {exc}") from exc
     return random_elliptic_state(grid, np.random.default_rng(cfg.seed))
 
 
@@ -199,7 +209,8 @@ def _write_csv(cfg: RunConfig, path: Path, columns, rows):
 def _write_json(cfg: RunConfig, path: Path, payload: dict):
     payload = {"tool_version": __version__,
                "config_hash": cfg.config_hash(), **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -254,23 +265,29 @@ def cmd_trace(cfg: RunConfig) -> int:
     grid = PeriodicGrid(cfg.n)
     traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
     horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
+    fld = SpaceTimeField(traj)
+    families = _families(cfg)
+    seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
+    batches = {direction: trace_batch(traj, seeds * len(families),
+                                      [fam for fam in families for _ in seeds],
+                                      direction, eps_b=cfg.eps_b, field=fld)
+               for direction in _directions(cfg)}
     entries = []
-    for fam in _families(cfg):
-        for direction in _directions(cfg):
-            for i in range(cfg.curve_seeds):
-                x0 = (i + 0.5) / cfg.curve_seeds
+    for f, fam in enumerate(families):
+        for direction, curves in batches.items():
+            for i, x0 in enumerate(seeds):
+                curve = curves[f * len(seeds) + i]
                 name = f"curve_{fam.name}_{direction.name}_{i}.csv"
-                try:
-                    curve = trace(traj, x0, fam, direction, eps_b=cfg.eps_b)
-                except EllipticStart as exc:
+                if isinstance(curve, EllipticStart):
                     entries.append({"x0": x0, "family": fam.name,
                                     "direction": direction.name,
                                     "label": ClassLabel.undetermined.value,
-                                    "error": str(exc)})
+                                    "error": str(curve)})
                     continue
                 _write_csv(cfg, out / name,
                            ("t", "x", "u", "r1", "r2", "beta", "K_accum"),
-                           curve.samples)
+                           zip(curve.t, curve.x, curve.u, curve.r1, curve.r2,
+                               curve.beta, curve.K_accum))
                 label = classify(curve, horizon, cfg.growth_factor, cfg.eps_b)
                 entries.append({"x0": x0, "family": fam.name,
                                 "direction": direction.name,
@@ -293,12 +310,13 @@ def cmd_predict(cfg: RunConfig) -> int:
     grid = PeriodicGrid(cfg.n)
     traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
     fam = Family.second if cfg.family == "second" else Family.first
+    fld = SpaceTimeField(traj)
+    seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
+    betas = gradient_beta(traj, seeds, fam, field=fld)
+    curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b, field=fld)
     rows = []
     predictions = []
-    for i in range(cfg.curve_seeds):
-        x0 = i / cfg.curve_seeds
-        beta0 = gradient_beta(traj, x0, fam)
-        curve = trace(traj, x0, fam, eps_b=cfg.eps_b)
+    for x0, beta0, curve in zip(seeds, betas, curves):
         t_pred = predict_blowup(curve, beta0, extrapolate=0.25)
         rows.append((x0, beta0, np.nan if t_pred is None else t_pred))
         if t_pred is not None:
@@ -415,3 +433,7 @@ def main(argv=None) -> int:
 
 def console_main():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

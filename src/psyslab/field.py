@@ -105,14 +105,6 @@ def trig_coefficients(samples: np.ndarray) -> np.ndarray:
     return c * w / n
 
 
-def derivative_coefficients(value_coefficients: np.ndarray) -> np.ndarray:
-    """Weights of the interpolant's derivative, Nyquist zeroed."""
-    m = np.arange(len(value_coefficients))
-    d = value_coefficients * (2j * np.pi * m)
-    d[-1] = 0.0
-    return d
-
-
 def phase_vector(n: int, x: float) -> np.ndarray:
     """exp(2j pi m x) for m = 0..n/2, with x taken modulo 1."""
     m = np.arange(n // 2 + 1)

@@ -35,8 +35,8 @@ class PressureLaw:
     def __post_init__(self):
         if self.kind not in (QUADRATIC, QUARTIC):
             raise ValueError(f"unknown pressure law kind: {self.kind!r}")
-        if self.a < 0.0:
-            raise ValueError("quartic coefficient must be non-negative")
+        if not 0.0 <= self.a < np.inf:
+            raise ValueError("quartic coefficient must be finite and non-negative")
 
     @classmethod
     def quadratic(cls) -> "PressureLaw":

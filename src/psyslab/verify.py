@@ -18,8 +18,11 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .characteristics import (Direction, dual_growth_spotcheck, gradient_beta,
-                              invariant_drift, predict_blowup, trace)
+# trace is unused here but stays a name of this module: perfbench/tracing.py
+# wraps the tracer's entry points by module attribute
+from .characteristics import (SpaceTimeField, dual_growth_spotcheck,  # noqa: F401
+                              gradient_beta, invariant_drift, predict_blowup,
+                              trace, trace_batch)
 from .energy import ConcaveGauge, energy, energy_ddot_direct, energy_ddot_formula
 from .errors import DomainError
 from .field import PeriodicGrid, StateField
@@ -193,14 +196,13 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
 
     # the run stops at detection, i.e. essentially at the first root, so
     # allow the Riccati integral a short continuation past the window
-    predictions = []
-    for j in range(n_curve_seeds):
-        x0 = j / n_curve_seeds
-        beta0 = gradient_beta(traj, x0, Family.first)
-        curve = trace(traj, x0, Family.first)
-        t_pred = predict_blowup(curve, beta0, extrapolate=0.25)
-        if t_pred is not None:
-            predictions.append(t_pred)
+    fld = SpaceTimeField(traj)
+    seeds = np.arange(n_curve_seeds) / n_curve_seeds
+    betas = gradient_beta(traj, seeds, Family.first, field=fld)
+    curves = trace_batch(traj, seeds, Family.first, field=fld)
+    predictions = [t for t in (predict_blowup(curve, beta0, extrapolate=0.25)
+                               for curve, beta0 in zip(curves, betas))
+                   if t is not None]
     if not predictions:
         report.verdict = FAIL
         report.reason = "no traced curve predicted blow-up"
@@ -211,13 +213,13 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     sa = traj.series_arrays()
     grown = sa["max_abs_ux"] >= 10.0 * sa["max_abs_ux"][0]
     t_10x = float(sa["t"][np.argmax(grown)]) if np.any(grown) else traj.t_end
-    drift = 0.0
-    for fam in Family:
-        for j in range(drift_seeds):
-            curve = trace(traj, (j + 0.5) / drift_seeds, fam, t_stop=t_10x)
-            drift = max(drift, invariant_drift(curve))
+    seeds = [(j + 0.5) / drift_seeds for j in range(drift_seeds)]
+    curves = trace_batch(traj, seeds * len(Family),
+                         [fam for fam in Family for _ in seeds],
+                         t_stop=t_10x, field=fld)
+    drift = max((invariant_drift(curve) for curve in curves), default=0.0)
 
-    spot = dual_growth_spotcheck(traj, spotcheck_seeds)
+    spot = dual_growth_spotcheck(traj, spotcheck_seeds, field=fld)
 
     gap_do = abs(t_detect - t_oracle) / t_oracle
     gap_po = abs(t_predicted - t_oracle) / t_oracle

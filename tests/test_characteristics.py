@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from psyslab import (ClassLabel, Direction, EllipticStart, Family,
-                     PeriodicGrid, PressureLaw, SolverConfig, StateField,
-                     Termination, WindowTooShort, classify, constant_state,
-                     dual_growth_spotcheck, gradient_beta, invariant_drift,
-                     predict_blowup, run, simple_wave_state, trace)
+                     PeriodicGrid, PressureLaw, SolverConfig, SpaceTimeField,
+                     StateField, Termination, WindowTooShort, classify,
+                     constant_state, dual_growth_spotcheck, gradient_beta,
+                     invariant_drift, predict_blowup, run,
+                     simple_wave_state, trace, trace_batch)
+from psyslab.characteristics import CurveSample
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
@@ -215,3 +217,80 @@ def test_gradient_beta_matches_analytic(wave_traj):
     ux = 0.3 * 2 * np.pi * np.cos(2 * np.pi * x0)
     analytic = 2.0 * np.sqrt(-u) * ux * (-u) ** 0.25
     assert gradient_beta(traj, x0, Family.first) == pytest.approx(analytic, rel=1e-6)
+    batch = gradient_beta(traj, np.array([0.1, x0]), Family.first)
+    assert batch[1] == pytest.approx(gradient_beta(traj, x0, Family.first), rel=1e-14)
+
+
+def mixed_trajectory():
+    """Time-dependent mixed-type field on [0, 0.5]: u > 0 near x = 0.25,
+    so curves started there are elliptic and some others run into the
+    interface; need not solve the system."""
+    g = PeriodicGrid(256)
+    x = g.nodes
+    snaps = []
+    for t in np.arange(9) * 0.0625:
+        u = -0.5 + 0.8 * np.sin(2 * np.pi * x) + 0.1 * t * np.cos(2 * np.pi * x)
+        v = 0.2 * t * np.sin(4 * np.pi * x)
+        snaps.append((float(t), StateField(g, u, v)))
+    return Trajectory(QUAD, snaps, RunStatus.completed, None, [], len(snaps))
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_batch_matches_single_traces(direction):
+    # each batch holds both families, an elliptic start, a boundary hit
+    # and a curve that runs the whole window
+    traj = mixed_trajectory()
+    x0s = [0.25, 0.05, 0.75] * 2
+    fams = [Family.first] * 3 + [Family.second] * 3
+    outcomes = set()
+    for x0, fam, got in zip(x0s, fams, trace_batch(traj, x0s, fams, direction)):
+        if isinstance(got, EllipticStart):
+            with pytest.raises(EllipticStart):
+                trace(traj, x0, fam, direction)
+            outcomes.add("elliptic")
+            continue
+        ref = trace(traj, x0, fam, direction)
+        assert (got.family, got.direction, got.termination) == \
+            (ref.family, ref.direction, ref.termination)
+        assert (got.t_hit is None) == (ref.t_hit is None)
+        if ref.t_hit is not None:
+            assert got.t_hit == pytest.approx(ref.t_hit, abs=1e-14)
+        for name in CurveSample._fields:
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                       rtol=1e-14, atol=1e-14, err_msg=name)
+        outcomes.add(got.termination.value)
+    assert outcomes == {"elliptic", "reached_boundary", "reached_horizon"}
+
+
+def test_field_evaluator_matches_direct_sum():
+    # white-noise snapshots at uneven times fill every mode, Nyquist too
+    n = 64
+    rng = np.random.default_rng(11)
+    times = np.cumsum(rng.uniform(0.05, 0.15, 8))
+    g = PeriodicGrid(n)
+    traj = Trajectory(QUAD, [(float(t), StateField(g, -1.0 + 0.1 * rng.standard_normal(n),
+                                                   0.1 * rng.standard_normal(n)))
+                             for t in times], RunStatus.completed, None, [], 8)
+    fld = SpaceTimeField(traj)
+    assert np.array_equal(fld.times, times)
+    m = np.arange(n // 2 + 1)
+    for t in rng.uniform(times[0], times[-1], 4):
+        x = rng.uniform(-2.0, 3.0, 6)
+        i0 = min(max(int(np.searchsorted(times, t)) - 2, 0), len(times) - 4)
+        ts = times[i0:i0 + 4]
+        expect = np.zeros((4, len(x)))
+        for a, (_, state) in enumerate(traj.snapshots[i0:i0 + 4]):
+            w = np.prod([(t - ts[b]) / (ts[a] - ts[b]) for b in range(4) if b != a])
+            for row, samples in enumerate((state.u, state.v)):
+                c = np.fft.rfft(samples) / n
+                c[1:-1] *= 2.0
+                dc = 2j * np.pi * m * c
+                dc[-1] = 0.0
+                for k, coef in ((row, c), (row + 2, dc)):
+                    expect[k] += w * np.array(
+                        [sum((coef[j] * np.exp(2j * np.pi * j * xi)).real
+                             for j in m) for xi in x])
+        got = fld.values(t, x)
+        for k in range(4):
+            scale = max(1.0, float(np.max(np.abs(expect[k]))))
+            np.testing.assert_allclose(got[k], expect[k], rtol=0, atol=1e-13 * scale)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from psyslab.cli import main, parse_config
+import psyslab
+from psyslab.cli import _write_json, main, parse_config
 from psyslab.errors import ConfigError
 
 
@@ -60,6 +65,43 @@ def test_config_error_exit_code(tmp_path):
     path = write_config(tmp_path, "foo = 1\n")
     assert main(["--quiet", "--config", path, "simulate"]) == 2
     assert main(["--quiet", "--config", str(tmp_path / "nope.cfg"), "simulate"]) == 2
+
+
+@pytest.mark.parametrize("overrides", [
+    ["t_max=0"],
+    ["preset=simple_wave", "u_center=0.5"],
+    ["preset=random_trig", "u_offset=0"],
+    ["law=quartic", "quartic_a=nan"],
+    ["t_max=inf"],
+    ["grad_blowup_factor=0"],
+])
+def test_invalid_values_exit_2(tmp_path, capsys, overrides):
+    args = []
+    for item in overrides + ["n=64", f"outdir={tmp_path / 'out'}"]:
+        args += ["--set", item]
+    assert run_cli(*args, "simulate") == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
+def test_json_rejects_non_finite(tmp_path):
+    cfg = parse_config()
+    with pytest.raises(ValueError):
+        _write_json(cfg, tmp_path / "x.json", {"t_detect": float("nan")})
+
+
+@pytest.mark.parametrize("module", ["psyslab", "psyslab.cli"])
+def test_module_entry_point(tmp_path, module):
+    src = str(Path(psyslab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--quiet", "--set", "n=16",
+         "--set", "t_max=0.05", "--set", f"outdir={out}", "simulate"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "run.json").read_text())["status"] == "completed"
 
 
 def test_unwritable_outdir_is_config_error(tmp_path):

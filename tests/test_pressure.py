@@ -55,8 +55,9 @@ def test_derivatives_match_finite_differences():
 def test_constructor_rejects_bad_laws():
     with pytest.raises(ValueError):
         PressureLaw("cubic")
-    with pytest.raises(ValueError):
-        PressureLaw.quartic(-0.5)
+    for a in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PressureLaw.quartic(a)
 
 
 def test_validate_law_clean_families():

@@ -20,16 +20,13 @@ from .energy import (ConcaveGauge, energy, energy_ddot_direct,
 from .errors import (BlowUpError, ConfigError, DomainError, EllipticStart,
                      LengthMismatch, NonFiniteState, PsyslabError,
                      WindowTooShort)
-from .field import (PeriodicGrid, StateField, TrigInterpolant,
-                    hyperbolicity_margin, interpolate, spectral_derivative,
-                    spectral_tail_ratio)
-from .pressure import (PressureLaw, ValidationReport, eval_ddp, eval_dp,
-                       eval_p, validate_law)
+from .field import PeriodicGrid, StateField, spectral_derivative
+from .pressure import PressureLaw, ValidationReport, validate_law
 from .riemann import (Family, RiemannPair, beta_from_gradient, eigenvalue,
                       genuine_nonlinearity, q_of_u, riccati_evolve, riccati_k,
                       riemann_from_state, state_from_riemann, u_of_q)
-from .solver import (MonitorStatus, RunStatus, SeriesRecord, SolverConfig,
-                     Trajectory, blowup_monitor, cfl_dt, rhs, run, step_rk4)
+from .solver import (RunStatus, SeriesRecord, SolverConfig, Trajectory, cfl_dt,
+                     rhs, run, step_rk4)
 from .verify import (ScenarioReport, constant_state, crossing_time_oracle,
                      default_suite, random_elliptic_state, random_trig_state,
                      scenario_constant, scenario_energy_identity,

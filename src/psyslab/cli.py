@@ -31,7 +31,7 @@ from .characteristics import (ClassLabel, Direction, SpaceTimeField, classify,
                               gradient_beta, predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
-from .errors import ConfigError, DomainError, EllipticStart
+from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw, validate_law
 from .riemann import Family
@@ -259,13 +259,31 @@ def _directions(cfg: RunConfig):
     return [Direction[cfg.direction]]
 
 
+def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
+                 payload: dict) -> int:
+    """Write ``payload`` with the reason a run cannot be traced (it ended,
+    say, admission_refused with one snapshot) and report it as exit 1."""
+    reason = (f"run ended {traj.status.value} with {len(traj.snapshots)} "
+              f"snapshot(s): {exc}")
+    _write_json(cfg, path, {**payload, "error": reason})
+    print(f"error: {reason}", file=sys.stderr)
+    return 1
+
+
 def cmd_trace(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     law = cfg.law_obj()
     grid = PeriodicGrid(cfg.n)
     traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
     horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
-    fld = SpaceTimeField(traj)
+    thresholds = {"horizon": horizon, "growth_factor": cfg.growth_factor,
+                  "eps_b": cfg.eps_b}
+    try:
+        fld = SpaceTimeField(traj)
+    except WindowTooShort as exc:
+        return _untraceable(cfg, out / "classification.json", traj, exc, {
+            "run_status": traj.status.value, "curves": [],
+            "thresholds": thresholds})
     families = _families(cfg)
     seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
     batches = {direction: trace_batch(traj, seeds * len(families),
@@ -298,8 +316,7 @@ def cmd_trace(cfg: RunConfig) -> int:
     _write_json(cfg, out / "classification.json", {
         "run_status": traj.status.value,
         "curves": entries,
-        "thresholds": {"horizon": horizon, "growth_factor": cfg.growth_factor,
-                       "eps_b": cfg.eps_b},
+        "thresholds": thresholds,
     })
     return 0
 
@@ -310,7 +327,13 @@ def cmd_predict(cfg: RunConfig) -> int:
     grid = PeriodicGrid(cfg.n)
     traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
     fam = Family.second if cfg.family == "second" else Family.first
-    fld = SpaceTimeField(traj)
+    try:
+        fld = SpaceTimeField(traj)
+    except WindowTooShort as exc:
+        return _untraceable(cfg, out / "predict.json", traj, exc, {
+            "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
+            "solver_status": traj.status.value,
+            "solver_t_detect": traj.t_detect})
     seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
     betas = gradient_beta(traj, seeds, fam, field=fld)
     curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b, field=fld)

@@ -69,22 +69,6 @@ class PressureLaw:
         return f"quartic(a={self.a:g})"
 
 
-def eval_p(law, u):
-    """Pressure p(u)."""
-    return law.p(u)
-
-
-def eval_dp(law, u):
-    """p'(u); its sign governs the type: negative means hyperbolic,
-    positive elliptic."""
-    return law.dp(u)
-
-
-def eval_ddp(law, u):
-    """p''(u), strictly positive for valid laws."""
-    return law.ddp(u)
-
-
 @dataclass(frozen=True)
 class Violation:
     u: float

@@ -7,25 +7,36 @@ sigma(m) = exp(-36 (m/m_max)^36) is applied after each step: it is
 near-identity on resolved modes and suppresses aliasing from the
 quadratic nonlinearity.
 
-Evolution is only admitted for strictly hyperbolic initial data; the
+Evolution is only admitted for strictly hyperbolic data; the
 initial-value problem is ill-posed in the elliptic region, so elliptic
 or near-interface data is refused up front rather than integrated into
-garbage.  Runs end in one of four recorded statuses; gradient blow-up
-and resolution loss are results, not exceptions.
+garbage, and a run whose solution reaches the interface mid-run stops
+there.  Runs end in one of five recorded statuses:
+
+* ``completed``: t_max reached;
+* ``admission_refused``: the initial data is not strictly hyperbolic;
+* ``interface_reached``: a step took max u above -hyperbolicity_eps;
+* ``blow_up_detected``: max|u_x| passed its threshold, or a step
+  produced non-finite values;
+* ``resolution_lost``: the spectral tail passed its threshold.
+
+Gradient blow-up, resolution loss and reaching the interface are
+results, not exceptions.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NonFiniteState
-from .field import (PeriodicGrid, StateField, _tail_stats,
-                    hyperbolicity_margin, spectral_derivative)
+from .field import (PeriodicGrid, StateField, _derivative_from_rfft,
+                    _tail_stats, spectral_derivative)
 
 
 class RunStatus(str, enum.Enum):
@@ -33,12 +44,7 @@ class RunStatus(str, enum.Enum):
     blow_up_detected = "blow_up_detected"
     admission_refused = "admission_refused"
     resolution_lost = "resolution_lost"
-
-
-class MonitorStatus(str, enum.Enum):
-    ok = "ok"
-    blow_up = "blow_up"
-    resolution_lost = "resolution_lost"
+    interface_reached = "interface_reached"
 
 
 @dataclass
@@ -60,18 +66,18 @@ class SolverConfig:
     tail_ratio_max: float = 1e-4
     hyperbolicity_eps: float = 1e-3
     snapshot_stride: int = 5
-    fixed_dt: Optional[float] = None  # bypasses CFL; for convergence studies
 
     def __post_init__(self):
+        # written so that NaN fails every comparison
+        if not math.isfinite(self.t_max):
+            raise ValueError("t_max must be finite")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must be in (0, 1]")
         for name in ("grad_blowup_factor", "tail_ratio_max", "hyperbolicity_eps"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError("fixed_dt must be positive")
 
 
 class SeriesRecord(NamedTuple):
@@ -112,18 +118,17 @@ class Trajectory:
         return {name: data[:, i] for i, name in enumerate(cols)}
 
 
-def rhs(law, state: StateField):
+def rhs(law, grid: PeriodicGrid, u: np.ndarray, v: np.ndarray):
     """Right-hand side (du/dt, dv/dt) = (-v_x, (p(u))_x)."""
-    du = -spectral_derivative(state.grid, state.v)
-    dv = spectral_derivative(state.grid, law.p(state.u))
+    du = -spectral_derivative(grid, v)
+    dv = spectral_derivative(grid, law.p(u))
     return du, dv
 
 
 def cfl_dt(law, state: StateField, cfl_safety: float) -> float:
     """CFL step: cfl_safety * dx / max_j |characteristic speed|.
 
-    The speed magnitude is |p'(u)|^(1/2), which also covers states that
-    drifted past the interface mid-run.  Degenerate states with maximum
+    The speed magnitude is |p'(u)|^(1/2).  Degenerate states with maximum
     speed below 1e-12 fall back to cfl_safety * dx.
     """
     speed = float(np.sqrt(np.max(np.abs(law.dp(state.u)))))
@@ -137,12 +142,6 @@ def _filter_multipliers(n: int) -> np.ndarray:
     m = np.arange(n // 2 + 1)
     m_max = n // 2
     return np.exp(-36.0 * (m / m_max) ** 36)
-
-
-def _rhs_arrays(law, grid: PeriodicGrid, u: np.ndarray, v: np.ndarray):
-    du = -spectral_derivative(grid, v)
-    dv = spectral_derivative(grid, law.p(u))
-    return du, dv
 
 
 def _apply_filter(grid: PeriodicGrid, arr: np.ndarray) -> np.ndarray:
@@ -160,10 +159,10 @@ def step_rk4(law, state: StateField, dt: float) -> StateField:
     """
     grid = state.grid
     u, v = state.u, state.v
-    ku1, kv1 = _rhs_arrays(law, grid, u, v)
-    ku2, kv2 = _rhs_arrays(law, grid, u + 0.5 * dt * ku1, v + 0.5 * dt * kv1)
-    ku3, kv3 = _rhs_arrays(law, grid, u + 0.5 * dt * ku2, v + 0.5 * dt * kv2)
-    ku4, kv4 = _rhs_arrays(law, grid, u + dt * ku3, v + dt * kv3)
+    ku1, kv1 = rhs(law, grid, u, v)
+    ku2, kv2 = rhs(law, grid, u + 0.5 * dt * ku1, v + 0.5 * dt * kv1)
+    ku3, kv3 = rhs(law, grid, u + 0.5 * dt * ku2, v + 0.5 * dt * kv2)
+    ku4, kv4 = rhs(law, grid, u + dt * ku3, v + dt * kv3)
     un = u + (dt / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
     vn = v + (dt / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
     un = _apply_filter(grid, un)
@@ -174,57 +173,58 @@ def step_rk4(law, state: StateField, dt: float) -> StateField:
 
 
 def _state_metrics(state: StateField) -> tuple:
-    """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum)."""
+    """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum).
+
+    One rfft per field feeds both the derivative and the tail statistics.
+    """
     grid = state.grid
-    ux = spectral_derivative(grid, state.u)
-    vx = spectral_derivative(grid, state.v)
-    tu, eu, fu = _tail_stats(state.u)
-    tv, ev, fv = _tail_stats(state.v)
+    cu = np.fft.rfft(state.u)
+    cv = np.fft.rfft(state.v)
+    tu, eu, fu = _tail_stats(cu, state.u)
+    tv, ev, fv = _tail_stats(cv, state.v)
+    ux = _derivative_from_rfft(grid, cu)
+    vx = _derivative_from_rfft(grid, cv)
     total = eu + ev
     tail = (tu + tv) / total if total > fu + fv else 0.0
     return (float(np.max(state.u)), float(np.min(state.u)),
             float(np.max(np.abs(ux))), float(np.max(np.abs(vx))), tail)
 
 
-def _monitor_from_metrics(max_abs_ux: float, tail_ratio: float,
-                          initial_scale: float, config: SolverConfig) -> MonitorStatus:
-    if max_abs_ux > config.grad_blowup_factor * initial_scale:
-        return MonitorStatus.blow_up
-    if tail_ratio > config.tail_ratio_max:
-        return MonitorStatus.resolution_lost
-    return MonitorStatus.ok
+def _monitor_from_metrics(metrics: tuple, initial_scale: float,
+                          config: SolverConfig) -> Optional[RunStatus]:
+    """The status a run ends in after a step with these ``_state_metrics``,
+    or None when it goes on.
 
-
-def blowup_monitor(state: StateField, initial_scale: float,
-                   config: SolverConfig) -> MonitorStatus:
-    """Numerical proxy for the gradient catastrophe.
-
-    Fires ``blow_up`` when max|u_x| exceeds grad_blowup_factor times the
-    initial gradient scale, and ``resolution_lost`` when the combined
+    Fires ``interface_reached`` when max u rises above
+    -hyperbolicity_eps (the test admission applies to the initial data),
+    ``blow_up_detected`` when max|u_x| exceeds grad_blowup_factor times
+    the initial gradient scale, and ``resolution_lost`` when the combined
     (u, v) spectral tail ratio exceeds tail_ratio_max.
     """
-    if initial_scale <= 0.0:
-        raise ValueError("initial_scale must be positive")
-    _, _, max_ux, _, tail = _state_metrics(state)
-    return _monitor_from_metrics(max_ux, tail, initial_scale, config)
+    max_u, _, max_ux, _, tail = metrics
+    if max_u > -config.hyperbolicity_eps:
+        return RunStatus.interface_reached
+    if max_ux > config.grad_blowup_factor * initial_scale:
+        return RunStatus.blow_up_detected
+    if tail > config.tail_ratio_max:
+        return RunStatus.resolution_lost
+    return None
 
 
-def run(law, state0: StateField, t0: float, config: SolverConfig,
-        backward: bool = False) -> Trajectory:
-    """Integrate from (t0, state0) until t_max, blow-up, or resolution loss.
+def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
+    """Integrate from (t0, state0) until t_max or a monitor fires.
 
     Data that is not strictly hyperbolic (max u > -hyperbolicity_eps) is
-    refused with status ``admission_refused``.  With ``backward=True``
-    the run uses the time-reflection symmetry (t, v) -> (-t, -v): v is
-    negated and integration proceeds forward; snapshot k at time t0 + s
-    then represents the original solution at t0 - s with v negated.
+    refused with status ``admission_refused``.  After each step the
+    monitor may end the run (see ``_monitor_from_metrics``); the state
+    that fired it is stored as the last snapshot, except on
+    ``interface_reached``, whose state lies outside the regime the run
+    covers.  Its series record is kept either way.
 
     A step that produces non-finite values (possible only after the
     smooth solution has already degenerated) is recorded as
     ``blow_up_detected`` at that time.
     """
-    if backward:
-        state0 = StateField(state0.grid, state0.u, -state0.v)
     if config.t_max <= t0:
         raise ValueError("t_max must exceed t0")
 
@@ -232,7 +232,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     series = [SeriesRecord(t0, *m0)]
     snapshots = [(t0, state0)]
 
-    if hyperbolicity_margin(state0) > -config.hyperbolicity_eps:
+    if m0[0] > -config.hyperbolicity_eps:
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, 0)
 
@@ -247,8 +247,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     # a degenerate snapshot spacing that poisons temporal interpolation
     t_slack = 1e-12 * max(1.0, abs(config.t_max))
     while config.t_max - t > t_slack:
-        dt = config.fixed_dt or cfl_dt(law, state, config.cfl_safety)
-        dt = min(dt, config.t_max - t)
+        dt = min(cfl_dt(law, state, config.cfl_safety), config.t_max - t)
         try:
             state = step_rk4(law, state, dt)
         except NonFiniteState:
@@ -259,12 +258,12 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         steps += 1
         m = _state_metrics(state)
         series.append(SeriesRecord(t, *m))
-        mon = _monitor_from_metrics(m[2], m[4], initial_scale, config)
-        if mon is not MonitorStatus.ok:
-            status = (RunStatus.blow_up_detected if mon is MonitorStatus.blow_up
-                      else RunStatus.resolution_lost)
+        fired = _monitor_from_metrics(m, initial_scale, config)
+        if fired is not None:
+            status = fired
             t_detect = t
-            snapshots.append((t, state))
+            if fired is not RunStatus.interface_reached:
+                snapshots.append((t, state))
             break
         if steps % config.snapshot_stride == 0:
             snapshots.append((t, state))

@@ -163,6 +163,25 @@ def test_trace_emits_curves_and_classification(tmp_path):
     assert cls["thresholds"]["growth_factor"] == 10.0
 
 
+@pytest.mark.parametrize("command, report", [("trace", "classification.json"),
+                                             ("predict", "predict.json")])
+@pytest.mark.parametrize("preset", [["preset=elliptic_random"],
+                                    ["preset=constant", "u0=-0.0005"]])
+def test_untraceable_run_reports_status(tmp_path, capsys, command, report, preset):
+    # refused at admission, the run has one snapshot and nothing to trace
+    out = tmp_path / "out"
+    args = []
+    for item in preset + ["n=64", "t_max=0.5", f"outdir={out}"]:
+        args += ["--set", item]
+    assert run_cli(*args, command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run ended admission_refused")
+    rep = json.loads((out / report).read_text())
+    assert rep.get("run_status", rep.get("solver_status")) == "admission_refused"
+    assert rep.get("curves", []) == [] and rep.get("n_predicting", 0) == 0
+    assert not list(out.glob("*.csv"))
+
+
 def test_predict_table(tmp_path):
     out = tmp_path / "out"
     code = run_cli("--set", "preset=simple_wave", "--set", "n=256",

@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
 
-from psyslab import (LengthMismatch, PeriodicGrid, StateField,
-                     hyperbolicity_margin, interpolate, spectral_derivative,
-                     spectral_tail_ratio)
+from psyslab import LengthMismatch, PeriodicGrid, StateField, spectral_derivative
 from psyslab.field import trig_coefficients
+from psyslab.solver import _state_metrics
+
+
+def interpolant(f, x):
+    """The trigonometric interpolant of node samples f at x, as the tracer
+    evaluates it: Re(d . exp(2j pi m x)) over the trig_coefficients d."""
+    d = trig_coefficients(f)
+    return float(np.real(d @ np.exp(2j * np.pi * np.arange(len(d)) * x)))
+
+
+def max_u(g, u):
+    return _state_metrics(StateField(g, u, np.zeros(g.n)))[0]
+
+
+def tail_ratio(g, u):
+    return _state_metrics(StateField(g, u, np.zeros(g.n)))[4]
 
 
 def test_grid_validation():
@@ -14,8 +28,6 @@ def test_grid_validation():
     for bad in (100, 8, 15, 0):
         with pytest.raises(ValueError):
             PeriodicGrid(bad)
-    with pytest.raises(ValueError):
-        PeriodicGrid(64, period=2.0)
 
 
 def test_state_field_validation():
@@ -77,24 +89,6 @@ def test_parseval_consistency():
     assert abs(np.mean(df**2) - energy_modes) < 1e-10 * max(1.0, energy_modes)
 
 
-def test_interpolate_reproduces_nodes_bitwise():
-    g = PeriodicGrid(32)
-    rng = np.random.default_rng(9)
-    f = rng.standard_normal(32)
-    for j in range(32):
-        assert interpolate(g, f, j / 32) == f[j]
-        assert interpolate(g, f, j / 32 + 1.0) == f[j]  # modulo 1
-
-
-def test_interpolate_analytic_and_constant():
-    g = PeriodicGrid(64)
-    f = np.sin(2 * np.pi * g.nodes)
-    assert abs(interpolate(g, f, 0.125) - np.sin(np.pi / 4)) < 1e-10
-    c = np.full(64, 2.25)
-    for x in (0.1, 0.37, 0.999):
-        assert abs(interpolate(g, c, x) - 2.25) < 1e-12
-
-
 def test_interpolant_matches_analytic_modes_off_node():
     g = PeriodicGrid(32)
     rng = np.random.default_rng(10)
@@ -107,30 +101,34 @@ def test_interpolant_matches_analytic_modes_off_node():
     f = analytic(g.nodes)
     assert trig_coefficients(f).shape == (17,)
     for x in np.linspace(0.013, 0.987, 23):
-        assert abs(interpolate(g, f, x) - analytic(x)) < 1e-12
+        assert abs(interpolant(f, x) - analytic(x)) < 1e-12
+
+    g = PeriodicGrid(64)
+    assert abs(interpolant(np.sin(2 * np.pi * g.nodes), 0.125)
+               - np.sin(np.pi / 4)) < 1e-10
+    for x in (0.1, 0.37, 0.999):
+        assert abs(interpolant(np.full(64, 2.25), x) - 2.25) < 1e-12
 
 
 def test_hyperbolicity_margin():
+    # the solver admits and monitors on max u: strictly hyperbolic iff < 0
     g = PeriodicGrid(256)
-    s = StateField(g, np.full(256, -1.0), np.zeros(256))
-    assert hyperbolicity_margin(s) == -1.0
+    assert max_u(g, np.full(256, -1.0)) == -1.0
     u = -1.0 + 0.3 * np.sin(2 * np.pi * g.nodes)
-    s = StateField(g, u, np.zeros(256))
     # dense-sampling oracle of the analytic max
     dense = -1.0 + 0.3 * np.sin(2 * np.pi * np.linspace(0, 1, 100_001))
-    assert abs(hyperbolicity_margin(s) - dense.max()) < 1e-3
-    s = StateField(g, np.full(256, 0.5), np.zeros(256))
-    assert hyperbolicity_margin(s) == 0.5  # elliptic
+    assert abs(max_u(g, u) - dense.max()) < 1e-3
+    assert max_u(g, np.full(256, 0.5)) == 0.5  # elliptic
 
 
 def test_tail_ratio_band_limited_vs_noise():
     g = PeriodicGrid(128)
     x = g.nodes
     smooth = np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x)
-    assert spectral_tail_ratio(g, smooth) < 1e-20
+    assert tail_ratio(g, smooth) < 1e-20
     rng = np.random.default_rng(12)
     noise = rng.standard_normal(128)
-    assert spectral_tail_ratio(g, noise) > 0.1  # flat spectrum: ~1/3
+    assert tail_ratio(g, noise) > 0.1  # flat spectrum: ~1/3
     # numerically constant fields have nothing to resolve
-    assert spectral_tail_ratio(g, np.full(128, -4.0)) == 0.0
-    assert spectral_tail_ratio(g, -4.0 + 1e-15 * rng.standard_normal(128)) == 0.0
+    assert tail_ratio(g, np.full(128, -4.0)) == 0.0
+    assert tail_ratio(g, -4.0 + 1e-15 * rng.standard_normal(128)) == 0.0

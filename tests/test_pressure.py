@@ -1,43 +1,43 @@
 import numpy as np
 import pytest
 
-from psyslab import PressureLaw, eval_ddp, eval_dp, eval_p, validate_law
+from psyslab import PressureLaw, validate_law
 
 QUAD = PressureLaw.quadratic()
 QUART = PressureLaw.quartic(0.1)
 
 
 def test_eval_p_values():
-    assert eval_p(QUAD, 0.0) == 0.0
-    assert eval_p(QUAD, -2.0) == 2.0          # u^2/2 by hand
-    assert eval_p(QUART, 1.0) == pytest.approx(0.6, abs=1e-15)  # 1/2 + 0.1
+    assert QUAD.p(0.0) == 0.0
+    assert QUAD.p(-2.0) == 2.0          # u^2/2 by hand
+    assert QUART.p(1.0) == pytest.approx(0.6, abs=1e-15)  # 1/2 + 0.1
 
 
 def test_eval_dp_values():
-    assert eval_dp(QUAD, 0.0) == 0.0
-    assert eval_dp(QUAD, -4.0) == -4.0
-    assert eval_dp(QUART, -1.0) == pytest.approx(-1.4, abs=1e-15)  # u + 4au^3
+    assert QUAD.dp(0.0) == 0.0
+    assert QUAD.dp(-4.0) == -4.0
+    assert QUART.dp(-1.0) == pytest.approx(-1.4, abs=1e-15)  # u + 4au^3
 
 
 def test_eval_ddp_values():
     for u in (-3.0, 0.0, 7.5):
-        assert eval_ddp(QUAD, u) == 1.0
-    assert eval_ddp(PressureLaw.quartic(0.0), 2.0) == 1.0
-    assert eval_ddp(QUART, 1.0) == pytest.approx(2.2, abs=1e-15)  # 1 + 12au^2
+        assert QUAD.ddp(u) == 1.0
+    assert PressureLaw.quartic(0.0).ddp(2.0) == 1.0
+    assert QUART.ddp(1.0) == pytest.approx(2.2, abs=1e-15)  # 1 + 12au^2
 
 
 def test_array_evaluation():
     u = np.linspace(-3, 3, 17)
-    assert np.allclose(eval_p(QUAD, u), 0.5 * u * u)
-    assert np.allclose(eval_dp(QUART, u), u + 0.4 * u**3)
+    assert np.allclose(QUAD.p(u), 0.5 * u * u)
+    assert np.allclose(QUART.dp(u), u + 0.4 * u**3)
 
 
 def test_anchor_and_convexity_invariants():
     for law in (QUAD, QUART, PressureLaw.quartic(2.5)):
-        assert eval_p(law, 0.0) == 0.0
-        assert eval_dp(law, 0.0) == 0.0
+        assert law.p(0.0) == 0.0
+        assert law.dp(0.0) == 0.0
         u = np.linspace(-100, 100, 2001)
-        assert np.all(eval_ddp(law, u) > 0.0)
+        assert np.all(law.ddp(u) > 0.0)
 
 
 def test_derivatives_match_finite_differences():
@@ -46,10 +46,10 @@ def test_derivatives_match_finite_differences():
     h = 1e-5
     for law in (QUAD, QUART):
         for u in rng.uniform(-5, 5, 100):
-            fd1 = (eval_p(law, u + h) - eval_p(law, u - h)) / (2 * h)
-            fd2 = (eval_dp(law, u + h) - eval_dp(law, u - h)) / (2 * h)
-            assert abs(eval_dp(law, u) - fd1) < 1e-8
-            assert abs(eval_ddp(law, u) - fd2) < 1e-8
+            fd1 = (law.p(u + h) - law.p(u - h)) / (2 * h)
+            fd2 = (law.dp(u + h) - law.dp(u - h)) / (2 * h)
+            assert abs(law.dp(u) - fd1) < 1e-8
+            assert abs(law.ddp(u) - fd2) < 1e-8
 
 
 def test_constructor_rejects_bad_laws():

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psyslab import (MonitorStatus, NonFiniteState, PeriodicGrid, PressureLaw,
-                     RunStatus, SolverConfig, StateField, blowup_monitor,
-                     cfl_dt, constant_state, random_trig_state, rhs, run,
+from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
+                     SolverConfig, StateField, cfl_dt, constant_state,
+                     random_trig_state, rhs, run, spectral_derivative,
                      step_rk4)
+from psyslab.solver import _monitor_from_metrics, _state_metrics
 
 QUAD = PressureLaw.quadratic()
 
 
 def test_rhs_constants_are_equilibria():
     g = PeriodicGrid(64)
-    du, dv = rhs(QUAD, constant_state(g, -2.0, 1.5))
+    s = constant_state(g, -2.0, 1.5)
+    du, dv = rhs(QUAD, g, s.u, s.v)
     assert np.all(du == 0.0)
     assert np.all(dv == 0.0)
 
@@ -19,8 +23,7 @@ def test_rhs_constants_are_equilibria():
 def test_rhs_analytic_case():
     g = PeriodicGrid(64)
     x = g.nodes
-    s = StateField(g, np.full(64, -1.0), np.sin(2 * np.pi * x))
-    du, dv = rhs(QUAD, s)
+    du, dv = rhs(QUAD, g, np.full(64, -1.0), np.sin(2 * np.pi * x))
     assert np.max(np.abs(du + 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
     assert np.max(np.abs(dv)) < 1e-12  # p(u) is constant
 
@@ -139,13 +142,47 @@ def test_run_detects_breakdown_of_simple_wave():
     assert abs(traj.t_detect - t_star) / t_star < 0.05
 
 
-def test_run_backward_symmetry():
+def test_run_stops_at_interface():
+    # max u of this data crosses -hyperbolicity_eps on its way to 0 near
+    # step 13 (t ~ 0.049); the run must stop there, not step on through
+    # the ill-posed elliptic regime
+    g = PeriodicGrid(256)
+    x = g.nodes
+    s0 = StateField(g, -0.1 + 0.05 * np.sin(2 * np.pi * x),
+                    0.3 * np.sin(2 * np.pi * x))
+    cfg = SolverConfig(t_max=2.0)
+    traj = run(QUAD, s0, 0.0, cfg)
+    assert traj.status is RunStatus.interface_reached
+    assert 1 <= traj.steps <= 13
+    assert traj.t_detect == traj.series[-1].t < 0.05
+    assert traj.series[-1].max_u > -cfg.hyperbolicity_eps
+    assert all(r.max_u <= -cfg.hyperbolicity_eps for r in traj.series[:-1])
+    # the state past the threshold is not stored
+    assert traj.t_end < traj.t_detect
+    assert all(np.max(s.u) <= -cfg.hyperbolicity_eps for _, s in traj.snapshots)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), modes=st.integers(1, 4),
+       amplitude=st.floats(0.01, 0.6),
+       u_offset=st.floats(-0.3, -0.05, exclude_max=True),
+       t_max=st.floats(0.01, 0.3))
+def test_run_never_stores_a_state_past_the_interface(seed, modes, amplitude,
+                                                     u_offset, t_max):
     g = PeriodicGrid(64)
-    traj = run(QUAD, constant_state(g, -2.0, 1.0), 0.0,
-               SolverConfig(t_max=1.0), backward=True)
-    assert traj.status is RunStatus.completed
-    # reflected run carries -v
-    assert np.all(traj.snapshots[-1][1].v == -1.0)
+    s0 = random_trig_state(g, seed, modes, amplitude, u_offset)
+    cfg = SolverConfig(t_max=t_max)
+    traj = run(QUAD, s0, 0.0, cfg)
+    assert isinstance(traj.status, RunStatus)
+    assert traj.status is not RunStatus.admission_refused  # max u <= -0.05
+    assert all(np.max(s.u) <= -cfg.hyperbolicity_eps for _, s in traj.snapshots)
+    # only the step that ends the run may read past the threshold
+    assert all(r.max_u <= -cfg.hyperbolicity_eps for r in traj.series[:-1])
+    if traj.status is RunStatus.completed:
+        assert traj.t_detect is None
+        assert traj.t_end == pytest.approx(t_max, abs=1e-10)
+    else:
+        assert traj.t_detect == traj.series[-1].t
 
 
 def test_rk4_order():
@@ -173,19 +210,37 @@ def test_blowup_monitor_thresholds():
     g = PeriodicGrid(128)
     x = g.nodes
     cfg = SolverConfig(t_max=1.0)
-    smooth = StateField(g, -1.0 + 0.1 * np.sin(2 * np.pi * x), np.zeros(128))
-    assert blowup_monitor(smooth, 1.0, cfg) is MonitorStatus.ok
+
+    def fired(u, initial_scale):
+        metrics = _state_metrics(StateField(g, u, np.zeros(128)))
+        return _monitor_from_metrics(metrics, initial_scale, cfg)
+
+    assert fired(-1.0 + 0.1 * np.sin(2 * np.pi * x), 1.0) is None
 
     # max|u_x| = 1e5 with initial scale 1 and factor 1e4: fires
-    steep = StateField(g, (1e5 / (2 * np.pi)) * np.sin(2 * np.pi * x), np.zeros(128))
-    assert blowup_monitor(steep, 1.0, cfg) is MonitorStatus.blow_up
+    steep = (1e5 / (2 * np.pi)) * np.sin(2 * np.pi * x)
+    assert fired(-2e4 + steep, 1.0) is RunStatus.blow_up_detected
 
     rng = np.random.default_rng(2)
-    noisy = StateField(g, rng.standard_normal(128), np.zeros(128))
-    assert blowup_monitor(noisy, 1e9, cfg) is MonitorStatus.resolution_lost
+    assert fired(-10.0 + rng.standard_normal(128), 1e9) is RunStatus.resolution_lost
 
-    with pytest.raises(ValueError):
-        blowup_monitor(smooth, 0.0, cfg)
+    # the admission test, after every step; it outranks the other two
+    assert fired(np.full(128, -0.5e-3), 1.0) is RunStatus.interface_reached
+    assert fired(np.full(128, -2e-3), 1.0) is None
+    assert fired(steep, 1.0) is RunStatus.interface_reached
+
+
+def test_state_metrics_match_spectral_derivative():
+    # one rfft per field feeds both the derivative and the tail
+    g = PeriodicGrid(128)
+    rng = np.random.default_rng(4)
+    u = -1.0 + 0.01 * rng.standard_normal(128)
+    v = 0.01 * rng.standard_normal(128)
+    max_u, min_u, max_ux, max_vx, tail = _state_metrics(StateField(g, u, v))
+    assert (max_u, min_u) == (np.max(u), np.min(u))
+    assert max_ux == np.max(np.abs(spectral_derivative(g, u)))
+    assert max_vx == np.max(np.abs(spectral_derivative(g, v)))
+    assert 0.1 < tail < 0.6  # white noise: about a third
 
 
 def test_solver_config_validation():
@@ -195,3 +250,8 @@ def test_solver_config_validation():
         SolverConfig(t_max=1.0, tail_ratio_max=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(t_max=1.0, snapshot_stride=0)
+    for name in ("t_max", "cfl_safety", "grad_blowup_factor",
+                 "tail_ratio_max", "hyperbolicity_eps"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{"t_max": 1.0, name: bad})

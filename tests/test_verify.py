@@ -109,7 +109,20 @@ def test_scenario_sweep_small():
                                            spotcheck_seeds=2)
     assert rep.verdict == "pass"
     assert rep.metrics["n_completed"] == 0.0
+    assert rep.metrics["n_interface_reached"] == 0.0
     assert rep.metrics["spotcheck_violations"] == 0.0
+
+
+def test_scenario_sweep_fails_on_interface():
+    # near-interface data with strong v: every run reaches u ~ 0, some
+    # before their second snapshot, and none counts as a blow-up
+    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 5.0, n=64, amplitude=0.6,
+                                           u_offset=-0.06, spotcheck_seeds=2)
+    assert rep.verdict == "fail"
+    assert rep.metrics["n_interface_reached"] == 3.0
+    assert rep.metrics["n_blow_up"] + rep.metrics["n_resolution_lost"] == 0.0
+    assert rep.metrics["latest_detection"] == 0.0
+    assert "interface_reached" in rep.reason
 
 
 def test_scenario_sweep_noise_floor_inconclusive():

@@ -89,6 +89,15 @@ def test_parseval_consistency():
     assert abs(np.mean(df**2) - energy_modes) < 1e-10 * max(1.0, energy_modes)
 
 
+def test_interpolate_analytic_and_constant():
+    g = PeriodicGrid(64)
+    f = np.sin(2 * np.pi * g.nodes)
+    assert abs(interpolant(f, 0.125) - np.sin(np.pi / 4)) < 1e-10
+    c = np.full(64, 2.25)
+    for x in (0.1, 0.37, 0.999):
+        assert abs(interpolant(c, x) - 2.25) < 1e-12
+
+
 def test_interpolant_matches_analytic_modes_off_node():
     g = PeriodicGrid(32)
     rng = np.random.default_rng(10)
@@ -102,12 +111,6 @@ def test_interpolant_matches_analytic_modes_off_node():
     assert trig_coefficients(f).shape == (17,)
     for x in np.linspace(0.013, 0.987, 23):
         assert abs(interpolant(f, x) - analytic(x)) < 1e-12
-
-    g = PeriodicGrid(64)
-    assert abs(interpolant(np.sin(2 * np.pi * g.nodes), 0.125)
-               - np.sin(np.pi / 4)) < 1e-10
-    for x in (0.1, 0.37, 0.999):
-        assert abs(interpolant(np.full(64, 2.25), x) - 2.25) < 1e-12
 
 
 def test_hyperbolicity_margin():

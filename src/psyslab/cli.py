@@ -146,7 +146,10 @@ def parse_config(path=None, overrides=()) -> RunConfig:
     """Assemble the effective config: defaults, then file, then --set flags."""
     cfg = RunConfig()
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -440,9 +443,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.overrides)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

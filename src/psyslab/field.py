@@ -95,9 +95,17 @@ def spectral_derivative(grid: PeriodicGrid, samples) -> np.ndarray:
 def _derivative_from_rfft(grid: PeriodicGrid, c: np.ndarray) -> np.ndarray:
     """spectral_derivative from the rfft ``c`` of the samples, which is
     overwritten."""
-    c *= 2j * np.pi * grid.modes
-    c[-1] = 0.0
+    c *= _derivative_multipliers(grid.n)
     return np.fft.irfft(c, grid.n)
+
+
+@lru_cache(maxsize=8)
+def _derivative_multipliers(n: int) -> np.ndarray:
+    """2 pi i m on the rfft modes, 0 on the Nyquist mode."""
+    ik = 2j * np.pi * np.arange(n // 2 + 1)
+    ik[-1] = 0.0
+    ik.flags.writeable = False
+    return ik
 
 
 @lru_cache(maxsize=8)
@@ -117,18 +125,16 @@ def trig_coefficients(samples: np.ndarray) -> np.ndarray:
     return np.fft.rfft(samples) * _parseval_weights(n) / n
 
 
-def _tail_stats(c: np.ndarray, samples: np.ndarray):
-    """(tail, total, floor): non-mean Parseval energies and roundoff floor
-    of the samples, given their rfft ``c``.
+def _tail_ratio(c: np.ndarray, scales) -> float:
+    """Energy fraction in the top third of the non-mean modes of the rfft
+    rows ``c``, summed over the rows (Parseval weights).
 
-    tail is the energy in the top third of the mode range; floor is the
-    energy level of pure FFT roundoff for a field of this magnitude.
+    Reads 0 when the non-mean energy is at the level of pure FFT roundoff
+    for fields whose largest |sample| are ``scales`` (one per row).
     """
-    n = len(samples)
+    n = 2 * (c.shape[-1] - 1)
     e = _parseval_weights(n) * np.abs(c) ** 2
-    cut = (2 * (n // 2)) // 3
-    total = float(np.sum(e[1:]))
-    tail = float(np.sum(e[cut + 1:]))
-    scale = max(1.0, float(np.max(np.abs(samples))))
-    floor = (NOISE_FLOOR * n * scale) ** 2
-    return tail, total, floor
+    total = float(e[:, 1:].sum(axis=1).sum())
+    tail = float(e[:, n // 3 + 1:].sum(axis=1).sum())
+    floor = sum((NOISE_FLOOR * n * max(1.0, scale)) ** 2 for scale in scales)
+    return tail / total if total > floor else 0.0

@@ -2,10 +2,15 @@
 
 Space is discretized spectrally on the periodic grid; time stepping is
 classical RK4 with a CFL step recomputed from the current maximum
-characteristic speed.  An exponential high-mode filter
-sigma(m) = exp(-36 (m/m_max)^36) is applied after each step: it is
-near-identity on resolved modes and suppresses aliasing from the
-quadratic nonlinearity.
+characteristic speed.  ``run`` carries the state between steps as its
+rfft coefficients (u^, v^): in each RK stage -i k v^ costs no transform
+and i k rfft(p(irfft(u^))) costs two.  The exponential high-mode filter
+sigma(m) = exp(-36 (m/m_max)^36) is then a multiply of the coefficients
+after each step: it is near-identity on resolved modes and suppresses
+aliasing from the quadratic nonlinearity.  One stacked inverse transform
+per step gives the samples u, v, u_x, v_x that the CFL step, the
+non-finite check and the monitor read; snapshots are built only when
+stored.
 
 Evolution is only admitted for strictly hyperbolic data; the
 initial-value problem is ill-posed in the elliptic region, so elliptic
@@ -35,8 +40,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteState
-from .field import (PeriodicGrid, StateField, _derivative_from_rfft,
-                    _tail_stats, spectral_derivative)
+from .field import (PeriodicGrid, StateField, _as_samples,
+                    _derivative_multipliers, _tail_ratio)
 
 
 class RunStatus(str, enum.Enum):
@@ -76,8 +81,10 @@ class SolverConfig:
         for name in ("grad_blowup_factor", "tail_ratio_max", "hyperbolicity_eps"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+        stride = self.snapshot_stride
+        if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
+                or stride < 1):
+            raise ValueError("snapshot_stride must be an integer >= 1")
 
 
 class SeriesRecord(NamedTuple):
@@ -118,23 +125,35 @@ class Trajectory:
         return {name: data[:, i] for i, name in enumerate(cols)}
 
 
+def _rhs_coefficients(law, n: int, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """rfft rows of (du/dt, dv/dt) = (-v_x, (p(u))_x), given the rfft rows
+    c = (u^, v^) and the samples u of u^: one forward transform."""
+    ik = _derivative_multipliers(n)
+    k = np.empty_like(c)
+    k[0] = -ik * c[1]
+    k[1] = ik * np.fft.rfft(law.p(u))
+    return k
+
+
 def rhs(law, grid: PeriodicGrid, u: np.ndarray, v: np.ndarray):
-    """Right-hand side (du/dt, dv/dt) = (-v_x, (p(u))_x)."""
-    du = -spectral_derivative(grid, v)
-    dv = spectral_derivative(grid, law.p(u))
+    """Right-hand side (du/dt, dv/dt) = (-v_x, (p(u))_x) at the nodes."""
+    u, v = _as_samples(grid, u), _as_samples(grid, v)
+    c = np.fft.rfft(np.stack((u, v)))
+    du, dv = np.fft.irfft(_rhs_coefficients(law, grid.n, c, u), grid.n)
     return du, dv
 
 
-def cfl_dt(law, state: StateField, cfl_safety: float) -> float:
-    """CFL step: cfl_safety * dx / max_j |characteristic speed|.
+def cfl_dt(law, grid: PeriodicGrid, u: np.ndarray, cfl_safety: float) -> float:
+    """CFL step: cfl_safety * dx / max_j |characteristic speed| at the
+    samples u.
 
     The speed magnitude is |p'(u)|^(1/2).  Degenerate states with maximum
     speed below 1e-12 fall back to cfl_safety * dx.
     """
-    speed = float(np.sqrt(np.max(np.abs(law.dp(state.u)))))
+    speed = float(np.sqrt(np.max(np.abs(law.dp(u)))))
     if speed < 1e-12:
-        return cfl_safety * state.grid.dx
-    return cfl_safety * state.grid.dx / speed
+        return cfl_safety * grid.dx
+    return cfl_safety * grid.dx / speed
 
 
 @lru_cache(maxsize=8)
@@ -144,10 +163,42 @@ def _filter_multipliers(n: int) -> np.ndarray:
     return np.exp(-36.0 * (m / m_max) ** 36)
 
 
-def _apply_filter(grid: PeriodicGrid, arr: np.ndarray) -> np.ndarray:
-    c = np.fft.rfft(arr)
-    c *= _filter_multipliers(grid.n)
-    return np.fft.irfft(c, grid.n)
+def _rows(n: int, c: np.ndarray) -> np.ndarray:
+    """Samples (u, v, u_x, v_x) of the rfft rows c = (u^, v^), from one
+    stacked inverse transform; raises NonFiniteState on any non-finite
+    entry."""
+    rows = np.fft.irfft(np.concatenate((c, c * _derivative_multipliers(n))), n)
+    if not np.isfinite(rows).all():
+        raise NonFiniteState("time step produced non-finite entries")
+    return rows
+
+
+def _spectral(state: StateField):
+    """(c, rows) of a state: its rfft rows (u^, v^) and the samples
+    (u, v, u_x, v_x), with u and v exactly the state's."""
+    c = np.fft.rfft(np.stack((state.u, state.v)))
+    rows = _rows(state.grid.n, c)
+    rows[0], rows[1] = state.u, state.v
+    return c, rows
+
+
+def _advance(law, n: int, c: np.ndarray, u: np.ndarray, dt: float):
+    """One classical RK4 step of the rfft rows c = (u^, v^), whose u
+    samples are u, followed by the exponential filter, a multiply.
+
+    Returns (c, rows) of the new state (see ``_rows``): 8 FFT calls, 11
+    transformed rows.
+    """
+    k1 = _rhs_coefficients(law, n, c, u)
+    c2 = c + 0.5 * dt * k1
+    k2 = _rhs_coefficients(law, n, c2, np.fft.irfft(c2[0], n))
+    c3 = c + 0.5 * dt * k2
+    k3 = _rhs_coefficients(law, n, c3, np.fft.irfft(c3[0], n))
+    c4 = c + dt * k3
+    k4 = _rhs_coefficients(law, n, c4, np.fft.irfft(c4[0], n))
+    cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    cn *= _filter_multipliers(n)
+    return cn, _rows(n, cn)
 
 
 def step_rk4(law, state: StateField, dt: float) -> StateField:
@@ -157,37 +208,20 @@ def step_rk4(law, state: StateField, dt: float) -> StateField:
     fixed points.  Negative dt is accepted (time-reversed stepping for
     self-consistency checks).
     """
-    grid = state.grid
-    u, v = state.u, state.v
-    ku1, kv1 = rhs(law, grid, u, v)
-    ku2, kv2 = rhs(law, grid, u + 0.5 * dt * ku1, v + 0.5 * dt * kv1)
-    ku3, kv3 = rhs(law, grid, u + 0.5 * dt * ku2, v + 0.5 * dt * kv2)
-    ku4, kv4 = rhs(law, grid, u + dt * ku3, v + dt * kv3)
-    un = u + (dt / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-    vn = v + (dt / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
-    un = _apply_filter(grid, un)
-    vn = _apply_filter(grid, vn)
-    if not (np.all(np.isfinite(un)) and np.all(np.isfinite(vn))):
-        raise NonFiniteState("time step produced non-finite entries")
-    return StateField(grid, un, vn)
+    c, rows = _spectral(state)
+    _, rows = _advance(law, state.grid.n, c, rows[0], dt)
+    return StateField(state.grid, *rows[:2])
 
 
-def _state_metrics(state: StateField) -> tuple:
-    """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum).
-
-    One rfft per field feeds both the derivative and the tail statistics.
-    """
-    grid = state.grid
-    cu = np.fft.rfft(state.u)
-    cv = np.fft.rfft(state.v)
-    tu, eu, fu = _tail_stats(cu, state.u)
-    tv, ev, fv = _tail_stats(cv, state.v)
-    ux = _derivative_from_rfft(grid, cu)
-    vx = _derivative_from_rfft(grid, cv)
-    total = eu + ev
-    tail = (tu + tv) / total if total > fu + fv else 0.0
-    return (float(np.max(state.u)), float(np.min(state.u)),
-            float(np.max(np.abs(ux))), float(np.max(np.abs(vx))), tail)
+def _state_metrics(c: np.ndarray, rows: np.ndarray) -> tuple:
+    """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum)
+    of a state given as its rfft rows c = (u^, v^) and samples
+    (u, v, u_x, v_x)."""
+    u, v, ux, vx = rows
+    max_u, min_u = float(u.max()), float(u.min())
+    scales = (max(max_u, -min_u), float(np.abs(v).max()))
+    return (max_u, min_u, float(np.abs(ux).max()), float(np.abs(vx).max()),
+            _tail_ratio(c, scales))
 
 
 def _monitor_from_metrics(metrics: tuple, initial_scale: float,
@@ -228,7 +262,10 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     if config.t_max <= t0:
         raise ValueError("t_max must exceed t0")
 
-    m0 = _state_metrics(state0)
+    grid = state0.grid
+    n = grid.n
+    c, rows = _spectral(state0)
+    m0 = _state_metrics(c, rows)
     series = [SeriesRecord(t0, *m0)]
     snapshots = [(t0, state0)]
 
@@ -238,7 +275,6 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
 
     initial_scale = max(1.0, m0[2])
     t = t0
-    state = state0
     steps = 0
     status = RunStatus.completed
     t_detect = None
@@ -247,27 +283,27 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     # a degenerate snapshot spacing that poisons temporal interpolation
     t_slack = 1e-12 * max(1.0, abs(config.t_max))
     while config.t_max - t > t_slack:
-        dt = min(cfl_dt(law, state, config.cfl_safety), config.t_max - t)
+        dt = min(cfl_dt(law, grid, rows[0], config.cfl_safety), config.t_max - t)
         try:
-            state = step_rk4(law, state, dt)
+            c, rows = _advance(law, n, c, rows[0], dt)
         except NonFiniteState:
             status = RunStatus.blow_up_detected
             t_detect = t + dt
             break
         t += dt
         steps += 1
-        m = _state_metrics(state)
+        m = _state_metrics(c, rows)
         series.append(SeriesRecord(t, *m))
         fired = _monitor_from_metrics(m, initial_scale, config)
         if fired is not None:
             status = fired
             t_detect = t
             if fired is not RunStatus.interface_reached:
-                snapshots.append((t, state))
+                snapshots.append((t, StateField(grid, *rows[:2])))
             break
         if steps % config.snapshot_stride == 0:
-            snapshots.append((t, state))
+            snapshots.append((t, StateField(grid, *rows[:2])))
 
     if status is RunStatus.completed and snapshots[-1][0] < t:
-        snapshots.append((t, state))
+        snapshots.append((t, StateField(grid, *rows[:2])))
     return Trajectory(law, snapshots, status, t_detect, series, steps)

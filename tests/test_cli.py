@@ -67,6 +67,19 @@ def test_config_error_exit_code(tmp_path):
     assert main(["--quiet", "--config", str(tmp_path / "nope.cfg"), "simulate"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_config_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"n = 64\nt_max = 0.1 \xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        parse_config(str(path))
+    assert run_cli("--config", str(path), "simulate") == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("overrides", [
     ["t_max=0"],
     ["preset=simple_wave", "u_center=0.5"],

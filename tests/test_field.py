@@ -3,7 +3,7 @@ import pytest
 
 from psyslab import LengthMismatch, PeriodicGrid, StateField, spectral_derivative
 from psyslab.field import trig_coefficients
-from psyslab.solver import _state_metrics
+from psyslab.solver import _spectral, _state_metrics
 
 
 def interpolant(f, x):
@@ -14,11 +14,11 @@ def interpolant(f, x):
 
 
 def max_u(g, u):
-    return _state_metrics(StateField(g, u, np.zeros(g.n)))[0]
+    return _state_metrics(*_spectral(StateField(g, u, np.zeros(g.n))))[0]
 
 
 def tail_ratio(g, u):
-    return _state_metrics(StateField(g, u, np.zeros(g.n)))[4]
+    return _state_metrics(*_spectral(StateField(g, u, np.zeros(g.n))))[4]
 
 
 def test_grid_validation():

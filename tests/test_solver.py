@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
-                     SolverConfig, StateField, cfl_dt, constant_state,
-                     random_trig_state, rhs, run, spectral_derivative,
-                     step_rk4)
-from psyslab.solver import _monitor_from_metrics, _state_metrics
+from psyslab import (LengthMismatch, NonFiniteState, PeriodicGrid,
+                     PressureLaw, RunStatus, SolverConfig, StateField, cfl_dt,
+                     constant_state, random_trig_state, rhs, run,
+                     spectral_derivative, step_rk4)
+from psyslab.solver import _monitor_from_metrics, _spectral, _state_metrics
 
 QUAD = PressureLaw.quadratic()
 
@@ -28,21 +28,27 @@ def test_rhs_analytic_case():
     assert np.max(np.abs(dv)) < 1e-12  # p(u) is constant
 
 
+def test_rhs_rejects_wrong_length():
+    g = PeriodicGrid(64)
+    with pytest.raises(LengthMismatch):
+        rhs(QUAD, g, np.full(63, -1.0), np.zeros(63))
+
+
 def test_cfl_dt_values():
     g = PeriodicGrid(256)
-    assert cfl_dt(QUAD, constant_state(g, -1.0, 0.0), 0.4) == pytest.approx(
+    assert cfl_dt(QUAD, g, np.full(256, -1.0), 0.4) == pytest.approx(
         0.4 / 256, rel=1e-15)
-    assert cfl_dt(QUAD, constant_state(g, -4.0, 0.0), 0.4) == pytest.approx(
+    assert cfl_dt(QUAD, g, np.full(256, -4.0), 0.4) == pytest.approx(
         0.4 / 512, rel=1e-15)
     g16 = PeriodicGrid(16)
-    assert cfl_dt(QUAD, constant_state(g16, -1.0, 0.0), 1.0) == pytest.approx(
+    assert cfl_dt(QUAD, g16, np.full(16, -1.0), 1.0) == pytest.approx(
         0.0625, rel=1e-15)
 
 
 def test_cfl_dt_degenerate_fallback():
     g = PeriodicGrid(64)
-    s = constant_state(g, -1e-30, 0.0)
-    assert cfl_dt(QUAD, s, 0.4) == pytest.approx(0.4 / 64, rel=1e-15)
+    assert cfl_dt(QUAD, g, np.full(64, -1e-30), 0.4) == pytest.approx(
+        0.4 / 64, rel=1e-15)
 
 
 def test_step_preserves_constants_exactly():
@@ -212,7 +218,7 @@ def test_blowup_monitor_thresholds():
     cfg = SolverConfig(t_max=1.0)
 
     def fired(u, initial_scale):
-        metrics = _state_metrics(StateField(g, u, np.zeros(128)))
+        metrics = _state_metrics(*_spectral(StateField(g, u, np.zeros(128))))
         return _monitor_from_metrics(metrics, initial_scale, cfg)
 
     assert fired(-1.0 + 0.1 * np.sin(2 * np.pi * x), 1.0) is None
@@ -236,7 +242,7 @@ def test_state_metrics_match_spectral_derivative():
     rng = np.random.default_rng(4)
     u = -1.0 + 0.01 * rng.standard_normal(128)
     v = 0.01 * rng.standard_normal(128)
-    max_u, min_u, max_ux, max_vx, tail = _state_metrics(StateField(g, u, v))
+    max_u, min_u, max_ux, max_vx, tail = _state_metrics(*_spectral(StateField(g, u, v)))
     assert (max_u, min_u) == (np.max(u), np.min(u))
     assert max_ux == np.max(np.abs(spectral_derivative(g, u)))
     assert max_vx == np.max(np.abs(spectral_derivative(g, v)))
@@ -248,10 +254,128 @@ def test_solver_config_validation():
         SolverConfig(t_max=1.0, cfl_safety=0.0)
     with pytest.raises(ValueError):
         SolverConfig(t_max=1.0, tail_ratio_max=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(t_max=1.0, snapshot_stride=0)
+    for bad in (0, -1, 2.5, 5.0, True, "5"):
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            SolverConfig(t_max=1.0, snapshot_stride=bad)
+    assert SolverConfig(t_max=1.0, snapshot_stride=np.int64(3)).snapshot_stride == 3
     for name in ("t_max", "cfl_safety", "grad_blowup_factor",
                  "tail_ratio_max", "hyperbolicity_eps"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{"t_max": 1.0, name: bad})
+
+
+def _reference_run(law, state0, t0, config):
+    """The physical-space loop the coefficient-space core replaced: each
+    stage differentiates v and p(u) from their samples, the filter takes
+    an rfft/irfft pair per field, and the metrics re-transform the
+    filtered samples.  Same CFL step, monitor and snapshot rules as
+    ``run``; kept only as the reference the solver must reproduce."""
+    grid = state0.grid
+    n = grid.n
+    sigma = np.exp(-36.0 * (np.arange(n // 2 + 1) / (n // 2)) ** 36)
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+
+    def metrics(u, v):
+        tail = total = floor = 0.0
+        for f in (u, v):
+            e = weights * np.abs(np.fft.rfft(f)) ** 2
+            total += float(np.sum(e[1:]))
+            tail += float(np.sum(e[n // 3 + 1:]))
+            floor += (1e-13 * n * max(1.0, float(np.max(np.abs(f))))) ** 2
+        return (float(np.max(u)), float(np.min(u)),
+                float(np.max(np.abs(spectral_derivative(grid, u)))),
+                float(np.max(np.abs(spectral_derivative(grid, v)))),
+                tail / total if total > floor else 0.0)
+
+    def rhs_physical(u, v):
+        return (-spectral_derivative(grid, v),
+                spectral_derivative(grid, law.p(u)))
+
+    def step(u, v, dt):
+        ku1, kv1 = rhs_physical(u, v)
+        ku2, kv2 = rhs_physical(u + 0.5 * dt * ku1, v + 0.5 * dt * kv1)
+        ku3, kv3 = rhs_physical(u + 0.5 * dt * ku2, v + 0.5 * dt * kv2)
+        ku4, kv4 = rhs_physical(u + dt * ku3, v + dt * kv3)
+        un = u + (dt / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
+        vn = v + (dt / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+        return (np.fft.irfft(sigma * np.fft.rfft(un), n),
+                np.fft.irfft(sigma * np.fft.rfft(vn), n))
+
+    u, v = state0.u, state0.v
+    m = metrics(u, v)
+    snapshots = [(t0, u, v)]
+    if m[0] > -config.hyperbolicity_eps:
+        return RunStatus.admission_refused, None, 0, snapshots
+    initial_scale = max(1.0, m[2])
+    t, steps, status, t_detect = t0, 0, RunStatus.completed, None
+    while config.t_max - t > 1e-12 * max(1.0, abs(config.t_max)):
+        speed = float(np.sqrt(np.max(np.abs(law.dp(u)))))
+        dt = config.cfl_safety * grid.dx / speed if speed >= 1e-12 \
+            else config.cfl_safety * grid.dx
+        dt = min(dt, config.t_max - t)
+        u, v = step(u, v, dt)
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            status, t_detect = RunStatus.blow_up_detected, t + dt
+            break
+        t += dt
+        steps += 1
+        fired = _monitor_from_metrics(metrics(u, v), initial_scale, config)
+        if fired is not None:
+            status, t_detect = fired, t
+            if fired is not RunStatus.interface_reached:
+                snapshots.append((t, u, v))
+            break
+        if steps % config.snapshot_stride == 0:
+            snapshots.append((t, u, v))
+    if status is RunStatus.completed and snapshots[-1][0] < t:
+        snapshots.append((t, u, v))
+    return status, t_detect, steps, snapshots
+
+
+@pytest.mark.parametrize("data", ["trig0", "trig1", "trig2", "simple_wave"])
+def test_run_matches_physical_space_reference(data):
+    from psyslab import simple_wave_state
+    g = PeriodicGrid(128)
+    if data == "simple_wave":
+        s0 = simple_wave_state(QUAD, g, -1.0, 0.3, 1)
+        cfg = SolverConfig(t_max=2.2)
+    else:
+        s0 = random_trig_state(g, seed=int(data[-1]), modes=3, amplitude=0.25,
+                               u_offset=-1.0)
+        cfg = SolverConfig(t_max=50.0)
+    traj = run(QUAD, s0, 0.0, cfg)
+    status, t_detect, steps, snapshots = _reference_run(QUAD, s0, 0.0, cfg)
+    assert traj.status is status is not RunStatus.completed
+    assert traj.steps == steps > 100
+    assert traj.t_detect == pytest.approx(t_detect, rel=1e-12, abs=0.0)
+    assert len(traj.snapshots) == len(snapshots)
+    for (t, s), (t_ref, u_ref, v_ref) in zip(traj.snapshots, snapshots):
+        assert t == pytest.approx(t_ref, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(s.u - u_ref)) < 1e-11
+        assert np.max(np.abs(s.v - v_ref)) < 1e-11
+
+
+def test_run_fft_budget(monkeypatch):
+    # each step: 4 stages of irfft(u^) (reused on stage 1) and rfft(p(u)),
+    # then one stacked irfft of (u^, v^, ik u^, ik v^): 8 calls and 11
+    # transformed rows; admission adds one rfft of 2 rows and one irfft
+    # of 4
+    counts = {"calls": 0, "rows": 0}
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            counts["calls"] += 1
+            counts["rows"] += int(np.prod(np.shape(a)[:-1]))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    g = PeriodicGrid(64)
+    s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u_offset=-1.0)
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5))
+    assert traj.status is RunStatus.completed and traj.steps >= 50
+    assert counts["calls"] <= 8 * traj.steps + 2
+    assert counts["rows"] <= 11 * traj.steps + 6

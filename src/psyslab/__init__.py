@@ -11,8 +11,8 @@ and a reproducible scenario harness.
 __version__ = "0.1.0"
 
 from .characteristics import (CharacteristicCurve, ClassLabel, Direction,
-                              SpaceTimeField, SpotcheckReport, Termination,
-                              classify, dual_growth_spotcheck, gradient_beta,
+                              SpotcheckReport, Termination, classify,
+                              dual_growth_spotcheck, gradient_beta,
                               invariant_drift, predict_blowup, trace,
                               trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
@@ -20,7 +20,8 @@ from .energy import (ConcaveGauge, energy, energy_ddot_direct,
 from .errors import (BlowUpError, ConfigError, DomainError, EllipticStart,
                      LengthMismatch, NonFiniteState, PsyslabError,
                      WindowTooShort)
-from .field import PeriodicGrid, StateField, spectral_derivative
+from .field import (PeriodicGrid, SpaceTimeField, StateField,
+                    spectral_derivative)
 from .pressure import PressureLaw, ValidationReport, validate_law
 from .riemann import (Family, RiemannPair, beta_from_gradient, eigenvalue,
                       genuine_nonlinearity, q_of_u, riccati_evolve, riccati_k,

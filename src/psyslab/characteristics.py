@@ -1,12 +1,13 @@
 """Characteristic curves traced through a computed trajectory.
 
-A curve of family i solves dx/dt = lambda_i(u(t, x)) through the
-space-time field stored in a Trajectory.  Evaluation of u between grid
-points is trigonometric in x and cubic (4 nearest snapshots) in t, so
-the tracer sees the same field the solver computed.  Along the curve we
-record the Riemann invariants, the scaled gradient beta, and the
-accumulated Riccati integral K(t) = int k(u) ds, from which finite-time
-gradient blow-up is predicted via 1 + beta0 * K(t*) = 0.
+A curve of family i solves dx/dt = lambda_i(u(t, x)) through
+``trajectory.field``, the space-time field a Trajectory builds on the
+first tracer call and keeps.  Evaluation of u between grid points is
+trigonometric in x and cubic (4 nearest snapshots) in t, so the tracer
+sees the same field the solver computed.  Along the curve we record
+the Riemann invariants, the scaled gradient beta, and the accumulated
+Riccati integral K(t) = int k(u) ds, from which finite-time gradient
+blow-up is predicted via 1 + beta0 * K(t*) = 0.
 
 Curves are traced in batches: one RK4 loop advances every curve of a
 batch, and all of them share one temporal window per time, so the
@@ -27,13 +28,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EllipticStart, WindowTooShort
-from .field import trig_coefficients
+from .errors import EllipticStart
 from .riemann import Family, beta_from_gradient, q_of_u, riccati_k
 from .solver import Trajectory
 
-#: width of the low block in the phase split m = _BLOCK * a + b
-_BLOCK = 32
+#: RK4 step of a curve, as a fraction of the median snapshot spacing
+STEP_FACTOR = 0.5
 
 
 class Direction(enum.Enum):
@@ -106,102 +106,6 @@ class CharacteristicCurve:
         return self.r1 if self.family is Family.first else self.r2
 
 
-class SpaceTimeField:
-    """Spectral-in-x, cubic-in-t evaluator over a trajectory's snapshots.
-
-    Building it takes two FFTs per snapshot, so build it once per
-    trajectory and hand it to the tracing functions through their
-    ``field`` argument; each builds its own when none is given.
-
-    Only the (u, v) coefficients are stored; derivative rows are the
-    window-combined rows times 2 pi i m, Nyquist zeroed.  The layout has
-    two levels: mode m = 32 a + b sits at [a, b], so the phases
-    exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and
-    cosines rather than n/2 + 1, and no long cumulative product
-    accumulates error with m.  Sums over the layout go through
-    ``einsum`` without ``optimize``, which never calls BLAS: threaded
-    BLAS is far slower than the loop on products this small.
-    """
-
-    def __init__(self, trajectory: Trajectory):
-        snaps = trajectory.snapshots
-        if len(snaps) < 2:
-            raise WindowTooShort("tracing needs at least 2 snapshots")
-        times = np.array([t for t, _ in snaps])
-        # drop near-duplicate times: degenerate spacings blow up the
-        # Lagrange weights
-        tiny = 1e-9 * float(np.max(np.diff(times), initial=0.0))
-        self.law = trajectory.law
-        idx = [0]
-        for i in range(1, len(times)):
-            if times[i] - times[idx[-1]] > tiny:
-                idx.append(i)
-        if len(idx) < 2:
-            raise WindowTooShort("tracing needs at least 2 distinct times")
-        self.times = times[idx]
-        n_modes = trajectory.grid.n // 2 + 1
-        rows = -(-n_modes // _BLOCK)
-        coeffs = np.zeros((len(idx), 2, rows * _BLOCK), dtype=complex)
-        for k, i in enumerate(idx):
-            state = snaps[i][1]
-            coeffs[k, 0, :n_modes] = trig_coefficients(state.u)
-            coeffs[k, 1, :n_modes] = trig_coefficients(state.v)
-        self._coeffs = coeffs.reshape(len(idx), 2, rows, _BLOCK)
-        dmul = 2j * np.pi * np.arange(rows * _BLOCK)
-        dmul[n_modes - 1:] = 0.0  # Nyquist derivative zeroed, padding unused
-        self._dmul = dmul.reshape(rows, _BLOCK)
-        self._lo = 2.0 * np.pi * np.arange(_BLOCK)
-        self._hi = 2.0 * np.pi * _BLOCK * np.arange(rows)
-
-    def _window(self, t: float):
-        k = min(4, len(self.times))
-        i = int(np.searchsorted(self.times, t))
-        i0 = min(max(i - 2, 0), len(self.times) - k)
-        ts = self.times[i0:i0 + k].tolist()
-        w = np.empty(k)
-        for a in range(k):
-            num = 1.0
-            for b in range(k):
-                if b != a:
-                    num *= (t - ts[b]) / (ts[a] - ts[b])
-            w[a] = num
-        return i0, k, w
-
-    def coefficients(self, t: float) -> np.ndarray:
-        """Rows (u, v, u_x, v_x) of the field at time t, in the split
-        layout: the 4 nearest snapshots combined with Lagrange weights."""
-        i0, k, w = self._window(t)
-        uv = np.einsum("s,sfab->fab", w, self._coeffs[i0:i0 + k])
-        return np.concatenate((uv, uv * self._dmul))
-
-    def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
-        """Values of coefficient rows at the points x (modulo 1), one row
-        of len(x) values per coefficient row."""
-        xm = np.asarray(x, dtype=float) % 1.0
-        nx = len(xm)
-        lo = np.multiply.outer(xm, self._lo)
-        hi = np.multiply.outer(self._hi, xm)
-        # the complex sum over b in real arithmetic: entries 2b and 2b + 1
-        # of the interleaved (re, im) coefficients meet (cos, -sin) for
-        # the real parts (columns :nx) and (sin, cos) for the imaginary
-        # parts (columns nx:)
-        phase = np.empty((2, nx, _BLOCK, 2))
-        phase[0, :, :, 0] = phase[1, :, :, 1] = np.cos(lo)
-        phase[1, :, :, 0] = np.sin(lo)
-        np.negative(phase[1, :, :, 0], out=phase[0, :, :, 1])
-        rows, blocks = coeffs.shape[:2]
-        part = np.einsum("rk,jk->rj", coeffs.view(float).reshape(rows * blocks, -1),
-                         phase.reshape(2 * nx, 2 * _BLOCK))
-        # Re(exp(i hi) * part) summed over a
-        out = np.einsum("faj,aj->fj", part.reshape(rows, blocks, 2 * nx),
-                        np.concatenate((np.cos(hi), -np.sin(hi)), axis=1))
-        return out[:, :nx] + out[:, nx:]
-
-    def values(self, t: float, x) -> np.ndarray:
-        """(u, v, u_x, v_x) at time t and the points x, shape (4, len(x))."""
-        return self.evaluate(self.coefficients(t), x)
-
-
 def _speed(law, u, sign):
     # clamp: transient stage points may graze the u = 0 interface
     return sign * np.sqrt(np.maximum(-law.dp(u), 0.0))
@@ -221,19 +125,15 @@ def _curve(law, fam: Family, direction: Direction, t, cols, termination,
                                termination, t_hit)
 
 
-def gradient_beta(trajectory: Trajectory, x0, fam: Family,
-                  at_end: bool = False, *,
-                  field: Optional[SpaceTimeField] = None):
-    """beta at x0 recomputed from the spectral gradients of a snapshot.
+def gradient_beta(trajectory: Trajectory, x0, fam: Family):
+    """beta at x0 recomputed from the spectral gradients of the first
+    snapshot.
 
-    Uses the first snapshot (the last with ``at_end=True``):
     r_x = v_x -+ q'(u) u_x with q'(u) = -sqrt(-p'(u)), then
     beta = r_x (-p'(u))^(1/4).  ``x0`` is a point or an array of
     points; the result has the same shape.
     """
-    t, _state = trajectory.snapshots[-1 if at_end else 0]
-    fld = SpaceTimeField(trajectory) if field is None else field
-    u, _v, ux, vx = fld.values(t, np.atleast_1d(x0))
+    u, _v, ux, vx = trajectory.field.values(trajectory.t0, np.atleast_1d(x0))
     sq = np.sqrt(np.maximum(-trajectory.law.dp(np.minimum(u, 0.0)), 0.0))
     beta = beta_from_gradient(trajectory.law, u, vx + fam.sign * sq * ux)
     return float(beta[0]) if np.ndim(x0) == 0 else beta
@@ -241,21 +141,20 @@ def gradient_beta(trajectory: Trajectory, x0, fam: Family,
 
 def trace_batch(trajectory: Trajectory, x0, families,
                 direction: Direction = Direction.forward, *,
-                t_start: Optional[float] = None,
-                t_stop: Optional[float] = None, eps_b: float = 1e-3,
-                step_factor: float = 0.5,
-                field: Optional[SpaceTimeField] = None) -> list:
+                t_stop: Optional[float] = None, eps_b: float = 1e-3) -> list:
     """Trace a batch of characteristics through the trajectory's window.
 
     ``x0`` holds the start points; ``families`` is one Family for all
     of them or one per point.  Every curve integrates
-    dx/dt = lambda_fam(u(t, x)) with RK4 at a step of ``step_factor``
+    dx/dt = lambda_fam(u(t, x)) with RK4 at a step of ``STEP_FACTOR``
     times the snapshot spacing, from the same start time in the same
     direction.  Forward curves start at the first snapshot, backward
-    curves at the last (the only part of the window behind them),
-    unless ``t_start`` overrides.  A curve stops at the window edge (or
-    ``t_stop``), or as soon as the interpolated u rises above -eps_b:
-    it reached the hyperbolic boundary and leaves the batch.  The
+    curves at the last (the only part of the window behind them).  A
+    curve stops at the window edge (or ``t_stop``), or as soon as the
+    interpolated u rises above -eps_b: it reached the hyperbolic
+    boundary and leaves the batch.  A ``t_stop`` at or behind the start
+    leaves every curve at its start sample, terminated
+    ``left_trajectory_window``.  The
     boundary sample is recorded with u clamped to 0 in the derived
     quantities and K_accum carried from the previous sample (k diverges
     at the interface).
@@ -265,8 +164,8 @@ def trace_batch(trajectory: Trajectory, x0, families,
     the other curves.  Positions are recorded unwrapped; reduce modulo
     1 for plotting.
     """
-    fld = SpaceTimeField(trajectory) if field is None else field
-    law = fld.law
+    fld = trajectory.field
+    law = trajectory.law
     x = np.array(x0, dtype=float).reshape(-1)
     fams = ([families] * len(x) if isinstance(families, Family)
             else list(families))
@@ -276,16 +175,14 @@ def trace_batch(trajectory: Trajectory, x0, families,
     times = fld.times
     t_lo, t_hi = float(times[0]), float(times[-1])
 
-    if t_start is None:
-        t_start = t_lo if direction is Direction.forward else t_hi
     if direction is Direction.forward:
-        t_goal = t_hi if t_stop is None else min(t_stop, t_hi)
-        span = t_goal - t_start
+        t_start = t_lo
+        span = (t_hi if t_stop is None else min(t_stop, t_hi)) - t_start
     else:
-        t_goal = t_lo if t_stop is None else max(t_stop, t_lo)
-        span = t_start - t_goal
-    if not t_lo <= t_start <= t_hi or span <= 0.0:
-        vals = fld.values(min(max(t_start, t_lo), t_hi), x)
+        t_start = t_hi
+        span = t_start - (t_lo if t_stop is None else max(t_stop, t_lo))
+    if span <= 0.0:
+        vals = fld.values(t_start, x)
         return [_curve(law, fam, direction, [t_start],
                        [x[[b]], *vals[:, [b]], [0.0]],
                        Termination.left_trajectory_window)
@@ -299,7 +196,7 @@ def trace_batch(trajectory: Trajectory, x0, families,
                 "snapshot spacing exceeds 5 solver steps; tracer accuracy "
                 "degrades (lower snapshot_stride)", stacklevel=2)
 
-    n_steps = max(1, int(np.ceil(span / (step_factor * spacing))))
+    n_steps = max(1, int(np.ceil(span / (STEP_FACTOR * spacing))))
     h = direction.sign * span / n_steps
     # sample columns (x, u, v, u_x, v_x, K) per step; curve b owns rows
     # 0 .. count[b] - 1 of column b
@@ -365,14 +262,14 @@ def trace_batch(trajectory: Trajectory, x0, families,
 
 def trace(trajectory: Trajectory, x0: float, fam: Family,
           direction: Direction = Direction.forward, *,
-          t_start: Optional[float] = None, t_stop: Optional[float] = None,
-          eps_b: float = 1e-3, step_factor: float = 0.5) -> CharacteristicCurve:
+          t_stop: Optional[float] = None,
+          eps_b: float = 1e-3) -> CharacteristicCurve:
     """Trace one characteristic: ``trace_batch`` with a single curve.
 
-    Raises EllipticStart when u(t_start, x0) >= 0.
+    Raises EllipticStart when u >= 0 at the start.
     """
-    curve, = trace_batch(trajectory, [x0], fam, direction, t_start=t_start,
-                         t_stop=t_stop, eps_b=eps_b, step_factor=step_factor)
+    curve, = trace_batch(trajectory, [x0], fam, direction, t_stop=t_stop,
+                         eps_b=eps_b)
     if isinstance(curve, EllipticStart):
         raise curve
     return curve
@@ -492,8 +389,7 @@ class SpotcheckReport:
 
 def dual_growth_spotcheck(trajectory: Trajectory, sample_points: int,
                           horizon: Optional[float] = None,
-                          growth_factor: float = 10.0, *,
-                          field: Optional[SpaceTimeField] = None) -> SpotcheckReport:
+                          growth_factor: float = 10.0) -> SpotcheckReport:
     """Trace both families from seeded points and flag same-direction
     (B, B) pairs across the families.
 
@@ -501,7 +397,6 @@ def dual_growth_spotcheck(trajectory: Trajectory, sample_points: int,
     start points are recorded as undetermined.  Expected outcome on any
     trajectory of the system: zero violations.
     """
-    fld = SpaceTimeField(trajectory) if field is None else field
     window = trajectory.t_end - trajectory.t0
     if horizon is None:
         horizon = window
@@ -510,7 +405,7 @@ def dual_growth_spotcheck(trajectory: Trajectory, sample_points: int,
     for direction in Direction:
         curves = trace_batch(trajectory, seeds * len(Family),
                              [fam for fam in Family for _ in seeds],
-                             direction, field=fld)
+                             direction)
         for i, fam in enumerate(Family):
             report.labels[(direction, fam)] = [
                 ClassLabel.undetermined if isinstance(c, EllipticStart)

@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characteristics import (ClassLabel, Direction, SpaceTimeField, classify,
-                              gradient_beta, predict_blowup, trace_batch)
+from .characteristics import (ClassLabel, Direction, classify, gradient_beta,
+                              predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
@@ -119,9 +119,10 @@ def _coerce(key: str, raw: str, where: str):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    n = cfg.n
-    if n < 16 or n > 4096 or (n & (n - 1)) != 0:
-        raise ConfigError(f"n = {n} is not a power of two in [16, 4096]")
+    for key in ("n", "verify_n", "wave_n"):
+        n = getattr(cfg, key)
+        if n < 16 or n > 4096 or (n & (n - 1)) != 0:
+            raise ConfigError(f"{key} = {n} is not a power of two in [16, 4096]")
     if cfg.law not in ("quadratic", "quartic"):
         raise ConfigError(f"law must be quadratic or quartic, got {cfg.law!r}")
     if cfg.preset not in PRESETS:
@@ -132,6 +133,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("direction must be forward, backward, or both")
     if cfg.gauge not in ("log1p", "rational"):
         raise ConfigError("gauge must be log1p or rational")
+    if cfg.curve_seeds < 1:
+        raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
     if not cfg.t_max > cfg.t0:
         raise ConfigError(f"t_max = {cfg.t_max:g} must exceed t0 = {cfg.t0:g}")
     try:
@@ -186,9 +189,9 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
         if cfg.preset == "random_trig":
             return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
                                      cfg.u_offset)
+        return random_elliptic_state(grid, np.random.default_rng(cfg.seed))
     except ValueError as exc:
         raise ConfigError(f"preset {cfg.preset}: {exc}") from exc
-    return random_elliptic_state(grid, np.random.default_rng(cfg.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +284,17 @@ def cmd_trace(cfg: RunConfig) -> int:
     horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
     thresholds = {"horizon": horizon, "growth_factor": cfg.growth_factor,
                   "eps_b": cfg.eps_b}
+    families = _families(cfg)
+    seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
+    fams = [fam for fam in families for _ in seeds]
     try:
-        fld = SpaceTimeField(traj)
+        batches = {direction: trace_batch(traj, seeds * len(families), fams,
+                                          direction, eps_b=cfg.eps_b)
+                   for direction in _directions(cfg)}
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "classification.json", traj, exc, {
             "run_status": traj.status.value, "curves": [],
             "thresholds": thresholds})
-    families = _families(cfg)
-    seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
-    batches = {direction: trace_batch(traj, seeds * len(families),
-                                      [fam for fam in families for _ in seeds],
-                                      direction, eps_b=cfg.eps_b, field=fld)
-               for direction in _directions(cfg)}
     entries = []
     for f, fam in enumerate(families):
         for direction, curves in batches.items():
@@ -325,21 +327,23 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    if cfg.family == "both":
+        raise ConfigError("predict traces one family: family must be "
+                          "first or second")
+    fam = Family[cfg.family]
     out = _outdir(cfg)
     law = cfg.law_obj()
     grid = PeriodicGrid(cfg.n)
     traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
-    fam = Family.second if cfg.family == "second" else Family.first
+    seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
     try:
-        fld = SpaceTimeField(traj)
+        betas = gradient_beta(traj, seeds, fam)
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "predict.json", traj, exc, {
             "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
             "solver_status": traj.status.value,
             "solver_t_detect": traj.t_detect})
-    seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
-    betas = gradient_beta(traj, seeds, fam, field=fld)
-    curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b, field=fld)
+    curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b)
     rows = []
     predictions = []
     for x0, beta0, curve in zip(seeds, betas, curves):
@@ -407,9 +411,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_validate_law(cfg: RunConfig) -> int:
+    try:
+        report = validate_law(cfg.law_obj(), cfg.validate_u_min,
+                              cfg.validate_u_max, cfg.validate_samples)
+    except ValueError as exc:
+        raise ConfigError(f"validate_law: {exc}") from exc
     out = _outdir(cfg)
-    report = validate_law(cfg.law_obj(), cfg.validate_u_min,
-                          cfg.validate_u_max, cfg.validate_samples)
     _write_json(cfg, out / "validate_law.json", report.to_dict())
     return 0 if report.ok else 1
 
@@ -422,10 +429,6 @@ _COMMANDS = {
     "verify": cmd_verify,
     "validate-law": cmd_validate_law,
 }
-
-
-def dispatch(subcommand: str, cfg: RunConfig) -> int:
-    return _COMMANDS[subcommand](cfg)
 
 
 def main(argv=None) -> int:
@@ -448,7 +451,7 @@ def main(argv=None) -> int:
     if not args.quiet:
         _echo_config(cfg)
     try:
-        return dispatch(args.command, cfg)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

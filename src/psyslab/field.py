@@ -2,11 +2,11 @@
 
 Fields live on x_j = j/n, j = 0..n-1, with period fixed to 1 (other
 periods are handled by rescaling x before entry).  Differentiation here
-and off-node evaluation in the tracer (through ``trig_coefficients``)
-both go through the trigonometric interpolant, so tracing
-characteristics has the same accuracy as the solver.  For even n the
-Nyquist mode contributes c_{n/2} cos(pi n x); its derivative coefficient
-is set to zero, the standard choice that keeps odd derivatives real.
+and off-node evaluation through ``SpaceTimeField`` both go through the
+trigonometric interpolant, so tracing characteristics has the same
+accuracy as the solver.  For even n the Nyquist mode contributes
+c_{n/2} cos(pi n x); its derivative coefficient is set to zero, the
+standard choice that keeps odd derivatives real.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, WindowTooShort
 
 #: non-mean spectral energy below (NOISE_FLOOR * n * scale)^2 is treated
 #: as FFT roundoff; tail ratios of such fields are reported as 0
 NOISE_FLOOR = 1e-13
+
+#: width of the low block in SpaceTimeField's phase split m = _BLOCK * a + b
+_BLOCK = 32
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -45,11 +48,6 @@ class PeriodicGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) / self.n
-
-    @property
-    def modes(self) -> np.ndarray:
-        """Non-negative integer wavenumbers of the rfft layout."""
-        return np.arange(self.n // 2 + 1)
 
 
 def _as_samples(grid: PeriodicGrid, samples) -> np.ndarray:
@@ -138,3 +136,98 @@ def _tail_ratio(c: np.ndarray, scales) -> float:
     tail = float(e[:, n // 3 + 1:].sum(axis=1).sum())
     floor = sum((NOISE_FLOOR * n * max(1.0, scale)) ** 2 for scale in scales)
     return tail / total if total > floor else 0.0
+
+
+class SpaceTimeField:
+    """Spectral-in-x, cubic-in-t evaluator over a list of (t, StateField)
+    snapshots with increasing times.
+
+    Building it takes two FFTs per snapshot, so ``Trajectory.field``
+    builds one on first read and keeps it for every tracer call.
+
+    Only the (u, v) coefficients are stored; derivative rows are the
+    window-combined rows times 2 pi i m, Nyquist zeroed.  The layout has
+    two levels: mode m = 32 a + b sits at [a, b], so the phases
+    exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and
+    cosines rather than n/2 + 1, and no long cumulative product
+    accumulates error with m.  Sums over the layout go through
+    ``einsum`` without ``optimize``, which never calls BLAS: threaded
+    BLAS is far slower than the loop on products this small.
+    """
+
+    def __init__(self, snapshots: list):
+        if len(snapshots) < 2:
+            raise WindowTooShort("tracing needs at least 2 snapshots")
+        times = np.array([t for t, _ in snapshots])
+        # drop near-duplicate times: degenerate spacings blow up the
+        # Lagrange weights
+        tiny = 1e-9 * float(np.max(np.diff(times), initial=0.0))
+        idx = [0]
+        for i in range(1, len(times)):
+            if times[i] - times[idx[-1]] > tiny:
+                idx.append(i)
+        if len(idx) < 2:
+            raise WindowTooShort("tracing needs at least 2 distinct times")
+        self.times = times[idx]
+        n = snapshots[0][1].grid.n
+        n_modes = n // 2 + 1
+        rows = -(-n_modes // _BLOCK)
+        coeffs = np.zeros((len(idx), 2, rows * _BLOCK), dtype=complex)
+        for k, i in enumerate(idx):
+            state = snapshots[i][1]
+            coeffs[k, 0, :n_modes] = trig_coefficients(state.u)
+            coeffs[k, 1, :n_modes] = trig_coefficients(state.v)
+        self._coeffs = coeffs.reshape(len(idx), 2, rows, _BLOCK)
+        dmul = np.zeros(rows * _BLOCK, dtype=complex)  # padding unused
+        dmul[:n_modes] = _derivative_multipliers(n)
+        self._dmul = dmul.reshape(rows, _BLOCK)
+        self._lo = 2.0 * np.pi * np.arange(_BLOCK)
+        self._hi = 2.0 * np.pi * _BLOCK * np.arange(rows)
+
+    def _window(self, t: float):
+        k = min(4, len(self.times))
+        i = int(np.searchsorted(self.times, t))
+        i0 = min(max(i - 2, 0), len(self.times) - k)
+        ts = self.times[i0:i0 + k].tolist()
+        w = np.empty(k)
+        for a in range(k):
+            num = 1.0
+            for b in range(k):
+                if b != a:
+                    num *= (t - ts[b]) / (ts[a] - ts[b])
+            w[a] = num
+        return i0, k, w
+
+    def coefficients(self, t: float) -> np.ndarray:
+        """Rows (u, v, u_x, v_x) of the field at time t, in the split
+        layout: the 4 nearest snapshots combined with Lagrange weights."""
+        i0, k, w = self._window(t)
+        uv = np.einsum("s,sfab->fab", w, self._coeffs[i0:i0 + k])
+        return np.concatenate((uv, uv * self._dmul))
+
+    def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:
+        """Values of coefficient rows at the points x (modulo 1), one row
+        of len(x) values per coefficient row."""
+        xm = np.asarray(x, dtype=float) % 1.0
+        nx = len(xm)
+        lo = np.multiply.outer(xm, self._lo)
+        hi = np.multiply.outer(self._hi, xm)
+        # the complex sum over b in real arithmetic: entries 2b and 2b + 1
+        # of the interleaved (re, im) coefficients meet (cos, -sin) for
+        # the real parts (columns :nx) and (sin, cos) for the imaginary
+        # parts (columns nx:)
+        phase = np.empty((2, nx, _BLOCK, 2))
+        phase[0, :, :, 0] = phase[1, :, :, 1] = np.cos(lo)
+        phase[1, :, :, 0] = np.sin(lo)
+        np.negative(phase[1, :, :, 0], out=phase[0, :, :, 1])
+        rows, blocks = coeffs.shape[:2]
+        part = np.einsum("rk,jk->rj", coeffs.view(float).reshape(rows * blocks, -1),
+                         phase.reshape(2 * nx, 2 * _BLOCK))
+        # Re(exp(i hi) * part) summed over a
+        out = np.einsum("faj,aj->fj", part.reshape(rows, blocks, 2 * nx),
+                        np.concatenate((np.cos(hi), -np.sin(hi)), axis=1))
+        return out[:, :nx] + out[:, nx:]
+
+    def values(self, t: float, x) -> np.ndarray:
+        """(u, v, u_x, v_x) at time t and the points x, shape (4, len(x))."""
+        return self.evaluate(self.coefficients(t), x)

@@ -34,13 +34,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import NonFiniteState
-from .field import (PeriodicGrid, StateField, _as_samples,
+from .field import (PeriodicGrid, SpaceTimeField, StateField, _as_samples,
                     _derivative_multipliers, _tail_ratio)
 
 
@@ -115,9 +115,11 @@ class Trajectory:
     def t_end(self) -> float:
         return self.snapshots[-1][0]
 
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.snapshots[0][1].grid
+    @cached_property
+    def field(self) -> SpaceTimeField:
+        """The snapshots' space-time evaluator, built on first read and
+        kept; raises WindowTooShort with fewer than 2 distinct times."""
+        return SpaceTimeField(self.snapshots)
 
     def series_arrays(self) -> dict:
         cols = SeriesRecord._fields

@@ -20,9 +20,9 @@ from scipy.integrate import quad, solve_ivp
 
 # trace is unused here but stays a name of this module: perfbench/tracing.py
 # wraps the tracer's entry points by module attribute
-from .characteristics import (SpaceTimeField, dual_growth_spotcheck,  # noqa: F401
-                              gradient_beta, invariant_drift, predict_blowup,
-                              trace, trace_batch)
+from .characteristics import (dual_growth_spotcheck, gradient_beta,  # noqa: F401
+                              invariant_drift, predict_blowup, trace,
+                              trace_batch)
 from .energy import ConcaveGauge, energy, energy_ddot_direct, energy_ddot_formula
 from .errors import DomainError
 from .field import PeriodicGrid, StateField
@@ -199,10 +199,9 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
 
     # the run stops at detection, i.e. essentially at the first root, so
     # allow the Riccati integral a short continuation past the window
-    fld = SpaceTimeField(traj)
     seeds = np.arange(n_curve_seeds) / n_curve_seeds
-    betas = gradient_beta(traj, seeds, Family.first, field=fld)
-    curves = trace_batch(traj, seeds, Family.first, field=fld)
+    betas = gradient_beta(traj, seeds, Family.first)
+    curves = trace_batch(traj, seeds, Family.first)
     predictions = [t for t in (predict_blowup(curve, beta0, extrapolate=0.25)
                                for curve, beta0 in zip(curves, betas))
                    if t is not None]
@@ -219,10 +218,10 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     seeds = [(j + 0.5) / drift_seeds for j in range(drift_seeds)]
     curves = trace_batch(traj, seeds * len(Family),
                          [fam for fam in Family for _ in seeds],
-                         t_stop=t_10x, field=fld)
+                         t_stop=t_10x)
     drift = max((invariant_drift(curve) for curve in curves), default=0.0)
 
-    spot = dual_growth_spotcheck(traj, spotcheck_seeds, field=fld)
+    spot = dual_growth_spotcheck(traj, spotcheck_seeds)
 
     gap_do = abs(t_detect - t_oracle) / t_oracle
     gap_po = abs(t_predicted - t_oracle) / t_oracle

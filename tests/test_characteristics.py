@@ -127,9 +127,31 @@ def test_window_too_short():
 
 
 def test_left_trajectory_window():
+    # a t_stop behind the start leaves the curve at its start sample
     traj = synthetic_trajectory(lambda t: -1.0, 0.0, np.linspace(0, 2, 9))
-    c = trace(traj, 0.5, Family.first, t_start=5.0)
-    assert c.termination is Termination.left_trajectory_window
+    for direction, t_stop, t0 in ((Direction.forward, -1.0, 0.0),
+                                  (Direction.backward, 3.0, 2.0)):
+        c = trace(traj, 0.5, Family.first, direction, t_stop=t_stop)
+        assert c.termination is Termination.left_trajectory_window
+        assert c.t.tolist() == [t0] and c.x.tolist() == [0.5]
+
+
+def test_trajectory_builds_its_field_once(monkeypatch):
+    traj = synthetic_trajectory(lambda t: -(1.0 + t), 0.0, np.linspace(0, 2, 9))
+    builds = []
+    init = SpaceTimeField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceTimeField, "__init__", counting_init)
+    gradient_beta(traj, [0.1, 0.6], Family.first)
+    trace_batch(traj, [0.1, 0.6], Family.second, Direction.backward)
+    trace(traj, 0.3, Family.first)
+    dual_growth_spotcheck(traj, 2)
+    assert len(builds) == 1
+    assert traj.field is builds[0]
 
 
 def test_warns_when_snapshots_too_sparse():
@@ -271,7 +293,7 @@ def test_field_evaluator_matches_direct_sum():
     traj = Trajectory(QUAD, [(float(t), StateField(g, -1.0 + 0.1 * rng.standard_normal(n),
                                                    0.1 * rng.standard_normal(n)))
                              for t in times], RunStatus.completed, None, [], 8)
-    fld = SpaceTimeField(traj)
+    fld = traj.field
     assert np.array_equal(fld.times, times)
     m = np.arange(n // 2 + 1)
     for t in rng.uniform(times[0], times[-1], 4):

@@ -87,6 +87,7 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["law=quartic", "quartic_a=nan"],
     ["t_max=inf"],
     ["grad_blowup_factor=0"],
+    ["preset=elliptic_random", "seed=-1"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -95,6 +96,26 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     assert run_cli(*args, "simulate") == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("validate-law", ["validate_samples=1"]),
+    ("validate-law", ["validate_u_min=2", "validate_u_max=2"]),
+    ("verify", ["wave_n=100"]),
+    ("verify", ["verify_n=48"]),
+    ("predict", ["family=both"]),
+    ("trace", ["curve_seeds=0"]),
+    ("predict", ["curve_seeds=-1"]),
+], ids=["validate_samples", "validate_range", "wave_n", "verify_n",
+        "predict_both", "trace_no_seeds", "predict_no_seeds"])
+def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
+    out = tmp_path / "out"
+    args = []
+    for item in overrides + ["n=64", "t_max=0.5", f"outdir={out}"]:
+        args += ["--set", item]
+    assert run_cli(*args, command) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_json_rejects_non_finite(tmp_path):

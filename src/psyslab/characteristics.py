@@ -3,15 +3,16 @@
 A curve of family i solves dx/dt = lambda_i(u(t, x)) through
 ``trajectory.field``, the space-time field a Trajectory builds on the
 first tracer call and keeps.  Evaluation of u between grid points is
-trigonometric in x and cubic (4 nearest snapshots) in t, so the tracer
-sees the same field the solver computed.  Along the curve we record
-the Riemann invariants, the scaled gradient beta, and the accumulated
-Riccati integral K(t) = int k(u) ds, from which finite-time gradient
-blow-up is predicted via 1 + beta0 * K(t*) = 0.
+trigonometric in x and cubic Hermite in t, with the time derivatives at
+each snapshot taken from the PDE, so the tracer sees the field the
+solver computed, to fourth order in the snapshot spacing.  Along the
+curve we record the Riemann invariants, the scaled gradient beta, and
+the accumulated Riccati integral K(t) = int k(u) ds, from which
+finite-time gradient blow-up is predicted via 1 + beta0 * K(t*) = 0.
 
 Curves are traced in batches: one RK4 loop advances every curve of a
-batch, and all of them share one temporal window per time, so the
-snapshot coefficients are combined once per time for the whole batch.
+batch at the same times, so the snapshot coefficients are combined once
+per time for the whole batch.
 
 Curves are classified over a finite horizon: B means the curve ran the
 whole horizon with -u growing beyond a factor and still increasing; A
@@ -32,8 +33,9 @@ from .errors import EllipticStart
 from .riemann import Family, beta_from_gradient, q_of_u, riccati_k
 from .solver import Trajectory
 
-#: RK4 step of a curve, as a fraction of the median snapshot spacing
-STEP_FACTOR = 0.5
+#: RK4 step of a curve, in median snapshot spacings; the Hermite field
+#: is accurate between snapshots, so a step may span two of them
+STEP_FACTOR = 2.0
 
 
 class Direction(enum.Enum):

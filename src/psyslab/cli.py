@@ -135,6 +135,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("gauge must be log1p or rational")
     if cfg.curve_seeds < 1:
         raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
+    if cfg.verify_seeds < 1:
+        raise ConfigError(f"verify_seeds = {cfg.verify_seeds} must be >= 1")
+    if not cfg.eps_b > 0.0:
+        raise ConfigError(f"eps_b = {cfg.eps_b:g} must be > 0")
     if not cfg.t_max > cfg.t0:
         raise ConfigError(f"t_max = {cfg.t_max:g} must exceed t0 = {cfg.t0:g}")
     try:

@@ -3,10 +3,11 @@
 Fields live on x_j = j/n, j = 0..n-1, with period fixed to 1 (other
 periods are handled by rescaling x before entry).  Differentiation here
 and off-node evaluation through ``SpaceTimeField`` both go through the
-trigonometric interpolant, so tracing characteristics has the same
-accuracy as the solver.  For even n the Nyquist mode contributes
-c_{n/2} cos(pi n x); its derivative coefficient is set to zero, the
-standard choice that keeps odd derivatives real.
+trigonometric interpolant, so in x the tracer sees the field the solver
+computed; in t, ``SpaceTimeField`` interpolates between snapshots by
+cubic Hermite with slopes taken from the PDE.  For even n the Nyquist
+mode contributes c_{n/2} cos(pi n x); its derivative coefficient is set
+to zero, the standard choice that keeps odd derivatives real.
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def _parseval_weights(n: int) -> np.ndarray:
 
 
 def trig_coefficients(samples: np.ndarray) -> np.ndarray:
-    """Complex weights d with f(x) = Re(d . exp(2j pi m x)), m = 0..n/2."""
-    n = len(samples)
+    """Complex weights d with f(x) = Re(d . exp(2j pi m x)), m = 0..n/2,
+    one row of weights per row of samples (the last axis is x)."""
+    n = samples.shape[-1]
     return np.fft.rfft(samples) * _parseval_weights(n) / n
 
 
@@ -139,28 +141,35 @@ def _tail_ratio(c: np.ndarray, scales) -> float:
 
 
 class SpaceTimeField:
-    """Spectral-in-x, cubic-in-t evaluator over a list of (t, StateField)
-    snapshots with increasing times.
+    """Spectral-in-x, cubic-Hermite-in-t evaluator over a list of
+    (t, StateField) snapshots with increasing times.
 
-    Building it takes two FFTs per snapshot, so ``Trajectory.field``
-    builds one on first read and keeps it for every tracer call.
+    Each snapshot interval [t_i, t_i+1] is interpolated in t by the cubic
+    Hermite polynomial through the two end states and their time
+    derivatives, which the PDE gives exactly: u^_t = -i k v^ and
+    v^_t = i k P^, with P^ the coefficients of p(u).  So the interpolant
+    is fourth-order in the snapshot spacing and, unlike a window of
+    nearest snapshots, smooth across snapshots.
 
-    Only the (u, v) coefficients are stored; derivative rows are the
-    window-combined rows times 2 pi i m, Nyquist zeroed.  The layout has
-    two levels: mode m = 32 a + b sits at [a, b], so the phases
-    exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and
-    cosines rather than n/2 + 1, and no long cumulative product
-    accumulates error with m.  Sums over the layout go through
-    ``einsum`` without ``optimize``, which never calls BLAS: threaded
-    BLAS is far slower than the loop on products this small.
+    Per snapshot the coefficient rows (u^, v^, P^) are stored, built by
+    one stacked FFT; u_t is a multiply of the stored v^ and is not
+    stored.  ``Trajectory.field`` builds one on first read and keeps it
+    for every tracer call.  Derivative rows are the combined rows times
+    2 pi i m, Nyquist zeroed.  The layout has two levels: mode
+    m = 32 a + b sits at [a, b], so the phases exp(2 pi i m x) at a point
+    are products of 32 + n/64 + 1 sines and cosines rather than n/2 + 1,
+    and no long cumulative product accumulates error with m.  Sums over
+    the layout go through ``einsum`` without ``optimize``, which never
+    calls BLAS: threaded BLAS is far slower than the loop on products
+    this small.
     """
 
-    def __init__(self, snapshots: list):
+    def __init__(self, snapshots: list, law):
         if len(snapshots) < 2:
             raise WindowTooShort("tracing needs at least 2 snapshots")
         times = np.array([t for t, _ in snapshots])
-        # drop near-duplicate times: degenerate spacings blow up the
-        # Lagrange weights
+        # drop near-duplicate times: a zero-length interval divides by
+        # zero in the Hermite basis
         tiny = 1e-9 * float(np.max(np.diff(times), initial=0.0))
         idx = [0]
         for i in range(1, len(times)):
@@ -172,37 +181,35 @@ class SpaceTimeField:
         n = snapshots[0][1].grid.n
         n_modes = n // 2 + 1
         rows = -(-n_modes // _BLOCK)
-        coeffs = np.zeros((len(idx), 2, rows * _BLOCK), dtype=complex)
+        coeffs = np.zeros((len(idx), 3, rows * _BLOCK), dtype=complex)
         for k, i in enumerate(idx):
             state = snapshots[i][1]
-            coeffs[k, 0, :n_modes] = trig_coefficients(state.u)
-            coeffs[k, 1, :n_modes] = trig_coefficients(state.v)
-        self._coeffs = coeffs.reshape(len(idx), 2, rows, _BLOCK)
+            coeffs[k, :, :n_modes] = trig_coefficients(
+                np.stack((state.u, state.v, law.p(state.u))))
+        self._coeffs = coeffs.reshape(len(idx), 3, rows, _BLOCK)
         dmul = np.zeros(rows * _BLOCK, dtype=complex)  # padding unused
         dmul[:n_modes] = _derivative_multipliers(n)
         self._dmul = dmul.reshape(rows, _BLOCK)
         self._lo = 2.0 * np.pi * np.arange(_BLOCK)
         self._hi = 2.0 * np.pi * _BLOCK * np.arange(rows)
 
-    def _window(self, t: float):
-        k = min(4, len(self.times))
-        i = int(np.searchsorted(self.times, t))
-        i0 = min(max(i - 2, 0), len(self.times) - k)
-        ts = self.times[i0:i0 + k].tolist()
-        w = np.empty(k)
-        for a in range(k):
-            num = 1.0
-            for b in range(k):
-                if b != a:
-                    num *= (t - ts[b]) / (ts[a] - ts[b])
-            w[a] = num
-        return i0, k, w
-
     def coefficients(self, t: float) -> np.ndarray:
         """Rows (u, v, u_x, v_x) of the field at time t, in the split
-        layout: the 4 nearest snapshots combined with Lagrange weights."""
-        i0, k, w = self._window(t)
-        uv = np.einsum("s,sfab->fab", w, self._coeffs[i0:i0 + k])
+        layout: the cubic Hermite interpolant on the snapshot interval
+        that holds t (on the end interval for t outside the window)."""
+        times = self.times
+        i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0),
+                len(times) - 2)
+        dt = float(times[i + 1] - times[i])
+        s = (t - float(times[i])) / dt
+        h00, h01 = (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s)
+        h10, h11 = dt * s * (1.0 - s) ** 2, dt * s * s * (s - 1.0)
+        c0, c1 = self._coeffs[i], self._coeffs[i + 1]
+        uv = h00 * c0[:2] + h01 * c1[:2]
+        # dt-weighted slope sources (v^, P^): u^_t = -ik v^, v^_t = ik P^
+        slope = (h10 * c0[1:] + h11 * c1[1:]) * self._dmul
+        uv[0] -= slope[0]
+        uv[1] += slope[1]
         return np.concatenate((uv, uv * self._dmul))
 
     def evaluate(self, coeffs: np.ndarray, x) -> np.ndarray:

@@ -119,7 +119,7 @@ class Trajectory:
     def field(self) -> SpaceTimeField:
         """The snapshots' space-time evaluator, built on first read and
         kept; raises WindowTooShort with fewer than 2 distinct times."""
-        return SpaceTimeField(self.snapshots)
+        return SpaceTimeField(self.snapshots, self.law)
 
     def series_arrays(self) -> dict:
         cols = SeriesRecord._fields

@@ -243,6 +243,22 @@ def test_gradient_beta_matches_analytic(wave_traj):
     assert batch[1] == pytest.approx(gradient_beta(traj, x0, Family.first), rel=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore:snapshot spacing")
+def test_drift_falls_with_snapshot_spacing_at_high_order():
+    # on a smooth run the drift measures the field's interpolation in t:
+    # halving the snapshot spacing must cut it at least 8x (3rd order)
+    g = PeriodicGrid(256)
+    s0 = simple_wave_state(QUAD, g, -1.0, 0.3, 1)
+    seeds = [(j + 0.5) / 4 for j in range(4)]
+    drift = {}
+    for stride in (4, 8):
+        traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5, snapshot_stride=stride))
+        curves = trace_batch(traj, seeds * 2, [f for f in Family for _ in seeds])
+        drift[stride] = max(invariant_drift(c) for c in curves)
+    assert drift[4] < 1e-7
+    assert drift[8] / drift[4] >= 8.0
+
+
 def mixed_trajectory():
     """Time-dependent mixed-type field on [0, 0.5]: u > 0 near x = 0.25,
     so curves started there are elliptic and some others run into the
@@ -285,7 +301,9 @@ def test_batch_matches_single_traces(direction):
 
 
 def test_field_evaluator_matches_direct_sum():
-    # white-noise snapshots at uneven times fill every mode, Nyquist too
+    # white-noise snapshots at uneven times fill every mode, Nyquist too;
+    # the reference is the cubic Hermite interpolant in t of per-mode
+    # sums in x, with the PDE's slopes u_t = -v_x and v_t = (p(u))_x
     n = 64
     rng = np.random.default_rng(11)
     times = np.cumsum(rng.uniform(0.05, 0.15, 8))
@@ -296,22 +314,32 @@ def test_field_evaluator_matches_direct_sum():
     fld = traj.field
     assert np.array_equal(fld.times, times)
     m = np.arange(n // 2 + 1)
+    ik = 2j * np.pi * m
+    ik[-1] = 0.0
+
+    def coefficients(samples):
+        c = np.fft.rfft(samples) / n
+        c[1:-1] *= 2.0
+        return c
+
+    def direct_sum(coef, x):
+        return np.array([sum((coef[j] * np.exp(2j * np.pi * j * xi)).real
+                             for j in m) for xi in x])
+
     for t in rng.uniform(times[0], times[-1], 4):
         x = rng.uniform(-2.0, 3.0, 6)
-        i0 = min(max(int(np.searchsorted(times, t)) - 2, 0), len(times) - 4)
-        ts = times[i0:i0 + 4]
-        expect = np.zeros((4, len(x)))
-        for a, (_, state) in enumerate(traj.snapshots[i0:i0 + 4]):
-            w = np.prod([(t - ts[b]) / (ts[a] - ts[b]) for b in range(4) if b != a])
-            for row, samples in enumerate((state.u, state.v)):
-                c = np.fft.rfft(samples) / n
-                c[1:-1] *= 2.0
-                dc = 2j * np.pi * m * c
-                dc[-1] = 0.0
-                for k, coef in ((row, c), (row + 2, dc)):
-                    expect[k] += w * np.array(
-                        [sum((coef[j] * np.exp(2j * np.pi * j * xi)).real
-                             for j in m) for xi in x])
+        i = int(np.searchsorted(times, t)) - 1
+        dt = times[i + 1] - times[i]
+        s = (t - times[i]) / dt
+        basis = ((2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s),
+                 (-2 * s**3 + 3 * s**2, s**3 - s**2))
+        cu = cv = 0.0
+        for (h, h_slope), (_, state) in zip(basis, traj.snapshots[i:i + 2]):
+            c_u, c_v = coefficients(state.u), coefficients(state.v)
+            c_p = coefficients(0.5 * state.u**2)
+            cu = cu + h * c_u + dt * h_slope * (-ik * c_v)
+            cv = cv + h * c_v + dt * h_slope * (ik * c_p)
+        expect = [direct_sum(c, x) for c in (cu, cv, ik * cu, ik * cv)]
         got = fld.values(t, x)
         for k in range(4):
             scale = max(1.0, float(np.max(np.abs(expect[k]))))

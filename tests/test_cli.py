@@ -106,8 +106,12 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("predict", ["family=both"]),
     ("trace", ["curve_seeds=0"]),
     ("predict", ["curve_seeds=-1"]),
+    ("verify", ["verify_seeds=0"]),
+    ("trace", ["eps_b=0"]),
+    ("trace", ["eps_b=-1"]),
 ], ids=["validate_samples", "validate_range", "wave_n", "verify_n",
-        "predict_both", "trace_no_seeds", "predict_no_seeds"])
+        "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
+        "eps_b_zero", "eps_b_negative"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     args = []

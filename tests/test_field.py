@@ -113,6 +113,14 @@ def test_interpolant_matches_analytic_modes_off_node():
         assert abs(interpolant(f, x) - analytic(x)) < 1e-12
 
 
+def test_trig_coefficients_of_stacked_rows():
+    rows = np.random.default_rng(13).standard_normal((3, 32))
+    stacked = trig_coefficients(rows)
+    assert stacked.shape == (3, 17)
+    for got, row in zip(stacked, rows):
+        np.testing.assert_array_equal(got, trig_coefficients(row))
+
+
 def test_hyperbolicity_margin():
     # the solver admits and monitors on max u: strictly hyperbolic iff < 0
     g = PeriodicGrid(256)

@@ -23,7 +23,6 @@ reported as undetermined rather than silently coerced.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
@@ -50,7 +49,6 @@ class Direction(enum.Enum):
 class Termination(str, enum.Enum):
     reached_horizon = "reached_horizon"
     reached_boundary = "reached_boundary"
-    left_trajectory_window = "left_trajectory_window"
 
 
 class ClassLabel(str, enum.Enum):
@@ -114,7 +112,7 @@ def _speed(law, u, sign):
 
 
 def _curve(law, fam: Family, direction: Direction, t, cols, termination,
-           t_hit=None) -> CharacteristicCurve:
+           t_hit) -> CharacteristicCurve:
     """Curve from its sample columns x, u, v, u_x, v_x, K.  The derived
     quantities use u clamped to 0 (the boundary sample may overshoot)."""
     x, u, v, ux, vx, K = (np.array(c, dtype=float) for c in cols)
@@ -143,7 +141,7 @@ def gradient_beta(trajectory: Trajectory, x0, fam: Family):
 
 def trace_batch(trajectory: Trajectory, x0, families,
                 direction: Direction = Direction.forward, *,
-                t_stop: Optional[float] = None, eps_b: float = 1e-3) -> list:
+                eps_b: float = 1e-3) -> list:
     """Trace a batch of characteristics through the trajectory's window.
 
     ``x0`` holds the start points; ``families`` is one Family for all
@@ -152,14 +150,11 @@ def trace_batch(trajectory: Trajectory, x0, families,
     times the snapshot spacing, from the same start time in the same
     direction.  Forward curves start at the first snapshot, backward
     curves at the last (the only part of the window behind them).  A
-    curve stops at the window edge (or ``t_stop``), or as soon as the
-    interpolated u rises above -eps_b: it reached the hyperbolic
-    boundary and leaves the batch.  A ``t_stop`` at or behind the start
-    leaves every curve at its start sample, terminated
-    ``left_trajectory_window``.  The
-    boundary sample is recorded with u clamped to 0 in the derived
-    quantities and K_accum carried from the previous sample (k diverges
-    at the interface).
+    curve stops at the window edge, or as soon as the interpolated u
+    rises above -eps_b: it reached the hyperbolic boundary and leaves
+    the batch.  The boundary sample is recorded with u clamped to 0 in
+    the derived quantities and K_accum carried from the previous sample
+    (k diverges at the interface).
 
     Returns one entry per start point: its CharacteristicCurve, or an
     EllipticStart error for a start with u >= 0, which does not stop
@@ -175,29 +170,10 @@ def trace_batch(trajectory: Trajectory, x0, families,
         raise ValueError("need one family per start point")
     sign = np.array([f.sign for f in fams])
     times = fld.times
-    t_lo, t_hi = float(times[0]), float(times[-1])
-
-    if direction is Direction.forward:
-        t_start = t_lo
-        span = (t_hi if t_stop is None else min(t_stop, t_hi)) - t_start
-    else:
-        t_start = t_hi
-        span = t_start - (t_lo if t_stop is None else max(t_stop, t_lo))
-    if span <= 0.0:
-        vals = fld.values(t_start, x)
-        return [_curve(law, fam, direction, [t_start],
-                       [x[[b]], *vals[:, [b]], [0.0]],
-                       Termination.left_trajectory_window)
-                for b, fam in enumerate(fams)]
-
+    # a field holds at least two increasing times, so span > 0
+    span = float(times[-1] - times[0])
+    t_start = float(times[0] if direction is Direction.forward else times[-1])
     spacing = float(np.median(np.diff(times)))
-    if len(trajectory.series) >= 3:
-        dts = np.diff([r.t for r in trajectory.series])
-        if spacing > 5.01 * float(np.median(dts)):
-            warnings.warn(
-                "snapshot spacing exceeds 5 solver steps; tracer accuracy "
-                "degrades (lower snapshot_stride)", stacklevel=2)
-
     n_steps = max(1, int(np.ceil(span / (STEP_FACTOR * spacing))))
     h = direction.sign * span / n_steps
     # sample columns (x, u, v, u_x, v_x, K) per step; curve b owns rows
@@ -263,25 +239,27 @@ def trace_batch(trajectory: Trajectory, x0, families,
 
 
 def trace(trajectory: Trajectory, x0: float, fam: Family,
-          direction: Direction = Direction.forward, *,
-          t_stop: Optional[float] = None,
-          eps_b: float = 1e-3) -> CharacteristicCurve:
+          direction: Direction = Direction.forward) -> CharacteristicCurve:
     """Trace one characteristic: ``trace_batch`` with a single curve.
 
     Raises EllipticStart when u >= 0 at the start.
     """
-    curve, = trace_batch(trajectory, [x0], fam, direction, t_stop=t_stop,
-                         eps_b=eps_b)
+    curve, = trace_batch(trajectory, [x0], fam, direction)
     if isinstance(curve, EllipticStart):
         raise curve
     return curve
 
 
-def invariant_drift(curve: CharacteristicCurve) -> float:
+def invariant_drift(curve: CharacteristicCurve,
+                    t_end: Optional[float] = None) -> float:
     """max over samples of |r_fam(t) - r_fam(t_start)| for the curve's
-    own family."""
+    own family, over the samples up to ``t_end`` along the curve's
+    direction (all of them when ``t_end`` is None)."""
     r = curve.own_invariant
-    return float(np.max(np.abs(r - r[0])))
+    drift = np.abs(r - r[0])
+    if t_end is not None:
+        drift = drift[(t_end - curve.t) * curve.direction.sign >= 0.0]
+    return float(np.max(drift, initial=0.0))
 
 
 def predict_blowup(curve: CharacteristicCurve, beta0: float,
@@ -343,8 +321,7 @@ def classify(curve: CharacteristicCurve, horizon: float,
     if curve.termination is Termination.reached_boundary or u[-1] > -eps_b:
         return a_label
     span = abs(curve.t_end - curve.t_start)
-    if curve.termination is not Termination.reached_horizon or \
-            span < horizon * (1.0 - 1e-9):
+    if span < horizon * (1.0 - 1e-9):
         return ClassLabel.undetermined
 
     if -u[-1] <= growth_factor * -u[0]:
@@ -365,9 +342,6 @@ class SpotcheckReport:
     classified B: no solution of the system should ever produce one.
     """
 
-    sample_points: int
-    horizon: float
-    growth_factor: float
     labels: dict = dc_field(default_factory=dict)  # {(Direction, Family): [ClassLabel]}
     violations: list = dc_field(default_factory=list)
 
@@ -375,34 +349,20 @@ class SpotcheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_points": self.sample_points,
-            "horizon": self.horizon,
-            "growth_factor": self.growth_factor,
-            "labels": {
-                f"{d.name}/{f.name}": [lab.value for lab in labs]
-                for (d, f), labs in self.labels.items()
-            },
-            "ok": self.ok,
-            "violations": self.violations,
-        }
 
-
-def dual_growth_spotcheck(trajectory: Trajectory, sample_points: int,
-                          horizon: Optional[float] = None,
-                          growth_factor: float = 10.0) -> SpotcheckReport:
+def dual_growth_spotcheck(trajectory: Trajectory,
+                          sample_points: int) -> SpotcheckReport:
     """Trace both families from seeded points and flag same-direction
     (B, B) pairs across the families.
 
-    One batch per direction holds both families.  Seeds with elliptic
-    start points are recorded as undetermined.  Expected outcome on any
-    trajectory of the system: zero violations.
+    One batch per direction holds both families, and each curve is
+    classified over the whole trajectory window with ``classify``'s
+    default growth factor.  Seeds with elliptic start points are
+    recorded as undetermined.  Expected outcome on any trajectory of the
+    system: zero violations.
     """
     window = trajectory.t_end - trajectory.t0
-    if horizon is None:
-        horizon = window
-    report = SpotcheckReport(sample_points, horizon, growth_factor)
+    report = SpotcheckReport()
     seeds = [(j + 0.5) / sample_points for j in range(sample_points)]
     for direction in Direction:
         curves = trace_batch(trajectory, seeds * len(Family),
@@ -411,7 +371,7 @@ def dual_growth_spotcheck(trajectory: Trajectory, sample_points: int,
         for i, fam in enumerate(Family):
             report.labels[(direction, fam)] = [
                 ClassLabel.undetermined if isinstance(c, EllipticStart)
-                else classify(c, horizon, growth_factor)
+                else classify(c, window)
                 for c in curves[i * sample_points:(i + 1) * sample_points]]
     for direction in Direction:
         b = ClassLabel.B_plus if direction is Direction.forward else ClassLabel.B_minus

@@ -139,6 +139,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"verify_seeds = {cfg.verify_seeds} must be >= 1")
     if not cfg.eps_b > 0.0:
         raise ConfigError(f"eps_b = {cfg.eps_b:g} must be > 0")
+    if not cfg.horizon >= 0.0:
+        raise ConfigError(f"horizon = {cfg.horizon:g} must be >= 0")
+    if not cfg.growth_factor >= 1.0:
+        raise ConfigError(f"growth_factor = {cfg.growth_factor:g} must be >= 1")
+    if not cfg.verify_t_max > 0.0:
+        raise ConfigError(f"verify_t_max = {cfg.verify_t_max:g} must be > 0")
     if not cfg.t_max > cfg.t0:
         raise ConfigError(f"t_max = {cfg.t_max:g} must exceed t0 = {cfg.t0:g}")
     try:

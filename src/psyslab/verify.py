@@ -117,15 +117,16 @@ def random_trig_state(grid: PeriodicGrid, seed: int, modes: int,
 # ---------------------------------------------------------------------------
 # oracles
 
-def crossing_time_oracle(law, u_center: float, amplitude: float, mode: int,
-                         t0: float = 0.0, n_samples: int = 100_000) -> Optional[float]:
-    """Dense-sampling crossing time for a simple wave.
+def crossing_time_oracle(law, u_center: float, amplitude: float,
+                         mode: int) -> Optional[float]:
+    """Dense-sampling crossing time for a simple wave started at t = 0.
 
     With r2 constant, lambda_1 is transported by itself, so the first
-    characteristic crossing is at t0 - 1/min_x d(lambda_1)/dx evaluated
-    on the initial data.  Returns None when no compression exists.
+    characteristic crossing is at -1/min_x d(lambda_1)/dx evaluated on
+    the initial data, sampled at 100 001 points.  Returns None when no
+    compression exists.
     """
-    xs = np.linspace(0.0, 1.0, n_samples + 1)
+    xs = np.linspace(0.0, 1.0, 100_001)
     u = u_center + amplitude * np.sin(2.0 * np.pi * mode * xs)
     lam = np.sqrt(-law.dp(u))
     dlam = np.gradient(lam, xs)
@@ -133,7 +134,7 @@ def crossing_time_oracle(law, u_center: float, amplitude: float, mode: int,
     # roundoff floor: differencing a constant profile yields ~1e-12 noise
     if m >= -1e-9 * max(1.0, float(np.max(lam))):
         return None
-    return t0 - 1.0 / m
+    return -1.0 / m
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +162,17 @@ def scenario_constant(law, u0: float, v0: float, t_max: float,
 
 
 def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
-                                mode: int, t_max: Optional[float] = None,
-                                n: int = 1024, n_curve_seeds: int = 32,
-                                drift_seeds: int = 8,
+                                mode: int, n: int = 1024,
+                                n_curve_seeds: int = 32, drift_seeds: int = 8,
                                 spotcheck_seeds: int = 8) -> ScenarioReport:
     """Triangulate the blow-up time three independent ways.
 
     The solver's detection time, the minimum Riccati-predicted time over
     traced family-1 curves, and the dense-sampling crossing-time oracle
-    must pairwise agree within 5%.  Also records the invariant drift up
-    to the 10x-gradient time and the dual-growth spot check, which are
-    separate acceptance gates on the same run.
+    must pairwise agree within 5%.  The run goes to twice the oracle
+    time.  Also records the invariant drift up to the 10x-gradient time
+    and the dual-growth spot check, which are separate acceptance gates
+    on the same run.
     """
     report = ScenarioReport("simple_wave_blowup", law.describe(), None,
                             thresholds={"relative_gap": 0.05,
@@ -183,12 +184,10 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
         report.reason = ("no compression in the initial data (zero amplitude); "
                          "degenerates to the constant scenario by design")
         return report
-    if t_max is None:
-        t_max = 2.0 * t_oracle
 
     grid = PeriodicGrid(n)
     state0 = simple_wave_state(law, grid, u_center, amplitude, mode)
-    traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
+    traj = run(law, state0, 0.0, SolverConfig(t_max=2.0 * t_oracle))
     report.metrics["t_oracle"] = t_oracle
     report.metrics["status_" + traj.status.value] = 1.0
     if traj.status not in TERMINATED:
@@ -197,11 +196,16 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
         return report
     t_detect = traj.t_detect
 
-    # the run stops at detection, i.e. essentially at the first root, so
-    # allow the Riccati integral a short continuation past the window
+    # one forward batch over the whole window: the family-1 prediction
+    # curves, then both families from the drift seeds
     seeds = np.arange(n_curve_seeds) / n_curve_seeds
     betas = gradient_beta(traj, seeds, Family.first)
-    curves = trace_batch(traj, seeds, Family.first)
+    drift_x0 = [(j + 0.5) / drift_seeds for j in range(drift_seeds)]
+    curves = trace_batch(traj, list(seeds) + drift_x0 * len(Family),
+                         [Family.first] * n_curve_seeds
+                         + [fam for fam in Family for _ in drift_x0])
+    # the run stops at detection, i.e. essentially at the first root, so
+    # allow the Riccati integral a short continuation past the window
     predictions = [t for t in (predict_blowup(curve, beta0, extrapolate=0.25)
                                for curve, beta0 in zip(curves, betas))
                    if t is not None]
@@ -215,11 +219,8 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     sa = traj.series_arrays()
     grown = sa["max_abs_ux"] >= 10.0 * sa["max_abs_ux"][0]
     t_10x = float(sa["t"][np.argmax(grown)]) if np.any(grown) else traj.t_end
-    seeds = [(j + 0.5) / drift_seeds for j in range(drift_seeds)]
-    curves = trace_batch(traj, seeds * len(Family),
-                         [fam for fam in Family for _ in seeds],
-                         t_stop=t_10x)
-    drift = max((invariant_drift(curve) for curve in curves), default=0.0)
+    drift = max((invariant_drift(curve, t_10x)
+                 for curve in curves[n_curve_seeds:]), default=0.0)
 
     spot = dual_growth_spotcheck(traj, spotcheck_seeds)
 
@@ -300,9 +301,9 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     return report
 
 
-def scenario_ramp_residual(law: Optional[PressureLaw] = None,
-                           n_t: int = 5, n_x: int = 9) -> ScenarioReport:
-    """Exact-solution residual check for (u, v) = (t, -x).
+def scenario_ramp_residual(law: Optional[PressureLaw] = None) -> ScenarioReport:
+    """Exact-solution residual check for (u, v) = (t, -x) on a 5 x 9
+    grid of (t, x) points.
 
     The pair solves the system identically (u_t + v_x = 1 - 1 = 0 and
     v_t - (p(u))_x = 0 - p'(u) * 0 = 0), but v is not periodic:
@@ -316,8 +317,8 @@ def scenario_ramp_residual(law: Optional[PressureLaw] = None,
     report = ScenarioReport("ramp_residual", law.describe(), None,
                             thresholds={"residual": 0.0})
     max_r1 = max_r2 = 0.0
-    for t in np.linspace(-2.0, 3.0, n_t):
-        for x in np.linspace(0.0, 1.0, n_x):
+    for t in np.linspace(-2.0, 3.0, 5):
+        for x in np.linspace(0.0, 1.0, 9):
             u_t, u_x = 1.0, 0.0          # u(t, x) = t
             v_t, v_x = 0.0, -1.0         # v(t, x) = -x
             r1 = u_t + v_x

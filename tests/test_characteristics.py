@@ -7,7 +7,7 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      constant_state, dual_growth_spotcheck, gradient_beta,
                      invariant_drift, predict_blowup, run,
                      simple_wave_state, trace, trace_batch)
-from psyslab.characteristics import CurveSample
+from psyslab.characteristics import CharacteristicCurve, CurveSample
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
@@ -57,6 +57,25 @@ def test_constant_state_family2_line(constant_traj):
 def test_constant_state_drift_zero(constant_traj):
     c = trace(constant_traj, 0.1, Family.first)
     assert invariant_drift(c) < 1e-12
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_invariant_drift_stops_at_t_end(direction):
+    # r1 creeps by 1e-6 per unit time, then jumps by 1 after t = 1.5
+    # (forward) or before t = 0.5 (backward); only the jump lies beyond
+    # t_end along the direction
+    t = np.linspace(0.0, 2.0, 9)
+    jump = t > 1.5 if direction is Direction.forward else t < 0.5
+    r1 = 1e-6 * t + jump
+    if direction is Direction.backward:
+        t, r1 = t[::-1], r1[::-1]
+    zeros = np.zeros_like(t)
+    c = CharacteristicCurve(Family.first, direction, t, zeros, zeros - 1.0, r1,
+                            zeros, zeros, zeros, Termination.reached_horizon)
+    t_end = 1.5 if direction is Direction.forward else 0.5
+    assert invariant_drift(c, t_end) == pytest.approx(1.5e-6, rel=1e-9)
+    assert invariant_drift(c) == pytest.approx(1.0, abs=1e-5)
+    assert invariant_drift(c, c.t_start) == 0.0
 
 
 def test_K_accum_non_increasing(constant_traj):
@@ -126,16 +145,6 @@ def test_window_too_short():
         trace(traj, 0.5, Family.first)
 
 
-def test_left_trajectory_window():
-    # a t_stop behind the start leaves the curve at its start sample
-    traj = synthetic_trajectory(lambda t: -1.0, 0.0, np.linspace(0, 2, 9))
-    for direction, t_stop, t0 in ((Direction.forward, -1.0, 0.0),
-                                  (Direction.backward, 3.0, 2.0)):
-        c = trace(traj, 0.5, Family.first, direction, t_stop=t_stop)
-        assert c.termination is Termination.left_trajectory_window
-        assert c.t.tolist() == [t0] and c.x.tolist() == [0.5]
-
-
 def test_trajectory_builds_its_field_once(monkeypatch):
     traj = synthetic_trajectory(lambda t: -(1.0 + t), 0.0, np.linspace(0, 2, 9))
     builds = []
@@ -152,14 +161,6 @@ def test_trajectory_builds_its_field_once(monkeypatch):
     dual_growth_spotcheck(traj, 2)
     assert len(builds) == 1
     assert traj.field is builds[0]
-
-
-def test_warns_when_snapshots_too_sparse():
-    g = PeriodicGrid(64)
-    traj = run(QUAD, constant_state(g, -1.0, 0.0), 0.0,
-               SolverConfig(t_max=1.0, snapshot_stride=12))
-    with pytest.warns(UserWarning, match="snapshot spacing"):
-        trace(traj, 0.5, Family.first)
 
 
 def test_synthetic_growth_is_B_plus():
@@ -196,8 +197,8 @@ def test_simple_wave_invariant_transport(wave_traj):
     t10 = float(sa["t"][np.argmax(grown)])
     for fam in Family:
         for j in range(4):
-            c = trace(traj, (j + 0.5) / 4, fam, t_stop=t10)
-            assert invariant_drift(c) < 1e-4
+            c = trace(traj, (j + 0.5) / 4, fam)
+            assert invariant_drift(c, t10) < 1e-4
 
 
 def test_simple_wave_r2_constant_along_all_curves(wave_traj):
@@ -207,9 +208,9 @@ def test_simple_wave_r2_constant_along_all_curves(wave_traj):
     grown = sa["max_abs_ux"] >= 10.0 * sa["max_abs_ux"][0]
     t10 = float(sa["t"][np.argmax(grown)])
     for j in range(4):
-        c = trace(traj, (j + 0.5) / 4, Family.first, t_stop=t10)
-        r2s = [s.r2 for s in c.samples]
-        assert max(abs(r - r2s[0]) for r in r2s) < 1e-4
+        c = trace(traj, (j + 0.5) / 4, Family.first)
+        r2s = c.r2[c.t <= t10]
+        assert np.max(np.abs(r2s - r2s[0])) < 1e-4
 
 
 def test_prediction_triangulates_oracle(wave_traj):
@@ -243,7 +244,6 @@ def test_gradient_beta_matches_analytic(wave_traj):
     assert batch[1] == pytest.approx(gradient_beta(traj, x0, Family.first), rel=1e-14)
 
 
-@pytest.mark.filterwarnings("ignore:snapshot spacing")
 def test_drift_falls_with_snapshot_spacing_at_high_order():
     # on a smooth run the drift measures the field's interpolation in t:
     # halving the snapshot spacing must cut it at least 8x (3rd order)

@@ -109,9 +109,13 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("verify", ["verify_seeds=0"]),
     ("trace", ["eps_b=0"]),
     ("trace", ["eps_b=-1"]),
+    ("verify", ["verify_t_max=0"]),
+    ("trace", ["growth_factor=-2"]),
+    ("trace", ["horizon=-1"]),
 ], ids=["validate_samples", "validate_range", "wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
-        "eps_b_zero", "eps_b_negative"])
+        "eps_b_zero", "eps_b_negative", "verify_t_max_zero",
+        "growth_factor_negative", "horizon_negative"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     args = []

@@ -89,6 +89,27 @@ def test_scenario_simple_wave_small_grid():
     assert rep.metrics["spotcheck_violations"] == 0.0
 
 
+def test_scenario_simple_wave_traces_three_batches(monkeypatch):
+    # predictions and drift share one forward batch; the spot check
+    # traces one batch per direction
+    import psyslab.characteristics as characteristics
+    import psyslab.verify as verify
+    calls = []
+    original = characteristics.trace_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "trace_batch", counting)
+    monkeypatch.setattr(characteristics, "trace_batch", counting)
+    rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.3, 1, n=128,
+                                      n_curve_seeds=2, drift_seeds=1,
+                                      spotcheck_seeds=1)
+    assert rep.verdict == "pass"
+    assert len(calls) == 3
+
+
 def test_scenario_simple_wave_zero_amplitude_inconclusive():
     rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.0, 1, n=64)
     assert rep.verdict == "inconclusive"

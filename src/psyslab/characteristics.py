@@ -168,6 +168,8 @@ def trace_batch(trajectory: Trajectory, x0, families,
             else list(families))
     if len(fams) != len(x):
         raise ValueError("need one family per start point")
+    if not np.isfinite(x).all():
+        raise ValueError("start points must be finite")
     sign = np.array([f.sign for f in fams])
     times = fld.times
     # a field holds at least two increasing times, so span > 0

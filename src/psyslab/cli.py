@@ -6,6 +6,10 @@ Exit codes: 0 success / all scenarios pass, 1 scenario failure or
 invariant violation, 2 configuration error.  A simulation that ends in
 blow-up exits 0: blow-up is a result, not an error.
 
+A config is validated once, before any command runs, by building what
+it names (grids, law, solver config, gauge, initial state): each rule
+lives in the object that holds it, and its ValueError is a config error.
+
 All emission is data-only (plotting is left to external tools), floats
 carry 17 significant digits, and identical config + seed reproduces
 byte-identical files.  CSV files start with a comment line carrying the
@@ -27,15 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characteristics import (ClassLabel, Direction, classify, gradient_beta,
-                              predict_blowup, trace_batch)
+from .characteristics import (ClassLabel, CurveSample, Direction, classify,
+                              gradient_beta, predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw, validate_law
 from .riemann import Family
-from .solver import SolverConfig, run
+from .solver import SeriesRecord, SolverConfig, run
 from .verify import (constant_state, default_suite, random_elliptic_state,
                      random_trig_state, simple_wave_state)
 
@@ -81,9 +85,7 @@ class RunConfig:
     validate_samples: int = 1001
 
     def law_obj(self) -> PressureLaw:
-        if self.law == "quadratic":
-            return PressureLaw.quadratic()
-        return PressureLaw.quartic(self.quartic_a)
+        return PressureLaw(self.law, self.quartic_a)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(t_max=self.t_max, cfl_safety=self.cfl_safety,
@@ -118,21 +120,20 @@ def _coerce(key: str, raw: str, where: str):
     return value
 
 
+#: the members each ``family`` and ``direction`` value names
+_FAMILIES = {"first": [Family.first], "second": [Family.second],
+             "both": [Family.first, Family.second]}
+_DIRECTIONS = {"forward": [Direction.forward], "backward": [Direction.backward],
+               "both": [Direction.forward, Direction.backward]}
+
+
 def _validate(cfg: RunConfig) -> RunConfig:
-    for key in ("n", "verify_n", "wave_n"):
-        n = getattr(cfg, key)
-        if n < 16 or n > 4096 or (n & (n - 1)) != 0:
-            raise ConfigError(f"{key} = {n} is not a power of two in [16, 4096]")
-    if cfg.law not in ("quadratic", "quartic"):
-        raise ConfigError(f"law must be quadratic or quartic, got {cfg.law!r}")
-    if cfg.preset not in PRESETS:
-        raise ConfigError(f"preset must be one of {PRESETS}, got {cfg.preset!r}")
-    if cfg.family not in ("first", "second", "both"):
-        raise ConfigError("family must be first, second, or both")
-    if cfg.direction not in ("forward", "backward", "both"):
-        raise ConfigError("direction must be forward, backward, or both")
-    if cfg.gauge not in ("log1p", "rational"):
-        raise ConfigError("gauge must be log1p or rational")
+    """Build every library object the config names, turning their
+    ValueErrors into ConfigErrors; check here only what none of them holds."""
+    for key, table in (("family", _FAMILIES), ("direction", _DIRECTIONS)):
+        if getattr(cfg, key) not in table:
+            raise ConfigError(f"{key} must be one of {', '.join(table)}, "
+                              f"got {getattr(cfg, key)!r}")
     if cfg.curve_seeds < 1:
         raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
     if cfg.verify_seeds < 1:
@@ -147,11 +148,22 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"verify_t_max = {cfg.verify_t_max:g} must be > 0")
     if not cfg.t_max > cfg.t0:
         raise ConfigError(f"t_max = {cfg.t_max:g} must exceed t0 = {cfg.t0:g}")
+    where = ""  # names the grid key or preset an error comes from
     try:
+        for key in ("n", "verify_n", "wave_n"):
+            n = getattr(cfg, key)
+            where = f"{key} = {n}: "
+            if n > 4096:
+                raise ValueError("grid size must be <= 4096")
+            PeriodicGrid(n)
+        where = ""
         cfg.law_obj()
         cfg.solver_config()
+        ConcaveGauge(cfg.gauge)
+        where = f"preset {cfg.preset}: "
+        build_initial_state(cfg, PeriodicGrid(cfg.n))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}{exc}") from exc
     return cfg
 
 
@@ -187,39 +199,41 @@ def _echo_config(cfg: RunConfig, stream=sys.stderr):
 
 
 def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
-    """The preset's initial state; parameters the preset rejects are a
-    ConfigError."""
-    law = cfg.law_obj()
-    try:
-        if cfg.preset == "constant":
-            return constant_state(grid, cfg.u0, cfg.v0)
-        if cfg.preset == "simple_wave":
-            return simple_wave_state(law, grid, cfg.u_center, cfg.amplitude,
-                                     cfg.mode, cfg.r2_value)
-        if cfg.preset == "random_trig":
-            return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
-                                     cfg.u_offset)
+    """The preset's initial state; an unknown preset, or parameters the
+    preset rejects, raise ValueError."""
+    if cfg.preset == "constant":
+        return constant_state(grid, cfg.u0, cfg.v0)
+    if cfg.preset == "simple_wave":
+        return simple_wave_state(cfg.law_obj(), grid, cfg.u_center,
+                                 cfg.amplitude, cfg.mode, cfg.r2_value)
+    if cfg.preset == "random_trig":
+        return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
+                                 cfg.u_offset)
+    if cfg.preset == "elliptic_random":
         return random_elliptic_state(grid, np.random.default_rng(cfg.seed))
-    except ValueError as exc:
-        raise ConfigError(f"preset {cfg.preset}: {exc}") from exc
+    raise ValueError(f"unknown preset, expected one of {', '.join(PRESETS)}")
+
+
+def _run(cfg: RunConfig):
+    """Solve the config's initial-value problem (through the module's
+    ``run``, so that a wrapper installed on it sees the call)."""
+    return run(cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n)),
+               cfg.t0, cfg.solver_config())
 
 
 # ---------------------------------------------------------------------------
 # emission
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _header(cfg: RunConfig) -> str:
     return f"# psyslab {__version__} config_sha256={cfg.config_hash()}"
 
 
-def _write_csv(cfg: RunConfig, path: Path, columns, rows):
-    lines = [_header(cfg), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(cfg: RunConfig, path: Path, columns, data):
+    """Write the 2-D float array ``data``, one row per line, each value
+    with 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = (row * len(data)) % tuple(data.ravel().tolist())
+    path.write_text(f"{_header(cfg)}\n{','.join(columns)}\n{body}")
 
 
 def _write_json(cfg: RunConfig, path: Path, payload: dict):
@@ -243,36 +257,25 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    law = cfg.law_obj()
-    grid = PeriodicGrid(cfg.n)
-    traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
-    nodes = grid.nodes
-    snap_rows = [(t, nodes[j], s.u[j], s.v[j])
-                 for t, s in traj.snapshots for j in range(grid.n)]
-    _write_csv(cfg, out / "snapshots.csv", ("t", "x", "u", "v"), snap_rows)
-    _write_csv(cfg, out / "series.csv",
-               ("t", "max_u", "min_u", "max_abs_ux", "max_abs_vx", "tail_ratio"),
-               traj.series)
+    traj = _run(cfg)
+    times, states = zip(*traj.snapshots)
+    snapshots = np.column_stack([
+        np.repeat(times, cfg.n),
+        np.tile(PeriodicGrid(cfg.n).nodes, len(times)),
+        np.concatenate([s.u for s in states]),
+        np.concatenate([s.v for s in states]),
+    ])
+    _write_csv(cfg, out / "snapshots.csv", ("t", "x", "u", "v"), snapshots)
+    _write_csv(cfg, out / "series.csv", SeriesRecord._fields,
+               np.array(traj.series, dtype=float))
     _write_json(cfg, out / "run.json", {
         "status": traj.status.value,
         "t_detect": traj.t_detect,
         "steps": traj.steps,
         "t_end": traj.t_end,
-        "law": law.describe(),
+        "law": traj.law.describe(),
     })
     return 0
-
-
-def _families(cfg: RunConfig):
-    if cfg.family == "both":
-        return [Family.first, Family.second]
-    return [Family[cfg.family]]
-
-
-def _directions(cfg: RunConfig):
-    if cfg.direction == "both":
-        return [Direction.forward, Direction.backward]
-    return [Direction[cfg.direction]]
 
 
 def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
@@ -288,19 +291,17 @@ def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
 
 def cmd_trace(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    law = cfg.law_obj()
-    grid = PeriodicGrid(cfg.n)
-    traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
+    traj = _run(cfg)
     horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
     thresholds = {"horizon": horizon, "growth_factor": cfg.growth_factor,
                   "eps_b": cfg.eps_b}
-    families = _families(cfg)
+    families = _FAMILIES[cfg.family]
     seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
     fams = [fam for fam in families for _ in seeds]
     try:
         batches = {direction: trace_batch(traj, seeds * len(families), fams,
                                           direction, eps_b=cfg.eps_b)
-                   for direction in _directions(cfg)}
+                   for direction in _DIRECTIONS[cfg.direction]}
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "classification.json", traj, exc, {
             "run_status": traj.status.value, "curves": [],
@@ -317,10 +318,8 @@ def cmd_trace(cfg: RunConfig) -> int:
                                     "label": ClassLabel.undetermined.value,
                                     "error": str(curve)})
                     continue
-                _write_csv(cfg, out / name,
-                           ("t", "x", "u", "r1", "r2", "beta", "K_accum"),
-                           zip(curve.t, curve.x, curve.u, curve.r1, curve.r2,
-                               curve.beta, curve.K_accum))
+                _write_csv(cfg, out / name, CurveSample._fields, np.column_stack(
+                    [getattr(curve, col) for col in CurveSample._fields]))
                 label = classify(curve, horizon, cfg.growth_factor, cfg.eps_b)
                 entries.append({"x0": x0, "family": fam.name,
                                 "direction": direction.name,
@@ -342,9 +341,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                           "first or second")
     fam = Family[cfg.family]
     out = _outdir(cfg)
-    law = cfg.law_obj()
-    grid = PeriodicGrid(cfg.n)
-    traj = run(law, build_initial_state(cfg, grid), cfg.t0, cfg.solver_config())
+    traj = _run(cfg)
     seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
     try:
         betas = gradient_beta(traj, seeds, fam)
@@ -354,14 +351,12 @@ def cmd_predict(cfg: RunConfig) -> int:
             "solver_status": traj.status.value,
             "solver_t_detect": traj.t_detect})
     curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b)
-    rows = []
-    predictions = []
-    for x0, beta0, curve in zip(seeds, betas, curves):
-        t_pred = predict_blowup(curve, beta0, extrapolate=0.25)
-        rows.append((x0, beta0, np.nan if t_pred is None else t_pred))
-        if t_pred is not None:
-            predictions.append(t_pred)
-    _write_csv(cfg, out / "predictions.csv", ("x0", "beta0", "t_predicted"), rows)
+    t_pred = [predict_blowup(curve, beta0, extrapolate=0.25)
+              for beta0, curve in zip(betas, curves)]
+    predictions = [t for t in t_pred if t is not None]
+    _write_csv(cfg, out / "predictions.csv", ("x0", "beta0", "t_predicted"),
+               np.column_stack([seeds, betas, [np.nan if t is None else t
+                                               for t in t_pred]]))
     _write_json(cfg, out / "predict.json", {
         "family": fam.name,
         "t_predicted_min": min(predictions) if predictions else None,
@@ -375,8 +370,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_energy(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     law = cfg.law_obj()
-    grid = PeriodicGrid(cfg.n)
-    state = build_initial_state(cfg, grid)
+    state = build_initial_state(cfg, PeriodicGrid(cfg.n))
     gauge = ConcaveGauge(cfg.gauge)
     try:
         e = energy(state, gauge)

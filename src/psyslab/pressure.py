@@ -10,7 +10,7 @@ elliptic where p'(u) > 0 (u > 0).
 
 Two families are built in:
 
-* ``quadratic``    p(u) = u^2 / 2
+* ``quadratic``    p(u) = u^2 / 2  (its coefficient a must be 0)
 * ``quartic(a)``   p(u) = u^2 / 2 + a * u^4,  a >= 0
 
 All derivatives are closed-form; finite differences appear only in the
@@ -19,7 +19,7 @@ test suite.  Evaluators accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class PressureLaw:
             raise ValueError(f"unknown pressure law kind: {self.kind!r}")
         if not 0.0 <= self.a < np.inf:
             raise ValueError("quartic coefficient must be finite and non-negative")
+        if self.kind == QUADRATIC and self.a != 0.0:
+            raise ValueError(f"the quadratic law takes no quartic coefficient, "
+                             f"got a = {self.a:g}")
 
     @classmethod
     def quadratic(cls) -> "PressureLaw":
@@ -89,17 +92,7 @@ class ValidationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "u_min": self.u_min,
-            "u_max": self.u_max,
-            "n_samples": self.n_samples,
-            "ok": self.ok,
-            "violations": [
-                {"u": v.u, "quantity": v.quantity, "value": v.value}
-                for v in self.violations
-            ],
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate_law(law, u_min: float, u_max: float, n_samples: int) -> ValidationReport:

@@ -261,6 +261,9 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     smooth solution has already degenerated) is recorded as
     ``blow_up_detected`` at that time.
     """
+    # written so that NaN fails it
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
     if config.t_max <= t0:
         raise ValueError("t_max must exceed t0")
 

@@ -12,7 +12,7 @@ the tested resolution and horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -50,16 +50,7 @@ class ScenarioReport:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "law": self.law,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "verdict": self.verdict,
-            "thresholds": self.thresholds,
-            "artifacts": list(self.artifacts),
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

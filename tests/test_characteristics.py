@@ -139,6 +139,13 @@ def test_elliptic_start_raises():
         trace(traj, 0.25, Family.first)  # u(0.25) = 0.3 > 0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_trace_batch_rejects_non_finite_start(constant_traj, bad):
+    # unchecked, a NaN start gives a one-sample curve that classify labels B_plus
+    with pytest.raises(ValueError, match="finite"):
+        trace_batch(constant_traj, [0.25, bad], Family.first)
+
+
 def test_window_too_short():
     traj = synthetic_trajectory(lambda t: -1.0, 0.0, [0.0])
     with pytest.raises(WindowTooShort):

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psyslab
-from psyslab.cli import _write_json, main, parse_config
+from psyslab.cli import _write_csv, _write_json, main, parse_config
 from psyslab.errors import ConfigError
 
 
@@ -88,6 +89,8 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["t_max=inf"],
     ["grad_blowup_factor=0"],
     ["preset=elliptic_random", "seed=-1"],
+    ["law=quadratic", "quartic_a=0.3"],
+    ["preset=bogus"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -112,10 +115,14 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("verify", ["verify_t_max=0"]),
     ("trace", ["growth_factor=-2"]),
     ("trace", ["horizon=-1"]),
+    ("validate-law", ["preset=simple_wave", "u_center=0.5"]),
+    ("verify", ["wave_n=8192"]),
+    ("energy", ["gauge=cubic"]),
 ], ids=["validate_samples", "validate_range", "wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
         "eps_b_zero", "eps_b_negative", "verify_t_max_zero",
-        "growth_factor_negative", "horizon_negative"])
+        "growth_factor_negative", "horizon_negative", "validate_law_bad_preset",
+        "wave_n_too_large", "energy_bad_gauge"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     args = []
@@ -124,6 +131,18 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     assert run_cli(*args, command) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_csv_writes_17_significant_digits(tmp_path):
+    values = [0.1, 1 / 3, 1e-300, -0.0, 2**53 + 1, float("nan")]
+    path = tmp_path / "x.csv"
+    _write_csv(parse_config(), path, ("a", "b", "c"),
+               np.array(values, dtype=float).reshape(2, 3))
+    lines = path.read_text().split("\n")
+    assert lines[0].startswith("# psyslab ") and lines[1] == "a,b,c"
+    assert lines[4] == ""  # the file ends in a newline
+    fields = [f for line in lines[2:4] for f in line.split(",")]
+    assert fields == [f"{float(x):.17g}" for x in values]
 
 
 def test_json_rejects_non_finite(tmp_path):

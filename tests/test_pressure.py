@@ -55,6 +55,8 @@ def test_derivatives_match_finite_differences():
 def test_constructor_rejects_bad_laws():
     with pytest.raises(ValueError):
         PressureLaw("cubic")
+    with pytest.raises(ValueError, match="quadratic"):
+        PressureLaw("quadratic", 0.5)
     for a in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             PressureLaw.quartic(a)

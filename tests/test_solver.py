@@ -122,6 +122,19 @@ def test_run_requires_future_t_max():
         run(QUAD, constant_state(g, -1.0, 0.0), 5.0, SolverConfig(t_max=5.0))
 
 
+@pytest.mark.parametrize("preset, t0", [("constant", float("nan")),
+                                        ("simple_wave", float("nan")),
+                                        ("simple_wave", float("-inf"))])
+def test_run_rejects_non_finite_t0(preset, t0):
+    # unchecked, NaN completes after 0 steps and -inf steps at t = -inf
+    from psyslab import simple_wave_state
+    g = PeriodicGrid(64)
+    s0 = (constant_state(g, -1.0, 0.0) if preset == "constant"
+          else simple_wave_state(QUAD, g, -1.0, 0.3, 1))
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        run(QUAD, s0, t0, SolverConfig(t_max=1.0))
+
+
 def test_run_conserves_means_while_smooth():
     # both right-hand sides are exact x-derivatives
     g = PeriodicGrid(256)

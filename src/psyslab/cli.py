@@ -15,6 +15,13 @@ carry 17 significant digits, and identical config + seed reproduces
 byte-identical files.  CSV files start with a comment line carrying the
 tool version and the config hash; JSON files carry the same pair as
 top-level fields, comments not being valid JSON.
+
+Every file is written to ``<name>.part`` in the outdir and renamed into
+place once complete, so a failure never leaves a truncated file, and an
+older file of the same name keeps its bytes.  ``snapshots.csv`` (one row
+of about 73 bytes per node and stored snapshot) is streamed one snapshot
+at a time, so the memory it takes is bounded by one snapshot, not by the
+file.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -216,16 +224,38 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
 
 def _run(cfg: RunConfig):
     """Solve the config's initial-value problem (through the module's
-    ``run``, so that a wrapper installed on it sees the call)."""
-    return run(cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n)),
-               cfg.t0, cfg.solver_config())
+    ``run``, so that a wrapper installed on it sees the call); a time
+    span ``run`` cannot resolve is a config error."""
+    law, state0 = cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n))
+    try:
+        return run(law, state0, cfg.t0, cfg.solver_config())
+    except ValueError as exc:
+        raise ConfigError(f"t0 = {cfg.t0!r}, t_max = {cfg.t_max!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # emission
 
-def _header(cfg: RunConfig) -> str:
-    return f"# psyslab {__version__} config_sha256={cfg.config_hash()}"
+def _publish(path: Path, head: str, chunks=()):
+    """Write ``head`` and then each string of ``chunks`` to ``<name>.part``
+    beside ``path``, and rename it to ``path`` once all are written.  On
+    any exception the part file is removed and the exception re-raised,
+    so ``path`` is either complete or as it was before."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w") as f:
+            f.write(head)
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def _csv_head(cfg: RunConfig, columns) -> str:
+    return (f"# psyslab {__version__} config_sha256={cfg.config_hash()}\n"
+            f"{','.join(columns)}\n")
 
 
 def _write_csv(cfg: RunConfig, path: Path, columns, data):
@@ -233,14 +263,28 @@ def _write_csv(cfg: RunConfig, path: Path, columns, data):
     with 17 significant digits."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     body = (row * len(data)) % tuple(data.ravel().tolist())
-    path.write_text(f"{_header(cfg)}\n{','.join(columns)}\n{body}")
+    _publish(path, _csv_head(cfg, columns), [body])
+
+
+def _snapshot_blocks(nodes: np.ndarray, snapshots):
+    """The rows ``t,x,u,v`` of each snapshot, one text block per snapshot,
+    every value with 17 significant digits as ``_write_csv`` writes them.
+
+    Each node's x is formatted once into a row template ``,<x>,%.17g,%.17g``
+    and each snapshot's t once, joined in front of every row; only u and v
+    are formatted per row."""
+    templates = [",%s,%%.17g,%%.17g\n" % ("%.17g" % x) for x in nodes.tolist()]
+    for t, state in snapshots:
+        ts = "%.17g" % t
+        values = np.column_stack((state.u, state.v)).ravel().tolist()
+        yield (ts + ts.join(templates)) % tuple(values)
 
 
 def _write_json(cfg: RunConfig, path: Path, payload: dict):
     payload = {"tool_version": __version__,
                "config_hash": cfg.config_hash(), **payload}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               allow_nan=False) + "\n")
+    _publish(path, json.dumps(payload, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n")
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -258,14 +302,8 @@ def _outdir(cfg: RunConfig) -> Path:
 def cmd_simulate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     traj = _run(cfg)
-    times, states = zip(*traj.snapshots)
-    snapshots = np.column_stack([
-        np.repeat(times, cfg.n),
-        np.tile(PeriodicGrid(cfg.n).nodes, len(times)),
-        np.concatenate([s.u for s in states]),
-        np.concatenate([s.v for s in states]),
-    ])
-    _write_csv(cfg, out / "snapshots.csv", ("t", "x", "u", "v"), snapshots)
+    _publish(out / "snapshots.csv", _csv_head(cfg, ("t", "x", "u", "v")),
+             _snapshot_blocks(PeriodicGrid(cfg.n).nodes, traj.snapshots))
     _write_csv(cfg, out / "series.csv", SeriesRecord._fields,
                np.array(traj.series, dtype=float))
     _write_json(cfg, out / "run.json", {

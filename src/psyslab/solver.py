@@ -260,12 +260,23 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     A step that produces non-finite values (possible only after the
     smooth solution has already degenerated) is recorded as
     ``blow_up_detected`` at that time.
+
+    Time is resolved to t_slack = 1e-12 * max(1, |t0|, |t_max|), at least
+    4500 float spacings of the larger end: the run stops once t is within
+    t_slack of t_max.  A ValueError is raised up front unless t_max - t0
+    exceeds t_slack and, for admitted data, so does the first CFL step; a
+    shorter step would round away in ``t + dt`` or carry a timing error
+    above ~1e-4 of itself.
     """
     # written so that NaN fails it
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
     if config.t_max <= t0:
         raise ValueError("t_max must exceed t0")
+    t_slack = 1e-12 * max(1.0, abs(t0), abs(config.t_max))
+    if not config.t_max - t0 > t_slack:
+        raise ValueError(f"t_max - t0 = {config.t_max - t0:g} must exceed "
+                         f"the time resolution {t_slack:g}")
 
     grid = state0.grid
     n = grid.n
@@ -277,6 +288,10 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     if m0[0] > -config.hyperbolicity_eps:
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, 0)
+    dt0 = cfl_dt(law, grid, rows[0], config.cfl_safety)
+    if not dt0 > t_slack:
+        raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
+                         f"time resolution {t_slack:g} at t0 = {t0:g}")
 
     initial_scale = max(1.0, m0[2])
     t = t0
@@ -286,7 +301,6 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
 
     # stop within roundoff of t_max: a ~1e-13 trailing step would create
     # a degenerate snapshot spacing that poisons temporal interpolation
-    t_slack = 1e-12 * max(1.0, abs(config.t_max))
     while config.t_max - t > t_slack:
         dt = min(cfl_dt(law, grid, rows[0], config.cfl_safety), config.t_max - t)
         try:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import psyslab
+from psyslab import PeriodicGrid, cli
 from psyslab.cli import _write_csv, _write_json, main, parse_config
 from psyslab.errors import ConfigError
 
@@ -91,10 +93,12 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["preset=elliptic_random", "seed=-1"],
     ["law=quadratic", "quartic_a=0.3"],
     ["preset=bogus"],
+    ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
+    ["preset=simple_wave", "n=16", "t0=1e17", "t_max=100000000000000064"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
-    for item in overrides + ["n=64", f"outdir={tmp_path / 'out'}"]:
+    for item in ["n=64", f"outdir={tmp_path / 'out'}"] + overrides:
         args += ["--set", item]
     assert run_cli(*args, "simulate") == 2
     assert "config error:" in capsys.readouterr().err
@@ -208,6 +212,81 @@ def test_simulate_deterministic(tmp_path):
                 "--set", f"outdir={out}", "simulate")
         outs.append((out / "snapshots.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+WAVE = ["preset=simple_wave", "n=256", "t_max=2.2"]
+
+
+@pytest.fixture(scope="module")
+def wave_traj():
+    return cli._run(parse_config(None, WAVE))
+
+
+def _reference_snapshots_csv(cfg, traj, path):
+    """snapshots.csv written from one (snapshots * n, 4) array, as before
+    the file was streamed; kept as the reference the stream must match."""
+    times, states = zip(*traj.snapshots)
+    _write_csv(cfg, path, ("t", "x", "u", "v"), np.column_stack([
+        np.repeat(times, cfg.n),
+        np.tile(PeriodicGrid(cfg.n).nodes, len(times)),
+        np.concatenate([s.u for s in states]),
+        np.concatenate([s.v for s in states]),
+    ]))
+
+
+@pytest.mark.parametrize("overrides", [
+    ["preset=random_trig", "n=64", "seed=3"], WAVE], ids=["random_trig", "wave"])
+def test_streamed_snapshots_match_one_array(tmp_path, monkeypatch, wave_traj,
+                                            overrides):
+    cfg = parse_config(None, overrides + [f"outdir={tmp_path / 'out'}"])
+    traj = wave_traj if overrides is WAVE else cli._run(cfg)
+    monkeypatch.setattr(cli, "_run", lambda c: traj)
+    assert cli.cmd_simulate(cfg) == 0
+    _reference_snapshots_csv(cfg, traj, tmp_path / "reference.csv")
+    out = tmp_path / "out"
+    assert ((out / "snapshots.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert sorted(p.name for p in out.iterdir()) == ["run.json", "series.csv",
+                                                     "snapshots.csv"]
+
+
+@pytest.mark.parametrize("existing", [None, b"old snapshots\n"],
+                         ids=["fresh", "existing"])
+def test_failed_snapshot_stream_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                      wave_traj, existing):
+    out = tmp_path / "out"
+    out.mkdir()
+    if existing is not None:
+        (out / "snapshots.csv").write_bytes(existing)
+    blocks = cli._snapshot_blocks
+
+    def failing_blocks(nodes, snapshots):
+        yield next(blocks(nodes, snapshots))
+        raise RuntimeError("chunk source failed")
+
+    monkeypatch.setattr(cli, "_snapshot_blocks", failing_blocks)
+    monkeypatch.setattr(cli, "_run", lambda c: wave_traj)
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        cli.cmd_simulate(parse_config(None, WAVE + [f"outdir={out}"]))
+    if existing is None:
+        assert not any(out.iterdir())
+    else:
+        assert [p.name for p in out.iterdir()] == ["snapshots.csv"]
+        assert (out / "snapshots.csv").read_bytes() == existing
+
+
+def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
+                                                    wave_traj):
+    # formatting the file as one string took 3.6x its size
+    monkeypatch.setattr(cli, "_run", lambda c: wave_traj)
+    cfg = parse_config(None, WAVE + [f"outdir={tmp_path}"])
+    tracemalloc.start()
+    try:
+        assert cli.cmd_simulate(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "snapshots.csv").stat().st_size / 4
 
 
 def test_trace_emits_curves_and_classification(tmp_path):

@@ -135,6 +135,20 @@ def test_run_rejects_non_finite_t0(preset, t0):
         run(QUAD, s0, t0, SolverConfig(t_max=1.0))
 
 
+@pytest.mark.parametrize("t0, t_max, match", [
+    (1e15, 1000000000002000.0, "first CFL step"),
+    (1e17, 100000000000000064.0, "t_max - t0"),
+], ids=["step_rounds_away", "span_below_slack"])
+def test_run_rejects_unresolvable_time_span(t0, t_max, match):
+    # unchecked, the first ends resolution_lost after 26 steps with every
+    # snapshot at t0 (t + dt rounds back to t), the second completed after
+    # 0 steps
+    from psyslab import simple_wave_state
+    s0 = simple_wave_state(QUAD, PeriodicGrid(16), -1.0, 0.3, 1)
+    with pytest.raises(ValueError, match=match):
+        run(QUAD, s0, t0, SolverConfig(t_max=t_max))
+
+
 def test_run_conserves_means_while_smooth():
     # both right-hand sides are exact x-derivatives
     g = PeriodicGrid(256)

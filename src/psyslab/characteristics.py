@@ -36,6 +36,11 @@ from .solver import Trajectory
 #: is accurate between snapshots, so a step may span two of them
 STEP_FACTOR = 2.0
 
+#: how far ``predict_blowup`` continues K past a curve's last sample, as a
+#: fraction of the traced span: a run stops at its detected catastrophe,
+#: where the Riccati root sits, so roots often fall just past the window
+CONTINUATION = 0.25
+
 
 class Direction(enum.Enum):
     forward = 1
@@ -264,44 +269,39 @@ def invariant_drift(curve: CharacteristicCurve,
     return float(np.max(drift, initial=0.0))
 
 
-def predict_blowup(curve: CharacteristicCurve, beta0: float,
-                   extrapolate: float = 0.0) -> Optional[float]:
-    """Earliest t* with 1 + beta0 * K(t*) <= 0 along the curve.
+def predict_blowup(curve: CharacteristicCurve) -> Optional[float]:
+    """Earliest t* with 1 + beta0 * K(t*) <= 0 along the curve, where
+    beta0 = ``curve.beta[0]``.
 
-    K is linearly interpolated between samples; returns None when no
-    root lies in the window.  Going forward K <= 0, so only beta0 > 0
-    can blow up; negative beta decays, matching the Riccati picture in
-    which boundary-reaching curves force r_x <= 0.
-
-    ``extrapolate`` (a fraction of the traced span) optionally continues
-    K at its final slope past the last sample.  Trajectories stop at the
-    detected catastrophe, which is where the root sits, so roots often
-    fall a hair beyond the window; a small allowance recovers them
-    without inventing data far from the measurement.
+    K is linearly interpolated between samples, and continued at its
+    final slope for ``CONTINUATION`` of the traced span past the last
+    sample; returns None when no root lies in that range.  Going forward
+    K <= 0, so only beta0 > 0 can blow up; negative beta decays,
+    matching the Riccati picture in which boundary-reaching curves force
+    r_x <= 0.
     """
+    beta0 = curve.beta[0]
     if beta0 == 0.0:
         return None
     t, K = curve.t, curve.K_accum
     K_star = -1.0 / beta0
+    # K[0] = 0, so a first blown sample has a predecessor, and the root
+    # is bracketed there with K[i] != K[i - 1]
     blown = np.flatnonzero(1.0 + beta0 * K <= 0.0)
     if blown.size:
         i = blown[0]
-        if i == 0:
-            return float(t[0])
-        dK = K[i] - K[i - 1]
-        theta = (K_star - K[i - 1]) / dK if dK != 0.0 else 1.0
+        theta = (K_star - K[i - 1]) / (K[i] - K[i - 1])
         return float(t[i - 1] + theta * (t[i] - t[i - 1]))
-    if extrapolate > 0.0 and len(t) >= 2:
-        span = abs(curve.t_end - curve.t_start)
-        moved = np.flatnonzero(K != K[-1])
-        if moved.size:
-            j = moved[-1]
-            slope = (K[-1] - K[j]) / (t[-1] - t[j])
-            if slope != 0.0:
-                t_root = t[-1] + (K_star - K[-1]) / slope
-                overshoot = (t_root - t[-1]) * curve.direction.sign
-                if 0.0 <= overshoot <= extrapolate * span:
-                    return float(t_root)
+    moved = np.flatnonzero(K != K[-1])
+    if moved.size:
+        j = moved[-1]
+        slope = (K[-1] - K[j]) / (t[-1] - t[j])
+        if slope != 0.0:
+            t_root = t[-1] + (K_star - K[-1]) / slope
+            overshoot = (t_root - t[-1]) * curve.direction.sign
+            span = abs(curve.t_end - curve.t_start)
+            if 0.0 <= overshoot <= CONTINUATION * span:
+                return float(t_root)
     return None
 
 

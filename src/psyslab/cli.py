@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import (ClassLabel, CurveSample, Direction, classify,
-                              gradient_beta, predict_blowup, trace_batch)
+                              predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
@@ -300,8 +300,8 @@ def _outdir(cfg: RunConfig) -> Path:
 # subcommands
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     traj = _run(cfg)
+    out = _outdir(cfg)
     _publish(out / "snapshots.csv", _csv_head(cfg, ("t", "x", "u", "v")),
              _snapshot_blocks(PeriodicGrid(cfg.n).nodes, traj.snapshots))
     _write_csv(cfg, out / "series.csv", SeriesRecord._fields,
@@ -328,8 +328,8 @@ def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     traj = _run(cfg)
+    out = _outdir(cfg)
     horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
     thresholds = {"horizon": horizon, "growth_factor": cfg.growth_factor,
                   "eps_b": cfg.eps_b}
@@ -378,23 +378,26 @@ def cmd_predict(cfg: RunConfig) -> int:
         raise ConfigError("predict traces one family: family must be "
                           "first or second")
     fam = Family[cfg.family]
-    out = _outdir(cfg)
     traj = _run(cfg)
+    out = _outdir(cfg)
     seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
     try:
-        betas = gradient_beta(traj, seeds, fam)
+        curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b)
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "predict.json", traj, exc, {
             "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
             "solver_status": traj.status.value,
             "solver_t_detect": traj.t_detect})
-    curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b)
-    t_pred = [predict_blowup(curve, beta0, extrapolate=0.25)
-              for beta0, curve in zip(betas, curves)]
-    predictions = [t for t in t_pred if t is not None]
+    # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
+    table = np.full((len(seeds), 3), np.nan)
+    table[:, 0] = seeds
+    for row, curve in zip(table, curves):
+        if not isinstance(curve, EllipticStart):
+            t = predict_blowup(curve)
+            row[1:] = curve.beta[0], np.nan if t is None else t
     _write_csv(cfg, out / "predictions.csv", ("x0", "beta0", "t_predicted"),
-               np.column_stack([seeds, betas, [np.nan if t is None else t
-                                               for t in t_pred]]))
+               table)
+    predictions = table[~np.isnan(table[:, 2]), 2].tolist()
     _write_json(cfg, out / "predict.json", {
         "family": fam.name,
         "t_predicted_min": min(predictions) if predictions else None,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      constant_state, dual_growth_spotcheck, gradient_beta,
                      invariant_drift, predict_blowup, run,
                      simple_wave_state, trace, trace_batch)
-from psyslab.characteristics import CharacteristicCurve, CurveSample
+from psyslab.characteristics import (CONTINUATION, CharacteristicCurve,
+                                     CurveSample)
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
@@ -84,16 +87,34 @@ def test_K_accum_non_increasing(constant_traj):
     assert np.all(np.diff(ks) <= 0.0)
 
 
+def with_beta0(curve, b0):
+    """The curve with its beta column set to b0, so that beta0 = b0."""
+    return dataclasses.replace(curve, beta=np.full_like(curve.beta, b0))
+
+
 def test_predict_blowup_constant_curve(constant_traj):
     c = trace(constant_traj, 0.25, Family.first)
     # solve 1 + 2 * (-0.25) t = 0
-    assert predict_blowup(c, 2.0) == pytest.approx(2.0, abs=1e-8)
-    assert predict_blowup(c, 0.0) is None
-    assert predict_blowup(c, -1.0) is None    # negative beta decays
+    assert predict_blowup(with_beta0(c, 2.0)) == pytest.approx(2.0, abs=1e-8)
+    assert predict_blowup(with_beta0(c, 0.0)) is None
+    assert predict_blowup(with_beta0(c, -1.0)) is None  # negative beta decays
     # closed form t0 + 1/(beta0 |k|) for roots inside the window [0, 3]
     for b0 in (1.5, 4.0, 10.0):
-        assert predict_blowup(c, b0) == pytest.approx(4.0 / b0, abs=1e-8)
-    assert predict_blowup(c, 0.5) is None     # root at t=8, beyond the window
+        assert (predict_blowup(with_beta0(c, b0))
+                == pytest.approx(4.0 / b0, abs=1e-8))
+    # root at t=8, beyond the window
+    assert predict_blowup(with_beta0(c, 0.5)) is None
+
+
+def test_predict_blowup_continuation_bound(constant_traj):
+    # K = -t/4 continues past the window [0, 3] for CONTINUATION * 3
+    # (0.75): a root at 3.6 is found, one at 3.9 is not
+    c = trace(constant_traj, 0.25, Family.first)
+    allowance = CONTINUATION * 3.0
+    t_in, t_out = 3.0 + 0.8 * allowance, 3.0 + 1.2 * allowance
+    assert (predict_blowup(with_beta0(c, 4.0 / t_in))
+            == pytest.approx(t_in, abs=1e-8))
+    assert predict_blowup(with_beta0(c, 4.0 / t_out)) is None
 
 
 def test_classify_constant_is_A(constant_traj):
@@ -224,9 +245,8 @@ def test_prediction_triangulates_oracle(wave_traj):
     traj, t_star = wave_traj
     preds = []
     for j in range(16):
-        b0 = gradient_beta(traj, j / 16, Family.first)
         c = trace(traj, j / 16, Family.first)
-        tp = predict_blowup(c, b0)
+        tp = predict_blowup(c)
         if tp is not None:
             preds.append(tp)
     assert preds
@@ -249,6 +269,15 @@ def test_gradient_beta_matches_analytic(wave_traj):
     assert gradient_beta(traj, x0, Family.first) == pytest.approx(analytic, rel=1e-6)
     batch = gradient_beta(traj, np.array([0.1, x0]), Family.first)
     assert batch[1] == pytest.approx(gradient_beta(traj, x0, Family.first), rel=1e-14)
+
+
+@pytest.mark.parametrize("fam", list(Family))
+def test_gradient_beta_is_the_first_curve_sample(wave_traj, fam):
+    # predict_blowup reads beta0 off the curve: it must be gradient_beta
+    traj, _ = wave_traj
+    seeds = (np.arange(13) + 0.3) / 13    # off the grid nodes
+    betas = [c.beta[0] for c in trace_batch(traj, seeds, fam)]
+    assert gradient_beta(traj, seeds, fam).tolist() == betas
 
 
 def test_drift_falls_with_snapshot_spacing_at_high_order():

@@ -137,6 +137,20 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
+def test_run_config_error_leaves_no_outdir(tmp_path, capsys, command):
+    # only run rejects this span (t + dt rounds back to t near t0 = 1e15),
+    # so the outdir must not be made before the run
+    out = tmp_path / "out"
+    args = []
+    for item in ["preset=simple_wave", "n=16", "t0=1e15",
+                 "t_max=1000000000002000", f"outdir={out}"]:
+        args += ["--set", item]
+    assert run_cli(*args, command) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_writes_17_significant_digits(tmp_path):
     values = [0.1, 1 / 3, 1e-300, -0.0, 2**53 + 1, float("nan")]
     path = tmp_path / "x.csv"
@@ -335,6 +349,23 @@ def test_predict_table(tmp_path):
     rows = (out / "predictions.csv").read_text().splitlines()
     assert rows[1] == "x0,beta0,t_predicted"
     assert len(rows) == 10
+
+
+def test_predict_elliptic_start_gives_nan_row(tmp_path):
+    # every node has u <= -0.05, but the trig interpolant reaches u >= 0
+    # at x0 = 5/7: that start is reported, not traced
+    out = tmp_path / "out"
+    args = []
+    for item in ["preset=random_trig", "n=16", "seed=2", "modes=7",
+                 "amplitude=0.95", "u_offset=-1", "t_max=0.0001",
+                 "curve_seeds=7", f"outdir={out}"]:
+        args += ["--set", item]
+    assert run_cli(*args, "predict") == 0
+    rows = (out / "predictions.csv").read_text().splitlines()[2:]
+    assert rows.pop(5) == "%.17g,nan,nan" % (5 / 7)
+    assert all(row.split(",")[1] != "nan" for row in rows)
+    pred = json.loads((out / "predict.json").read_text())
+    assert pred["n_predicting"] == 0 and pred["t_predicted_min"] is None
 
 
 def test_energy_elliptic_field(tmp_path):

@@ -27,7 +27,7 @@ from .riemann import (Family, RiemannPair, beta_from_gradient, eigenvalue,
                       genuine_nonlinearity, q_of_u, riccati_evolve, riccati_k,
                       riemann_from_state, state_from_riemann, u_of_q)
 from .solver import (RunStatus, SeriesRecord, SolverConfig, Trajectory, cfl_dt,
-                     rhs, run, step_rk4)
+                     run, step_rk4)
 from .verify import (ScenarioReport, constant_state, crossing_time_oracle,
                      default_suite, random_elliptic_state, random_trig_state,
                      scenario_constant, scenario_energy_identity,

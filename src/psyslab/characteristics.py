@@ -88,7 +88,6 @@ class CharacteristicCurve:
     r2: np.ndarray
     beta: np.ndarray
     K_accum: np.ndarray
-    termination: Termination
     t_hit: Optional[float] = None  # boundary-hit time, if any
 
     @property
@@ -96,6 +95,12 @@ class CharacteristicCurve:
         """The samples as CurveSample tuples, built on each access."""
         columns = (getattr(self, name).tolist() for name in CurveSample._fields)
         return [CurveSample(*row) for row in zip(*columns)]
+
+    @property
+    def termination(self) -> Termination:
+        """Read off ``t_hit``: reached_boundary when it is set."""
+        return (Termination.reached_horizon if self.t_hit is None
+                else Termination.reached_boundary)
 
     @property
     def t_start(self) -> float:
@@ -116,7 +121,7 @@ def _speed(law, u, sign):
     return sign * np.sqrt(np.maximum(-law.dp(u), 0.0))
 
 
-def _curve(law, fam: Family, direction: Direction, t, cols, termination,
+def _curve(law, fam: Family, direction: Direction, t, cols,
            t_hit) -> CharacteristicCurve:
     """Curve from its sample columns x, u, v, u_x, v_x, K.  The derived
     quantities use u clamped to 0 (the boundary sample may overshoot)."""
@@ -126,8 +131,7 @@ def _curve(law, fam: Family, direction: Direction, t, cols, termination,
     g = np.maximum(-law.dp(uc), 0.0)  # -p'(u) = q'(u)^2
     rx = vx + fam.sign * np.sqrt(g) * ux
     return CharacteristicCurve(fam, direction, np.array(t, dtype=float), x, u,
-                               v - qv, v + qv, rx * g ** 0.25, K,
-                               termination, t_hit)
+                               v - qv, v + qv, rx * g ** 0.25, K, t_hit)
 
 
 def gradient_beta(trajectory: Trajectory, x0, fam: Family):
@@ -145,8 +149,7 @@ def gradient_beta(trajectory: Trajectory, x0, fam: Family):
 
 
 def trace_batch(trajectory: Trajectory, x0, families,
-                direction: Direction = Direction.forward, *,
-                eps_b: float = 1e-3) -> list:
+                direction: Direction = Direction.forward) -> list:
     """Trace a batch of characteristics through the trajectory's window.
 
     ``x0`` holds the start points; ``families`` is one Family for all
@@ -156,10 +159,11 @@ def trace_batch(trajectory: Trajectory, x0, families,
     direction.  Forward curves start at the first snapshot, backward
     curves at the last (the only part of the window behind them).  A
     curve stops at the window edge, or as soon as the interpolated u
-    rises above -eps_b: it reached the hyperbolic boundary and leaves
-    the batch.  The boundary sample is recorded with u clamped to 0 in
-    the derived quantities and K_accum carried from the previous sample
-    (k diverges at the interface).
+    rises above -eps, with eps the run's ``hyperbolicity_eps``: it
+    reached the hyperbolic boundary, records that time as ``t_hit`` and
+    leaves the batch.  The boundary sample is recorded with u clamped to
+    0 in the derived quantities and K_accum carried from the previous
+    sample (k diverges at the interface).
 
     Returns one entry per start point: its CharacteristicCurve, or an
     EllipticStart error for a start with u >= 0, which does not stop
@@ -168,6 +172,7 @@ def trace_batch(trajectory: Trajectory, x0, families,
     """
     fld = trajectory.field
     law = trajectory.law
+    eps = trajectory.config.hyperbolicity_eps
     x = np.array(x0, dtype=float).reshape(-1)
     fams = ([families] * len(x) if isinstance(families, Family)
             else list(families))
@@ -194,8 +199,8 @@ def trace_batch(trajectory: Trajectory, x0, families,
     u = hist[0, 1].copy()
     count = np.ones(len(x), dtype=int)
     t_hit = np.full(len(x), np.nan)
-    t_hit[(u < 0.0) & (u > -eps_b)] = t_start
-    active = np.flatnonzero(u <= -eps_b)
+    t_hit[(u < 0.0) & (u > -eps)] = t_start
+    active = np.flatnonzero(u <= -eps)
     K = np.zeros(len(x))
     k_prev = np.zeros(len(x))
     k_prev[active] = riccati_k(law, u[active])
@@ -216,7 +221,7 @@ def trace_batch(trajectory: Trajectory, x0, families,
         vals = fld.evaluate(c_end, xa)
         x[active] = xa
         u[active] = vals[0]
-        hit = vals[0] > -eps_b
+        hit = vals[0] > -eps
         inside = active[~hit]
         k_cur = riccati_k(law, vals[0][~hit])
         K[inside] += 0.5 * (k_prev[inside] + k_cur) * h
@@ -237,11 +242,9 @@ def trace_batch(trajectory: Trajectory, x0, families,
                 f"u(t={t_start:g}, x={hist[0, 0, b]:g}) = {hist[0, 1, b]:g} >= 0"))
             continue
         c = count[b]
-        hit_b = not np.isnan(t_hit[b])
         curves.append(_curve(
             law, fam, direction, ts[:c], hist[:c, :, b].T,
-            Termination.reached_boundary if hit_b else Termination.reached_horizon,
-            float(t_hit[b]) if hit_b else None))
+            None if np.isnan(t_hit[b]) else float(t_hit[b])))
     return curves
 
 
@@ -306,26 +309,27 @@ def predict_blowup(curve: CharacteristicCurve) -> Optional[float]:
 
 
 def classify(curve: CharacteristicCurve, horizon: float,
-             growth_factor: float = 10.0, eps_b: float = 1e-3) -> ClassLabel:
+             growth_factor: float = 10.0) -> ClassLabel:
     """Finite-horizon proxy of the A/B dichotomy for this curve.
 
     B (by direction): traversed the full horizon, -u at the end grew
     beyond growth_factor times its start value, and -u is still
     non-decreasing over the final quarter of the window.  A: hit the
-    u = 0 interface in finite time, or ran the horizon with -u bounded
-    by the growth factor.  Everything else is undetermined.
+    u = 0 interface in finite time (``curve.t_hit`` is set), or ran the
+    horizon with -u bounded by the growth factor.  Everything else is
+    undetermined.
     """
     plus = curve.direction is Direction.forward
     a_label = ClassLabel.A_plus if plus else ClassLabel.A_minus
     b_label = ClassLabel.B_plus if plus else ClassLabel.B_minus
 
-    u = curve.u
-    if curve.termination is Termination.reached_boundary or u[-1] > -eps_b:
+    if curve.t_hit is not None:
         return a_label
     span = abs(curve.t_end - curve.t_start)
     if span < horizon * (1.0 - 1e-9):
         return ClassLabel.undetermined
 
+    u = curve.u
     if -u[-1] <= growth_factor * -u[0]:
         return a_label
 

@@ -9,6 +9,8 @@ blow-up exits 0: blow-up is a result, not an error.
 A config is validated once, before any command runs, by building what
 it names (grids, law, solver config, gauge, initial state): each rule
 lives in the object that holds it, and its ValueError is a config error.
+The solver config's ``hyperbolicity_eps`` places the interface both for
+the run and for the curves ``trace`` and ``predict`` follow through it.
 
 All emission is data-only (plotting is left to external tools), floats
 carry 17 significant digits, and identical config + seed reproduces
@@ -82,7 +84,6 @@ class RunConfig:
     direction: str = "forward"
     horizon: float = 0.0  # 0 means the full trajectory window
     growth_factor: float = 10.0
-    eps_b: float = 1e-3
     gauge: str = "log1p"
     verify_seeds: int = 5
     verify_t_max: float = 30.0
@@ -146,8 +147,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
     if cfg.verify_seeds < 1:
         raise ConfigError(f"verify_seeds = {cfg.verify_seeds} must be >= 1")
-    if not cfg.eps_b > 0.0:
-        raise ConfigError(f"eps_b = {cfg.eps_b:g} must be > 0")
     if not cfg.horizon >= 0.0:
         raise ConfigError(f"horizon = {cfg.horizon:g} must be >= 0")
     if not cfg.growth_factor >= 1.0:
@@ -332,13 +331,13 @@ def cmd_trace(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
     thresholds = {"horizon": horizon, "growth_factor": cfg.growth_factor,
-                  "eps_b": cfg.eps_b}
+                  "hyperbolicity_eps": cfg.hyperbolicity_eps}
     families = _FAMILIES[cfg.family]
     seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
     fams = [fam for fam in families for _ in seeds]
     try:
         batches = {direction: trace_batch(traj, seeds * len(families), fams,
-                                          direction, eps_b=cfg.eps_b)
+                                          direction)
                    for direction in _DIRECTIONS[cfg.direction]}
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "classification.json", traj, exc, {
@@ -358,7 +357,7 @@ def cmd_trace(cfg: RunConfig) -> int:
                     continue
                 _write_csv(cfg, out / name, CurveSample._fields, np.column_stack(
                     [getattr(curve, col) for col in CurveSample._fields]))
-                label = classify(curve, horizon, cfg.growth_factor, cfg.eps_b)
+                label = classify(curve, horizon, cfg.growth_factor)
                 entries.append({"x0": x0, "family": fam.name,
                                 "direction": direction.name,
                                 "label": label.value,
@@ -382,7 +381,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
     try:
-        curves = trace_batch(traj, seeds, fam, eps_b=cfg.eps_b)
+        curves = trace_batch(traj, seeds, fam)
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "predict.json", traj, exc, {
             "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
@@ -409,7 +408,6 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_energy(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
     law = cfg.law_obj()
     state = build_initial_state(cfg, PeriodicGrid(cfg.n))
     gauge = ConcaveGauge(cfg.gauge)
@@ -420,7 +418,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_json(cfg, out / "energy.json", {
+    _write_json(cfg, _outdir(cfg) / "energy.json", {
         "E": e,
         "ddot_formula": d_formula,
         "ddot_direct": d_direct,
@@ -438,7 +436,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                             wave_n=cfg.wave_n)
     for rep in reports:
         path = out / f"scenario_{rep.scenario_id}.json"
-        rep.artifacts.append(str(path))
+        rep.artifacts.append(path.name)
         _write_json(cfg, path, rep.to_dict())
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for rep in reports:

@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import NonFiniteState
-from .field import (PeriodicGrid, SpaceTimeField, StateField, _as_samples,
+from .field import (PeriodicGrid, SpaceTimeField, StateField,
                     _derivative_multipliers, _tail_ratio)
 
 
@@ -98,7 +98,11 @@ class SeriesRecord(NamedTuple):
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus per-step series and termination status."""
+    """Time-ordered snapshots plus per-step series and termination status.
+
+    ``config`` is the SolverConfig the run used; its hyperbolicity_eps is
+    also where a traced curve counts as reaching the interface.
+    """
 
     law: object
     snapshots: list  # [(t, StateField)], times strictly increasing
@@ -106,6 +110,7 @@ class Trajectory:
     t_detect: Optional[float]
     series: list  # [SeriesRecord]
     steps: int
+    config: SolverConfig
 
     @property
     def t0(self) -> float:
@@ -135,14 +140,6 @@ def _rhs_coefficients(law, n: int, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     k[0] = -ik * c[1]
     k[1] = ik * np.fft.rfft(law.p(u))
     return k
-
-
-def rhs(law, grid: PeriodicGrid, u: np.ndarray, v: np.ndarray):
-    """Right-hand side (du/dt, dv/dt) = (-v_x, (p(u))_x) at the nodes."""
-    u, v = _as_samples(grid, u), _as_samples(grid, v)
-    c = np.fft.rfft(np.stack((u, v)))
-    du, dv = np.fft.irfft(_rhs_coefficients(law, grid.n, c, u), grid.n)
-    return du, dv
 
 
 def cfl_dt(law, grid: PeriodicGrid, u: np.ndarray, cfl_safety: float) -> float:
@@ -287,7 +284,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
 
     if m0[0] > -config.hyperbolicity_eps:
         return Trajectory(law, snapshots, RunStatus.admission_refused,
-                          None, series, 0)
+                          None, series, 0, config)
     dt0 = cfl_dt(law, grid, rows[0], config.cfl_safety)
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
@@ -325,4 +322,4 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
 
     if status is RunStatus.completed and snapshots[-1][0] < t:
         snapshots.append((t, StateField(grid, *rows[:2])))
-    return Trajectory(law, snapshots, status, t_detect, series, steps)
+    return Trajectory(law, snapshots, status, t_detect, series, steps, config)

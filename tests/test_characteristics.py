@@ -16,20 +16,26 @@ from psyslab.solver import RunStatus, Trajectory
 QUAD = PressureLaw.quadratic()
 
 
+def completed(snaps, hyperbolicity_eps=1e-3):
+    """A completed Trajectory holding these (t, StateField) snapshots."""
+    config = SolverConfig(t_max=snaps[-1][0], hyperbolicity_eps=hyperbolicity_eps)
+    return Trajectory(QUAD, snaps, RunStatus.completed, None, [], len(snaps),
+                      config)
+
+
 def synthetic_trajectory(u_of_t, v_value, times, n=64):
     """Trajectory wrapper around a prescribed x-independent field; need
     not solve the system (curve-level checks only)."""
     g = PeriodicGrid(n)
-    snaps = [(float(t), StateField(g, np.full(n, u_of_t(t)), np.full(n, v_value)))
-             for t in times]
-    return Trajectory(QUAD, snaps, RunStatus.completed, None, [], len(times))
+    return completed([(float(t), StateField(g, np.full(n, u_of_t(t)),
+                                            np.full(n, v_value)))
+                      for t in times])
 
 
-def static_trajectory(u_samples, v_samples, times, n):
+def static_trajectory(u_samples, v_samples, times, n, hyperbolicity_eps=1e-3):
     g = PeriodicGrid(n)
     s = StateField(g, u_samples, v_samples)
-    return Trajectory(QUAD, [(float(t), s) for t in times],
-                      RunStatus.completed, None, [], len(times))
+    return completed([(float(t), s) for t in times], hyperbolicity_eps)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +80,7 @@ def test_invariant_drift_stops_at_t_end(direction):
         t, r1 = t[::-1], r1[::-1]
     zeros = np.zeros_like(t)
     c = CharacteristicCurve(Family.first, direction, t, zeros, zeros - 1.0, r1,
-                            zeros, zeros, zeros, Termination.reached_horizon)
+                            zeros, zeros, zeros)
     t_end = 1.5 if direction is Direction.forward else 0.5
     assert invariant_drift(c, t_end) == pytest.approx(1.5e-6, rel=1e-9)
     assert invariant_drift(c) == pytest.approx(1.0, abs=1e-5)
@@ -138,17 +144,20 @@ def test_backward_trace_starts_at_window_end(constant_traj):
     assert abs(c.samples[-1].t) < 1e-9
 
 
-def test_boundary_hit_in_mixed_field():
+@pytest.mark.parametrize("eps, t_hit", [(1e-3, 1.0), (0.05, 0.5)])
+def test_boundary_hit_in_mixed_field(eps, t_hit):
     # static mixed-type field: u crosses 0; the curve slides toward the
-    # interface with speed ~ sqrt(-u) and reaches it in finite time
+    # interface with speed ~ sqrt(-u) and reaches it in finite time, where
+    # u first rises above the run's -hyperbolicity_eps
     g = PeriodicGrid(256)
     u = -0.5 + 0.8 * np.sin(2 * np.pi * g.nodes)
-    traj = static_trajectory(u, np.zeros(256), np.arange(0, 41) * 0.25, 256)
+    traj = static_trajectory(u, np.zeros(256), np.arange(0, 41) * 0.25, 256,
+                             hyperbolicity_eps=eps)
     c = trace(traj, 0.75, Family.first)
     assert c.termination is Termination.reached_boundary
-    assert c.t_hit is not None
-    assert c.samples[-1].u > -1e-3
-    assert all(s.u < 0.0 for s in c.samples[:-1])
+    assert c.t_hit == c.t_end == pytest.approx(t_hit, abs=1e-12)
+    assert c.u[-1] > -eps
+    assert np.all(c.u[:-1] <= -eps)
     assert classify(c, horizon=10.0) is ClassLabel.A_plus
 
 
@@ -306,7 +315,7 @@ def mixed_trajectory():
         u = -0.5 + 0.8 * np.sin(2 * np.pi * x) + 0.1 * t * np.cos(2 * np.pi * x)
         v = 0.2 * t * np.sin(4 * np.pi * x)
         snaps.append((float(t), StateField(g, u, v)))
-    return Trajectory(QUAD, snaps, RunStatus.completed, None, [], len(snaps))
+    return completed(snaps)
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -344,9 +353,9 @@ def test_field_evaluator_matches_direct_sum():
     rng = np.random.default_rng(11)
     times = np.cumsum(rng.uniform(0.05, 0.15, 8))
     g = PeriodicGrid(n)
-    traj = Trajectory(QUAD, [(float(t), StateField(g, -1.0 + 0.1 * rng.standard_normal(n),
-                                                   0.1 * rng.standard_normal(n)))
-                             for t in times], RunStatus.completed, None, [], 8)
+    traj = completed([(float(t), StateField(g, -1.0 + 0.1 * rng.standard_normal(n),
+                                            0.1 * rng.standard_normal(n)))
+                      for t in times])
     fld = traj.field
     assert np.array_equal(fld.times, times)
     m = np.arange(n // 2 + 1)

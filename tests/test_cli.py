@@ -114,8 +114,6 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("trace", ["curve_seeds=0"]),
     ("predict", ["curve_seeds=-1"]),
     ("verify", ["verify_seeds=0"]),
-    ("trace", ["eps_b=0"]),
-    ("trace", ["eps_b=-1"]),
     ("verify", ["verify_t_max=0"]),
     ("trace", ["growth_factor=-2"]),
     ("trace", ["horizon=-1"]),
@@ -124,7 +122,7 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("energy", ["gauge=cubic"]),
 ], ids=["validate_samples", "validate_range", "wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
-        "eps_b_zero", "eps_b_negative", "verify_t_max_zero",
+        "verify_t_max_zero",
         "growth_factor_negative", "horizon_negative", "validate_law_bad_preset",
         "wave_n_too_large", "energy_bad_gauge"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
@@ -384,6 +382,7 @@ def test_energy_rejects_hyperbolic_field(tmp_path, capsys):
                    "--set", "n=64", "--set", f"outdir={out}", "energy")
     assert code == 1
     assert "u >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_energy_elliptic_random_preset(tmp_path):
@@ -406,13 +405,20 @@ def test_validate_law_subcommand(tmp_path):
 
 
 def test_verify_small_suite(tmp_path):
-    out = tmp_path / "out"
-    code = run_cli("--set", "verify_seeds=2", "--set", "verify_t_max=10",
-                   "--set", "verify_n=128", "--set", "wave_n=256",
-                   "--set", f"outdir={out}", "verify")
-    assert code == 0
+    outs = [tmp_path / "out", tmp_path / "elsewhere"]
+    for out in outs:
+        code = run_cli("--set", "verify_seeds=2", "--set", "verify_t_max=10",
+                       "--set", "verify_n=128", "--set", "wave_n=256",
+                       "--set", f"outdir={out}", "verify")
+        assert code == 0
+    out = outs[0]
     agg = json.loads((out / "verify.json").read_text())
     assert agg["all_pass"] is True
     assert agg["n_fail"] == 0
     assert (out / "scenario_constant_rigidity.json").exists()
     assert (out / "scenario_simple_wave_blowup.json").exists()
+    # the outdir is not part of the config hash, so it must not enter a file
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (outs[1] / name).read_bytes(), name

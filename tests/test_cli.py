@@ -181,6 +181,19 @@ def test_module_entry_point(tmp_path, module):
     assert json.loads((out / "run.json").read_text())["status"] == "completed"
 
 
+def test_import_loads_no_scipy():
+    # every command is a fresh process, so it pays the import cost each time
+    src = str(Path(psyslab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, psyslab, psyslab.cli, psyslab.verify\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unwritable_outdir_is_config_error(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

@@ -13,7 +13,8 @@ QUART = PressureLaw.quartic(0.1)
 
 def q_oracle(law, u):
     """Independent quadrature of the defining integral (no substitution)."""
-    val, _ = quad(lambda s: np.sqrt(-law.dp(s)), u, 0.0, epsabs=1e-13, limit=400)
+    val, _ = quad(lambda s: np.sqrt(-law.dp(s)), u, 0.0,
+                  epsabs=0.0, epsrel=1e-13, limit=400)
     return val
 
 
@@ -24,9 +25,23 @@ def test_q_values_quadratic():
 
 
 def test_q_matches_quadrature_oracle():
-    for law in (QUAD, QUART):
-        for u in (-0.25, -1.0, -3.7, -20.0):
-            assert q_of_u(law, u) == pytest.approx(q_oracle(law, u), abs=1e-9)
+    # relative, so that an error at small |u| (where q ~ |u|^1.5) shows
+    for law in [QUAD] + [PressureLaw.quartic(a) for a in (0.01, 0.3, 1.0, 10.0)]:
+        for u in (-1e-6, -1e-3, -0.25, -1.0, -3.7, -20.0, -50.0):
+            assert q_of_u(law, u) == pytest.approx(q_oracle(law, u), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("law", [QUAD, QUART], ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_q_keeps_input_shape(law, shape):
+    u = (-np.linspace(4.0, 0.0, int(np.prod(shape)))).reshape(shape)
+    q = q_of_u(law, u)
+    assert np.shape(q) == shape
+    # the scalar loop is the reference; the quadratic's array and scalar
+    # closed forms use numpy's and Python's pow, which may differ by 1 ulp
+    expected = np.array([q_of_u(law, float(x)) for x in u.flat]).reshape(shape)
+    np.testing.assert_array_max_ulp(q, expected, maxulp=1)
+    assert type(q_of_u(law, -1.5)) is float
 
 
 def test_q_rejects_positive_u():

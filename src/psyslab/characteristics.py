@@ -14,10 +14,10 @@ Curves are traced in batches: one RK4 loop advances every curve of a
 batch at the same times, so the snapshot coefficients are combined once
 per time for the whole batch.
 
-Curves are classified over a finite horizon: B means the curve ran the
-whole horizon with -u growing beyond a factor and still increasing; A
-means it hit the u = 0 interface or stayed bounded; anything else is
-reported as undetermined rather than silently coerced.
+Curves are classified over the run's window, a finite-time proxy of the
+asymptotic A/B dichotomy: B means the curve ran the whole window with -u
+growing beyond a factor and still increasing; A means it hit the u = 0
+interface or stayed bounded; anything else is reported as undetermined.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ from .solver import Trajectory
 #: RK4 step of a curve, in median snapshot spacings; the Hermite field
 #: is accurate between snapshots, so a step may span two of them
 STEP_FACTOR = 2.0
+
+#: growth of -u over a curve's window beyond which ``classify`` reads B
+GROWTH_FACTOR = 10.0
 
 #: how far ``predict_blowup`` continues K past a curve's last sample, as a
 #: fraction of the traced span: a run stops at its detected catastrophe,
@@ -308,16 +311,16 @@ def predict_blowup(curve: CharacteristicCurve) -> Optional[float]:
     return None
 
 
-def classify(curve: CharacteristicCurve, horizon: float,
-             growth_factor: float = 10.0) -> ClassLabel:
-    """Finite-horizon proxy of the A/B dichotomy for this curve.
+def classify(curve: CharacteristicCurve,
+             growth_factor: float = GROWTH_FACTOR) -> ClassLabel:
+    """Proxy of the A/B dichotomy for this curve over the run's window.
 
-    B (by direction): traversed the full horizon, -u at the end grew
-    beyond growth_factor times its start value, and -u is still
-    non-decreasing over the final quarter of the window.  A: hit the
-    u = 0 interface in finite time (``curve.t_hit`` is set), or ran the
-    horizon with -u bounded by the growth factor.  Everything else is
-    undetermined.
+    A curve that did not hit the interface ran the whole window (see
+    ``trace_batch``).  B (by direction): -u at the end grew beyond
+    growth_factor times its start value, and -u is still non-decreasing
+    over the final quarter of the window.  A: hit the u = 0 interface in
+    finite time (``curve.t_hit`` is set), or ran the window with -u
+    bounded by the growth factor.  Everything else is undetermined.
     """
     plus = curve.direction is Direction.forward
     a_label = ClassLabel.A_plus if plus else ClassLabel.A_minus
@@ -325,14 +328,11 @@ def classify(curve: CharacteristicCurve, horizon: float,
 
     if curve.t_hit is not None:
         return a_label
-    span = abs(curve.t_end - curve.t_start)
-    if span < horizon * (1.0 - 1e-9):
-        return ClassLabel.undetermined
-
     u = curve.u
     if -u[-1] <= growth_factor * -u[0]:
         return a_label
 
+    span = abs(curve.t_end - curve.t_start)
     tail = -u[np.abs(curve.t - curve.t[0]) >= 0.75 * span]
     tol = 1e-9 * max(1.0, float(np.max(tail)))
     if np.all(np.diff(tail) >= -tol):
@@ -362,12 +362,10 @@ def dual_growth_spotcheck(trajectory: Trajectory,
     (B, B) pairs across the families.
 
     One batch per direction holds both families, and each curve is
-    classified over the whole trajectory window with ``classify``'s
-    default growth factor.  Seeds with elliptic start points are
-    recorded as undetermined.  Expected outcome on any trajectory of the
-    system: zero violations.
+    classified with ``classify``'s default growth factor.  Seeds with
+    elliptic start points are recorded as undetermined.  Expected outcome
+    on any trajectory of the system: zero violations.
     """
-    window = trajectory.t_end - trajectory.t0
     report = SpotcheckReport()
     seeds = [(j + 0.5) / sample_points for j in range(sample_points)]
     for direction in Direction:
@@ -377,7 +375,7 @@ def dual_growth_spotcheck(trajectory: Trajectory,
         for i, fam in enumerate(Family):
             report.labels[(direction, fam)] = [
                 ClassLabel.undetermined if isinstance(c, EllipticStart)
-                else classify(c, window)
+                else classify(c)
                 for c in curves[i * sample_points:(i + 1) * sample_points]]
     for direction in Direction:
         b = ClassLabel.B_plus if direction is Direction.forward else ClassLabel.B_minus

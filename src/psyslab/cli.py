@@ -41,15 +41,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characteristics import (ClassLabel, CurveSample, Direction, classify,
-                              predict_blowup, trace_batch)
+from .characteristics import (GROWTH_FACTOR, ClassLabel, CurveSample,
+                              Direction, classify, predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw, validate_law
 from .riemann import Family
-from .solver import SeriesRecord, SolverConfig, run
+from .solver import SeriesRecord, SolverConfig, run, time_resolution
 from .verify import (constant_state, default_suite, random_elliptic_state,
                      random_trig_state, simple_wave_state)
 
@@ -73,35 +73,28 @@ class RunConfig:
     u_offset: float = -1.0
     t0: float = 0.0
     t_max: float = 10.0
-    cfl_safety: float = 0.4
-    grad_blowup_factor: float = 1e4
-    tail_ratio_max: float = 1e-4
-    hyperbolicity_eps: float = 1e-3
-    snapshot_stride: int = 5
+    cfl_safety: float = SolverConfig.cfl_safety
+    grad_blowup_factor: float = SolverConfig.grad_blowup_factor
+    tail_ratio_max: float = SolverConfig.tail_ratio_max
+    hyperbolicity_eps: float = SolverConfig.hyperbolicity_eps
+    snapshot_stride: int = SolverConfig.snapshot_stride
     outdir: str = "out"
     curve_seeds: int = 8
     family: str = "first"
     direction: str = "forward"
-    horizon: float = 0.0  # 0 means the full trajectory window
-    growth_factor: float = 10.0
+    growth_factor: float = GROWTH_FACTOR
     gauge: str = "log1p"
     verify_seeds: int = 5
     verify_t_max: float = 30.0
     verify_n: int = 256
     wave_n: int = 512
-    validate_u_min: float = -10.0
-    validate_u_max: float = 10.0
-    validate_samples: int = 1001
 
     def law_obj(self) -> PressureLaw:
         return PressureLaw(self.law, self.quartic_a)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(t_max=self.t_max, cfl_safety=self.cfl_safety,
-                            grad_blowup_factor=self.grad_blowup_factor,
-                            tail_ratio_max=self.tail_ratio_max,
-                            hyperbolicity_eps=self.hyperbolicity_eps,
-                            snapshot_stride=self.snapshot_stride)
+        return SolverConfig(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(SolverConfig)})
 
     def config_hash(self) -> str:
         """Hash of the run-defining keys (output location excluded)."""
@@ -147,16 +140,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
     if cfg.verify_seeds < 1:
         raise ConfigError(f"verify_seeds = {cfg.verify_seeds} must be >= 1")
-    if not cfg.horizon >= 0.0:
-        raise ConfigError(f"horizon = {cfg.horizon:g} must be >= 0")
     if not cfg.growth_factor >= 1.0:
         raise ConfigError(f"growth_factor = {cfg.growth_factor:g} must be >= 1")
-    if not cfg.verify_t_max > 0.0:
-        raise ConfigError(f"verify_t_max = {cfg.verify_t_max:g} must be > 0")
-    if not cfg.t_max > cfg.t0:
-        raise ConfigError(f"t_max = {cfg.t_max:g} must exceed t0 = {cfg.t0:g}")
-    where = ""  # names the grid key or preset an error comes from
+    where = ""  # names the keys or preset an error comes from
     try:
+        for t0, key in ((cfg.t0, "t_max"), (0.0, "verify_t_max")):
+            where = f"t0 = {t0!r}, {key} = {getattr(cfg, key)!r}: "
+            time_resolution(t0, getattr(cfg, key))
         for key in ("n", "verify_n", "wave_n"):
             n = getattr(cfg, key)
             where = f"{key} = {n}: "
@@ -329,8 +319,9 @@ def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
 def cmd_trace(cfg: RunConfig) -> int:
     traj = _run(cfg)
     out = _outdir(cfg)
-    horizon = cfg.horizon if cfg.horizon > 0.0 else traj.t_end - traj.t0
-    thresholds = {"horizon": horizon, "growth_factor": cfg.growth_factor,
+    # each curve is classified over the whole window the run computed
+    thresholds = {"horizon": traj.t_end - traj.t0,
+                  "growth_factor": cfg.growth_factor,
                   "hyperbolicity_eps": cfg.hyperbolicity_eps}
     families = _FAMILIES[cfg.family]
     seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
@@ -357,7 +348,7 @@ def cmd_trace(cfg: RunConfig) -> int:
                     continue
                 _write_csv(cfg, out / name, CurveSample._fields, np.column_stack(
                     [getattr(curve, col) for col in CurveSample._fields]))
-                label = classify(curve, horizon, cfg.growth_factor)
+                label = classify(curve, cfg.growth_factor)
                 entries.append({"x0": x0, "family": fam.name,
                                 "direction": direction.name,
                                 "label": label.value,
@@ -431,9 +422,8 @@ def cmd_energy(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     out = _outdir(cfg)
-    reports = default_suite(cfg.law_obj(), n_sweep_seeds=cfg.verify_seeds,
-                            sweep_t_max=cfg.verify_t_max, sweep_n=cfg.verify_n,
-                            wave_n=cfg.wave_n)
+    reports = default_suite(cfg.law_obj(), cfg.verify_seeds, cfg.verify_t_max,
+                            cfg.verify_n, cfg.wave_n)
     for rep in reports:
         path = out / f"scenario_{rep.scenario_id}.json"
         rep.artifacts.append(path.name)
@@ -454,11 +444,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_validate_law(cfg: RunConfig) -> int:
-    try:
-        report = validate_law(cfg.law_obj(), cfg.validate_u_min,
-                              cfg.validate_u_max, cfg.validate_samples)
-    except ValueError as exc:
-        raise ConfigError(f"validate_law: {exc}") from exc
+    report = validate_law(cfg.law_obj())
     out = _outdir(cfg)
     _write_json(cfg, out / "validate_law.json", report.to_dict())
     return 0 if report.ok else 1

@@ -95,7 +95,8 @@ class ValidationReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def validate_law(law, u_min: float, u_max: float, n_samples: int) -> ValidationReport:
+def validate_law(law, u_min: float = -10.0, u_max: float = 10.0,
+                 n_samples: int = 1001) -> ValidationReport:
     """Scan [u_min, u_max] for quadratic-likeness violations.
 
     Reports every sample where p'' <= 0, and the anchor conditions

@@ -83,17 +83,19 @@ def q_of_u(law, u):
     points u in [-50, -1e-6] and quartic(a), a in {0.01, 0.3, 1, 10},
     it agrees with adaptive quadrature (epsrel 1e-13) to 4.4e-15
     relative; 32 points give only 1.6e-12 at a = 10.  An array comes
-    back with the input's shape, a scalar as a float.
+    back with the input's shape, a scalar as a float; both are computed
+    as arrays of 1 or more dimensions, so batching never changes a bit.
     """
     _require_nonpositive(u)
+    a = np.atleast_1d(np.asarray(u, dtype=float))
     if getattr(law, "kind", None) == "quadratic":
-        return (2.0 / 3.0) * np.abs(u) ** 1.5 if isinstance(u, np.ndarray) \
-            else (2.0 / 3.0) * (-float(u)) ** 1.5
-    t, wt = _gauss_legendre()
-    s = np.sqrt(-np.asarray(u, dtype=float))
-    w = np.multiply.outer(s, t)
-    q = s * np.einsum("...k,k->...", 2.0 * w * np.sqrt(-law.dp(-w * w)), wt)
-    return q if isinstance(u, np.ndarray) else float(q)
+        q = (2.0 / 3.0) * np.abs(a) ** 1.5
+    else:
+        t, wt = _gauss_legendre()
+        s = np.sqrt(-a)
+        w = np.multiply.outer(s, t)
+        q = s * np.einsum("...k,k->...", 2.0 * w * np.sqrt(-law.dp(-w * w)), wt)
+    return q.reshape(np.shape(u)) if isinstance(u, np.ndarray) else float(q[0])
 
 
 def u_of_q(law, y: float) -> float:

@@ -244,6 +244,20 @@ def _monitor_from_metrics(metrics: tuple, initial_scale: float,
     return None
 
 
+def time_resolution(t0: float, t_max: float) -> float:
+    """t_slack = 1e-12 * max(1, |t0|, |t_max|), at least 4500 float
+    spacings of the larger end, for a run from t0 to t_max; raises
+    ValueError unless t0 is finite and t_max - t0 exceeds it."""
+    # written so that NaN fails both checks
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    t_slack = 1e-12 * max(1.0, abs(t0), abs(t_max))
+    if not t_max - t0 > t_slack:
+        raise ValueError(f"t_max - t0 = {t_max - t0:g} must exceed "
+                         f"the time resolution {t_slack:g}")
+    return t_slack
+
+
 def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     """Integrate from (t0, state0) until t_max or a monitor fires.
 
@@ -258,23 +272,13 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     smooth solution has already degenerated) is recorded as
     ``blow_up_detected`` at that time.
 
-    Time is resolved to t_slack = 1e-12 * max(1, |t0|, |t_max|), at least
-    4500 float spacings of the larger end: the run stops once t is within
-    t_slack of t_max.  A ValueError is raised up front unless t_max - t0
-    exceeds t_slack and, for admitted data, so does the first CFL step; a
-    shorter step would round away in ``t + dt`` or carry a timing error
-    above ~1e-4 of itself.
+    The run stops once t is within ``time_resolution(t0, t_max)`` of
+    t_max.  A ValueError is raised up front unless the span exceeds it
+    and, for admitted data, so does the first CFL step; a shorter step
+    would round away in ``t + dt`` or carry a timing error above ~1e-4
+    of itself.
     """
-    # written so that NaN fails it
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0!r}")
-    if config.t_max <= t0:
-        raise ValueError("t_max must exceed t0")
-    t_slack = 1e-12 * max(1.0, abs(t0), abs(config.t_max))
-    if not config.t_max - t0 > t_slack:
-        raise ValueError(f"t_max - t0 = {config.t_max - t0:g} must exceed "
-                         f"the time resolution {t_slack:g}")
-
+    t_slack = time_resolution(t0, config.t_max)
     grid = state0.grid
     n = grid.n
     c, rows = _spectral(state0)

@@ -114,8 +114,12 @@ def crossing_time_oracle(law, u_center: float, amplitude: float,
     With r2 constant, lambda_1 is transported by itself, so the first
     characteristic crossing is at -1/min_x d(lambda_1)/dx evaluated on
     the initial data, sampled at 100 001 points.  Returns None when no
-    compression exists.
+    compression exists.  Raises DomainError unless u_center + |amplitude|
+    < 0: d(lambda_1)/dx is unbounded at u = 0.
     """
+    if not u_center + abs(amplitude) < 0.0:
+        raise DomainError("the wave must stay strictly hyperbolic: "
+                          f"u_center + |amplitude| = {u_center + abs(amplitude):g}")
     xs = np.linspace(0.0, 1.0, 100_001)
     u = u_center + amplitude * np.sin(2.0 * np.pi * mode * xs)
     lam = np.sqrt(-law.dp(u))
@@ -144,7 +148,7 @@ def scenario_constant(law, u0: float, v0: float, t_max: float,
     report.metrics = {"t_final": traj.t_end, "deviation": dev,
                       "steps": float(traj.steps)}
     report.metrics["status_completed"] = 1.0 if traj.status is RunStatus.completed else 0.0
-    ok = traj.status is RunStatus.completed and dev < 1e-10
+    ok = traj.status is RunStatus.completed and dev < report.thresholds["max_deviation"]
     report.verdict = PASS if ok else FAIL
     if not ok:
         report.reason = f"status={traj.status.value}, deviation={dev:g}"
@@ -157,12 +161,12 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
                                 spotcheck_seeds: int = 8) -> ScenarioReport:
     """Triangulate the blow-up time three independent ways.
 
-    The solver's detection time, the minimum Riccati-predicted time over
-    traced family-1 curves, and the dense-sampling crossing-time oracle
-    must pairwise agree within 5%.  The run goes to twice the oracle
-    time.  Also records the invariant drift up to the 10x-gradient time
-    and the dual-growth spot check, which are separate acceptance gates
-    on the same run.
+    The solver's detection time and the minimum Riccati-predicted time
+    over traced family-1 curves must each agree with the dense-sampling
+    crossing-time oracle within ``relative_gap``, and the invariant drift
+    up to the 10x-gradient time must stay below ``drift_max``.  The run
+    goes to twice the oracle time.  Also records the dual-growth spot
+    check, a separate acceptance gate on the same run.
     """
     report = ScenarioReport("simple_wave_blowup", law.describe(), None,
                             thresholds={"relative_gap": 0.05,
@@ -203,7 +207,8 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
 
     # invariant transport until the gradient grew by 10x
     sa = traj.series_arrays()
-    grown = sa["max_abs_ux"] >= 10.0 * sa["max_abs_ux"][0]
+    th = report.thresholds
+    grown = sa["max_abs_ux"] >= th["drift_gradient_factor"] * sa["max_abs_ux"][0]
     t_10x = float(sa["t"][np.argmax(grown)]) if np.any(grown) else traj.t_end
     drift = max((invariant_drift(curve, t_10x)
                  for curve in curves[n_curve_seeds:]), default=0.0)
@@ -220,11 +225,12 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
         "t_gradient_10x": t_10x, "invariant_drift_max": drift,
         "spotcheck_violations": float(len(spot.violations)),
     })
-    ok = gap_do < 0.05 and gap_po < 0.05
+    ok = max(gap_do, gap_po) < th["relative_gap"] and drift < th["drift_max"]
     report.verdict = PASS if ok else FAIL
     if not ok:
         report.reason = (f"time gaps: detect/oracle {gap_do:.3f}, "
-                         f"predicted/oracle {gap_po:.3f}")
+                         f"predicted/oracle {gap_po:.3f}; "
+                         f"invariant drift {drift:.3g}")
     return report
 
 
@@ -253,7 +259,7 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
         state0 = random_trig_state(grid, seed, modes, amplitude, u_offset)
         rel_amp = max(float(np.ptp(state0.u)), float(np.ptp(state0.v))) / \
             max(1.0, float(np.max(np.abs(state0.u))), float(np.max(np.abs(state0.v))))
-        if rel_amp < 1e-12:
+        if rel_amp < report.thresholds["min_relative_amplitude"]:
             n_inconclusive += 1
             continue
         traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
@@ -315,7 +321,8 @@ def scenario_ramp_residual(law: Optional[PressureLaw] = None) -> ScenarioReport:
     u_shift = 0.0                        # u independent of x
     report.metrics = {"max_residual_1": max_r1, "max_residual_2": max_r2,
                       "v_period_shift": v_shift, "u_period_shift": u_shift}
-    ok = max_r1 == 0.0 and max_r2 == 0.0 and v_shift == -1.0 and u_shift == 0.0
+    ok = (max(max_r1, max_r2) <= report.thresholds["residual"]
+          and v_shift == -1.0 and u_shift == 0.0)
     report.verdict = PASS if ok else FAIL
     return report
 
@@ -354,7 +361,7 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
         worst = max(worst, abs(closed - ode_val) / scale)
     report.metrics = {"K_total": float(K_total), "beta_crit": beta_crit,
                       "worst_relative_gap": worst}
-    report.verdict = PASS if worst < 1e-6 else FAIL
+    report.verdict = PASS if worst < report.thresholds["relative_gap"] else FAIL
     if report.verdict == FAIL:
         report.reason = f"worst relative gap {worst:g}"
     return report
@@ -409,16 +416,15 @@ def scenario_energy_identity(law, n_fields: int, seed: int, n: int = 256,
     report.metrics = {"n_fields": float(len(fields)),
                       "worst_identity_gap": worst_gap,
                       "worst_ddot_formula": worst_formula}
-    ok = worst_gap < 1e-8 and worst_formula <= 1e-10
+    ok = (worst_gap < report.thresholds["identity_gap"]
+          and worst_formula <= report.thresholds["concavity"])
     report.verdict = PASS if ok else FAIL
     return report
 
 
-def default_suite(law: Optional[PressureLaw] = None, n_sweep_seeds: int = 5,
-                  sweep_t_max: float = 30.0, sweep_n: int = 256,
-                  wave_n: int = 512) -> list:
+def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
+                  sweep_n: int, wave_n: int) -> list:
     """The standard scenario battery used by the command-line ``verify``."""
-    law = law or PressureLaw.quadratic()
     reports = [
         scenario_constant(law, -1.0, 0.0, 10.0),
         scenario_simple_wave_blowup(law, -1.0, 0.3, 1, n=wave_n,

@@ -124,16 +124,10 @@ def test_predict_blowup_continuation_bound(constant_traj):
 
 
 def test_classify_constant_is_A(constant_traj):
-    horizon = constant_traj.t_end
     c = trace(constant_traj, 0.25, Family.first)
-    assert classify(c, horizon) is ClassLabel.A_plus
+    assert classify(c) is ClassLabel.A_plus
     cb = trace(constant_traj, 0.25, Family.first, Direction.backward)
-    assert classify(cb, horizon) is ClassLabel.A_minus
-
-
-def test_classify_undetermined_when_window_short(constant_traj):
-    c = trace(constant_traj, 0.25, Family.first)
-    assert classify(c, horizon=50.0) is ClassLabel.undetermined
+    assert classify(cb) is ClassLabel.A_minus
 
 
 def test_backward_trace_starts_at_window_end(constant_traj):
@@ -158,7 +152,7 @@ def test_boundary_hit_in_mixed_field(eps, t_hit):
     assert c.t_hit == c.t_end == pytest.approx(t_hit, abs=1e-12)
     assert c.u[-1] > -eps
     assert np.all(c.u[:-1] <= -eps)
-    assert classify(c, horizon=10.0) is ClassLabel.A_plus
+    assert classify(c) is ClassLabel.A_plus
 
 
 def test_elliptic_start_raises():
@@ -205,7 +199,7 @@ def test_synthetic_growth_is_B_plus():
     traj = synthetic_trajectory(lambda t: -(1.0 + t), 0.0,
                                 np.linspace(0.0, 15.0, 121))
     c = trace(traj, 0.3, Family.first)
-    assert classify(c, horizon=15.0) is ClassLabel.B_plus
+    assert classify(c) is ClassLabel.B_plus
     report = dual_growth_spotcheck(traj, 3)
     assert not report.ok  # engineered non-solution: detector must fire
     assert any(v["direction"] == "forward" for v in report.violations)

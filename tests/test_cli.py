@@ -12,6 +12,7 @@ import psyslab
 from psyslab import PeriodicGrid, cli
 from psyslab.cli import _write_csv, _write_json, main, parse_config
 from psyslab.errors import ConfigError
+from psyslab.solver import SolverConfig
 
 
 def run_cli(*args):
@@ -37,6 +38,8 @@ u0 = -1
     assert cfg.n == 256
     assert cfg.u0 == -1.0
     assert cfg.cfl_safety == 0.4  # default applied
+    # the solver keys take SolverConfig's defaults, and every one reaches it
+    assert cfg.solver_config() == SolverConfig(t_max=cfg.t_max)
 
 
 def test_parse_rejects_bad_n(tmp_path):
@@ -106,8 +109,6 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize("command, overrides", [
-    ("validate-law", ["validate_samples=1"]),
-    ("validate-law", ["validate_u_min=2", "validate_u_max=2"]),
     ("verify", ["wave_n=100"]),
     ("verify", ["verify_n=48"]),
     ("predict", ["family=both"]),
@@ -115,15 +116,15 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("predict", ["curve_seeds=-1"]),
     ("verify", ["verify_seeds=0"]),
     ("verify", ["verify_t_max=0"]),
+    ("verify", ["verify_t_max=1e-13"]),
     ("trace", ["growth_factor=-2"]),
-    ("trace", ["horizon=-1"]),
     ("validate-law", ["preset=simple_wave", "u_center=0.5"]),
     ("verify", ["wave_n=8192"]),
     ("energy", ["gauge=cubic"]),
-], ids=["validate_samples", "validate_range", "wave_n", "verify_n",
+], ids=["wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
-        "verify_t_max_zero",
-        "growth_factor_negative", "horizon_negative", "validate_law_bad_preset",
+        "verify_t_max_zero", "verify_t_max_below_resolution",
+        "growth_factor_negative", "validate_law_bad_preset",
         "wave_n_too_large", "energy_bad_gauge"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"

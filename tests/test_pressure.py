@@ -64,7 +64,8 @@ def test_constructor_rejects_bad_laws():
 
 def test_validate_law_clean_families():
     for law in (QUAD, QUART):
-        report = validate_law(law, -10.0, 10.0, 1001)
+        report = validate_law(law)  # the fixed scan validate-law runs
+        assert (report.u_min, report.u_max, report.n_samples) == (-10.0, 10.0, 1001)
         assert report.ok
         assert report.violations == []
 

@@ -7,6 +7,7 @@ from psyslab import (PeriodicGrid, PressureLaw, crossing_time_oracle,
                      scenario_random_hyperbolic_sweep,
                      scenario_riccati_crosscheck, scenario_simple_wave_blowup,
                      simple_wave_state)
+from psyslab.errors import DomainError
 from psyslab.field import StateField
 
 QUAD = PressureLaw.quadratic()
@@ -36,6 +37,15 @@ def test_crossing_time_oracle_quadratic_wave():
     t = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
     assert t == pytest.approx(1.04874378, abs=1e-6)
     assert crossing_time_oracle(QUAD, -1.0, 0.0, 1) is None
+
+
+@pytest.mark.parametrize("u_center, amplitude", [(-0.1, 0.3), (-0.3, 0.3),
+                                                 (-0.3, -0.3), (0.0, 0.0)])
+def test_crossing_time_oracle_rejects_non_hyperbolic_wave(u_center, amplitude):
+    # unchecked, (-0.1, 0.3) gave nan with a RuntimeWarning and (-0.3, 0.3),
+    # which touches u = 0 where d(lambda_1)/dx is unbounded, gave 0.41
+    with pytest.raises(DomainError, match="strictly hyperbolic"):
+        crossing_time_oracle(QUAD, u_center, amplitude, 1)
 
 
 def test_scenario_constant_passes():

@@ -1,7 +1,7 @@
 """Command-line front end: flat key=value configs, scenario dispatch,
 CSV/JSON emission for plots and CI.
 
-Subcommands: simulate, trace, predict, energy, verify, validate-law.
+Subcommands: simulate, trace, predict, energy, verify.
 Exit codes: 0 success / all scenarios pass, 1 scenario failure or
 invariant violation, 2 configuration error.  A simulation that ends in
 blow-up exits 0: blow-up is a result, not an error.
@@ -47,7 +47,7 @@ from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
-from .pressure import PressureLaw, validate_law
+from .pressure import PressureLaw
 from .riemann import Family
 from .solver import SeriesRecord, SolverConfig, run, time_resolution
 from .verify import (constant_state, default_suite, random_elliptic_state,
@@ -443,20 +443,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if counts["pass"] == len(reports) else 1
 
 
-def cmd_validate_law(cfg: RunConfig) -> int:
-    report = validate_law(cfg.law_obj())
-    out = _outdir(cfg)
-    _write_json(cfg, out / "validate_law.json", report.to_dict())
-    return 0 if report.ok else 1
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "trace": cmd_trace,
     "predict": cmd_predict,
     "energy": cmd_energy,
     "verify": cmd_verify,
-    "validate-law": cmd_validate_law,
 }
 
 

@@ -88,12 +88,7 @@ def spectral_derivative(grid: PeriodicGrid, samples) -> np.ndarray:
     Exact for resolved trigonometric polynomials; the Nyquist mode's
     derivative coefficient is zeroed.
     """
-    return _derivative_from_rfft(grid, np.fft.rfft(_as_samples(grid, samples)))
-
-
-def _derivative_from_rfft(grid: PeriodicGrid, c: np.ndarray) -> np.ndarray:
-    """spectral_derivative from the rfft ``c`` of the samples, which is
-    overwritten."""
+    c = np.fft.rfft(_as_samples(grid, samples))
     c *= _derivative_multipliers(grid.n)
     return np.fft.irfft(c, grid.n)
 

@@ -19,7 +19,7 @@ test suite.  Evaluators accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,11 @@ QUARTIC = "quartic"
 
 @dataclass(frozen=True)
 class PressureLaw:
+    """One of the two families above.  The constructor is the one place
+    where quadratic-likeness is guaranteed: it admits only a known kind
+    and a finite a >= 0, so p(0) = p'(0) = 0 and p'' = 1 + 12 a u^2 > 0
+    hold for every law that exists."""
+
     kind: str
     a: float = 0.0
 
@@ -70,53 +75,3 @@ class PressureLaw:
         if self.kind == QUADRATIC:
             return "quadratic"
         return f"quartic(a={self.a:g})"
-
-
-@dataclass(frozen=True)
-class Violation:
-    u: float
-    quantity: str
-    value: float
-
-
-@dataclass
-class ValidationReport:
-    law: str
-    u_min: float
-    u_max: float
-    n_samples: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
-
-
-def validate_law(law, u_min: float = -10.0, u_max: float = 10.0,
-                 n_samples: int = 1001) -> ValidationReport:
-    """Scan [u_min, u_max] for quadratic-likeness violations.
-
-    Reports every sample where p'' <= 0, and the anchor conditions
-    p(0) = 0, p'(0) = 0.  Violations are report entries, never
-    exceptions, so the check also works on deliberately broken laws.
-    """
-    if not u_min < u_max:
-        raise ValueError("u_min must be < u_max")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    label = law.describe() if hasattr(law, "describe") else repr(law)
-    report = ValidationReport(label, float(u_min), float(u_max), int(n_samples))
-    p0 = float(law.p(0.0))
-    dp0 = float(law.dp(0.0))
-    if p0 != 0.0:
-        report.violations.append(Violation(0.0, "p(0)", p0))
-    if dp0 != 0.0:
-        report.violations.append(Violation(0.0, "dp(0)", dp0))
-    for u in np.linspace(u_min, u_max, n_samples):
-        dd = float(law.ddp(float(u)))
-        if dd <= 0.0:
-            report.violations.append(Violation(float(u), "ddp", dd))
-    return report

@@ -29,6 +29,7 @@ gradient catastrophe.
 from __future__ import annotations
 
 import enum
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -99,29 +100,27 @@ def q_of_u(law, u):
 
 
 def u_of_q(law, y: float) -> float:
-    """Inverse of q: the unique u <= 0 with q(u) = y, for y >= 0.
+    """Inverse of q: the unique u <= 0 with q(u) = y, for finite y >= 0.
 
-    q is strictly decreasing in u, so a bracketing root search is
-    unconditionally safe.  The initial bracket exploits the
-    quadratic-like growth of q and is widened geometrically if needed.
+    Every law has -p'(s) >= -s for s <= 0, so the quadratic law's
+    inverse u = -(3y/2)^(2/3) starts at or left of the root.  q is
+    convex and decreasing, so Newton's method with q' = -sqrt(-p')
+    climbs to the root without crossing it; the iterates are increasing
+    floats capped at 0, so the loop ends.  The first step that fails to
+    rise is returned: as a signed correction of the last iterate, it
+    recovers more round trips exactly than the iterate itself.
     """
-    # imported here, not at module level, so that import psyslab loads numpy alone
-    from scipy.optimize import brentq
     y = float(y)
-    if y < 0.0:
-        raise DomainError("y must be >= 0")
+    if not 0.0 <= y < math.inf:
+        raise DomainError(f"y must be finite and >= 0, got {y!r}")
     if y == 0.0:
         return 0.0
-    left = -max(1.0, 2.0 * (1.5 * y) ** (2.0 / 3.0))
-    for _ in range(200):
-        if q_of_u(law, left) >= y:
-            break
-        left *= 2.0
-    else:
-        raise DomainError(f"could not bracket q(u) = {y}")
-    root = brentq(lambda uu: q_of_u(law, uu) - y, left, 0.0,
-                  xtol=1e-14, rtol=8.9e-16)
-    return min(float(root), 0.0)
+    u = -(1.5 * y) ** (2.0 / 3.0)
+    while True:
+        step = min(u + (q_of_u(law, u) - y) / math.sqrt(-law.dp(u)), 0.0)
+        if not step > u:
+            return step
+        u = step
 
 
 def riemann_from_state(law, u: float, v: float) -> RiemannPair:
@@ -139,21 +138,6 @@ def state_from_riemann(law, pair: RiemannPair):
     v = 0.5 * (r1 + r2)
     u = u_of_q(law, 0.5 * (r2 - r1))
     return u, v
-
-
-def eigenvalue(law, u, fam: Family):
-    """Characteristic speed: +sqrt(-p'(u)) for first, -sqrt for second."""
-    _require_nonpositive(u)
-    return fam.sign * np.sqrt(-law.dp(u))
-
-
-def genuine_nonlinearity(law, u):
-    """d(lambda_1)/d(r_1) = d(lambda_2)/d(r_2) = p''(u) / (4 p'(u)).
-
-    Negative for u < 0; its magnitude diverges as u -> 0-.
-    """
-    _require_negative(u)
-    return law.ddp(u) / (4.0 * law.dp(u))
 
 
 def riccati_k(law, u):

@@ -87,6 +87,8 @@ def random_trig_state(grid: PeriodicGrid, seed: int, modes: int,
     """
     if u_offset >= -0.05:
         raise ValueError("u_offset must be < -0.05")
+    if not amplitude >= 0.0:
+        raise ValueError(f"amplitude must be >= 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     x = grid.nodes
 

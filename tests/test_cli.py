@@ -1,5 +1,9 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -98,6 +102,7 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["preset=bogus"],
     ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
     ["preset=simple_wave", "n=16", "t0=1e17", "t_max=100000000000000064"],
+    ["preset=random_trig", "amplitude=-5"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -118,13 +123,13 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("verify", ["verify_t_max=0"]),
     ("verify", ["verify_t_max=1e-13"]),
     ("trace", ["growth_factor=-2"]),
-    ("validate-law", ["preset=simple_wave", "u_center=0.5"]),
+    ("verify", ["preset=simple_wave", "u_center=0.5"]),
     ("verify", ["wave_n=8192"]),
     ("energy", ["gauge=cubic"]),
 ], ids=["wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
         "verify_t_max_zero", "verify_t_max_below_resolution",
-        "growth_factor_negative", "validate_law_bad_preset",
+        "growth_factor_negative", "verify_bad_preset",
         "wave_n_too_large", "energy_bad_gauge"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
@@ -183,11 +188,15 @@ def test_module_entry_point(tmp_path, module):
 
 
 def test_import_loads_no_scipy():
-    # every command is a fresh process, so it pays the import cost each time
+    # every command is a fresh process, so it pays the import cost each
+    # time; inverting q needs no scipy either
     src = str(Path(psyslab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, psyslab, psyslab.cli, psyslab.verify\n"
+            "for law in (psyslab.PressureLaw.quadratic(),"
+            " psyslab.PressureLaw.quartic(0.3)):\n"
+            "    psyslab.state_from_riemann(law, psyslab.RiemannPair(-1.0, 2.0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -409,23 +418,30 @@ def test_energy_elliptic_random_preset(tmp_path):
     assert rep["identity_gap"] < 1e-8
 
 
-def test_validate_law_subcommand(tmp_path):
-    out = tmp_path / "out"
-    code = run_cli("--set", f"outdir={out}", "validate-law")
+SMALL_VERIFY = ["verify_seeds=2", "verify_t_max=10", "verify_n=128",
+                "wave_n=256"]
+
+
+def sets(items):
+    """``--set`` flags for each ``key=value`` of ``items``."""
+    return [arg for item in items for arg in ("--set", item)]
+
+
+@pytest.fixture(scope="module")
+def small_verify(tmp_path_factory):
+    """One run of the small verify suite: exit code, outdir and stdout."""
+    out = tmp_path_factory.mktemp("verify") / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run_cli(*sets(SMALL_VERIFY + [f"outdir={out}"]), "verify")
+    return code, out, stdout.getvalue()
+
+
+def test_verify_small_suite(tmp_path, small_verify):
+    code, out, _ = small_verify
     assert code == 0
-    rep = json.loads((out / "validate_law.json").read_text())
-    assert rep["ok"] is True
-    assert rep["violations"] == []
-
-
-def test_verify_small_suite(tmp_path):
-    outs = [tmp_path / "out", tmp_path / "elsewhere"]
-    for out in outs:
-        code = run_cli("--set", "verify_seeds=2", "--set", "verify_t_max=10",
-                       "--set", "verify_n=128", "--set", "wave_n=256",
-                       "--set", f"outdir={out}", "verify")
-        assert code == 0
-    out = outs[0]
+    elsewhere = tmp_path / "elsewhere"
+    assert run_cli(*sets(SMALL_VERIFY + [f"outdir={elsewhere}"]), "verify") == 0
     agg = json.loads((out / "verify.json").read_text())
     assert agg["all_pass"] is True
     assert agg["n_fail"] == 0
@@ -433,6 +449,54 @@ def test_verify_small_suite(tmp_path):
     assert (out / "scenario_simple_wave_blowup.json").exists()
     # the outdir is not part of the config hash, so it must not enter a file
     names = sorted(path.name for path in out.iterdir())
-    assert names == sorted(path.name for path in outs[1].iterdir())
+    assert names == sorted(path.name for path in elsewhere.iterdir())
     for name in names:
-        assert (out / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert (out / name).read_bytes() == (elsewhere / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# determinism across commits: the files of a fixed command set against the
+# sha256 manifest kept beside this module
+
+MANIFEST = Path(__file__).with_name("outputs.sha256")
+
+#: (directory, overrides, command) of each run the manifest covers, besides
+#: the small verify suite
+CONTRACT_RUNS = (
+    ("simulate", WAVE, "simulate"),
+    ("trace", WAVE + ["family=both", "direction=both"], "trace"),
+    ("predict", WAVE, "predict"),
+    ("energy", ["preset=elliptic_random", "seed=5"], "energy"),
+    ("trace_quartic", WAVE + ["law=quartic", "quartic_a=0.3"], "trace"),
+)
+
+_CONFIG_HASH = re.compile(rb'(config_sha256=|"config_hash": ")[0-9a-f]{16}')
+
+
+def _digest(data: bytes) -> str:
+    """sha256 of ``data`` with its config hash zeroed, so that adding or
+    removing a config key leaves the digest as it was."""
+    return hashlib.sha256(_CONFIG_HASH.sub(rb"\g<1>" + b"0" * 16, data)).hexdigest()
+
+
+def test_outputs_match_manifest(tmp_path, small_verify):
+    """Every file of the command set has the bytes the manifest records.
+
+    A change that moves an output on purpose replaces the manifest with
+    the one this test writes to its tmp_path on failure, and says which
+    files changed and why."""
+    _, verify_out, stdout = small_verify
+    digests = {"verify/stdout": _digest(stdout.encode())}
+    digests.update((f"verify/{path.name}", _digest(path.read_bytes()))
+                   for path in verify_out.iterdir())
+    for name, overrides, command in CONTRACT_RUNS:
+        out = tmp_path / name
+        assert run_cli(*sets(overrides + [f"outdir={out}"]), command) == 0
+        digests.update((f"{name}/{path.name}", _digest(path.read_bytes()))
+                       for path in out.iterdir())
+    expected = dict(line.split()[::-1]
+                    for line in MANIFEST.read_text().splitlines())
+    if digests != expected:
+        (tmp_path / MANIFEST.name).write_text("".join(
+            f"{digest}  {name}\n" for name, digest in sorted(digests.items())))
+    assert digests == expected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psyslab import PressureLaw, validate_law
+from psyslab import PressureLaw
 
 QUAD = PressureLaw.quadratic()
 QUART = PressureLaw.quartic(0.1)
@@ -61,55 +61,3 @@ def test_constructor_rejects_bad_laws():
         with pytest.raises(ValueError):
             PressureLaw.quartic(a)
 
-
-def test_validate_law_clean_families():
-    for law in (QUAD, QUART):
-        report = validate_law(law)  # the fixed scan validate-law runs
-        assert (report.u_min, report.u_max, report.n_samples) == (-10.0, 10.0, 1001)
-        assert report.ok
-        assert report.violations == []
-
-
-class ConcaveStub:
-    """Deliberately broken law: p'' < 0 away from the origin."""
-
-    def p(self, u):
-        return u * u / 2 - u**4
-
-    def dp(self, u):
-        return u - 4 * u**3
-
-    def ddp(self, u):
-        return 1.0 - 12 * u * u
-
-    def describe(self):
-        return "concave-stub"
-
-
-def test_validate_law_detects_violations():
-    report = validate_law(ConcaveStub(), -2.0, 2.0, 101)
-    assert not report.ok
-    assert any(v.quantity == "ddp" for v in report.violations)
-
-
-class ShiftedStub:
-    def p(self, u):
-        return u * u / 2 + 0.25
-
-    def dp(self, u):
-        return float(u)
-
-    def ddp(self, u):
-        return 1.0
-
-
-def test_validate_law_detects_shifted_minimum():
-    report = validate_law(ShiftedStub(), -1.0, 1.0, 11)
-    assert any(v.quantity == "p(0)" for v in report.violations)
-
-
-def test_validate_law_preconditions():
-    with pytest.raises(ValueError):
-        validate_law(QUAD, 1.0, -1.0, 100)
-    with pytest.raises(ValueError):
-        validate_law(QUAD, -1.0, 1.0, 1)

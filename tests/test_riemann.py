@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
-from psyslab import (BlowUpError, DomainError, Family, PressureLaw,
-                     RiemannPair, beta_from_gradient, eigenvalue,
-                     genuine_nonlinearity, q_of_u, riccati_evolve, riccati_k,
+from psyslab import (BlowUpError, DomainError, PressureLaw, RiemannPair,
+                     beta_from_gradient, q_of_u, riccati_evolve, riccati_k,
                      riemann_from_state, state_from_riemann, u_of_q)
 
 QUAD = PressureLaw.quadratic()
@@ -70,8 +70,9 @@ def test_u_of_q_inverse_values():
     assert u_of_q(QUAD, 0.0) == 0.0
     assert u_of_q(QUAD, 2.0 / 3.0) == pytest.approx(-1.0, abs=1e-12)
     assert u_of_q(QUAD, 16.0 / 3.0) == pytest.approx(-4.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        u_of_q(QUAD, -0.1)
+    for y in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            u_of_q(QUAD, y)
 
 
 def test_u_of_q_against_analytic_inverse():
@@ -87,6 +88,19 @@ def test_u_of_q_residual_quartic():
         u = u_of_q(QUART, y)
         assert u <= 0.0
         assert abs(q_of_u(QUART, u) - y) <= 1e-10
+
+
+@pytest.mark.parametrize("a", [0.01, 0.3, 10.0])
+def test_u_of_q_matches_brentq_oracle(a):
+    # an independent bracketing root search on the same q
+    law = PressureLaw.quartic(a)
+    for y in (1e-9, 1e-3, 0.2, 1.0, 7.5, 60.0, 1e4):
+        left = -1.0
+        while q_of_u(law, left) < y:
+            left *= 2.0
+        root = brentq(lambda u: q_of_u(law, u) - y, left, 0.0,
+                      xtol=1e-300, rtol=8.9e-16)
+        assert u_of_q(law, y) == pytest.approx(root, rel=1e-14, abs=0.0)
 
 
 def test_riemann_pair_values():
@@ -119,38 +133,6 @@ def test_round_trip(law):
         u2, v2 = state_from_riemann(law, riemann_from_state(law, u, v))
         assert abs(u2 - u) < 1e-9
         assert abs(v2 - v) < 1e-9
-
-
-def test_eigenvalue_values():
-    assert eigenvalue(QUAD, 0.0, Family.first) == 0.0
-    assert eigenvalue(QUAD, -4.0, Family.first) == 2.0
-    assert eigenvalue(QUAD, -4.0, Family.second) == -2.0
-    with pytest.raises(DomainError):
-        eigenvalue(QUAD, 1.0, Family.first)
-
-
-def test_genuine_nonlinearity_values():
-    assert genuine_nonlinearity(QUAD, -1.0) == -0.25
-    assert genuine_nonlinearity(QUAD, -0.01) == pytest.approx(-25.0, rel=1e-12)
-    assert genuine_nonlinearity(QUAD, -100.0) == pytest.approx(-0.0025, rel=1e-12)
-    for u in (-0.5, -3.0):
-        assert genuine_nonlinearity(QUAD, u) < 0.0
-    with pytest.raises(DomainError):
-        genuine_nonlinearity(QUAD, 0.0)
-
-
-def test_genuine_nonlinearity_is_dlambda_dr():
-    # chain-rule oracle: vary r1 at fixed r2 and difference lambda_1
-    h = 1e-6
-    for law in (QUAD, QUART):
-        for (u0, v0) in ((-1.3, 0.2), (-4.0, -1.0)):
-            r1, r2 = riemann_from_state(law, u0, v0)
-            lam = []
-            for r in (r1 + h, r1 - h):
-                u, _ = state_from_riemann(law, RiemannPair(r, r2))
-                lam.append(eigenvalue(law, u, Family.first))
-            fd = (lam[0] - lam[1]) / (2 * h)
-            assert abs(fd - genuine_nonlinearity(law, u0)) < 1e-5
 
 
 def test_riccati_k_values():

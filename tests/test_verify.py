@@ -30,6 +30,10 @@ def test_random_trig_state_strictly_hyperbolic():
         assert np.max(s.u) <= -0.05 + 1e-12
     with pytest.raises(ValueError):
         random_trig_state(g, 0, 3, 0.3, 0.5)
+    # a negative amplitude was kept whole and reached max u = 3.69
+    for amplitude in (-5.0, float("nan")):
+        with pytest.raises(ValueError, match="amplitude"):
+            random_trig_state(PeriodicGrid(64), 0, 3, amplitude, -1.0)
 
 
 def test_crossing_time_oracle_quadratic_wave():

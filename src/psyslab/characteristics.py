@@ -356,27 +356,26 @@ class SpotcheckReport:
         return not self.violations
 
 
-def dual_growth_spotcheck(trajectory: Trajectory,
-                          sample_points: int) -> SpotcheckReport:
-    """Trace both families from seeded points and flag same-direction
-    (B, B) pairs across the families.
+def spotcheck_points(sample_points: int) -> list:
+    """The spot check's start points (j + 0.5) / sample_points."""
+    return [(j + 0.5) / sample_points for j in range(sample_points)]
 
-    One batch per direction holds both families, and each curve is
-    classified with ``classify``'s default growth factor.  Seeds with
-    elliptic start points are recorded as undetermined.  Expected outcome
-    on any trajectory of the system: zero violations.
+
+def spotcheck_report(seeds: list, traced: dict) -> SpotcheckReport:
+    """The dual-growth report of curves already traced from ``seeds``.
+
+    ``traced[direction][(x0, family)]`` is the curve from x0 of each
+    seed and family, or an EllipticStart, which is recorded as
+    undetermined; every curve is classified with ``classify``'s default
+    growth factor.
     """
     report = SpotcheckReport()
-    seeds = [(j + 0.5) / sample_points for j in range(sample_points)]
     for direction in Direction:
-        curves = trace_batch(trajectory, seeds * len(Family),
-                             [fam for fam in Family for _ in seeds],
-                             direction)
-        for i, fam in enumerate(Family):
+        for fam in Family:
+            curves = (traced[direction][(x0, fam)] for x0 in seeds)
             report.labels[(direction, fam)] = [
                 ClassLabel.undetermined if isinstance(c, EllipticStart)
-                else classify(c)
-                for c in curves[i * sample_points:(i + 1) * sample_points]]
+                else classify(c) for c in curves]
     for direction in Direction:
         b = ClassLabel.B_plus if direction is Direction.forward else ClassLabel.B_minus
         s1 = [seeds[i] for i, lab in
@@ -389,3 +388,20 @@ def dual_growth_spotcheck(trajectory: Trajectory,
                 "family1_seeds": s1, "family2_seeds": s2,
             })
     return report
+
+
+def dual_growth_spotcheck(trajectory: Trajectory,
+                          sample_points: int) -> SpotcheckReport:
+    """Trace both families from ``spotcheck_points(sample_points)`` and
+    flag same-direction (B, B) pairs across the families.
+
+    One batch per direction holds both families; see
+    ``spotcheck_report``.  Expected outcome on any trajectory of the
+    system: zero violations.
+    """
+    seeds = spotcheck_points(sample_points)
+    starts = [(x0, fam) for fam in Family for x0 in seeds]
+    traced = {direction: dict(zip(starts, trace_batch(
+        trajectory, [x0 for x0, _ in starts], [fam for _, fam in starts],
+        direction))) for direction in Direction}
+    return spotcheck_report(seeds, traced)

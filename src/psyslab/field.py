@@ -5,9 +5,12 @@ periods are handled by rescaling x before entry).  Differentiation here
 and off-node evaluation through ``SpaceTimeField`` both go through the
 trigonometric interpolant, so in x the tracer sees the field the solver
 computed; in t, ``SpaceTimeField`` interpolates between snapshots by
-cubic Hermite with slopes taken from the PDE.  For even n the Nyquist
-mode contributes c_{n/2} cos(pi n x); its derivative coefficient is set
-to zero, the standard choice that keeps odd derivatives real.
+cubic Hermite with slopes taken from the PDE.  It builds a snapshot's
+coefficient rows when an evaluation first needs them and keeps only a
+few, so its memory is O(n) however long the trajectory.  For even n
+the Nyquist mode contributes c_{n/2} cos(pi n x); its derivative
+coefficient is set to zero, the standard choice that keeps odd
+derivatives real.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ NOISE_FLOOR = 1e-13
 
 #: width of the low block in SpaceTimeField's phase split m = _BLOCK * a + b
 _BLOCK = 32
+
+#: snapshots whose coefficient rows SpaceTimeField keeps; a monotone walk
+#: over the window needs the two ends of at most two intervals at a time
+_KEPT_ROWS = 4
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -146,17 +153,22 @@ class SpaceTimeField:
     is fourth-order in the snapshot spacing and, unlike a window of
     nearest snapshots, smooth across snapshots.
 
-    Per snapshot the coefficient rows (u^, v^, P^) are stored, built by
-    one stacked FFT; u_t is a multiply of the stored v^ and is not
-    stored.  ``Trajectory.field`` builds one on first read and keeps it
-    for every tracer call.  Derivative rows are the combined rows times
-    2 pi i m, Nyquist zeroed.  The layout has two levels: mode
-    m = 32 a + b sits at [a, b], so the phases exp(2 pi i m x) at a point
-    are products of 32 + n/64 + 1 sines and cosines rather than n/2 + 1,
-    and no long cumulative product accumulates error with m.  Sums over
-    the layout go through ``einsum`` without ``optimize``, which never
-    calls BLAS: threaded BLAS is far slower than the loop on products
-    this small.
+    A snapshot's coefficient rows (u^, v^, P^) are built by one stacked
+    FFT when ``coefficients`` first needs them, and only the last
+    ``_KEPT_ROWS`` snapshots used keep theirs, so the field holds O(n)
+    numbers beyond the snapshots themselves.  A tracer pass walks the
+    window monotonically and so builds each snapshot once; u_t is a
+    multiply of v^ and is not stored.  ``Trajectory.field`` builds one
+    on first read and keeps it for every tracer call.  Derivative rows
+    are the combined rows times 2 pi i m, Nyquist zeroed.  The layout
+    has two levels: mode m = 32 a + b sits at [a, b], so the phases
+    exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and
+    cosines rather than n/2 + 1, and no long cumulative product
+    accumulates error with m.  Sums over the layout go through
+    ``einsum`` without ``optimize``, which never calls BLAS: a BLAS
+    ``matmul`` of these shapes ran 6x faster in wall time on 2 cores,
+    but OpenBLAS threads spin between the small products, and the
+    tracer's process CPU time doubled.
     """
 
     def __init__(self, snapshots: list, law):
@@ -173,20 +185,32 @@ class SpaceTimeField:
         if len(idx) < 2:
             raise WindowTooShort("tracing needs at least 2 distinct times")
         self.times = times[idx]
-        n = snapshots[0][1].grid.n
-        n_modes = n // 2 + 1
-        rows = -(-n_modes // _BLOCK)
-        coeffs = np.zeros((len(idx), 3, rows * _BLOCK), dtype=complex)
-        for k, i in enumerate(idx):
-            state = snapshots[i][1]
-            coeffs[k, :, :n_modes] = trig_coefficients(
-                np.stack((state.u, state.v, law.p(state.u))))
-        self._coeffs = coeffs.reshape(len(idx), 3, rows, _BLOCK)
-        dmul = np.zeros(rows * _BLOCK, dtype=complex)  # padding unused
-        dmul[:n_modes] = _derivative_multipliers(n)
-        self._dmul = dmul.reshape(rows, _BLOCK)
+        self._states = [snapshots[i][1] for i in idx]
+        self._law = law
+        self._kept = {}  # snapshot index -> its rows, least recently used first
+        n = self._states[0].grid.n
+        self._n_modes = n // 2 + 1
+        self._blocks = -(-self._n_modes // _BLOCK)
+        dmul = np.zeros(self._blocks * _BLOCK, dtype=complex)  # padding unused
+        dmul[:self._n_modes] = _derivative_multipliers(n)
+        self._dmul = dmul.reshape(self._blocks, _BLOCK)
         self._lo = 2.0 * np.pi * np.arange(_BLOCK)
-        self._hi = 2.0 * np.pi * _BLOCK * np.arange(rows)
+        self._hi = 2.0 * np.pi * _BLOCK * np.arange(self._blocks)
+
+    def _snapshot_rows(self, k: int) -> np.ndarray:
+        """Coefficient rows (u^, v^, P^) of snapshot k in the split
+        layout, zero-padded to whole blocks."""
+        rows = self._kept.pop(k, None)
+        if rows is None:
+            state = self._states[k]
+            rows = np.zeros((3, self._blocks * _BLOCK), dtype=complex)
+            rows[:, :self._n_modes] = trig_coefficients(
+                np.stack((state.u, state.v, self._law.p(state.u))))
+            rows = rows.reshape(3, self._blocks, _BLOCK)
+            if len(self._kept) >= _KEPT_ROWS:
+                del self._kept[next(iter(self._kept))]
+        self._kept[k] = rows
+        return rows
 
     def coefficients(self, t: float) -> np.ndarray:
         """Rows (u, v, u_x, v_x) of the field at time t, in the split
@@ -199,7 +223,7 @@ class SpaceTimeField:
         s = (t - float(times[i])) / dt
         h00, h01 = (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s)
         h10, h11 = dt * s * (1.0 - s) ** 2, dt * s * s * (s - 1.0)
-        c0, c1 = self._coeffs[i], self._coeffs[i + 1]
+        c0, c1 = self._snapshot_rows(i), self._snapshot_rows(i + 1)
         uv = h00 * c0[:2] + h01 * c1[:2]
         # dt-weighted slope sources (v^, P^): u^_t = -ik v^, v^_t = ik P^
         slope = (h10 * c0[1:] + h11 * c1[1:]) * self._dmul

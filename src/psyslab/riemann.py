@@ -109,6 +109,10 @@ def u_of_q(law, y: float) -> float:
     floats capped at 0, so the loop ends.  The first step that fails to
     rise is returned: as a signed correction of the last iterate, it
     recovers more round trips exactly than the iterate itself.
+
+    Raises DomainError when p'(u) or q(u) overflows on the way: on a
+    quartic law, from y of about 8e153 up, the start's |u|^3 exceeds
+    the float range.
     """
     y = float(y)
     if not 0.0 <= y < math.inf:
@@ -116,11 +120,18 @@ def u_of_q(law, y: float) -> float:
     if y == 0.0:
         return 0.0
     u = -(1.5 * y) ** (2.0 / 3.0)
-    while True:
-        step = min(u + (q_of_u(law, u) - y) / math.sqrt(-law.dp(u)), 0.0)
-        if not step > u:
-            return step
-        u = step
+    # Python's pow raises OverflowError on a float; numpy raises
+    # FloatingPointError here instead of warning
+    with np.errstate(over="raise"):
+        try:
+            while True:
+                step = min(u + (q_of_u(law, u) - y) / math.sqrt(-law.dp(u)), 0.0)
+                if not step > u:
+                    return step
+                u = step
+        except (OverflowError, FloatingPointError) as exc:
+            raise DomainError(f"q cannot be inverted at y = {y!r}: "
+                              f"{exc} at u = {u!r}") from None
 
 
 def riemann_from_state(law, u: float, v: float) -> RiemannPair:

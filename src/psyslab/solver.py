@@ -8,9 +8,9 @@ and i k rfft(p(irfft(u^))) costs two.  The exponential high-mode filter
 sigma(m) = exp(-36 (m/m_max)^36) is then a multiply of the coefficients
 after each step: it is near-identity on resolved modes and suppresses
 aliasing from the quadratic nonlinearity.  One stacked inverse transform
-per step gives the samples u, v, u_x, v_x that the CFL step, the
-non-finite check and the monitor read; snapshots are built only when
-stored.
+per step gives the samples u, v, u_x, v_x whose maxima the monitor
+reads; the same maxima show a non-finite step, and the extremes of u
+set the next CFL step.  Snapshots are built only when stored.
 
 Evolution is only admitted for strictly hyperbolic data; the
 initial-value problem is ill-posed in the elliptic region, so elliptic
@@ -123,7 +123,9 @@ class Trajectory:
     @cached_property
     def field(self) -> SpaceTimeField:
         """The snapshots' space-time evaluator, built on first read and
-        kept; raises WindowTooShort with fewer than 2 distinct times."""
+        kept; raises WindowTooShort with fewer than 2 distinct times.  It
+        builds a snapshot's coefficient rows when a tracer first needs
+        them and keeps only a few, so it adds O(n) memory to the run."""
         return SpaceTimeField(self.snapshots, self.law)
 
     def series_arrays(self) -> dict:
@@ -164,12 +166,8 @@ def _filter_multipliers(n: int) -> np.ndarray:
 
 def _rows(n: int, c: np.ndarray) -> np.ndarray:
     """Samples (u, v, u_x, v_x) of the rfft rows c = (u^, v^), from one
-    stacked inverse transform; raises NonFiniteState on any non-finite
-    entry."""
-    rows = np.fft.irfft(np.concatenate((c, c * _derivative_multipliers(n))), n)
-    if not np.isfinite(rows).all():
-        raise NonFiniteState("time step produced non-finite entries")
-    return rows
+    stacked inverse transform."""
+    return np.fft.irfft(np.concatenate((c, c * _derivative_multipliers(n))), n)
 
 
 def _spectral(state: StateField):
@@ -205,22 +203,30 @@ def step_rk4(law, state: StateField, dt: float) -> StateField:
 
     The filter is identity on mode 0, so constant states are exact
     fixed points.  Negative dt is accepted (time-reversed stepping for
-    self-consistency checks).
+    self-consistency checks).  Raises NonFiniteState when the step
+    produces a non-finite sample.
     """
     c, rows = _spectral(state)
     _, rows = _advance(law, state.grid.n, c, rows[0], dt)
+    if not np.isfinite(rows).all():
+        raise NonFiniteState("time step produced non-finite entries")
     return StateField(state.grid, *rows[:2])
 
 
 def _state_metrics(c: np.ndarray, rows: np.ndarray) -> tuple:
     """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum)
     of a state given as its rfft rows c = (u^, v^) and samples
-    (u, v, u_x, v_x)."""
-    u, v, ux, vx = rows
-    max_u, min_u = float(u.max()), float(u.min())
-    scales = (max(max_u, -min_u), float(np.abs(v).max()))
-    return (max_u, min_u, float(np.abs(ux).max()), float(np.abs(vx).max()),
-            _tail_ratio(c, scales))
+    (u, v, u_x, v_x).
+
+    Raises NonFiniteState when a sample is not finite: NaN and +-inf
+    carry into these extremes, so no separate pass looks for them.
+    """
+    max_u, min_u = float(rows[0].max()), float(rows[0].min())
+    max_v, max_ux, max_vx = np.abs(rows[1:]).max(axis=1).tolist()
+    if not all(map(math.isfinite, (max_u, min_u, max_v, max_ux, max_vx))):
+        raise NonFiniteState("time step produced non-finite entries")
+    return (max_u, min_u, max_ux, max_vx,
+            _tail_ratio(c, (max(max_u, -min_u), max_v)))
 
 
 def _monitor_from_metrics(metrics: tuple, initial_scale: float,
@@ -289,7 +295,9 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     if m0[0] > -config.hyperbolicity_eps:
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, 0, config)
-    dt0 = cfl_dt(law, grid, rows[0], config.cfl_safety)
+    # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
+    # the CFL step reads the state's two extremes of u, not its samples
+    dt0 = cfl_dt(law, grid, np.array(m0[:2]), config.cfl_safety)
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
                          f"time resolution {t_slack:g} at t0 = {t0:g}")
@@ -299,20 +307,22 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     steps = 0
     status = RunStatus.completed
     t_detect = None
+    m = m0
 
     # stop within roundoff of t_max: a ~1e-13 trailing step would create
     # a degenerate snapshot spacing that poisons temporal interpolation
     while config.t_max - t > t_slack:
-        dt = min(cfl_dt(law, grid, rows[0], config.cfl_safety), config.t_max - t)
+        dt = min(cfl_dt(law, grid, np.array(m[:2]), config.cfl_safety),
+                 config.t_max - t)
+        c, rows = _advance(law, n, c, rows[0], dt)
         try:
-            c, rows = _advance(law, n, c, rows[0], dt)
+            m = _state_metrics(c, rows)
         except NonFiniteState:
             status = RunStatus.blow_up_detected
             t_detect = t + dt
             break
         t += dt
         steps += 1
-        m = _state_metrics(c, rows)
         series.append(SeriesRecord(t, *m))
         fired = _monitor_from_metrics(m, initial_scale, config)
         if fired is not None:

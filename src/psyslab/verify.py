@@ -19,8 +19,9 @@ import numpy as np
 
 # trace and gradient_beta are unused here but stay names of this module:
 # perfbench/tracing.py wraps the tracer's entry points by module attribute
-from .characteristics import (dual_growth_spotcheck, gradient_beta,  # noqa: F401
-                              invariant_drift, predict_blowup, trace,
+from .characteristics import (Direction, dual_growth_spotcheck,  # noqa: F401
+                              gradient_beta, invariant_drift, predict_blowup,
+                              spotcheck_points, spotcheck_report, trace,
                               trace_batch)
 from .energy import ConcaveGauge, energy, energy_ddot_direct, energy_ddot_formula
 from .errors import DomainError
@@ -192,14 +193,19 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
         return report
     t_detect = traj.t_detect
 
-    # one forward batch over the whole window: the family-1 prediction
-    # curves, then both families from the drift seeds
-    seeds = np.arange(n_curve_seeds) / n_curve_seeds
-    drift_x0 = [(j + 0.5) / drift_seeds for j in range(drift_seeds)]
-    curves = trace_batch(traj, list(seeds) + drift_x0 * len(Family),
-                         [Family.first] * n_curve_seeds
-                         + [fam for fam in Family for _ in drift_x0])
-    predictions = [t for t in map(predict_blowup, curves[:n_curve_seeds])
+    # each (start, family) is traced once per direction: one forward batch
+    # holds the family-1 prediction curves, both families from the drift
+    # seeds and the spot check's forward curves, which share starts
+    pred_keys = [(x0, Family.first)
+                 for x0 in np.arange(n_curve_seeds) / n_curve_seeds]
+    drift_keys = [(x0, fam) for fam in Family
+                  for x0 in [(j + 0.5) / drift_seeds for j in range(drift_seeds)]]
+    spot_x0 = spotcheck_points(spotcheck_seeds)
+    spot_keys = [(x0, fam) for fam in Family for x0 in spot_x0]
+    starts = list(dict.fromkeys(pred_keys + drift_keys + spot_keys))
+    forward = dict(zip(starts, trace_batch(traj, [x0 for x0, _ in starts],
+                                           [fam for _, fam in starts])))
+    predictions = [t for t in (predict_blowup(forward[k]) for k in pred_keys)
                    if t is not None]
     if not predictions:
         report.verdict = FAIL
@@ -212,10 +218,14 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     th = report.thresholds
     grown = sa["max_abs_ux"] >= th["drift_gradient_factor"] * sa["max_abs_ux"][0]
     t_10x = float(sa["t"][np.argmax(grown)]) if np.any(grown) else traj.t_end
-    drift = max((invariant_drift(curve, t_10x)
-                 for curve in curves[n_curve_seeds:]), default=0.0)
+    drift = max((invariant_drift(forward[k], t_10x) for k in drift_keys),
+                default=0.0)
 
-    spot = dual_growth_spotcheck(traj, spotcheck_seeds)
+    backward = dict(zip(spot_keys, trace_batch(
+        traj, [x0 for x0, _ in spot_keys], [fam for _, fam in spot_keys],
+        Direction.backward)))
+    spot = spotcheck_report(spot_x0, {Direction.forward: forward,
+                                      Direction.backward: backward})
 
     gap_do = abs(t_detect - t_oracle) / t_oracle
     gap_po = abs(t_predicted - t_oracle) / t_oracle

@@ -383,3 +383,75 @@ def test_field_evaluator_matches_direct_sum():
         for k in range(4):
             scale = max(1.0, float(np.max(np.abs(expect[k]))))
             np.testing.assert_allclose(got[k], expect[k], rtol=0, atol=1e-13 * scale)
+
+
+def eager_coefficients(snapshots, law, t):
+    """The field's rows at t as they were computed when every snapshot's
+    rows were built up front: the reference for bit-identity."""
+    from psyslab.field import _BLOCK, _derivative_multipliers, trig_coefficients
+    times = np.array([s for s, _ in snapshots])
+    n = snapshots[0][1].grid.n
+    n_modes = n // 2 + 1
+    rows = -(-n_modes // _BLOCK)
+    coeffs = np.zeros((len(times), 3, rows * _BLOCK), dtype=complex)
+    for k, (_, state) in enumerate(snapshots):
+        coeffs[k, :, :n_modes] = trig_coefficients(
+            np.stack((state.u, state.v, law.p(state.u))))
+    coeffs = coeffs.reshape(len(times), 3, rows, _BLOCK)
+    dmul = np.zeros(rows * _BLOCK, dtype=complex)
+    dmul[:n_modes] = _derivative_multipliers(n)
+    dmul = dmul.reshape(rows, _BLOCK)
+    i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0),
+            len(times) - 2)
+    dt = float(times[i + 1] - times[i])
+    s = (t - float(times[i])) / dt
+    h00, h01 = (1.0 + 2.0 * s) * (1.0 - s) ** 2, s * s * (3.0 - 2.0 * s)
+    h10, h11 = dt * s * (1.0 - s) ** 2, dt * s * s * (s - 1.0)
+    c0, c1 = coeffs[i], coeffs[i + 1]
+    uv = h00 * c0[:2] + h01 * c1[:2]
+    slope = (h10 * c0[1:] + h11 * c1[1:]) * dmul
+    uv[0] -= slope[0]
+    uv[1] += slope[1]
+    return np.concatenate((uv, uv * dmul))
+
+
+def test_field_rows_built_on_demand_match_eager_rows():
+    # rows are built when first needed and only a few are kept; in any
+    # order of access, the combined rows must be the eager ones bit for bit
+    n = 64
+    rng = np.random.default_rng(12)
+    times = np.cumsum(rng.uniform(0.05, 0.15, 10))
+    g = PeriodicGrid(n)
+    traj = completed([(float(t), StateField(g, -1.0 + 0.1 * rng.standard_normal(n),
+                                            0.1 * rng.standard_normal(n)))
+                      for t in times])
+    interior = list(rng.uniform(times[0], times[-1], 6))
+    boundary = list(times) + [float(np.nextafter(times[3], np.inf))]
+    outside = [times[0] - 0.3, times[-1] + 0.2]
+    queries = interior + boundary + outside
+    for t in queries + queries[::-1] + list(rng.permutation(queries)):
+        np.testing.assert_array_equal(traj.field.coefficients(t),
+                                      eager_coefficients(traj.snapshots, QUAD, t))
+
+
+def test_field_memory_is_a_fraction_of_the_eager_rows():
+    # a full-window forward and backward pass on the n=1024 wave holds a
+    # few snapshots' rows, not 3 rows x 544 padded modes x 16 B of each
+    import tracemalloc
+    from psyslab import crossing_time_oracle
+    s0 = simple_wave_state(QUAD, PeriodicGrid(1024), -1.0, 0.3, 1)
+    t_star = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=2.0 * t_star))
+    tracemalloc.start()
+    try:
+        x0 = np.arange(16) / 16
+        forward = trace_batch(traj, x0, Family.first)
+        backward = trace_batch(traj, x0, Family.second, Direction.backward)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    eager = 3 * 544 * 16 * len(traj.field.times)
+    assert len(traj.field.times) > 600
+    for curves, t_end in ((forward, traj.t_end), (backward, traj.t0)):
+        assert all(c.t_end == pytest.approx(t_end, abs=1e-12) for c in curves)
+    assert peak < eager / 4, (peak, eager)

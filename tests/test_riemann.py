@@ -103,6 +103,16 @@ def test_u_of_q_matches_brentq_oracle(a):
         assert u_of_q(law, y) == pytest.approx(root, rel=1e-14, abs=0.0)
 
 
+def test_u_of_q_overflow_is_a_domain_error():
+    # the quadratic start u = -(3y/2)^(2/3) has |u|^3 beyond the float
+    # range from y ~ 8e153 up; p'(u) leaked OverflowError (Python's pow)
+    # and q(u) a numpy overflow RuntimeWarning, an error in this suite
+    assert q_of_u(QUART, u_of_q(QUART, 1e150)) == pytest.approx(1e150, rel=1e-14)
+    for y in (1e154, 1e160, 1e300):
+        with pytest.raises(DomainError, match="cannot be inverted"):
+            u_of_q(QUART, y)
+
+
 def test_riemann_pair_values():
     assert riemann_from_state(QUAD, 0.0, 3.0) == (3.0, 3.0)
     r1, r2 = riemann_from_state(QUAD, -1.0, 0.5)

@@ -103,25 +103,30 @@ def test_scenario_simple_wave_small_grid():
     assert rep.metrics["spotcheck_violations"] == 0.0
 
 
-def test_scenario_simple_wave_traces_three_batches(monkeypatch):
-    # predictions and drift share one forward batch; the spot check
-    # traces one batch per direction
+def test_scenario_simple_wave_traces_each_curve_once(monkeypatch):
+    # predictions, drift and the spot check's forward curves share one
+    # forward batch, the spot check's backward curves make the other; the
+    # default counts overlap, so no (x0, family, direction) may repeat
     import psyslab.characteristics as characteristics
     import psyslab.verify as verify
+    from psyslab import Direction
     calls = []
     original = characteristics.trace_batch
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(traj, x0, families, direction=Direction.forward):
+        calls.append([(float(x), fam, direction) for x, fam in zip(x0, families)])
+        return original(traj, x0, families, direction)
 
     monkeypatch.setattr(verify, "trace_batch", counting)
     monkeypatch.setattr(characteristics, "trace_batch", counting)
-    rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.3, 1, n=128,
-                                      n_curve_seeds=2, drift_seeds=1,
-                                      spotcheck_seeds=1)
-    assert rep.verdict == "pass"
-    assert len(calls) == 3
+    rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.3, 1, n=128)
+    # at n=128 the drift gate fails; the report still holds every metric
+    assert rep.metrics["spotcheck_violations"] == 0.0
+    assert len(calls) == 2
+    traced = [key for call in calls for key in call]
+    # forward: the 32 family-1 starts j/32 hold the family-1 drift and spot
+    # starts (j + 0.5)/8, so only their 8 family-2 starts add; backward: 16
+    assert len(traced) == len(set(traced)) == 32 + 8 + 16
 
 
 def test_scenario_simple_wave_zero_amplitude_inconclusive():

@@ -151,6 +151,15 @@ def gradient_beta(trajectory: Trajectory, x0, fam: Family):
     return float(beta[0]) if np.ndim(x0) == 0 else beta
 
 
+def _median_spacing(times: np.ndarray) -> float:
+    """The median of the spacings of ``times``, the same float as
+    ``np.median(np.diff(times))``, whose NaN check imports numpy.ma on
+    its first call in a process."""
+    d = np.sort(np.diff(times))
+    k = len(d) // 2
+    return float(d[k] if len(d) % 2 else (d[k - 1] + d[k]) / 2)
+
+
 def trace_batch(trajectory: Trajectory, x0, families,
                 direction: Direction = Direction.forward) -> list:
     """Trace a batch of characteristics through the trajectory's window.
@@ -188,7 +197,7 @@ def trace_batch(trajectory: Trajectory, x0, families,
     # a field holds at least two increasing times, so span > 0
     span = float(times[-1] - times[0])
     t_start = float(times[0] if direction is Direction.forward else times[-1])
-    spacing = float(np.median(np.diff(times)))
+    spacing = _median_spacing(times)
     n_steps = max(1, int(np.ceil(span / (STEP_FACTOR * spacing))))
     h = direction.sign * span / n_steps
     # sample columns (x, u, v, u_x, v_x, K) per step; curve b owns rows

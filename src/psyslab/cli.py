@@ -21,9 +21,13 @@ top-level fields, comments not being valid JSON.
 Every file is written to ``<name>.part`` in the outdir and renamed into
 place once complete, so a failure never leaves a truncated file, and an
 older file of the same name keeps its bytes.  ``snapshots.csv`` (one row
-of about 73 bytes per node and stored snapshot) is streamed one snapshot
-at a time, so the memory it takes is bounded by one snapshot, not by the
-file.
+of about 73 bytes per node and stored snapshot) is formatted by a second
+process, ``_snapshot_writer.py``, while the solver runs: ``simulate``
+hands it each snapshot as the run stores it, so the two overlap, and
+the memory either process takes for the file is bounded by one
+snapshot, not by the file.  ``simulate`` makes the outdir when the
+first snapshot is stored, after the solver's up-front checks, and waits
+for the writer before it returns or raises.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _snapshot_writer
 from .characteristics import (GROWTH_FACTOR, ClassLabel, CurveSample,
                               Direction, classify, predict_blowup, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
@@ -211,13 +215,15 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
     raise ValueError(f"unknown preset, expected one of {', '.join(PRESETS)}")
 
 
-def _run(cfg: RunConfig):
+def _run(cfg: RunConfig, on_snapshot=None):
     """Solve the config's initial-value problem (through the module's
     ``run``, so that a wrapper installed on it sees the call); a time
     span ``run`` cannot resolve is a config error."""
     law, state0 = cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n))
     try:
-        return run(law, state0, cfg.t0, cfg.solver_config())
+        return run(law, state0, cfg.t0, cfg.solver_config(), on_snapshot)
+    except ConfigError:
+        raise  # from on_snapshot, which makes the outdir
     except ValueError as exc:
         raise ConfigError(f"t0 = {cfg.t0!r}, t_max = {cfg.t_max!r}: {exc}") from exc
 
@@ -225,17 +231,16 @@ def _run(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # emission
 
-def _publish(path: Path, head: str, chunks=()):
-    """Write ``head`` and then each string of ``chunks`` to ``<name>.part``
-    beside ``path``, and rename it to ``path`` once all are written.  On
-    any exception the part file is removed and the exception re-raised,
-    so ``path`` is either complete or as it was before."""
+def _publish(path: Path, *texts: str):
+    """Write ``texts`` in order to ``<name>.part`` beside ``path``, and
+    rename it to ``path`` once all are written.  On any exception the
+    part file is removed and the exception re-raised, so ``path`` is
+    either complete or as it was before."""
     part = path.with_name(path.name + ".part")
     try:
         with open(part, "w") as f:
-            f.write(head)
-            for chunk in chunks:
-                f.write(chunk)
+            for text in texts:
+                f.write(text)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
@@ -252,21 +257,70 @@ def _write_csv(cfg: RunConfig, path: Path, columns, data):
     with 17 significant digits."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     body = (row * len(data)) % tuple(data.ravel().tolist())
-    _publish(path, _csv_head(cfg, columns), [body])
+    _publish(path, _csv_head(cfg, columns), body)
 
 
-def _snapshot_blocks(nodes: np.ndarray, snapshots):
-    """The rows ``t,x,u,v`` of each snapshot, one text block per snapshot,
-    every value with 17 significant digits as ``_write_csv`` writes them.
+class _SnapshotStream:
+    """``run``'s ``on_snapshot`` for ``simulate``: it sends each snapshot
+    to a ``_snapshot_writer.py`` process that writes ``snapshots.csv.part``
+    in the outdir, rows ``t,x,u,v`` with 17 significant digits as
+    ``_write_csv`` writes them.
 
-    Each node's x is formatted once into a row template ``,<x>,%.17g,%.17g``
-    and each snapshot's t once, joined in front of every row; only u and v
-    are formatted per row."""
-    templates = [",%s,%%.17g,%%.17g\n" % ("%.17g" % x) for x in nodes.tolist()]
-    for t, state in snapshots:
-        ts = "%.17g" % t
-        values = np.column_stack((state.u, state.v)).ravel().tolist()
-        yield (ts + ts.join(templates)) % tuple(values)
+    The first snapshot makes the outdir and starts the writer.  ``publish``
+    waits for the writer and renames the part file into place;
+    ``discard`` kills a writer still running, waits for it and removes
+    the part file.  Either way no writer outlives the call."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.path = Path(cfg.outdir) / "snapshots.csv"
+        self.part = self.path.with_name(self.path.name + ".part")
+        self.proc = None
+
+    def __call__(self, t: float, state):
+        if self.proc is None:
+            import subprocess  # only simulate needs it: keep it off import
+            _outdir(self.cfg)
+            self.proc = subprocess.Popen(
+                [sys.executable, _snapshot_writer.__file__, str(self.part)],
+                stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+            self._send(_snapshot_writer.preamble(
+                _csv_head(self.cfg, ("t", "x", "u", "v")),
+                state.grid.nodes.tolist()))
+        record = np.empty(2 * state.grid.n + 1)
+        record[0] = t
+        record[1::2] = state.u
+        record[2::2] = state.v
+        self._send(record)
+
+    def _send(self, data):
+        try:
+            self.proc.stdin.write(data)
+        except BrokenPipeError:
+            self._wait()  # the writer has exited: raise its error
+            raise
+
+    def _wait(self):
+        """Close the writer's input and wait for it; raise OSError with
+        the last line of its stderr unless it exited 0."""
+        err = self.proc.communicate()[1].decode(errors="replace").strip()
+        if self.proc.returncode != 0:
+            reason = err.splitlines()[-1] if err else "no message"
+            raise OSError(f"snapshot writer exited with status "
+                          f"{self.proc.returncode}: {reason}")
+
+    def publish(self):
+        self._wait()
+        os.replace(self.part, self.path)
+
+    def discard(self):
+        if self.proc is None:
+            return
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.communicate()
+        if not self.part.is_dir():
+            self.part.unlink(missing_ok=True)
 
 
 def _write_json(cfg: RunConfig, path: Path, payload: dict):
@@ -289,10 +343,14 @@ def _outdir(cfg: RunConfig) -> Path:
 # subcommands
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    traj = _run(cfg)
-    out = _outdir(cfg)
-    _publish(out / "snapshots.csv", _csv_head(cfg, ("t", "x", "u", "v")),
-             _snapshot_blocks(PeriodicGrid(cfg.n).nodes, traj.snapshots))
+    snapshots = _SnapshotStream(cfg)
+    try:
+        traj = _run(cfg, snapshots)
+        snapshots.publish()
+    except BaseException:
+        snapshots.discard()
+        raise
+    out = Path(cfg.outdir)
     _write_csv(cfg, out / "series.csv", SeriesRecord._fields,
                np.array(traj.series, dtype=float))
     _write_json(cfg, out / "run.json", {

@@ -264,7 +264,8 @@ def time_resolution(t0: float, t_max: float) -> float:
     return t_slack
 
 
-def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
+def run(law, state0: StateField, t0: float, config: SolverConfig,
+        on_snapshot=None) -> Trajectory:
     """Integrate from (t0, state0) until t_max or a monitor fires.
 
     Data that is not strictly hyperbolic (max u > -hyperbolicity_eps) is
@@ -283,6 +284,12 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     and, for admitted data, so does the first CFL step; a shorter step
     would round away in ``t + dt`` or carry a timing error above ~1e-4
     of itself.
+
+    ``on_snapshot(t, state)``, when given, is called with each snapshot
+    as it is stored, in order, so a caller can consume snapshots while
+    the run goes on.  The initial snapshot is passed only once the
+    up-front checks have passed: a run that raises ValueError has passed
+    nothing, and an ``admission_refused`` run passes its one snapshot.
     """
     t_slack = time_resolution(t0, config.t_max)
     grid = state0.grid
@@ -290,9 +297,15 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     c, rows = _spectral(state0)
     m0 = _state_metrics(c, rows)
     series = [SeriesRecord(t0, *m0)]
-    snapshots = [(t0, state0)]
+    snapshots = []
+
+    def store(t, state):
+        snapshots.append((t, state))
+        if on_snapshot is not None:
+            on_snapshot(t, state)
 
     if m0[0] > -config.hyperbolicity_eps:
+        store(t0, state0)
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, 0, config)
     # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
@@ -301,6 +314,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
                          f"time resolution {t_slack:g} at t0 = {t0:g}")
+    store(t0, state0)
 
     initial_scale = max(1.0, m0[2])
     t = t0
@@ -329,11 +343,11 @@ def run(law, state0: StateField, t0: float, config: SolverConfig) -> Trajectory:
             status = fired
             t_detect = t
             if fired is not RunStatus.interface_reached:
-                snapshots.append((t, StateField(grid, *rows[:2])))
+                store(t, StateField(grid, *rows[:2]))
             break
         if steps % config.snapshot_stride == 0:
-            snapshots.append((t, StateField(grid, *rows[:2])))
+            store(t, StateField(grid, *rows[:2]))
 
     if status is RunStatus.completed and snapshots[-1][0] < t:
-        snapshots.append((t, StateField(grid, *rows[:2])))
+        store(t, StateField(grid, *rows[:2]))
     return Trajectory(law, snapshots, status, t_detect, series, steps, config)

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psyslab
 from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      PeriodicGrid, PressureLaw, SolverConfig, SpaceTimeField,
                      StateField, Termination, WindowTooShort, classify,
@@ -10,7 +15,7 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      invariant_drift, predict_blowup, run,
                      simple_wave_state, trace, trace_batch)
 from psyslab.characteristics import (CONTINUATION, CharacteristicCurve,
-                                     CurveSample)
+                                     CurveSample, _median_spacing)
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
@@ -192,6 +197,31 @@ def test_trajectory_builds_its_field_once(monkeypatch):
     dual_growth_spotcheck(traj, 2)
     assert len(builds) == 1
     assert traj.field is builds[0]
+
+
+@pytest.mark.parametrize("count", [2, 3, 5, 627, 628])
+def test_median_spacing_is_np_median(count):
+    # odd and even numbers of spacings, unevenly spaced and unsorted
+    times = np.cumsum(np.random.default_rng(count).uniform(1e-3, 1e-2, count))
+    assert (_median_spacing(times).hex()
+            == float(np.median(np.diff(times))).hex())
+
+
+def test_trace_batch_loads_no_numpy_ma():
+    # np.median imports numpy.ma on its first call in a process
+    src = str(Path(psyslab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, psyslab as p\n"
+            "g = p.PeriodicGrid(32)\n"
+            "traj = p.run(p.PressureLaw.quadratic(), p.constant_state(g, -1.0, 0.0),"
+            " 0.0, p.SolverConfig(t_max=0.5))\n"
+            "p.trace_batch(traj, [0.25, 0.75], p.Family.first)\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_synthetic_growth_is_B_plus():

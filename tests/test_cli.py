@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 import psyslab
-from psyslab import PeriodicGrid, cli
-from psyslab.cli import _write_csv, _write_json, main, parse_config
+from psyslab import PeriodicGrid, _snapshot_writer, cli
+from psyslab.cli import _csv_head, _write_csv, _write_json, main, parse_config
 from psyslab.errors import ConfigError
 from psyslab.solver import SolverConfig
 
@@ -142,9 +143,10 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
 
 
 @pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
-def test_run_config_error_leaves_no_outdir(tmp_path, capsys, command):
+def test_run_config_error_leaves_no_outdir(tmp_path, capsys, writers, command):
     # only run rejects this span (t + dt rounds back to t near t0 = 1e15),
-    # so the outdir must not be made before the run
+    # so the outdir must not be made, nor a snapshot writer started,
+    # before the run has passed its up-front checks
     out = tmp_path / "out"
     args = []
     for item in ["preset=simple_wave", "n=16", "t0=1e15",
@@ -152,7 +154,7 @@ def test_run_config_error_leaves_no_outdir(tmp_path, capsys, command):
         args += ["--set", item]
     assert run_cli(*args, command) == 2
     assert "config error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and writers == []
 
 
 def test_csv_writes_17_significant_digits(tmp_path):
@@ -257,6 +259,34 @@ def wave_traj():
     return cli._run(parse_config(None, WAVE))
 
 
+def _replay(traj, fail_after=None):
+    """A stand-in for ``cli.run`` that passes ``traj``'s snapshots to
+    ``on_snapshot`` and returns ``traj``, or raises after ``fail_after``
+    of them."""
+    def fake_run(law, state0, t0, config, on_snapshot=None):
+        for k, (t, state) in enumerate(traj.snapshots):
+            if k == fail_after:
+                raise RuntimeError("solver failed")
+            on_snapshot(t, state)
+        return traj
+    return fake_run
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """Every process ``cli`` starts during the test, to check each one
+    has been waited for."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
 def _reference_snapshots_csv(cfg, traj, path):
     """snapshots.csv written from one (snapshots * n, 4) array, as before
     the file was streamed; kept as the reference the stream must match."""
@@ -272,10 +302,10 @@ def _reference_snapshots_csv(cfg, traj, path):
 @pytest.mark.parametrize("overrides", [
     ["preset=random_trig", "n=64", "seed=3"], WAVE], ids=["random_trig", "wave"])
 def test_streamed_snapshots_match_one_array(tmp_path, monkeypatch, wave_traj,
-                                            overrides):
+                                            writers, overrides):
     cfg = parse_config(None, overrides + [f"outdir={tmp_path / 'out'}"])
     traj = wave_traj if overrides is WAVE else cli._run(cfg)
-    monkeypatch.setattr(cli, "_run", lambda c: traj)
+    monkeypatch.setattr(cli, "run", _replay(traj))
     assert cli.cmd_simulate(cfg) == 0
     _reference_snapshots_csv(cfg, traj, tmp_path / "reference.csv")
     out = tmp_path / "out"
@@ -283,37 +313,58 @@ def test_streamed_snapshots_match_one_array(tmp_path, monkeypatch, wave_traj,
             == (tmp_path / "reference.csv").read_bytes())
     assert sorted(p.name for p in out.iterdir()) == ["run.json", "series.csv",
                                                      "snapshots.csv"]
+    assert len(writers) == 1 and writers[0].returncode == 0
+
+
+def _simulate_fails(out, existing, writers, raises, planted=()):
+    """Run simulate into ``out``, holding ``existing`` snapshots.csv bytes
+    and the ``planted`` entries, expect ``raises``, and check that it
+    left nothing of its own and waited for its writer."""
+    if existing is not None:
+        (out / "snapshots.csv").write_bytes(existing)
+    with raises:
+        cli.cmd_simulate(parse_config(None, WAVE + [f"outdir={out}"]))
+    left = {"snapshots.csv"} if existing is not None else set()
+    assert {p.name for p in out.iterdir()} == left | set(planted)
+    if existing is not None:
+        assert (out / "snapshots.csv").read_bytes() == existing
+    assert not (out / "snapshots.csv.part").is_file()
+    assert len(writers) == 1 and writers[0].poll() is not None
+    assert writers[0].stdin.closed and writers[0].stderr.closed
 
 
 @pytest.mark.parametrize("existing", [None, b"old snapshots\n"],
                          ids=["fresh", "existing"])
 def test_failed_snapshot_stream_leaves_no_partial_file(tmp_path, monkeypatch,
-                                                      wave_traj, existing):
+                                                      wave_traj, writers,
+                                                      existing):
+    # the run raises once the writer has the first snapshots
     out = tmp_path / "out"
     out.mkdir()
-    if existing is not None:
-        (out / "snapshots.csv").write_bytes(existing)
-    blocks = cli._snapshot_blocks
+    monkeypatch.setattr(cli, "run", _replay(wave_traj, fail_after=3))
+    _simulate_fails(out, existing, writers,
+                    pytest.raises(RuntimeError, match="solver failed"))
 
-    def failing_blocks(nodes, snapshots):
-        yield next(blocks(nodes, snapshots))
-        raise RuntimeError("chunk source failed")
 
-    monkeypatch.setattr(cli, "_snapshot_blocks", failing_blocks)
-    monkeypatch.setattr(cli, "_run", lambda c: wave_traj)
-    with pytest.raises(RuntimeError, match="chunk source failed"):
-        cli.cmd_simulate(parse_config(None, WAVE + [f"outdir={out}"]))
-    if existing is None:
-        assert not any(out.iterdir())
-    else:
-        assert [p.name for p in out.iterdir()] == ["snapshots.csv"]
-        assert (out / "snapshots.csv").read_bytes() == existing
+@pytest.mark.parametrize("existing", [None, b"old snapshots\n"],
+                         ids=["fresh", "existing"])
+def test_failed_snapshot_writer_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                      wave_traj, writers,
+                                                      existing):
+    # the writer cannot open its part file: a directory, the test's own,
+    # which stays
+    out = tmp_path / "out"
+    (out / "snapshots.csv.part").mkdir(parents=True)
+    monkeypatch.setattr(cli, "run", _replay(wave_traj))
+    _simulate_fails(out, existing, writers,
+                    pytest.raises(OSError, match="IsADirectoryError"),
+                    planted=["snapshots.csv.part"])
 
 
 def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
                                                     wave_traj):
     # formatting the file as one string took 3.6x its size
-    monkeypatch.setattr(cli, "_run", lambda c: wave_traj)
+    monkeypatch.setattr(cli, "run", _replay(wave_traj))
     cfg = parse_config(None, WAVE + [f"outdir={tmp_path}"])
     tracemalloc.start()
     try:
@@ -322,6 +373,46 @@ def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
     finally:
         tracemalloc.stop()
     assert peak < (tmp_path / "snapshots.csv").stat().st_size / 4
+
+
+def test_writer_memory_is_bounded_by_one_snapshot(tmp_path, wave_traj):
+    # the writer's formatting, in process, under the parent's bound
+    cfg = parse_config(None, WAVE + [f"outdir={tmp_path}"])
+    path = tmp_path / "snapshots.csv"
+    _reference_snapshots_csv(cfg, wave_traj, path)
+    nodes = PeriodicGrid(cfg.n).nodes.tolist()
+    tracemalloc.start()
+    try:
+        templates = _snapshot_writer.row_templates(nodes)
+        digest = hashlib.sha256(_csv_head(cfg, ("t", "x", "u", "v")).encode())
+        for t, state in wave_traj.snapshots:
+            record = [t, *np.column_stack((state.u, state.v)).ravel().tolist()]
+            digest.update(
+                _snapshot_writer.snapshot_block(templates, record).encode())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert peak < path.stat().st_size / 4
+
+
+def test_writer_loads_no_numpy(tmp_path):
+    # it starts beside the solver, so its start-up delays the first
+    # snapshot; -X importtime lists every module it imports
+    part = tmp_path / "snapshots.csv.part"
+    record = struct.pack("=5d", 0.5, -1.0, 0.25, -1.5, 2.0)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", _snapshot_writer.__file__,
+         str(part)],
+        input=_snapshot_writer.preamble("# head\nt,x,u,v\n", [0.0, 0.5])
+        + record, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.decode().splitlines()]
+    assert imported and not [m for m in imported
+                             if m.split(".")[0] in ("numpy", "psyslab")]
+    assert part.read_text() == ("# head\nt,x,u,v\n"
+                                "0.5,0,-1,0.25\n0.5,0.5,-1.5,2\n")
 
 
 def test_trace_emits_curves_and_classification(tmp_path):

@@ -126,6 +126,52 @@ def test_run_rejects_unresolvable_time_span(t0, t_max, match):
         run(QUAD, s0, t0, SolverConfig(t_max=t_max))
 
 
+def _on_snapshot_states():
+    """(state0, config) of a run ending in each status."""
+    from psyslab import crossing_time_oracle, simple_wave_state
+    g = PeriodicGrid(128)
+    x = g.nodes
+    wave = simple_wave_state(QUAD, g, -1.0, 0.3, 1)
+    t_star = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
+    return {
+        "completed": (random_trig_state(g, 0, 3, 0.05, -1.0),
+                      SolverConfig(t_max=0.33)),
+        "blow_up_detected": (wave, SolverConfig(t_max=2.0 * t_star,
+                                                grad_blowup_factor=10.0)),
+        "resolution_lost": (wave, SolverConfig(t_max=2.0 * t_star)),
+        "interface_reached": (StateField(g, -0.1 + 0.05 * np.sin(2 * np.pi * x),
+                                         0.3 * np.sin(2 * np.pi * x)),
+                              SolverConfig(t_max=2.0)),
+        "admission_refused": (constant_state(g, -1e-4, 0.0),
+                              SolverConfig(t_max=1.0)),
+    }
+
+
+@pytest.mark.parametrize("status", [s.value for s in RunStatus])
+def test_on_snapshot_sees_each_stored_snapshot_in_order(status):
+    state0, config = _on_snapshot_states()[status]
+    seen = []
+    traj = run(QUAD, state0, 0.0, config,
+               lambda t, state: seen.append((t, state)))
+    assert traj.status is RunStatus(status)
+    # the same (t, state) objects, in the same order
+    assert ([(t, id(state)) for t, state in seen]
+            == [(t, id(state)) for t, state in traj.snapshots])
+
+
+@pytest.mark.parametrize("t0, t_max", [(1e15, 1000000000002000.0),
+                                       (1e17, 100000000000000064.0),
+                                       (float("nan"), 1.0)])
+def test_on_snapshot_is_not_called_when_run_raises(t0, t_max):
+    from psyslab import simple_wave_state
+    s0 = simple_wave_state(QUAD, PeriodicGrid(16), -1.0, 0.3, 1)
+    seen = []
+    with pytest.raises(ValueError):
+        run(QUAD, s0, t0, SolverConfig(t_max=t_max),
+            lambda t, state: seen.append(t))
+    assert seen == []
+
+
 def test_run_conserves_means_while_smooth():
     # both right-hand sides are exact x-derivatives
     g = PeriodicGrid(256)
@@ -379,7 +425,11 @@ def test_run_fft_budget(monkeypatch):
     s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u_offset=-1.0)
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5))
+    # a snapshot consumer adds no transform
+    seen = []
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5),
+               lambda t, state: seen.append(t))
     assert traj.status is RunStatus.completed and traj.steps >= 50
+    assert len(seen) == len(traj.snapshots)
     assert counts["calls"] <= 8 * traj.steps + 2
     assert counts["rows"] <= 11 * traj.steps + 6

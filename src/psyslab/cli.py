@@ -23,7 +23,8 @@ place once complete, so a failure never leaves a truncated file, and an
 older file of the same name keeps its bytes.  ``snapshots.csv`` (one row
 of about 73 bytes per node and stored snapshot) is formatted by a second
 process, ``_snapshot_writer.py``, while the solver runs: ``simulate``
-hands it each snapshot as the run stores it, so the two overlap, and
+gives it n and the CSV head on its command line, then pipes it each
+snapshot's raw floats as the run stores it, so the two overlap, and
 the memory either process takes for the file is bounded by one
 snapshot, not by the file.  ``simulate`` makes the outdir when the
 first snapshot is stored, after the solver's up-front checks, and waits
@@ -68,13 +69,11 @@ class RunConfig:
     preset: str = "constant"
     u0: float = -1.0
     v0: float = 0.0
-    u_center: float = -1.0
     amplitude: float = 0.3
     mode: int = 1
     r2_value: float = 0.0
     seed: int = 0
     modes: int = 3
-    u_offset: float = -1.0
     t0: float = 0.0
     t_max: float = 10.0
     cfl_safety: float = SolverConfig.cfl_safety
@@ -205,11 +204,11 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
     if cfg.preset == "constant":
         return constant_state(grid, cfg.u0, cfg.v0)
     if cfg.preset == "simple_wave":
-        return simple_wave_state(cfg.law_obj(), grid, cfg.u_center,
+        return simple_wave_state(cfg.law_obj(), grid, cfg.u0,
                                  cfg.amplitude, cfg.mode, cfg.r2_value)
     if cfg.preset == "random_trig":
         return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
-                                 cfg.u_offset)
+                                 cfg.u0)
     if cfg.preset == "elliptic_random":
         return random_elliptic_state(grid, np.random.default_rng(cfg.seed))
     raise ValueError(f"unknown preset, expected one of {', '.join(PRESETS)}")
@@ -282,20 +281,15 @@ class _SnapshotStream:
             import subprocess  # only simulate needs it: keep it off import
             _outdir(self.cfg)
             self.proc = subprocess.Popen(
-                [sys.executable, _snapshot_writer.__file__, str(self.part)],
+                [sys.executable, _snapshot_writer.__file__, str(self.part),
+                 str(state.grid.n), _csv_head(self.cfg, ("t", "x", "u", "v"))],
                 stdin=subprocess.PIPE, stderr=subprocess.PIPE)
-            self._send(_snapshot_writer.preamble(
-                _csv_head(self.cfg, ("t", "x", "u", "v")),
-                state.grid.nodes.tolist()))
         record = np.empty(2 * state.grid.n + 1)
         record[0] = t
         record[1::2] = state.u
         record[2::2] = state.v
-        self._send(record)
-
-    def _send(self, data):
         try:
-            self.proc.stdin.write(data)
+            self.proc.stdin.write(record)
         except BrokenPipeError:
             self._wait()  # the writer has exited: raise its error
             raise

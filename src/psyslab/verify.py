@@ -69,7 +69,11 @@ def simple_wave_state(law, grid: PeriodicGrid, u_center: float,
 
     u(x) = u_center + amplitude sin(2 pi mode x) (all values < 0) and
     v(x) = r2_value - q(u(x)), so r2 = v + q(u) = r2_value everywhere.
+    The grid must resolve the mode: 0 < |mode| < n/2.
     """
+    if not 0 < abs(mode) < grid.n / 2:
+        raise ValueError(f"mode = {mode} must satisfy 0 < |mode| < n/2 = "
+                         f"{grid.n / 2:g}")
     x = grid.nodes
     u = u_center + amplitude * np.sin(2.0 * np.pi * mode * x)
     if np.max(u) >= 0.0:
@@ -83,9 +87,12 @@ def random_trig_state(grid: PeriodicGrid, seed: int, modes: int,
     """Band-limited random data, strictly hyperbolic by construction.
 
     Both fields are random trigonometric polynomials with wavenumbers
-    1..modes; the u perturbation is rescaled if needed so that
-    max u <= -0.05.
+    1..modes, 1 <= modes < n/2; the u perturbation is rescaled if needed
+    so that max u <= -0.05.
     """
+    if not 1 <= modes < grid.n / 2:
+        raise ValueError(f"modes = {modes} must satisfy 1 <= modes < n/2 = "
+                         f"{grid.n / 2:g}")
     if u_offset >= -0.05:
         raise ValueError("u_offset must be < -0.05")
     if not amplitude >= 0.0:

@@ -93,8 +93,8 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("overrides", [
     ["t_max=0"],
-    ["preset=simple_wave", "u_center=0.5"],
-    ["preset=random_trig", "u_offset=0"],
+    ["preset=simple_wave", "u0=0.5"],
+    ["preset=random_trig", "u0=0"],
     ["law=quartic", "quartic_a=nan"],
     ["t_max=inf"],
     ["grad_blowup_factor=0"],
@@ -104,6 +104,15 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
     ["preset=simple_wave", "n=16", "t0=1e17", "t_max=100000000000000064"],
     ["preset=random_trig", "amplitude=-5"],
+    # each ran as a constant state, labelled as the preset
+    ["preset=random_trig", "modes=0"],
+    ["preset=random_trig", "modes=-2"],
+    ["preset=simple_wave", "mode=0"],
+    ["preset=simple_wave", "n=16", "mode=8"],
+    ["preset=simple_wave", "n=16", "mode=200"],
+    # folded into u0
+    ["preset=simple_wave", "u_center=-1"],
+    ["preset=random_trig", "u_offset=-1"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -124,7 +133,7 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("verify", ["verify_t_max=0"]),
     ("verify", ["verify_t_max=1e-13"]),
     ("trace", ["growth_factor=-2"]),
-    ("verify", ["preset=simple_wave", "u_center=0.5"]),
+    ("verify", ["preset=simple_wave", "u0=0.5"]),
     ("verify", ["wave_n=8192"]),
     ("energy", ["gauge=cubic"]),
 ], ids=["wave_n", "verify_n",
@@ -380,10 +389,9 @@ def test_writer_memory_is_bounded_by_one_snapshot(tmp_path, wave_traj):
     cfg = parse_config(None, WAVE + [f"outdir={tmp_path}"])
     path = tmp_path / "snapshots.csv"
     _reference_snapshots_csv(cfg, wave_traj, path)
-    nodes = PeriodicGrid(cfg.n).nodes.tolist()
     tracemalloc.start()
     try:
-        templates = _snapshot_writer.row_templates(nodes)
+        templates = _snapshot_writer.row_templates(cfg.n)
         digest = hashlib.sha256(_csv_head(cfg, ("t", "x", "u", "v")).encode())
         for t, state in wave_traj.snapshots:
             record = [t, *np.column_stack((state.u, state.v)).ravel().tolist()]
@@ -403,9 +411,8 @@ def test_writer_loads_no_numpy(tmp_path):
     record = struct.pack("=5d", 0.5, -1.0, 0.25, -1.5, 2.0)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", _snapshot_writer.__file__,
-         str(part)],
-        input=_snapshot_writer.preamble("# head\nt,x,u,v\n", [0.0, 0.5])
-        + record, capture_output=True, timeout=120)
+         str(part), "2", "# head\nt,x,u,v\n"],
+        input=record, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.decode().splitlines()]
@@ -413,6 +420,23 @@ def test_writer_loads_no_numpy(tmp_path):
                              if m.split(".")[0] in ("numpy", "psyslab")]
     assert part.read_text() == ("# head\nt,x,u,v\n"
                                 "0.5,0,-1,0.25\n0.5,0.5,-1.5,2\n")
+
+
+def test_writer_rejects_a_truncated_record(tmp_path):
+    part = tmp_path / "snapshots.csv.part"
+    proc = subprocess.run(
+        [sys.executable, _snapshot_writer.__file__, str(part), "2", "t,x,u,v\n"],
+        input=struct.pack("=8d", *range(8)), capture_output=True, timeout=120)
+    assert proc.returncode != 0
+    assert b"a record ended after 24 of 40 bytes" in proc.stderr
+
+
+def test_writer_nodes_are_the_grid_nodes():
+    # the writer derives x_j = j/n itself: the same bits as the grid's
+    for n in (2**k for k in range(4, 13)):
+        assert _snapshot_writer.row_templates(n) == [
+            ",%s,%%.17g,%%.17g\n" % ("%.17g" % x)
+            for x in PeriodicGrid(n).nodes.tolist()]
 
 
 def test_trace_emits_curves_and_classification(tmp_path):
@@ -469,7 +493,7 @@ def test_predict_elliptic_start_gives_nan_row(tmp_path):
     out = tmp_path / "out"
     args = []
     for item in ["preset=random_trig", "n=16", "seed=2", "modes=7",
-                 "amplitude=0.95", "u_offset=-1", "t_max=0.0001",
+                 "amplitude=0.95", "u0=-1", "t_max=0.0001",
                  "curve_seeds=7", f"outdir={out}"]:
         args += ["--set", item]
     assert run_cli(*args, "predict") == 0

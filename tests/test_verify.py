@@ -36,6 +36,19 @@ def test_random_trig_state_strictly_hyperbolic():
             random_trig_state(PeriodicGrid(64), 0, 3, amplitude, -1.0)
 
 
+def test_presets_reject_modes_the_grid_cannot_resolve():
+    # each ran as a constant state: sin(2 pi m x_j) aliases for m >= n/2
+    g = PeriodicGrid(16)
+    for mode in (0, 8, -8, 200):
+        with pytest.raises(ValueError, match="mode"):
+            simple_wave_state(QUAD, g, -1.0, 0.3, mode)
+    for modes in (0, -2, 8):
+        with pytest.raises(ValueError, match="modes"):
+            random_trig_state(g, 0, modes, 0.3, -1.0)
+    assert np.ptp(simple_wave_state(QUAD, g, -1.0, 0.3, -7).u) > 0.1
+    assert np.ptp(random_trig_state(g, 0, 7, 0.3, -1.0).u) > 0.1
+
+
 def test_crossing_time_oracle_quadratic_wave():
     # frozen from the analytic d/dx sqrt(1 - 0.3 sin(2 pi x)) minimum
     t = crossing_time_oracle(QUAD, -1.0, 0.3, 1)

@@ -160,12 +160,12 @@ def _median_spacing(times: np.ndarray) -> float:
     return float(d[k] if len(d) % 2 else (d[k - 1] + d[k]) / 2)
 
 
-def trace_batch(trajectory: Trajectory, x0, families,
-                direction: Direction = Direction.forward) -> list:
+def trace_batch(trajectory: Trajectory, starts,
+                direction: Direction = Direction.forward) -> dict:
     """Trace a batch of characteristics through the trajectory's window.
 
-    ``x0`` holds the start points; ``families`` is one Family for all
-    of them or one per point.  Every curve integrates
+    ``starts`` holds (x0, Family) pairs; a pair listed twice is traced
+    once.  Every curve integrates
     dx/dt = lambda_fam(u(t, x)) with RK4 at a step of ``STEP_FACTOR``
     times the snapshot spacing, from the same start time in the same
     direction.  Forward curves start at the first snapshot, backward
@@ -177,22 +177,19 @@ def trace_batch(trajectory: Trajectory, x0, families,
     0 in the derived quantities and K_accum carried from the previous
     sample (k diverges at the interface).
 
-    Returns one entry per start point: its CharacteristicCurve, or an
-    EllipticStart error for a start with u >= 0, which does not stop
-    the other curves.  Positions are recorded unwrapped; reduce modulo
-    1 for plotting.
+    Returns a dict from each start, in the order it first appears, to
+    its CharacteristicCurve, or to an EllipticStart error for a start
+    with u >= 0, which does not stop the other curves.  Positions are
+    recorded unwrapped; reduce modulo 1 for plotting.
     """
     fld = trajectory.field
     law = trajectory.law
     eps = trajectory.config.hyperbolicity_eps
-    x = np.array(x0, dtype=float).reshape(-1)
-    fams = ([families] * len(x) if isinstance(families, Family)
-            else list(families))
-    if len(fams) != len(x):
-        raise ValueError("need one family per start point")
+    keys = list(dict.fromkeys(starts))
+    x = np.array([x0 for x0, _ in keys], dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("start points must be finite")
-    sign = np.array([f.sign for f in fams])
+    sign = np.array([fam.sign for _, fam in keys])
     times = fld.times
     # a field holds at least two increasing times, so span > 0
     span = float(times[-1] - times[0])
@@ -247,16 +244,16 @@ def trace_batch(trajectory: Trajectory, x0, families,
         t_hit[active[hit]] = t
         active = inside
 
-    curves = []
-    for b, fam in enumerate(fams):
+    curves = {}
+    for b, key in enumerate(keys):
         if hist[0, 1, b] >= 0.0:
-            curves.append(EllipticStart(
-                f"u(t={t_start:g}, x={hist[0, 0, b]:g}) = {hist[0, 1, b]:g} >= 0"))
+            curves[key] = EllipticStart(
+                f"u(t={t_start:g}, x={hist[0, 0, b]:g}) = {hist[0, 1, b]:g} >= 0")
             continue
         c = count[b]
-        curves.append(_curve(
-            law, fam, direction, ts[:c], hist[:c, :, b].T,
-            None if np.isnan(t_hit[b]) else float(t_hit[b])))
+        curves[key] = _curve(
+            law, key[1], direction, ts[:c], hist[:c, :, b].T,
+            None if np.isnan(t_hit[b]) else float(t_hit[b]))
     return curves
 
 
@@ -266,7 +263,7 @@ def trace(trajectory: Trajectory, x0: float, fam: Family,
 
     Raises EllipticStart when u >= 0 at the start.
     """
-    curve, = trace_batch(trajectory, [x0], fam, direction)
+    curve, = trace_batch(trajectory, [(x0, fam)], direction).values()
     if isinstance(curve, EllipticStart):
         raise curve
     return curve
@@ -410,7 +407,5 @@ def dual_growth_spotcheck(trajectory: Trajectory,
     """
     seeds = spotcheck_points(sample_points)
     starts = [(x0, fam) for fam in Family for x0 in seeds]
-    traced = {direction: dict(zip(starts, trace_batch(
-        trajectory, [x0 for x0, _ in starts], [fam for _, fam in starts],
-        direction))) for direction in Direction}
-    return spotcheck_report(seeds, traced)
+    return spotcheck_report(seeds, {d: trace_batch(trajectory, starts, d)
+                                    for d in Direction})

@@ -377,20 +377,19 @@ def cmd_trace(cfg: RunConfig) -> int:
                   "hyperbolicity_eps": cfg.hyperbolicity_eps}
     families = _FAMILIES[cfg.family]
     seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
-    fams = [fam for fam in families for _ in seeds]
+    starts = [(x0, fam) for fam in families for x0 in seeds]
     try:
-        batches = {direction: trace_batch(traj, seeds * len(families), fams,
-                                          direction)
+        batches = {direction: trace_batch(traj, starts, direction)
                    for direction in _DIRECTIONS[cfg.direction]}
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "classification.json", traj, exc, {
             "run_status": traj.status.value, "curves": [],
             "thresholds": thresholds})
     entries = []
-    for f, fam in enumerate(families):
+    for fam in families:
         for direction, curves in batches.items():
             for i, x0 in enumerate(seeds):
-                curve = curves[f * len(seeds) + i]
+                curve = curves[(x0, fam)]
                 name = f"curve_{fam.name}_{direction.name}_{i}.csv"
                 if isinstance(curve, EllipticStart):
                     entries.append({"x0": x0, "family": fam.name,
@@ -424,7 +423,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
     try:
-        curves = trace_batch(traj, seeds, fam)
+        curves = trace_batch(traj, [(x0, fam) for x0 in seeds])
     except WindowTooShort as exc:
         return _untraceable(cfg, out / "predict.json", traj, exc, {
             "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
@@ -433,7 +432,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
     table = np.full((len(seeds), 3), np.nan)
     table[:, 0] = seeds
-    for row, curve in zip(table, curves):
+    for row, curve in zip(table, curves.values()):
         if not isinstance(curve, EllipticStart):
             t = predict_blowup(curve)
             row[1:] = curve.beta[0], np.nan if t is None else t

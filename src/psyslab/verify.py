@@ -69,11 +69,13 @@ def simple_wave_state(law, grid: PeriodicGrid, u_center: float,
 
     u(x) = u_center + amplitude sin(2 pi mode x) (all values < 0) and
     v(x) = r2_value - q(u(x)), so r2 = v + q(u) = r2_value everywhere.
-    The grid must resolve the mode: 0 < |mode| < n/2.
+    The grid must resolve the mode, 0 < |mode| < n/2, and amplitude != 0.
     """
     if not 0 < abs(mode) < grid.n / 2:
         raise ValueError(f"mode = {mode} must satisfy 0 < |mode| < n/2 = "
                          f"{grid.n / 2:g}")
+    if amplitude == 0:
+        raise ValueError("amplitude must be nonzero")
     x = grid.nodes
     u = u_center + amplitude * np.sin(2.0 * np.pi * mode * x)
     if np.max(u) >= 0.0:
@@ -87,16 +89,16 @@ def random_trig_state(grid: PeriodicGrid, seed: int, modes: int,
     """Band-limited random data, strictly hyperbolic by construction.
 
     Both fields are random trigonometric polynomials with wavenumbers
-    1..modes, 1 <= modes < n/2; the u perturbation is rescaled if needed
-    so that max u <= -0.05.
+    1..modes, 1 <= modes < n/2, and amplitude > 0; the u perturbation is
+    rescaled if needed so that max u <= -0.05.
     """
     if not 1 <= modes < grid.n / 2:
         raise ValueError(f"modes = {modes} must satisfy 1 <= modes < n/2 = "
                          f"{grid.n / 2:g}")
     if u_offset >= -0.05:
         raise ValueError("u_offset must be < -0.05")
-    if not amplitude >= 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude!r}")
+    if not amplitude > 0.0:
+        raise ValueError(f"amplitude must be > 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     x = grid.nodes
 
@@ -209,9 +211,7 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
                   for x0 in [(j + 0.5) / drift_seeds for j in range(drift_seeds)]]
     spot_x0 = spotcheck_points(spotcheck_seeds)
     spot_keys = [(x0, fam) for fam in Family for x0 in spot_x0]
-    starts = list(dict.fromkeys(pred_keys + drift_keys + spot_keys))
-    forward = dict(zip(starts, trace_batch(traj, [x0 for x0, _ in starts],
-                                           [fam for _, fam in starts])))
+    forward = trace_batch(traj, pred_keys + drift_keys + spot_keys)
     predictions = [t for t in (predict_blowup(forward[k]) for k in pred_keys)
                    if t is not None]
     if not predictions:
@@ -228,9 +228,7 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     drift = max((invariant_drift(forward[k], t_10x) for k in drift_keys),
                 default=0.0)
 
-    backward = dict(zip(spot_keys, trace_batch(
-        traj, [x0 for x0, _ in spot_keys], [fam for _, fam in spot_keys],
-        Direction.backward)))
+    backward = trace_batch(traj, spot_keys, Direction.backward)
     spot = spotcheck_report(spot_x0, {Direction.forward: forward,
                                       Direction.backward: backward})
 

@@ -172,7 +172,7 @@ def test_elliptic_start_raises():
 def test_trace_batch_rejects_non_finite_start(constant_traj, bad):
     # unchecked, a NaN start gives a one-sample curve that classify labels B_plus
     with pytest.raises(ValueError, match="finite"):
-        trace_batch(constant_traj, [0.25, bad], Family.first)
+        trace_batch(constant_traj, [(0.25, Family.first), (bad, Family.first)])
 
 
 def test_window_too_short():
@@ -192,7 +192,8 @@ def test_trajectory_builds_its_field_once(monkeypatch):
 
     monkeypatch.setattr(SpaceTimeField, "__init__", counting_init)
     gradient_beta(traj, [0.1, 0.6], Family.first)
-    trace_batch(traj, [0.1, 0.6], Family.second, Direction.backward)
+    trace_batch(traj, [(0.1, Family.second), (0.6, Family.second)],
+                Direction.backward)
     trace(traj, 0.3, Family.first)
     dual_growth_spotcheck(traj, 2)
     assert len(builds) == 1
@@ -216,7 +217,7 @@ def test_trace_batch_loads_no_numpy_ma():
             "g = p.PeriodicGrid(32)\n"
             "traj = p.run(p.PressureLaw.quadratic(), p.constant_state(g, -1.0, 0.0),"
             " 0.0, p.SolverConfig(t_max=0.5))\n"
-            "p.trace_batch(traj, [0.25, 0.75], p.Family.first)\n"
+            "p.trace_batch(traj, [(0.25, p.Family.first), (0.75, p.Family.first)])\n"
             "print('numpy.ma' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -309,7 +310,7 @@ def test_gradient_beta_is_the_first_curve_sample(wave_traj, fam):
     # predict_blowup reads beta0 off the curve: it must be gradient_beta
     traj, _ = wave_traj
     seeds = (np.arange(13) + 0.3) / 13    # off the grid nodes
-    betas = [c.beta[0] for c in trace_batch(traj, seeds, fam)]
+    betas = [c.beta[0] for c in trace_batch(traj, [(x0, fam) for x0 in seeds]).values()]
     assert gradient_beta(traj, seeds, fam).tolist() == betas
 
 
@@ -322,8 +323,8 @@ def test_drift_falls_with_snapshot_spacing_at_high_order():
     drift = {}
     for stride in (4, 8):
         traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5, snapshot_stride=stride))
-        curves = trace_batch(traj, seeds * 2, [f for f in Family for _ in seeds])
-        drift[stride] = max(invariant_drift(c) for c in curves)
+        curves = trace_batch(traj, [(x0, f) for f in Family for x0 in seeds])
+        drift[stride] = max(invariant_drift(c) for c in curves.values())
     assert drift[4] < 1e-7
     assert drift[8] / drift[4] >= 8.0
 
@@ -347,10 +348,11 @@ def test_batch_matches_single_traces(direction):
     # each batch holds both families, an elliptic start, a boundary hit
     # and a curve that runs the whole window
     traj = mixed_trajectory()
-    x0s = [0.25, 0.05, 0.75] * 2
-    fams = [Family.first] * 3 + [Family.second] * 3
+    starts = [(x0, fam) for fam in Family for x0 in (0.25, 0.05, 0.75)]
+    batch = trace_batch(traj, starts, direction)
+    assert list(batch) == starts
     outcomes = set()
-    for x0, fam, got in zip(x0s, fams, trace_batch(traj, x0s, fams, direction)):
+    for (x0, fam), got in batch.items():
         if isinstance(got, EllipticStart):
             with pytest.raises(EllipticStart):
                 trace(traj, x0, fam, direction)
@@ -367,6 +369,29 @@ def test_batch_matches_single_traces(direction):
                                        rtol=1e-14, atol=1e-14, err_msg=name)
         outcomes.add(got.termination.value)
     assert outcomes == {"elliptic", "reached_boundary", "reached_horizon"}
+
+
+def test_trace_batch_traces_a_repeated_start_once(monkeypatch):
+    # a start listed twice has one entry and one column in the batch, so
+    # its curve is the bits of the batch without the repeat
+    traj = mixed_trajectory()
+    starts = [(0.05, Family.first), (0.75, Family.second), (0.05, Family.first)]
+    unique = trace_batch(traj, starts[:2])
+    widths = []
+    evaluate = SpaceTimeField.evaluate
+
+    def counting(self, coeffs, x):
+        widths.append(len(x))
+        return evaluate(self, coeffs, x)
+
+    monkeypatch.setattr(SpaceTimeField, "evaluate", counting)
+    batch = trace_batch(traj, starts)
+    assert list(batch) == starts[:2]
+    assert widths[0] == 2 and max(widths) == 2
+    for key, curve in batch.items():
+        for name in CurveSample._fields:
+            np.testing.assert_array_equal(getattr(curve, name),
+                                          getattr(unique[key], name), err_msg=name)
 
 
 def test_field_evaluator_matches_direct_sum():
@@ -475,13 +500,14 @@ def test_field_memory_is_a_fraction_of_the_eager_rows():
     tracemalloc.start()
     try:
         x0 = np.arange(16) / 16
-        forward = trace_batch(traj, x0, Family.first)
-        backward = trace_batch(traj, x0, Family.second, Direction.backward)
+        forward = trace_batch(traj, [(x, Family.first) for x in x0])
+        backward = trace_batch(traj, [(x, Family.second) for x in x0],
+                               Direction.backward)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     eager = 3 * 544 * 16 * len(traj.field.times)
     assert len(traj.field.times) > 600
     for curves, t_end in ((forward, traj.t_end), (backward, traj.t0)):
-        assert all(c.t_end == pytest.approx(t_end, abs=1e-12) for c in curves)
+        assert all(c.t_end == pytest.approx(t_end, abs=1e-12) for c in curves.values())
     assert peak < eager / 4, (peak, eager)

@@ -113,6 +113,9 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     # folded into u0
     ["preset=simple_wave", "u_center=-1"],
     ["preset=random_trig", "u_offset=-1"],
+    # each ran as a constant state, labelled as the preset
+    ["preset=random_trig", "amplitude=0"],
+    ["preset=simple_wave", "amplitude=0"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []

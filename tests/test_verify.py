@@ -49,6 +49,19 @@ def test_presets_reject_modes_the_grid_cannot_resolve():
     assert np.ptp(random_trig_state(g, 0, 7, 0.3, -1.0).u) > 0.1
 
 
+def test_presets_reject_zero_amplitude():
+    # each ran as a constant state: u and v had peak-to-peak 0
+    g = PeriodicGrid(64)
+    for amplitude in (0.0, -0.0):
+        with pytest.raises(ValueError, match="amplitude"):
+            simple_wave_state(QUAD, g, -1.0, amplitude, 1)
+        with pytest.raises(ValueError, match="amplitude"):
+            random_trig_state(g, 0, 3, amplitude, -1.0)
+    # a negative amplitude is a simple wave shifted by half a period
+    assert np.ptp(simple_wave_state(QUAD, g, -1.0, -0.3, 1).u) > 0.1
+    assert np.ptp(random_trig_state(g, 0, 3, 1e-14, -1.0).u) > 0.0
+
+
 def test_crossing_time_oracle_quadratic_wave():
     # frozen from the analytic d/dx sqrt(1 - 0.3 sin(2 pi x)) minimum
     t = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
@@ -119,16 +132,17 @@ def test_scenario_simple_wave_small_grid():
 def test_scenario_simple_wave_traces_each_curve_once(monkeypatch):
     # predictions, drift and the spot check's forward curves share one
     # forward batch, the spot check's backward curves make the other; the
-    # default counts overlap, so no (x0, family, direction) may repeat
+    # default counts overlap, and each batch traces a shared start once
     import psyslab.characteristics as characteristics
     import psyslab.verify as verify
     from psyslab import Direction
     calls = []
     original = characteristics.trace_batch
 
-    def counting(traj, x0, families, direction=Direction.forward):
-        calls.append([(float(x), fam, direction) for x, fam in zip(x0, families)])
-        return original(traj, x0, families, direction)
+    def counting(traj, starts, direction=Direction.forward):
+        curves = original(traj, starts, direction)
+        calls.append([(float(x0), fam, direction) for x0, fam in curves])
+        return curves
 
     monkeypatch.setattr(verify, "trace_batch", counting)
     monkeypatch.setattr(characteristics, "trace_batch", counting)

@@ -363,7 +363,7 @@ class SpotcheckReport:
 
 
 def spotcheck_points(sample_points: int) -> list:
-    """The spot check's start points (j + 0.5) / sample_points."""
+    """The midpoint start grid (j + 0.5) / sample_points, j < sample_points."""
     return [(j + 0.5) / sample_points for j in range(sample_points)]
 
 

@@ -47,7 +47,8 @@ import numpy as np
 
 from . import __version__, _snapshot_writer
 from .characteristics import (GROWTH_FACTOR, ClassLabel, CurveSample,
-                              Direction, classify, predict_blowup, trace_batch)
+                              Direction, classify, predict_blowup,
+                              spotcheck_points, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
@@ -63,7 +64,6 @@ PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 
 @dataclass
 class RunConfig:
-    law: str = "quadratic"
     quartic_a: float = 0.0
     n: int = 256
     preset: str = "constant"
@@ -71,7 +71,6 @@ class RunConfig:
     v0: float = 0.0
     amplitude: float = 0.3
     mode: int = 1
-    r2_value: float = 0.0
     seed: int = 0
     modes: int = 3
     t0: float = 0.0
@@ -93,7 +92,7 @@ class RunConfig:
     wave_n: int = 512
 
     def law_obj(self) -> PressureLaw:
-        return PressureLaw(self.law, self.quartic_a)
+        return PressureLaw(self.quartic_a)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(**{f.name: getattr(self, f.name)
@@ -205,7 +204,7 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
         return constant_state(grid, cfg.u0, cfg.v0)
     if cfg.preset == "simple_wave":
         return simple_wave_state(cfg.law_obj(), grid, cfg.u0,
-                                 cfg.amplitude, cfg.mode, cfg.r2_value)
+                                 cfg.amplitude, cfg.mode, cfg.v0)
     if cfg.preset == "random_trig":
         return random_trig_state(grid, cfg.seed, cfg.modes, cfg.amplitude,
                                  cfg.u0)
@@ -216,15 +215,16 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
 
 def _run(cfg: RunConfig, on_snapshot=None):
     """Solve the config's initial-value problem (through the module's
-    ``run``, so that a wrapper installed on it sees the call); a time
-    span ``run`` cannot resolve is a config error."""
+    ``run``, so that a wrapper installed on it sees the call); what
+    ``run`` refuses up front (a time span it cannot resolve, an initial
+    state that overflows its monitor) is a config error."""
     law, state0 = cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n))
     try:
         return run(law, state0, cfg.t0, cfg.solver_config(), on_snapshot)
     except ConfigError:
         raise  # from on_snapshot, which makes the outdir
     except ValueError as exc:
-        raise ConfigError(f"t0 = {cfg.t0!r}, t_max = {cfg.t_max!r}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ def cmd_trace(cfg: RunConfig) -> int:
                   "growth_factor": cfg.growth_factor,
                   "hyperbolicity_eps": cfg.hyperbolicity_eps}
     families = _FAMILIES[cfg.family]
-    seeds = [(i + 0.5) / cfg.curve_seeds for i in range(cfg.curve_seeds)]
+    seeds = spotcheck_points(cfg.curve_seeds)
     starts = [(x0, fam) for fam in families for x0 in seeds]
     try:
         batches = {direction: trace_batch(traj, starts, direction)
@@ -454,10 +454,11 @@ def cmd_energy(cfg: RunConfig) -> int:
     state = build_initial_state(cfg, PeriodicGrid(cfg.n))
     gauge = ConcaveGauge(cfg.gauge)
     try:
-        e = energy(state, gauge)
-        d_formula = energy_ddot_formula(law, state, gauge)
-        d_direct = energy_ddot_direct(law, state, gauge)
-    except DomainError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            e = energy(state, gauge)
+            d_formula = energy_ddot_formula(law, state, gauge)
+            d_direct = energy_ddot_direct(law, state, gauge)
+    except (DomainError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_json(cfg, _outdir(cfg) / "energy.json", {

@@ -8,10 +8,9 @@ minimum value zero at u = 0, so that the system
 changes type across u = 0: hyperbolic where p'(u) < 0 (u < 0) and
 elliptic where p'(u) > 0 (u > 0).
 
-Two families are built in:
-
-* ``quadratic``    p(u) = u^2 / 2  (its coefficient a must be 0)
-* ``quartic(a)``   p(u) = u^2 / 2 + a * u^4,  a >= 0
+One family is built in, p(u) = u^2 / 2 + a * u^4 with a >= 0; its
+member a = 0 is the quadratic law u^2 / 2, evaluated by its own closed
+forms.
 
 All derivatives are closed-form; finite differences appear only in the
 test suite.  Evaluators accept scalars or numpy arrays.
@@ -23,55 +22,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-QUADRATIC = "quadratic"
-QUARTIC = "quartic"
-
 
 @dataclass(frozen=True)
 class PressureLaw:
-    """One of the two families above.  The constructor is the one place
-    where quadratic-likeness is guaranteed: it admits only a known kind
-    and a finite a >= 0, so p(0) = p'(0) = 0 and p'' = 1 + 12 a u^2 > 0
-    hold for every law that exists."""
+    """The law p = u^2/2 + a u^4.  The constructor is the one place
+    where quadratic-likeness is guaranteed: it admits only a finite
+    a >= 0, so p(0) = p'(0) = 0 and p'' = 1 + 12 a u^2 > 0 hold for
+    every law that exists."""
 
-    kind: str
     a: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (QUADRATIC, QUARTIC):
-            raise ValueError(f"unknown pressure law kind: {self.kind!r}")
         if not 0.0 <= self.a < np.inf:
             raise ValueError("quartic coefficient must be finite and non-negative")
-        if self.kind == QUADRATIC and self.a != 0.0:
-            raise ValueError(f"the quadratic law takes no quartic coefficient, "
-                             f"got a = {self.a:g}")
 
     @classmethod
     def quadratic(cls) -> "PressureLaw":
-        return cls(QUADRATIC)
+        return cls()
 
     @classmethod
     def quartic(cls, a: float) -> "PressureLaw":
-        return cls(QUARTIC, float(a))
+        return cls(float(a))
 
     def p(self, u):
-        if self.kind == QUADRATIC:
+        if self.a == 0.0:
             return 0.5 * u * u
         return 0.5 * u * u + self.a * u**4
 
     def dp(self, u):
-        if self.kind == QUADRATIC:
+        if self.a == 0.0:
             return u * 1.0
         return u + 4.0 * self.a * u**3
 
     def ddp(self, u):
-        if self.kind == QUADRATIC:
+        if self.a == 0.0:
             if isinstance(u, np.ndarray):
                 return np.ones_like(u, dtype=float)
             return 1.0
         return 1.0 + 12.0 * self.a * u * u
 
     def describe(self) -> str:
-        if self.kind == QUADRATIC:
+        if self.a == 0.0:
             return "quadratic"
         return f"quartic(a={self.a:g})"

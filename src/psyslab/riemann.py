@@ -74,9 +74,9 @@ def _gauss_legendre():
 def q_of_u(law, u):
     """q(u) = integral_u^0 sqrt(-p'(s)) ds for u <= 0.
 
-    Quadratic laws use the closed form (2/3)(-u)^(3/2).  Other laws
-    substitute s = -w^2, which removes the square-root singularity of
-    the integrand at s = 0,
+    The quadratic law (a = 0) uses the closed form (2/3)(-u)^(3/2).
+    Every other law substitutes s = -w^2, which removes the square-root
+    singularity of the integrand at s = 0,
 
         q(u) = integral_0^sqrt(-u) 2 w sqrt(-p'(-w^2)) dw,
 
@@ -89,7 +89,7 @@ def q_of_u(law, u):
     """
     _require_nonpositive(u)
     a = np.atleast_1d(np.asarray(u, dtype=float))
-    if getattr(law, "kind", None) == "quadratic":
+    if law.a == 0.0:
         q = (2.0 / 3.0) * np.abs(a) ** 1.5
     else:
         t, wt = _gauss_legendre()

@@ -283,7 +283,8 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     t_max.  A ValueError is raised up front unless the span exceeds it
     and, for admitted data, so does the first CFL step; a shorter step
     would round away in ``t + dt`` or carry a timing error above ~1e-4
-    of itself.
+    of itself.  It is also raised when the initial state's spectrum or
+    monitor readings overflow the float range.
 
     ``on_snapshot(t, state)``, when given, is called with each snapshot
     as it is stored, in order, so a caller can consume snapshots while
@@ -294,8 +295,12 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     t_slack = time_resolution(t0, config.t_max)
     grid = state0.grid
     n = grid.n
-    c, rows = _spectral(state0)
-    m0 = _state_metrics(c, rows)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            c, rows = _spectral(state0)
+            m0 = _state_metrics(c, rows)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     series = [SeriesRecord(t0, *m0)]
     snapshots = []
 

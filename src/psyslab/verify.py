@@ -208,7 +208,7 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     pred_keys = [(x0, Family.first)
                  for x0 in np.arange(n_curve_seeds) / n_curve_seeds]
     drift_keys = [(x0, fam) for fam in Family
-                  for x0 in [(j + 0.5) / drift_seeds for j in range(drift_seeds)]]
+                  for x0 in spotcheck_points(drift_seeds)]
     spot_x0 = spotcheck_points(spotcheck_seeds)
     spot_keys = [(x0, fam) for fam in Family for x0 in spot_x0]
     forward = trace_batch(traj, pred_keys + drift_keys + spot_keys)
@@ -310,19 +310,17 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     return report
 
 
-def scenario_ramp_residual(law: Optional[PressureLaw] = None) -> ScenarioReport:
+def scenario_ramp_residual(law) -> ScenarioReport:
     """Exact-solution residual check for (u, v) = (t, -x) on a 5 x 9
     grid of (t, x) points.
 
-    The pair solves the system identically (u_t + v_x = 1 - 1 = 0 and
-    v_t - (p(u))_x = 0 - p'(u) * 0 = 0), but v is not periodic:
-    v(x+1) - v(x) = -1.  So u-periodicity alone is strictly weaker than
-    periodicity of the pair, and this solution is outside the rigidity
-    class.  All residuals must vanish exactly in floating point.
+    The pair solves the system identically for every law, since u_x = 0
+    (u_t + v_x = 1 - 1 = 0 and v_t - (p(u))_x = 0 - p'(u) * 0 = 0), but
+    v is not periodic: v(x+1) - v(x) = -1.  So u-periodicity alone is
+    strictly weaker than periodicity of the pair, and this solution is
+    outside the rigidity class.  All residuals must vanish exactly in
+    floating point.
     """
-    law = law or PressureLaw.quadratic()
-    if law.kind != "quadratic":
-        raise ValueError("the ramp solution check is defined for the quadratic law")
     report = ScenarioReport("ramp_residual", law.describe(), None,
                             thresholds={"residual": 0.0})
     max_r1 = max_r2 = 0.0
@@ -449,7 +447,7 @@ def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
                                     spotcheck_seeds=4),
         scenario_random_hyperbolic_sweep(law, n_sweep_seeds, sweep_t_max,
                                          n=sweep_n, spotcheck_seeds=2),
-        scenario_ramp_residual(),
+        scenario_ramp_residual(law),
         scenario_riccati_crosscheck(law, "constant"),
         scenario_riccati_crosscheck(law, "ramp"),
         scenario_energy_identity(law, 20, 42),

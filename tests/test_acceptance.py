@@ -122,7 +122,7 @@ def test_criterion_6_energy_identity():
 
 def test_criterion_7_ramp_residual():
     t0 = time.perf_counter()
-    rep = ps.scenario_ramp_residual()
+    rep = ps.scenario_ramp_residual(QUAD)
     elapsed = time.perf_counter() - t0
     m = rep.metrics
     ok = (rep.verdict == "pass" and m["max_residual_1"] == 0.0

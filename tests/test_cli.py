@@ -33,13 +33,13 @@ def write_config(tmp_path, text, name="run.cfg"):
 def test_parse_minimal_config(tmp_path):
     path = write_config(tmp_path, """
 # minimal run
-law = quadratic
+quartic_a = 0
 n = 256
 preset = constant
 u0 = -1
 """)
     cfg = parse_config(path)
-    assert cfg.law == "quadratic"
+    assert cfg.law_obj() == psyslab.PressureLaw.quadratic()
     assert cfg.n == 256
     assert cfg.u0 == -1.0
     assert cfg.cfl_safety == 0.4  # default applied
@@ -95,11 +95,11 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["t_max=0"],
     ["preset=simple_wave", "u0=0.5"],
     ["preset=random_trig", "u0=0"],
-    ["law=quartic", "quartic_a=nan"],
+    ["quartic_a=nan"],
     ["t_max=inf"],
     ["grad_blowup_factor=0"],
     ["preset=elliptic_random", "seed=-1"],
-    ["law=quadratic", "quartic_a=0.3"],
+    ["law=quadratic"],
     ["preset=bogus"],
     ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
     ["preset=simple_wave", "n=16", "t0=1e17", "t_max=100000000000000064"],
@@ -116,6 +116,12 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     # each ran as a constant state, labelled as the preset
     ["preset=random_trig", "amplitude=0"],
     ["preset=simple_wave", "amplitude=0"],
+    # folded into v0
+    ["preset=simple_wave", "r2_value=1"],
+    # the initial spectrum or monitor readings overflow
+    ["preset=random_trig", "amplitude=1e300"],
+    ["preset=simple_wave", "u0=-1e200", "amplitude=1"],
+    ["preset=constant", "v0=1e308"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -139,11 +145,14 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("verify", ["preset=simple_wave", "u0=0.5"]),
     ("verify", ["wave_n=8192"]),
     ("energy", ["gauge=cubic"]),
+    ("predict", ["preset=random_trig", "amplitude=1e300"]),
+    ("trace", ["preset=constant", "v0=1e308"]),
 ], ids=["wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
         "verify_t_max_zero", "verify_t_max_below_resolution",
         "growth_factor_negative", "verify_bad_preset",
-        "wave_n_too_large", "energy_bad_gauge"])
+        "wave_n_too_large", "energy_bad_gauge",
+        "predict_overflowing_state", "trace_overflowing_state"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     args = []
@@ -526,6 +535,18 @@ def test_energy_rejects_hyperbolic_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_energy_overflow_is_an_error_line(tmp_path, capsys):
+    # the diagnostics of u = 1e200 overflow; they used to come out NaN
+    # and end in a traceback from the JSON writer, with an empty outdir
+    out = tmp_path / "out"
+    code = run_cli("--set", "preset=constant", "--set", "u0=1e200",
+                   "--set", "n=64", "--set", f"outdir={out}", "energy")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_energy_elliptic_random_preset(tmp_path):
     out = tmp_path / "out"
     code = run_cli("--set", "preset=elliptic_random", "--set", "seed=5",
@@ -585,7 +606,7 @@ CONTRACT_RUNS = (
     ("trace", WAVE + ["family=both", "direction=both"], "trace"),
     ("predict", WAVE, "predict"),
     ("energy", ["preset=elliptic_random", "seed=5"], "energy"),
-    ("trace_quartic", WAVE + ["law=quartic", "quartic_a=0.3"], "trace"),
+    ("trace_quartic", WAVE + ["quartic_a=0.3"], "trace"),
 )
 
 _CONFIG_HASH = re.compile(rb'(config_sha256=|"config_hash": ")[0-9a-f]{16}')

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from psyslab import PressureLaw
+from psyslab import PeriodicGrid, PressureLaw, q_of_u
+from psyslab.verify import simple_wave_state
 
 QUAD = PressureLaw.quadratic()
 QUART = PressureLaw.quartic(0.1)
@@ -52,11 +53,17 @@ def test_derivatives_match_finite_differences():
             assert abs(law.ddp(u) - fd2) < 1e-8
 
 
+def test_quartic_zero_is_the_quadratic_law():
+    # one law, one path: a = 0 takes the quadratic closed forms, q included
+    law = PressureLaw.quartic(0.0)
+    assert law == QUAD and law.describe() == "quadratic"
+    a, b = (simple_wave_state(lw, PeriodicGrid(64), -1.0, 0.3, 1)
+            for lw in (law, QUAD))
+    assert q_of_u(law, a.u).tobytes() == q_of_u(QUAD, a.u).tobytes()
+    assert a.v.tobytes() == b.v.tobytes()
+
+
 def test_constructor_rejects_bad_laws():
-    with pytest.raises(ValueError):
-        PressureLaw("cubic")
-    with pytest.raises(ValueError, match="quadratic"):
-        PressureLaw("quadratic", 0.5)
     for a in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             PressureLaw.quartic(a)

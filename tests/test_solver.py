@@ -93,6 +93,16 @@ def test_run_refuses_elliptic_and_interface_data():
         assert traj.steps == 0
 
 
+def test_run_refuses_an_initial_state_that_overflows_the_monitor():
+    # each used to escape as OverflowError or NonFiniteState
+    g = PeriodicGrid(64)
+    wavy_v = 1e300 * np.sin(2 * np.pi * g.nodes)
+    for state in (constant_state(g, -1.0, 1e308),
+                  StateField(g, np.full(64, -1.0), wavy_v)):
+        with pytest.raises(ValueError, match="overflows"):
+            run(QUAD, state, 0.0, SolverConfig(t_max=1.0))
+
+
 def test_run_requires_future_t_max():
     g = PeriodicGrid(64)
     with pytest.raises(ValueError):

@@ -94,14 +94,15 @@ def test_scenario_constant_fails_on_elliptic():
 
 
 def test_scenario_ramp_residual():
-    rep = scenario_ramp_residual()
-    assert rep.verdict == "pass"
-    assert rep.metrics["max_residual_1"] == 0.0
-    assert rep.metrics["max_residual_2"] == 0.0
-    assert rep.metrics["v_period_shift"] == -1.0
-    assert rep.metrics["u_period_shift"] == 0.0
-    with pytest.raises(ValueError):
-        scenario_ramp_residual(PressureLaw.quartic(0.1))
+    # (u, v) = (t, -x) solves the system for every law, since u_x = 0
+    for law in (QUAD, PressureLaw.quartic(0.1)):
+        rep = scenario_ramp_residual(law)
+        assert rep.verdict == "pass"
+        assert rep.law == law.describe()
+        assert rep.metrics["max_residual_1"] == 0.0
+        assert rep.metrics["max_residual_2"] == 0.0
+        assert rep.metrics["v_period_shift"] == -1.0
+        assert rep.metrics["u_period_shift"] == 0.0
 
 
 def test_scenario_riccati_constant_profile():

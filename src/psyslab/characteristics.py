@@ -54,11 +54,6 @@ class Direction(enum.Enum):
         return float(self.value)
 
 
-class Termination(str, enum.Enum):
-    reached_horizon = "reached_horizon"
-    reached_boundary = "reached_boundary"
-
-
 class ClassLabel(str, enum.Enum):
     A_plus = "A_plus"
     A_minus = "A_minus"
@@ -98,12 +93,6 @@ class CharacteristicCurve:
         """The samples as CurveSample tuples, built on each access."""
         columns = (getattr(self, name).tolist() for name in CurveSample._fields)
         return [CurveSample(*row) for row in zip(*columns)]
-
-    @property
-    def termination(self) -> Termination:
-        """Read off ``t_hit``: reached_boundary when it is set."""
-        return (Termination.reached_horizon if self.t_hit is None
-                else Termination.reached_boundary)
 
     @property
     def t_start(self) -> float:

@@ -25,10 +25,10 @@ of about 73 bytes per node and stored snapshot) is formatted by a second
 process, ``_snapshot_writer.py``, while the solver runs: ``simulate``
 gives it n and the CSV head on its command line, then pipes it each
 snapshot's raw floats as the run stores it, so the two overlap, and
-the memory either process takes for the file is bounded by one
-snapshot, not by the file.  ``simulate`` makes the outdir when the
-first snapshot is stored, after the solver's up-front checks, and waits
-for the writer before it returns or raises.
+the run keeps none: the memory either process takes for the snapshots
+is bounded by one snapshot, not by the file.  ``simulate`` makes the
+outdir when the first snapshot is stored, after the solver's up-front
+checks, and waits for the writer before it returns or raises.
 """
 
 from __future__ import annotations
@@ -55,11 +55,16 @@ from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw
 from .riemann import Family
-from .solver import SeriesRecord, SolverConfig, run, time_resolution
+from .solver import SeriesRecord, SolverConfig, cfl_dt, run, time_resolution
 from .verify import (constant_state, default_suite, random_elliptic_state,
                      random_trig_state, simple_wave_state)
 
 PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
+
+#: the most steps a config may ask of its run, estimated as t_max - t0
+#: over the first CFL step of the preset's state: 10x the steps of the
+#: largest grid's default run (n = 4096, t_max = 10: 102,400 steps)
+MAX_STEPS = 2**20
 
 
 @dataclass
@@ -156,11 +161,21 @@ def _validate(cfg: RunConfig) -> RunConfig:
                 raise ValueError("grid size must be <= 4096")
             PeriodicGrid(n)
         where = ""
-        cfg.law_obj()
+        law = cfg.law_obj()
         cfg.solver_config()
         ConcaveGauge(cfg.gauge)
         where = f"preset {cfg.preset}: "
-        build_initial_state(cfg, PeriodicGrid(cfg.n))
+        grid = PeriodicGrid(cfg.n)
+        state0 = build_initial_state(cfg, grid)
+        where = ""
+        # data that admission refuses takes no step
+        if state0.u.max() <= -cfg.hyperbolicity_eps:
+            with np.errstate(over="ignore"):  # an infinite speed gives dt0 = 0
+                dt0 = cfl_dt(law, grid, state0.u, cfg.cfl_safety)
+            if cfg.t_max - cfg.t0 > MAX_STEPS * dt0:
+                raise ValueError(f"t_max - t0 = {cfg.t_max - cfg.t0:g} is more "
+                                 f"than MAX_STEPS = {MAX_STEPS} first CFL "
+                                 f"steps of {dt0:g}")
     except ValueError as exc:
         raise ConfigError(f"{where}{exc}") from exc
     return cfg
@@ -265,16 +280,18 @@ class _SnapshotStream:
     in the outdir, rows ``t,x,u,v`` with 17 significant digits as
     ``_write_csv`` writes them.
 
-    The first snapshot makes the outdir and starts the writer.  ``publish``
-    waits for the writer and renames the part file into place;
-    ``discard`` kills a writer still running, waits for it and removes
-    the part file.  Either way no writer outlives the call."""
+    The first snapshot makes the outdir and starts the writer, and
+    ``t_end`` is the time of the last snapshot sent.  ``publish`` waits
+    for the writer and renames the part file into place; ``discard``
+    kills a writer still running, waits for it and removes the part
+    file.  Either way no writer outlives the call."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.path = Path(cfg.outdir) / "snapshots.csv"
         self.part = self.path.with_name(self.path.name + ".part")
         self.proc = None
+        self.t_end = None
 
     def __call__(self, t: float, state):
         if self.proc is None:
@@ -293,6 +310,7 @@ class _SnapshotStream:
         except BrokenPipeError:
             self._wait()  # the writer has exited: raise its error
             raise
+        self.t_end = t
 
     def _wait(self):
         """Close the writer's input and wait for it; raise OSError with
@@ -351,7 +369,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "status": traj.status.value,
         "t_detect": traj.t_detect,
         "steps": traj.steps,
-        "t_end": traj.t_end,
+        "t_end": snapshots.t_end,
         "law": traj.law.describe(),
     })
     return 0
@@ -403,7 +421,8 @@ def cmd_trace(cfg: RunConfig) -> int:
                 entries.append({"x0": x0, "family": fam.name,
                                 "direction": direction.name,
                                 "label": label.value,
-                                "termination": curve.termination.value,
+                                "termination": ("reached_horizon" if curve.t_hit
+                                                is None else "reached_boundary"),
                                 "t_hit": curve.t_hit,
                                 "artifact": name})
     _write_json(cfg, out / "classification.json", {

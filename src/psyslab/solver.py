@@ -101,16 +101,21 @@ class Trajectory:
     """Time-ordered snapshots plus per-step series and termination status.
 
     ``config`` is the SolverConfig the run used; its hyperbolicity_eps is
-    also where a traced curve counts as reaching the interface.
+    also where a traced curve counts as reaching the interface.  A run
+    whose snapshots went to an ``on_snapshot`` consumer keeps none, and
+    ``t0``, ``t_end`` and ``field`` need kept snapshots.
     """
 
     law: object
     snapshots: list  # [(t, StateField)], times strictly increasing
     status: RunStatus
     t_detect: Optional[float]
-    series: list  # [SeriesRecord]
-    steps: int
+    series: list  # [SeriesRecord], one at t0 and one per step
     config: SolverConfig
+
+    @property
+    def steps(self) -> int:
+        return len(self.series) - 1
 
     @property
     def t0(self) -> float:
@@ -287,10 +292,10 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     monitor readings overflow the float range.
 
     ``on_snapshot(t, state)``, when given, is called with each snapshot
-    as it is stored, in order, so a caller can consume snapshots while
-    the run goes on.  The initial snapshot is passed only once the
-    up-front checks have passed: a run that raises ValueError has passed
-    nothing, and an ``admission_refused`` run passes its one snapshot.
+    as it is stored, in order, and is its one consumer: the trajectory
+    keeps none.  The initial snapshot is passed only once the up-front
+    checks have passed: a run that raises ValueError has passed nothing,
+    and an ``admission_refused`` run passes its one snapshot.
     """
     t_slack = time_resolution(t0, config.t_max)
     grid = state0.grid
@@ -303,16 +308,11 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     series = [SeriesRecord(t0, *m0)]
     snapshots = []
-
-    def store(t, state):
-        snapshots.append((t, state))
-        if on_snapshot is not None:
-            on_snapshot(t, state)
-
+    store = on_snapshot or (lambda t, state: snapshots.append((t, state)))
     if m0[0] > -config.hyperbolicity_eps:
         store(t0, state0)
         return Trajectory(law, snapshots, RunStatus.admission_refused,
-                          None, series, 0, config)
+                          None, series, config)
     # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
     # the CFL step reads the state's two extremes of u, not its samples
     dt0 = cfl_dt(law, grid, np.array(m0[:2]), config.cfl_safety)
@@ -353,6 +353,6 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         if steps % config.snapshot_stride == 0:
             store(t, StateField(grid, *rows[:2]))
 
-    if status is RunStatus.completed and snapshots[-1][0] < t:
+    if status is RunStatus.completed and steps % config.snapshot_stride:
         store(t, StateField(grid, *rows[:2]))
-    return Trajectory(law, snapshots, status, t_detect, series, steps, config)
+    return Trajectory(law, snapshots, status, t_detect, series, config)

@@ -69,15 +69,17 @@ def simple_wave_state(law, grid: PeriodicGrid, u_center: float,
 
     u(x) = u_center + amplitude sin(2 pi mode x) (all values < 0) and
     v(x) = r2_value - q(u(x)), so r2 = v + q(u) = r2_value everywhere.
-    The grid must resolve the mode, 0 < |mode| < n/2, and amplitude != 0.
+    The grid must resolve the mode, 0 < |mode| < n/2, and the amplitude
+    must move u off u_center: it is nonzero and does not round away.
     """
     if not 0 < abs(mode) < grid.n / 2:
         raise ValueError(f"mode = {mode} must satisfy 0 < |mode| < n/2 = "
                          f"{grid.n / 2:g}")
-    if amplitude == 0:
-        raise ValueError("amplitude must be nonzero")
     x = grid.nodes
     u = u_center + amplitude * np.sin(2.0 * np.pi * mode * x)
+    if np.ptp(u) == 0.0:
+        raise ValueError(f"amplitude = {amplitude!r} leaves u constant at "
+                         f"u_center = {u_center!r}")
     if np.max(u) >= 0.0:
         raise ValueError("simple wave must stay strictly hyperbolic (u < 0)")
     v = r2_value - q_of_u(law, u)

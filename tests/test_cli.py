@@ -1,17 +1,21 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psyslab
 from psyslab import PeriodicGrid, _snapshot_writer, cli
@@ -116,12 +120,17 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     # each ran as a constant state, labelled as the preset
     ["preset=random_trig", "amplitude=0"],
     ["preset=simple_wave", "amplitude=0"],
+    ["preset=simple_wave", "u0=-700", "amplitude=1e-300"],
     # folded into v0
     ["preset=simple_wave", "r2_value=1"],
     # the initial spectrum or monitor readings overflow
     ["preset=random_trig", "amplitude=1e300"],
     ["preset=simple_wave", "u0=-1e200", "amplitude=1"],
     ["preset=constant", "v0=1e308"],
+    # each was accepted, and would have run for hours: more than MAX_STEPS
+    # steps (about 1.6e8 and 6.4e9)
+    ["preset=constant", "t_max=1e6"],
+    ["cfl_safety=1e-7"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -384,7 +393,9 @@ def test_failed_snapshot_writer_leaves_no_partial_file(tmp_path, monkeypatch,
 
 def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
                                                     wave_traj):
-    # formatting the file as one string took 3.6x its size
+    # formatting the file as one string took 3.6x its size.  The replayed
+    # trajectory is built outside the traced region, so this test cannot
+    # see snapshots the solver keeps; the next one runs the solver
     monkeypatch.setattr(cli, "run", _replay(wave_traj))
     cfg = parse_config(None, WAVE + [f"outdir={tmp_path}"])
     tracemalloc.start()
@@ -394,6 +405,22 @@ def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
     finally:
         tracemalloc.stop()
     assert peak < (tmp_path / "snapshots.csv").stat().st_size / 4
+
+
+def test_simulate_run_keeps_no_snapshots(tmp_path):
+    # the solver itself, traced: it once kept every snapshot it sent to
+    # the writer as well, and peaked at 1.4x their raw bytes here (1605
+    # snapshots of n=256), where it now peaks near the series' size
+    cfg = parse_config(None, WAVE + ["snapshot_stride=1", f"outdir={tmp_path}"])
+    tracemalloc.start()
+    try:
+        assert cli.cmd_simulate(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "snapshots.csv", "rb") as f:
+        rows = sum(1 for _ in f) - 2
+    assert peak < 16 * rows / 2  # half the snapshots' raw (u, v) bytes
 
 
 def test_writer_memory_is_bounded_by_one_snapshot(tmp_path, wave_traj):
@@ -639,3 +666,81 @@ def test_outputs_match_manifest(tmp_path, small_verify):
         (tmp_path / MANIFEST.name).write_text("".join(
             f"{digest}  {name}\n" for name, digest in sorted(digests.items())))
     assert digests == expected
+
+
+# ---------------------------------------------------------------------------
+# the config space, fuzzed: every command, in-process
+
+_FLOATS = dict(allow_nan=False, allow_infinity=False)
+
+#: a grammar over RunConfig's keys, each drawn or left at its default,
+#: with values every command accepts for most presets
+_FUZZ_KEYS = {
+    "quartic_a": st.sampled_from([0.0, 0.3]),
+    "n": st.sampled_from([16, 32, 64]),
+    "preset": st.sampled_from(cli.PRESETS),
+    "u0": st.floats(-3.0, -0.2, **_FLOATS),
+    "v0": st.floats(-2.0, 2.0, **_FLOATS),
+    "amplitude": st.floats(0.01, 0.5, **_FLOATS),
+    "mode": st.sampled_from([1, 2, -1, 7]),
+    "seed": st.integers(0, 3),
+    "modes": st.integers(1, 7),
+    "cfl_safety": st.floats(0.05, 1.0, **_FLOATS),
+    "grad_blowup_factor": st.sampled_from([1e4, 10.0]),
+    "tail_ratio_max": st.sampled_from([1e-4, 1e-8]),
+    "hyperbolicity_eps": st.sampled_from([1e-3, 0.5]),
+    "snapshot_stride": st.integers(1, 6),
+    "curve_seeds": st.integers(1, 4),
+    "family": st.sampled_from(["first", "second", "both"]),
+    "direction": st.sampled_from(["forward", "backward", "both"]),
+    "growth_factor": st.sampled_from([10.0, 1.0]),
+    "gauge": st.sampled_from(["log1p", "rational"]),
+}
+
+#: at most one of these follows the drawn keys: each is refused by every
+#: preset, or by the presets that read its key, or asks for more than
+#: MAX_STEPS steps
+_FUZZ_BAD = ["n=48", "preset=bogus", "quartic_a=-0.1", "u0=0.5", "amplitude=0",
+             "amplitude=-0.5", "amplitude=1e-300", "mode=0", "mode=40",
+             "modes=0", "modes=40", "seed=-1", "snapshot_stride=0",
+             "curve_seeds=0", "family=third", "growth_factor=0.5",
+             "gauge=cubic", "hyperbolicity_eps=0", "cfl_safety=1e-7",
+             "t_max=1e6"]
+
+#: verify's own keys, at their smallest sizes
+_FUZZ_VERIFY = ["verify_seeds=1", "verify_t_max=0.5", "verify_n=16", "wave_n=16"]
+
+
+@st.composite
+def _fuzz_configs(draw):
+    items = draw(st.fixed_dictionaries({}, optional=_FUZZ_KEYS))
+    t0 = draw(st.floats(-5.0, 5.0, **_FLOATS))
+    span = draw(st.floats(0.01, 0.3, **_FLOATS))
+    items.update(t0=t0, t_max=t0 + span)
+    return ([f"{key}={value}" for key, value in items.items()] + _FUZZ_VERIFY
+            + draw(st.lists(st.sampled_from(_FUZZ_BAD), max_size=1)))
+
+
+# verify reads only the law and its own keys, and its constant scenario
+# runs 6400 steps at n=256 whatever they are (about 2 s, twice that under
+# the quartic law), so it runs once, at its smallest sizes, not at random
+@settings(max_examples=50, deadline=15_000, derandomize=True, database=None)
+@given(overrides=_fuzz_configs(),
+       command=st.sampled_from(["simulate", "trace", "predict", "energy"]))
+@example(overrides=_FUZZ_VERIFY, command="verify")
+def test_cli_fuzz(overrides, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(*sets(overrides + [f"outdir={out}"]), command)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()
+        elif code == 0 and command == "simulate":
+            cfg = parse_config(None, overrides)
+            if cfg.preset != "constant":
+                with open(out / "snapshots.csv") as f:
+                    rows = list(itertools.islice(f, 2, 2 + cfg.n))
+                uv = np.array([row.split(",")[2:] for row in rows], dtype=float)
+                assert np.ptp(uv, axis=0).max() > 0.0  # not a constant state

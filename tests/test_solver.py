@@ -159,14 +159,20 @@ def _on_snapshot_states():
 
 @pytest.mark.parametrize("status", [s.value for s in RunStatus])
 def test_on_snapshot_sees_each_stored_snapshot_in_order(status):
+    # each snapshot has one consumer: the consumer sees the snapshots a
+    # run without one keeps, in order and bit for bit, and the trajectory
+    # keeps none of them
     state0, config = _on_snapshot_states()[status]
+    kept = run(QUAD, state0, 0.0, config)
     seen = []
     traj = run(QUAD, state0, 0.0, config,
                lambda t, state: seen.append((t, state)))
-    assert traj.status is RunStatus(status)
-    # the same (t, state) objects, in the same order
-    assert ([(t, id(state)) for t, state in seen]
-            == [(t, id(state)) for t, state in traj.snapshots])
+    assert traj.status is kept.status is RunStatus(status)
+    assert traj.snapshots == []
+    assert [t for t, _ in seen] == [t for t, _ in kept.snapshots]
+    for (_, got), (_, ref) in zip(seen, kept.snapshots):
+        assert got.u.tobytes() == ref.u.tobytes()
+        assert got.v.tobytes() == ref.v.tobytes()
 
 
 @pytest.mark.parametrize("t0, t_max", [(1e15, 1000000000002000.0),
@@ -433,6 +439,9 @@ def test_run_fft_budget(monkeypatch):
 
     g = PeriodicGrid(64)
     s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u_offset=-1.0)
+    # a consumer's run keeps no snapshots, so the count it must see comes
+    # from a run made before the counters go in
+    stored = len(run(QUAD, s0, 0.0, SolverConfig(t_max=0.5)).snapshots)
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     # a snapshot consumer adds no transform
@@ -440,6 +449,6 @@ def test_run_fft_budget(monkeypatch):
     traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5),
                lambda t, state: seen.append(t))
     assert traj.status is RunStatus.completed and traj.steps >= 50
-    assert len(seen) == len(traj.snapshots)
+    assert len(seen) == stored
     assert counts["calls"] <= 8 * traj.steps + 2
     assert counts["rows"] <= 11 * traj.steps + 6

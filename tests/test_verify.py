@@ -57,6 +57,9 @@ def test_presets_reject_zero_amplitude():
             simple_wave_state(QUAD, g, -1.0, amplitude, 1)
         with pytest.raises(ValueError, match="amplitude"):
             random_trig_state(g, 0, 3, amplitude, -1.0)
+    # so did a simple wave whose amplitude rounds away against u_center
+    with pytest.raises(ValueError, match="amplitude"):
+        simple_wave_state(QUAD, g, -700.0, 1e-300, 1)
     # a negative amplitude is a simple wave shifted by half a period
     assert np.ptp(simple_wave_state(QUAD, g, -1.0, -0.3, 1).u) > 0.1
     assert np.ptp(random_trig_state(g, 0, 3, 1e-14, -1.0).u) > 0.0

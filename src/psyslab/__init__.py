@@ -25,8 +25,8 @@ from .pressure import PressureLaw
 from .riemann import (Family, RiemannPair, beta_from_gradient, q_of_u,
                       riccati_evolve, riccati_k, riemann_from_state,
                       state_from_riemann, u_of_q)
-from .solver import (RunStatus, SeriesRecord, SolverConfig, Trajectory, cfl_dt,
-                     run, step_rk4)
+from .solver import (SERIES_COLUMNS, RunStatus, SolverConfig, Trajectory,
+                     cfl_dt, run, step_rk4)
 from .verify import (ScenarioReport, constant_state, crossing_time_oracle,
                      default_suite, random_elliptic_state, random_trig_state,
                      scenario_constant, scenario_energy_identity,

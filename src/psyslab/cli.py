@@ -39,6 +39,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +56,7 @@ from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw
 from .riemann import Family
-from .solver import SeriesRecord, SolverConfig, cfl_dt, run, time_resolution
+from .solver import SERIES_COLUMNS, SolverConfig, cfl_dt, run, time_resolution
 from .verify import (constant_state, default_suite, random_elliptic_state,
                      random_trig_state, simple_wave_state)
 
@@ -65,6 +66,12 @@ PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 #: over the first CFL step of the preset's state: 10x the steps of the
 #: largest grid's default run (n = 4096, t_max = 10: 102,400 steps)
 MAX_STEPS = 2**20
+
+#: the most bytes a command may keep from its run, estimated from those
+#: steps: 48 of series a step, and for ``trace`` and ``predict`` 16n a
+#: kept snapshot.  The default ``trace`` (n = 256, t_max = 10) keeps
+#: 5.6 MB, and at n = 4096 it keeps 1.4 GB
+MAX_KEPT_BYTES = 2**32
 
 
 @dataclass
@@ -136,9 +143,11 @@ _DIRECTIONS = {"forward": [Direction.forward], "backward": [Direction.backward],
                "both": [Direction.forward, Direction.backward]}
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
+def _validate(cfg: RunConfig, command=None) -> RunConfig:
     """Build every library object the config names, turning their
-    ValueErrors into ConfigErrors; check here only what none of them holds."""
+    ValueErrors into ConfigErrors; check here only what none of them holds.
+    ``command``, when given, is the one the config is for: ``trace`` and
+    ``predict`` keep their run's snapshots."""
     for key, table in (("family", _FAMILIES), ("direction", _DIRECTIONS)):
         if getattr(cfg, key) not in table:
             raise ConfigError(f"{key} must be one of {', '.join(table)}, "
@@ -176,13 +185,24 @@ def _validate(cfg: RunConfig) -> RunConfig:
                 raise ValueError(f"t_max - t0 = {cfg.t_max - cfg.t0:g} is more "
                                  f"than MAX_STEPS = {MAX_STEPS} first CFL "
                                  f"steps of {dt0:g}")
+            steps = (cfg.t_max - cfg.t0) / dt0
+            kept = 48 * steps
+            if command in ("trace", "predict"):
+                kept += (steps // cfg.snapshot_stride + 2) * 16 * cfg.n
+            if kept > MAX_KEPT_BYTES:
+                raise ValueError(f"{command} would keep about {kept:.3g} bytes "
+                                 f"of its {steps:.0f} steps, more than "
+                                 f"MAX_KEPT_BYTES = {MAX_KEPT_BYTES}")
     except ValueError as exc:
-        raise ConfigError(f"{where}{exc}") from exc
+        # a preset names the parameter u0 feeds, not the key
+        reason = re.sub(r"\bu_(center|offset)\b", "u0", str(exc))
+        raise ConfigError(f"{where}{reason}") from exc
     return cfg
 
 
-def parse_config(path=None, overrides=()) -> RunConfig:
-    """Assemble the effective config: defaults, then file, then --set flags."""
+def parse_config(path=None, overrides=(), command=None) -> RunConfig:
+    """Assemble the effective config: defaults, then file, then --set
+    flags, and validate it for ``command`` (see ``_validate``)."""
     cfg = RunConfig()
     if path is not None:
         try:
@@ -204,7 +224,7 @@ def parse_config(path=None, overrides=()) -> RunConfig:
         key, _, raw = item.partition("=")
         key, raw = key.strip(), raw.strip()
         setattr(cfg, key, _coerce(key, raw, f"--set {key}"))
-    return _validate(cfg)
+    return _validate(cfg, command)
 
 
 def _echo_config(cfg: RunConfig, stream=sys.stderr):
@@ -363,8 +383,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         snapshots.discard()
         raise
     out = Path(cfg.outdir)
-    _write_csv(cfg, out / "series.csv", SeriesRecord._fields,
-               np.array(traj.series, dtype=float))
+    _write_csv(cfg, out / "series.csv", SERIES_COLUMNS, traj.series)
     _write_json(cfg, out / "run.json", {
         "status": traj.status.value,
         "t_detect": traj.t_detect,
@@ -536,7 +555,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config, args.overrides)
+        cfg = parse_config(args.config, args.overrides, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,13 +87,10 @@ class SolverConfig:
             raise ValueError("snapshot_stride must be an integer >= 1")
 
 
-class SeriesRecord(NamedTuple):
-    t: float
-    max_u: float
-    min_u: float
-    max_abs_ux: float
-    max_abs_vx: float
-    tail_ratio: float
+#: the columns of ``Trajectory.series``: t and its ``_state_metrics``
+SERIES_COLUMNS = ("t", "max_u", "min_u", "max_abs_ux", "max_abs_vx",
+                  "tail_ratio")
+_SERIES_ROWS = 64  # rows of a run's series before its first doubling
 
 
 @dataclass
@@ -102,15 +99,15 @@ class Trajectory:
 
     ``config`` is the SolverConfig the run used; its hyperbolicity_eps is
     also where a traced curve counts as reaching the interface.  A run
-    whose snapshots went to an ``on_snapshot`` consumer keeps none, and
-    ``t0``, ``t_end`` and ``field`` need kept snapshots.
+    whose snapshots went to an ``on_snapshot`` consumer keeps none; only
+    ``t_end`` and ``field`` need kept snapshots.
     """
 
     law: object
     snapshots: list  # [(t, StateField)], times strictly increasing
     status: RunStatus
     t_detect: Optional[float]
-    series: list  # [SeriesRecord], one at t0 and one per step
+    series: np.ndarray  # (steps + 1, 6): SERIES_COLUMNS at t0 and each step
     config: SolverConfig
 
     @property
@@ -119,7 +116,7 @@ class Trajectory:
 
     @property
     def t0(self) -> float:
-        return self.snapshots[0][0]
+        return float(self.series[0, 0])
 
     @property
     def t_end(self) -> float:
@@ -132,11 +129,6 @@ class Trajectory:
         builds a snapshot's coefficient rows when a tracer first needs
         them and keeps only a few, so it adds O(n) memory to the run."""
         return SpaceTimeField(self.snapshots, self.law)
-
-    def series_arrays(self) -> dict:
-        cols = SeriesRecord._fields
-        data = np.array(self.series, dtype=float).reshape(-1, len(cols))
-        return {name: data[:, i] for i, name in enumerate(cols)}
 
 
 def _rhs_coefficients(law, n: int, c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -306,11 +298,14 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
             m0 = _state_metrics(c, rows)
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
-    series = [SeriesRecord(t0, *m0)]
+    # doubled when full and trimmed at the end, in place: it has no views
+    series = np.empty((_SERIES_ROWS, len(SERIES_COLUMNS)))
+    series[0] = t0, *m0
     snapshots = []
     store = on_snapshot or (lambda t, state: snapshots.append((t, state)))
     if m0[0] > -config.hyperbolicity_eps:
         store(t0, state0)
+        series.resize((1, len(SERIES_COLUMNS)), refcheck=False)
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, config)
     # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
@@ -342,7 +337,9 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
             break
         t += dt
         steps += 1
-        series.append(SeriesRecord(t, *m))
+        if steps == len(series):
+            series.resize((2 * steps, len(SERIES_COLUMNS)), refcheck=False)
+        series[steps] = t, *m
         fired = _monitor_from_metrics(m, initial_scale, config)
         if fired is not None:
             status = fired
@@ -355,4 +352,5 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
 
     if status is RunStatus.completed and steps % config.snapshot_stride:
         store(t, StateField(grid, *rows[:2]))
+    series.resize((steps + 1, len(SERIES_COLUMNS)), refcheck=False)
     return Trajectory(law, snapshots, status, t_detect, series, config)

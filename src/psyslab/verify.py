@@ -223,10 +223,10 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
     t_predicted = min(predictions)
 
     # invariant transport until the gradient grew by 10x
-    sa = traj.series_arrays()
+    t, _, _, ux, _, _ = traj.series.T
     th = report.thresholds
-    grown = sa["max_abs_ux"] >= th["drift_gradient_factor"] * sa["max_abs_ux"][0]
-    t_10x = float(sa["t"][np.argmax(grown)]) if np.any(grown) else traj.t_end
+    grown = ux >= th["drift_gradient_factor"] * ux[0]
+    t_10x = float(t[np.argmax(grown)]) if np.any(grown) else traj.t_end
     drift = max((invariant_drift(forward[k], t_10x) for k in drift_keys),
                 default=0.0)
 

@@ -22,9 +22,11 @@ QUAD = PressureLaw.quadratic()
 
 
 def completed(snaps, hyperbolicity_eps=1e-3):
-    """A completed Trajectory holding these (t, StateField) snapshots."""
+    """A completed Trajectory holding these (t, StateField) snapshots; its
+    series is one row at t0, with no monitor readings."""
     config = SolverConfig(t_max=snaps[-1][0], hyperbolicity_eps=hyperbolicity_eps)
-    return Trajectory(QUAD, snaps, RunStatus.completed, None, [], config)
+    series = np.array([[snaps[0][0]] + [np.nan] * 5])
+    return Trajectory(QUAD, snaps, RunStatus.completed, None, series, config)
 
 
 def synthetic_trajectory(u_of_t, v_value, times, n=64):
@@ -252,9 +254,8 @@ def wave_traj():
 
 def test_simple_wave_invariant_transport(wave_traj):
     traj, _ = wave_traj
-    sa = traj.series_arrays()
-    grown = sa["max_abs_ux"] >= 10.0 * sa["max_abs_ux"][0]
-    t10 = float(sa["t"][np.argmax(grown)])
+    t, _, _, ux, _, _ = traj.series.T
+    t10 = float(t[np.argmax(ux >= 10.0 * ux[0])])
     for fam in Family:
         for j in range(4):
             c = trace(traj, (j + 0.5) / 4, fam)
@@ -264,9 +265,8 @@ def test_simple_wave_invariant_transport(wave_traj):
 def test_simple_wave_r2_constant_along_all_curves(wave_traj):
     # r2 is constant in the whole field, hence along every curve
     traj, _ = wave_traj
-    sa = traj.series_arrays()
-    grown = sa["max_abs_ux"] >= 10.0 * sa["max_abs_ux"][0]
-    t10 = float(sa["t"][np.argmax(grown)])
+    t, _, _, ux, _, _ = traj.series.T
+    t10 = float(t[np.argmax(ux >= 10.0 * ux[0])])
     for j in range(4):
         c = trace(traj, (j + 0.5) / 4, Family.first)
         r2s = c.r2[c.t <= t10]

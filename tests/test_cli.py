@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psyslab
-from psyslab import PeriodicGrid, _snapshot_writer, cli
+from psyslab import PeriodicGrid, _snapshot_writer, cli, solver
 from psyslab.cli import _csv_head, _write_csv, _write_json, main, parse_config
 from psyslab.errors import ConfigError
 from psyslab.solver import SolverConfig
@@ -156,20 +156,37 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("energy", ["gauge=cubic"]),
     ("predict", ["preset=random_trig", "amplitude=1e300"]),
     ("trace", ["preset=constant", "v0=1e308"]),
+    # about 1.02e6 steps, under MAX_STEPS, but 204,800 kept snapshots of
+    # 64 KiB: about 13 GB
+    ("trace", ["n=4096", "t_max=100"]),
 ], ids=["wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
         "verify_t_max_zero", "verify_t_max_below_resolution",
         "growth_factor_negative", "verify_bad_preset",
         "wave_n_too_large", "energy_bad_gauge",
-        "predict_overflowing_state", "trace_overflowing_state"])
+        "predict_overflowing_state", "trace_overflowing_state",
+        "trace_keeps_13_GB"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     args = []
-    for item in overrides + ["n=64", "t_max=0.5", f"outdir={out}"]:
+    for item in ["n=64", "t_max=0.5"] + overrides + [f"outdir={out}"]:
         args += ["--set", item]
     assert run_cli(*args, command) == 2
     assert "config error:" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["preset=random_trig", "u0=0"],
+    ["preset=simple_wave", "u0=-700", "amplitude=1e-300"],
+])
+def test_preset_errors_name_the_config_key(tmp_path, capsys, overrides):
+    # the presets name the parameter u0 feeds: u_offset, u_center
+    out = tmp_path / "out"
+    assert run_cli(*sets(overrides + [f"outdir={out}"]), "simulate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "u0" in err
+    assert "u_offset" not in err and "u_center" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
@@ -421,6 +438,37 @@ def test_simulate_run_keeps_no_snapshots(tmp_path):
     with open(tmp_path / "snapshots.csv", "rb") as f:
         rows = sum(1 for _ in f) - 2
     assert peak < 16 * rows / 2  # half the snapshots' raw (u, v) bytes
+
+
+def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
+                                                           monkeypatch):
+    # past its first rows the series doubles in place, and is trimmed to
+    # one 48-byte row at t0 and one per step; series.csv holds those rows
+    runs = []
+
+    def recording_run(*args):
+        runs.append(solver.run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    cfg = parse_config(None, ["preset=simple_wave", "n=64", "t0=0.25",
+                              "t_max=0.75", f"outdir={tmp_path}"])
+    assert cli.cmd_simulate(cfg) == 0
+    (traj,) = runs
+    series, steps = traj.series, traj.steps
+    assert steps > solver._SERIES_ROWS
+    assert series.dtype == np.float64 and series.shape == (steps + 1, 6)
+    assert series.nbytes == 48 * (steps + 1) and series.base is None
+    assert series.flags.c_contiguous
+    lines = (tmp_path / "series.csv").read_text().splitlines()
+    assert lines[1] == ",".join(psyslab.SERIES_COLUMNS)
+    assert np.array_equal(np.loadtxt(lines[2:], delimiter=","), series)
+    # its snapshots went to the writer: t0 comes from the series
+    assert traj.snapshots == [] and traj.t0 == 0.25
+    refused = solver.run(cfg.law_obj(), psyslab.constant_state(
+        PeriodicGrid(64), 0.0, 0.0), 0.25, cfg.solver_config())
+    assert refused.status is solver.RunStatus.admission_refused
+    assert refused.series.shape == (1, 6) and refused.series.base is None
 
 
 def test_writer_memory_is_bounded_by_one_snapshot(tmp_path, wave_traj):

@@ -7,8 +7,11 @@ invariant violation, 2 configuration error.  A simulation that ends in
 blow-up exits 0: blow-up is a result, not an error.
 
 A config is validated once, before any command runs, by building what
-it names (grids, law, solver config, gauge, initial state): each rule
-lives in the object that holds it, and its ValueError is a config error.
+it names (grids, law, solver config, gauge, initial state) and making
+the solver's up-front checks on that state: each rule lives in the
+object that holds it, and its ValueError is a config error.  So no
+command raises a config error once it has started, but for an outdir
+it cannot make.
 The solver config's ``hyperbolicity_eps`` places the interface both for
 the run and for the curves ``trace`` and ``predict`` follow through it.
 
@@ -26,9 +29,8 @@ process, ``_snapshot_writer.py``, while the solver runs: ``simulate``
 gives it n and the CSV head on its command line, then pipes it each
 snapshot's raw floats as the run stores it, so the two overlap, and
 the run keeps none: the memory either process takes for the snapshots
-is bounded by one snapshot, not by the file.  ``simulate`` makes the
-outdir when the first snapshot is stored, after the solver's up-front
-checks, and waits for the writer before it returns or raises.
+is bounded by one snapshot, not by the file.  ``simulate`` waits for
+the writer before it returns or raises.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw
 from .riemann import Family
-from .solver import SERIES_COLUMNS, SolverConfig, cfl_dt, run, time_resolution
+from .solver import SERIES_COLUMNS, SolverConfig, run, start, time_resolution
 from .verify import (constant_state, default_suite, random_elliptic_state,
                      random_trig_state, simple_wave_state)
 
@@ -69,9 +71,16 @@ MAX_STEPS = 2**20
 
 #: the most bytes a command may keep from its run, estimated from those
 #: steps: 48 of series a step, and for ``trace`` and ``predict`` 16n a
-#: kept snapshot.  The default ``trace`` (n = 256, t_max = 10) keeps
-#: 5.6 MB, and at n = 4096 it keeps 1.4 GB
+#: kept snapshot and ``CURVE_SAMPLE_BYTES`` a traced curve's sample.  The
+#: default ``trace`` (n = 256, t_max = 10) keeps 6.1 MB, and at n = 4096
+#: it keeps 1.4 GB
 MAX_KEPT_BYTES = 2**32
+
+#: a traced curve's bytes a sample: ``trace_batch`` peaks at 106 with its
+#: 6 float64 buffer columns and the curve's 7 (measured with tracemalloc
+#: over 2000 curves of 641 samples), and a curve keeps 58.  A curve takes
+#: about one sample every 2 stored snapshots
+CURVE_SAMPLE_BYTES = 106
 
 
 @dataclass
@@ -144,10 +153,11 @@ _DIRECTIONS = {"forward": [Direction.forward], "backward": [Direction.backward],
 
 
 def _validate(cfg: RunConfig, command=None) -> RunConfig:
-    """Build every library object the config names, turning their
-    ValueErrors into ConfigErrors; check here only what none of them holds.
-    ``command``, when given, is the one the config is for: ``trace`` and
-    ``predict`` keep their run's snapshots."""
+    """Build every library object the config names and make the solver's
+    up-front checks (``solver.start``) on the preset's state, turning
+    their ValueErrors into ConfigErrors; check here only what none of
+    them holds.  ``command``, when given, is the one the config is for:
+    ``trace`` and ``predict`` keep their run's snapshots and curves."""
     for key, table in (("family", _FAMILIES), ("direction", _DIRECTIONS)):
         if getattr(cfg, key) not in table:
             raise ConfigError(f"{key} must be one of {', '.join(table)}, "
@@ -158,11 +168,13 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
         raise ConfigError(f"verify_seeds = {cfg.verify_seeds} must be >= 1")
     if not cfg.growth_factor >= 1.0:
         raise ConfigError(f"growth_factor = {cfg.growth_factor:g} must be >= 1")
+    if command == "predict" and cfg.family == "both":
+        raise ConfigError("predict traces one family: family must be "
+                          "first or second")
     where = ""  # names the keys or preset an error comes from
     try:
-        for t0, key in ((cfg.t0, "t_max"), (0.0, "verify_t_max")):
-            where = f"t0 = {t0!r}, {key} = {getattr(cfg, key)!r}: "
-            time_resolution(t0, getattr(cfg, key))
+        where = f"t0 = 0.0, verify_t_max = {cfg.verify_t_max!r}: "
+        time_resolution(0.0, cfg.verify_t_max)
         for key in ("n", "verify_n", "wave_n"):
             n = getattr(cfg, key)
             where = f"{key} = {n}: "
@@ -171,16 +183,14 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
             PeriodicGrid(n)
         where = ""
         law = cfg.law_obj()
-        cfg.solver_config()
+        config = cfg.solver_config()
         ConcaveGauge(cfg.gauge)
         where = f"preset {cfg.preset}: "
-        grid = PeriodicGrid(cfg.n)
-        state0 = build_initial_state(cfg, grid)
+        state0 = build_initial_state(cfg, PeriodicGrid(cfg.n))
         where = ""
+        *_, dt0 = start(law, state0, cfg.t0, config)
         # data that admission refuses takes no step
-        if state0.u.max() <= -cfg.hyperbolicity_eps:
-            with np.errstate(over="ignore"):  # an infinite speed gives dt0 = 0
-                dt0 = cfl_dt(law, grid, state0.u, cfg.cfl_safety)
+        if dt0 is not None:
             if cfg.t_max - cfg.t0 > MAX_STEPS * dt0:
                 raise ValueError(f"t_max - t0 = {cfg.t_max - cfg.t0:g} is more "
                                  f"than MAX_STEPS = {MAX_STEPS} first CFL "
@@ -188,7 +198,12 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
             steps = (cfg.t_max - cfg.t0) / dt0
             kept = 48 * steps
             if command in ("trace", "predict"):
-                kept += (steps // cfg.snapshot_stride + 2) * 16 * cfg.n
+                curves = cfg.curve_seeds * (
+                    len(_FAMILIES[cfg.family]) * len(_DIRECTIONS[cfg.direction])
+                    if command == "trace" else 1)
+                samples = steps / (2 * cfg.snapshot_stride) + 1
+                kept += ((steps // cfg.snapshot_stride + 2) * 16 * cfg.n
+                         + curves * samples * CURVE_SAMPLE_BYTES)
             if kept > MAX_KEPT_BYTES:
                 raise ValueError(f"{command} would keep about {kept:.3g} bytes "
                                  f"of its {steps:.0f} steps, more than "
@@ -249,17 +264,10 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
 
 
 def _run(cfg: RunConfig, on_snapshot=None):
-    """Solve the config's initial-value problem (through the module's
-    ``run``, so that a wrapper installed on it sees the call); what
-    ``run`` refuses up front (a time span it cannot resolve, an initial
-    state that overflows its monitor) is a config error."""
-    law, state0 = cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n))
-    try:
-        return run(law, state0, cfg.t0, cfg.solver_config(), on_snapshot)
-    except ConfigError:
-        raise  # from on_snapshot, which makes the outdir
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """Solve the config's initial-value problem, through the module's
+    ``run``, so that a wrapper installed on it sees the call."""
+    return run(cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n)),
+               cfg.t0, cfg.solver_config(), on_snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +308,23 @@ class _SnapshotStream:
     in the outdir, rows ``t,x,u,v`` with 17 significant digits as
     ``_write_csv`` writes them.
 
-    The first snapshot makes the outdir and starts the writer, and
-    ``t_end`` is the time of the last snapshot sent.  ``publish`` waits
-    for the writer and renames the part file into place; ``discard``
-    kills a writer still running, waits for it and removes the part
-    file.  Either way no writer outlives the call."""
+    Making one makes the outdir and starts the writer, and ``t_end`` is
+    the time of the last snapshot sent.  ``publish`` waits for the writer
+    and renames the part file into place; ``discard`` kills a writer
+    still running, waits for it and removes the part file.  Either way
+    no writer outlives the call."""
 
     def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.path = Path(cfg.outdir) / "snapshots.csv"
+        import subprocess  # only simulate needs it: keep it off import
+        self.path = _outdir(cfg) / "snapshots.csv"
         self.part = self.path.with_name(self.path.name + ".part")
-        self.proc = None
         self.t_end = None
+        self.proc = subprocess.Popen(
+            [sys.executable, _snapshot_writer.__file__, str(self.part),
+             str(cfg.n), _csv_head(cfg, ("t", "x", "u", "v"))],
+            stdin=subprocess.PIPE, stderr=subprocess.PIPE)
 
     def __call__(self, t: float, state):
-        if self.proc is None:
-            import subprocess  # only simulate needs it: keep it off import
-            _outdir(self.cfg)
-            self.proc = subprocess.Popen(
-                [sys.executable, _snapshot_writer.__file__, str(self.part),
-                 str(state.grid.n), _csv_head(self.cfg, ("t", "x", "u", "v"))],
-                stdin=subprocess.PIPE, stderr=subprocess.PIPE)
         record = np.empty(2 * state.grid.n + 1)
         record[0] = t
         record[1::2] = state.u
@@ -346,8 +350,6 @@ class _SnapshotStream:
         os.replace(self.part, self.path)
 
     def discard(self):
-        if self.proc is None:
-            return
         if self.proc.returncode is None:
             self.proc.kill()
             self.proc.communicate()
@@ -453,9 +455,6 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    if cfg.family == "both":
-        raise ConfigError("predict traces one family: family must be "
-                          "first or second")
     fam = Family[cfg.family]
     traj = _run(cfg)
     out = _outdir(cfg)

@@ -261,6 +261,35 @@ def time_resolution(t0: float, t_max: float) -> float:
     return t_slack
 
 
+def start(law, state0: StateField, t0: float, config: SolverConfig):
+    """A run's up-front checks: (c, rows, m0, dt0) of (t0, state0), its
+    rfft rows and samples (``_spectral``), ``_state_metrics`` and first
+    CFL step, None for data admission refuses.  Two FFT calls.
+
+    Raises ValueError unless t0 is finite and t_max - t0 and, for
+    admitted data, the first CFL step exceed ``time_resolution(t0,
+    t_max)`` (a shorter step would round away in ``t + dt`` or carry a
+    timing error above ~1e-4 of itself), or when the state's spectrum or
+    monitor readings overflow the float range."""
+    t_slack = time_resolution(t0, config.t_max)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            c, rows = _spectral(state0)
+            m0 = _state_metrics(c, rows)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"the initial state overflows the monitor: {exc}") from None
+    if m0[0] > -config.hyperbolicity_eps:
+        return c, rows, m0, None
+    # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
+    # the CFL step reads the state's two extremes of u, not its samples
+    with np.errstate(over="ignore"):  # an infinite speed gives dt0 = 0
+        dt0 = cfl_dt(law, state0.grid, np.array(m0[:2]), config.cfl_safety)
+    if not dt0 > t_slack:
+        raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
+                         f"time resolution {t_slack:g} at t0 = {t0:g}")
+    return c, rows, m0, dt0
+
+
 def run(law, state0: StateField, t0: float, config: SolverConfig,
         on_snapshot=None) -> Trajectory:
     """Integrate from (t0, state0) until t_max or a monitor fires.
@@ -274,14 +303,9 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
 
     A step that produces non-finite values (possible only after the
     smooth solution has already degenerated) is recorded as
-    ``blow_up_detected`` at that time.
-
-    The run stops once t is within ``time_resolution(t0, t_max)`` of
-    t_max.  A ValueError is raised up front unless the span exceeds it
-    and, for admitted data, so does the first CFL step; a shorter step
-    would round away in ``t + dt`` or carry a timing error above ~1e-4
-    of itself.  It is also raised when the initial state's spectrum or
-    monitor readings overflow the float range.
+    ``blow_up_detected`` at that time.  The run stops once t is within
+    ``time_resolution(t0, t_max)`` of t_max.  ``start`` makes the
+    up-front checks, and raises their ValueError.
 
     ``on_snapshot(t, state)``, when given, is called with each snapshot
     as it is stored, in order, and is its one consumer: the trajectory
@@ -289,32 +313,20 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     checks have passed: a run that raises ValueError has passed nothing,
     and an ``admission_refused`` run passes its one snapshot.
     """
+    c, rows, m0, dt0 = start(law, state0, t0, config)
     t_slack = time_resolution(t0, config.t_max)
     grid = state0.grid
     n = grid.n
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            c, rows = _spectral(state0)
-            m0 = _state_metrics(c, rows)
-    except (OverflowError, FloatingPointError) as exc:
-        raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     # doubled when full and trimmed at the end, in place: it has no views
     series = np.empty((_SERIES_ROWS, len(SERIES_COLUMNS)))
     series[0] = t0, *m0
     snapshots = []
     store = on_snapshot or (lambda t, state: snapshots.append((t, state)))
-    if m0[0] > -config.hyperbolicity_eps:
-        store(t0, state0)
+    store(t0, state0)
+    if dt0 is None:
         series.resize((1, len(SERIES_COLUMNS)), refcheck=False)
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, config)
-    # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
-    # the CFL step reads the state's two extremes of u, not its samples
-    dt0 = cfl_dt(law, grid, np.array(m0[:2]), config.cfl_safety)
-    if not dt0 > t_slack:
-        raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
-                         f"time resolution {t_slack:g} at t0 = {t0:g}")
-    store(t0, state0)
 
     initial_scale = max(1.0, m0[2])
     t = t0

@@ -12,6 +12,7 @@ the tested resolution and horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
@@ -51,6 +52,21 @@ class ScenarioReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _judge(report: ScenarioReport, ok: bool, reason: str) -> ScenarioReport:
+    """Set the report's verdict: pass when ``ok`` and every metric is
+    finite, else fail for ``reason``.  Non-finite metrics are the reason
+    instead, and are written as None, JSON having no NaN or inf."""
+    bad = {k: v for k, v in report.metrics.items() if not math.isfinite(v)}
+    if bad:
+        report.metrics.update(dict.fromkeys(bad))
+        ok = False
+        reason = "non-finite " + ", ".join(f"{k} = {v}" for k, v in bad.items())
+    report.verdict = PASS if ok else FAIL
+    if not ok:
+        report.reason = reason
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +179,7 @@ def scenario_constant(law, u0: float, v0: float, t_max: float,
                       "steps": float(traj.steps)}
     report.metrics["status_completed"] = 1.0 if traj.status is RunStatus.completed else 0.0
     ok = traj.status is RunStatus.completed and dev < report.thresholds["max_deviation"]
-    report.verdict = PASS if ok else FAIL
-    if not ok:
-        report.reason = f"status={traj.status.value}, deviation={dev:g}"
-    return report
+    return _judge(report, ok, f"status={traj.status.value}, deviation={dev:g}")
 
 
 def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
@@ -245,12 +258,9 @@ def scenario_simple_wave_blowup(law, u_center: float, amplitude: float,
         "spotcheck_violations": float(len(spot.violations)),
     })
     ok = max(gap_do, gap_po) < th["relative_gap"] and drift < th["drift_max"]
-    report.verdict = PASS if ok else FAIL
-    if not ok:
-        report.reason = (f"time gaps: detect/oracle {gap_do:.3f}, "
-                         f"predicted/oracle {gap_po:.3f}; "
-                         f"invariant drift {drift:.3g}")
-    return report
+    return _judge(report, ok, f"time gaps: detect/oracle {gap_do:.3f}, "
+                              f"predicted/oracle {gap_po:.3f}; "
+                              f"invariant drift {drift:.3g}")
 
 
 def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
@@ -306,10 +316,7 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
         return report
     ok = statuses["completed"] == 0 and statuses["admission_refused"] == 0 \
         and n_terminated + n_inconclusive == n_seeds
-    report.verdict = PASS if ok else FAIL
-    if not ok:
-        report.reason = f"statuses: {statuses}"
-    return report
+    return _judge(report, ok, f"statuses: {statuses}")
 
 
 def scenario_ramp_residual(law) -> ScenarioReport:
@@ -332,16 +339,16 @@ def scenario_ramp_residual(law) -> ScenarioReport:
             v_t, v_x = 0.0, -1.0         # v(t, x) = -x
             r1 = u_t + v_x
             r2 = v_t - law.dp(t) * u_x
-            max_r1 = max(max_r1, abs(r1))
-            max_r2 = max(max_r2, abs(r2))
+            # np.maximum keeps a NaN residual, where max drops it
+            max_r1 = float(np.maximum(max_r1, abs(r1)))
+            max_r2 = float(np.maximum(max_r2, abs(r2)))
     v_shift = -(0.25 + 1.0) - -(0.25)    # v(x+1) - v(x)
     u_shift = 0.0                        # u independent of x
     report.metrics = {"max_residual_1": max_r1, "max_residual_2": max_r2,
                       "v_period_shift": v_shift, "u_period_shift": u_shift}
     ok = (max(max_r1, max_r2) <= report.thresholds["residual"]
           and v_shift == -1.0 and u_shift == 0.0)
-    report.verdict = PASS if ok else FAIL
-    return report
+    return _judge(report, ok, f"residuals {max_r1:g}, {max_r2:g}")
 
 
 RICCATI_PROFILES = {
@@ -375,13 +382,11 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
                         rtol=1e-10, atol=1e-12)
         ode_val = float(sol.y[0, -1])
         scale = max(abs(closed), abs(ode_val), 1e-300)
-        worst = max(worst, abs(closed - ode_val) / scale)
+        worst = float(np.maximum(worst, abs(closed - ode_val) / scale))
     report.metrics = {"K_total": float(K_total), "beta_crit": beta_crit,
                       "worst_relative_gap": worst}
-    report.verdict = PASS if worst < report.thresholds["relative_gap"] else FAIL
-    if report.verdict == FAIL:
-        report.reason = f"worst relative gap {worst:g}"
-    return report
+    return _judge(report, worst < report.thresholds["relative_gap"],
+                  f"worst relative gap {worst:g}")
 
 
 def random_elliptic_state(grid: PeriodicGrid, rng) -> StateField:
@@ -424,8 +429,9 @@ def scenario_energy_identity(law, n_fields: int, seed: int, n: int = 256,
                 d_formula = energy_ddot_formula(law, state, gauge)
                 d_direct = energy_ddot_direct(law, state, gauge)
                 energy(state, gauge)  # domain gate + positivity path
-                worst_gap = max(worst_gap, abs(d_direct - d_formula))
-                worst_formula = max(worst_formula, d_formula)
+                worst_gap = float(np.maximum(worst_gap,
+                                             abs(d_direct - d_formula)))
+                worst_formula = float(np.maximum(worst_formula, d_formula))
     except DomainError as exc:
         report.verdict = FAIL
         report.reason = f"domain gate: {exc}"
@@ -435,23 +441,36 @@ def scenario_energy_identity(law, n_fields: int, seed: int, n: int = 256,
                       "worst_ddot_formula": worst_formula}
     ok = (worst_gap < report.thresholds["identity_gap"]
           and worst_formula <= report.thresholds["concavity"])
-    report.verdict = PASS if ok else FAIL
-    return report
+    return _judge(report, ok, f"worst identity gap {worst_gap:g}, worst "
+                              f"ddot_formula {worst_formula:g}")
 
 
 def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
                   sweep_n: int, wave_n: int) -> list:
-    """The standard scenario battery used by the command-line ``verify``."""
-    reports = [
-        scenario_constant(law, -1.0, 0.0, 10.0),
-        scenario_simple_wave_blowup(law, -1.0, 0.3, 1, n=wave_n,
-                                    n_curve_seeds=16, drift_seeds=4,
-                                    spotcheck_seeds=4),
-        scenario_random_hyperbolic_sweep(law, n_sweep_seeds, sweep_t_max,
-                                         n=sweep_n, spotcheck_seeds=2),
-        scenario_ramp_residual(law),
-        scenario_riccati_crosscheck(law, "constant"),
-        scenario_riccati_crosscheck(law, "ramp"),
-        scenario_energy_identity(law, 20, 42),
-    ]
+    """The standard scenario battery used by the command-line ``verify``.
+
+    A scenario that raises ValueError (a run's up-front checks refuse
+    its data under the law, say) fails with the error as its reason, and
+    the others still run."""
+    suite = {
+        "constant_rigidity": lambda: scenario_constant(law, -1.0, 0.0, 10.0),
+        "simple_wave_blowup": lambda: scenario_simple_wave_blowup(
+            law, -1.0, 0.3, 1, n=wave_n, n_curve_seeds=16, drift_seeds=4,
+            spotcheck_seeds=4),
+        "random_hyperbolic_sweep": lambda: scenario_random_hyperbolic_sweep(
+            law, n_sweep_seeds, sweep_t_max, n=sweep_n, spotcheck_seeds=2),
+        "ramp_residual": lambda: scenario_ramp_residual(law),
+        "riccati_crosscheck_constant":
+            lambda: scenario_riccati_crosscheck(law, "constant"),
+        "riccati_crosscheck_ramp":
+            lambda: scenario_riccati_crosscheck(law, "ramp"),
+        "energy_identity": lambda: scenario_energy_identity(law, 20, 42),
+    }
+    reports = []
+    for scenario_id, scenario in suite.items():
+        try:
+            reports.append(scenario())
+        except ValueError as exc:
+            reports.append(ScenarioReport(scenario_id, law.describe(), None,
+                                          verdict=FAIL, reason=str(exc)))
     return reports

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,13 +160,18 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     # about 1.02e6 steps, under MAX_STEPS, but 204,800 kept snapshots of
     # 64 KiB: about 13 GB
     ("trace", ["n=4096", "t_max=100"]),
+    # the state overflows the monitor, as it does under simulate
+    ("energy", ["preset=constant", "u0=1e200"]),
+    # 100,000 curves of 641 samples: about 6.8 GB
+    ("trace", ["n=256", "t_max=10", "curve_seeds=100000"]),
 ], ids=["wave_n", "verify_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
         "verify_t_max_zero", "verify_t_max_below_resolution",
         "growth_factor_negative", "verify_bad_preset",
         "wave_n_too_large", "energy_bad_gauge",
         "predict_overflowing_state", "trace_overflowing_state",
-        "trace_keeps_13_GB"])
+        "trace_keeps_13_GB", "energy_overflowing_state",
+        "trace_keeps_100000_curves"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     args = []
@@ -189,11 +195,23 @@ def test_preset_errors_name_the_config_key(tmp_path, capsys, overrides):
     assert "u_offset" not in err and "u_center" not in err
 
 
+@pytest.mark.parametrize("overrides", [
+    ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
+    ["preset=constant", "v0=1e308"],
+    ["preset=random_trig", "amplitude=1e300"],
+], ids=["step_rounds_away", "constant_overflows", "random_trig_overflows"])
+@pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
+def test_parse_config_makes_the_run_up_front_checks(command, overrides):
+    # each passed parse_config and was refused only inside run
+    with pytest.raises(ConfigError):
+        parse_config(None, overrides, command)
+
+
 @pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
 def test_run_config_error_leaves_no_outdir(tmp_path, capsys, writers, command):
-    # only run rejects this span (t + dt rounds back to t near t0 = 1e15),
-    # so the outdir must not be made, nor a snapshot writer started,
-    # before the run has passed its up-front checks
+    # the run's first step would round away (t + dt rounds back to t near
+    # t0 = 1e15): the config is refused before the command starts, so
+    # no outdir is made and no snapshot writer started
     out = tmp_path / "out"
     args = []
     for item in ["preset=simple_wave", "n=16", "t0=1e15",
@@ -611,10 +629,11 @@ def test_energy_rejects_hyperbolic_field(tmp_path, capsys):
 
 
 def test_energy_overflow_is_an_error_line(tmp_path, capsys):
-    # the diagnostics of u = 1e200 overflow; they used to come out NaN
-    # and end in a traceback from the JSON writer, with an empty outdir
+    # the state passes validation, but its diagnostics overflow under this
+    # law; they used to come out NaN and end in a traceback from the JSON
+    # writer, with an empty outdir
     out = tmp_path / "out"
-    code = run_cli("--set", "preset=constant", "--set", "u0=1e200",
+    code = run_cli("--set", "preset=elliptic_random", "--set", "quartic_a=1e307",
                    "--set", "n=64", "--set", f"outdir={out}", "energy")
     assert code == 1
     err = capsys.readouterr().err.splitlines()
@@ -666,6 +685,32 @@ def test_verify_small_suite(tmp_path, small_verify):
     assert names == sorted(path.name for path in elsewhere.iterdir())
     for name in names:
         assert (out / name).read_bytes() == (elsewhere / name).read_bytes(), name
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a JSON file")
+
+
+def test_verify_fails_a_refused_scenario_and_reports_the_rest(tmp_path, capsys):
+    # under a = 1e308 the constant scenario's run refuses its data: verify
+    # ended in that ValueError's traceback, with an empty outdir
+    out = tmp_path / "out"
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # numpy's overflow, scipy's quad
+        code = run_cli(*sets(["preset=elliptic_random", "quartic_a=1e308",
+                              "verify_seeds=1", "verify_t_max=1",
+                              "verify_n=16", "wave_n=16", f"outdir={out}"]),
+                       "verify")
+    assert code == 1
+    agg = json.loads((out / "verify.json").read_text(),
+                     parse_constant=_no_constant)
+    assert agg["n_fail"] == len(agg["reports"]) == 7
+    for rep in agg["reports"]:
+        path = out / f"scenario_{rep['scenario_id']}.json"
+        assert json.loads(path.read_text(), parse_constant=_no_constant)
+        assert rep["reason"]
+    assert "first CFL step" in agg["reports"][0]["reason"]
+    assert capsys.readouterr().out.count(": fail\n") == 7
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
                      SolverConfig, StateField, cfl_dt, constant_state,
                      random_trig_state, run, spectral_derivative, step_rk4)
-from psyslab.solver import _monitor_from_metrics, _spectral, _state_metrics
+from psyslab.solver import (_monitor_from_metrics, _spectral, _state_metrics,
+                            start)
 
 QUAD = PressureLaw.quadratic()
 
@@ -101,6 +102,19 @@ def test_run_refuses_an_initial_state_that_overflows_the_monitor():
                   StateField(g, np.full(64, -1.0), wavy_v)):
         with pytest.raises(ValueError, match="overflows"):
             run(QUAD, state, 0.0, SolverConfig(t_max=1.0))
+
+
+def test_start_reads_the_first_step_off_the_extremes_of_u():
+    # run's up-front checks, which the command line makes before a command
+    # starts: the first CFL step from the two extremes of u is the one
+    # from every sample, and admission-refused data has none
+    g = PeriodicGrid(64)
+    s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u_offset=-1.0)
+    config = SolverConfig(t_max=0.5)
+    c, rows, m0, dt0 = start(QUAD, s0, 0.0, config)
+    assert dt0 == cfl_dt(QUAD, g, s0.u, config.cfl_safety)
+    assert tuple(run(QUAD, s0, 0.0, config).series[0, 1:]) == m0
+    assert start(QUAD, constant_state(g, -1e-4, 0.0), 0.0, config)[3] is None
 
 
 def test_run_requires_future_t_max():

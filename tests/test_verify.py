@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,37 @@ def test_scenario_energy_identity_passes():
     assert rep.verdict == "pass"
     assert rep.metrics["worst_identity_gap"] < 1e-8
     assert rep.metrics["worst_ddot_formula"] <= 1e-10
+
+
+#: p'(u) overflows under this law for |u| > 1
+OVERFLOWING = PressureLaw(1e308)
+
+
+def _non_finite_fails(rep, keys):
+    """The report fails, naming each metric of ``keys`` as non-finite and
+    writing it as None, and the report stays writable as strict JSON."""
+    assert rep.verdict == "fail"
+    for key in keys:
+        assert rep.metrics[key] is None and key in rep.reason
+    assert rep.reason.startswith("non-finite ")
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
+def test_scenario_ramp_residual_fails_on_a_nan_residual():
+    # p'(3) * 0 = inf * 0 is NaN, and max(0.0, nan) is 0.0: both residuals
+    # read 0.0 and the scenario passed
+    with np.errstate(invalid="ignore"):
+        rep = scenario_ramp_residual(OVERFLOWING)
+    _non_finite_fails(rep, ["max_residual_2"])
+    assert rep.metrics["max_residual_1"] == 0.0
+
+
+def test_scenario_energy_identity_fails_on_non_finite_diagnostics():
+    # it passed with worst_identity_gap 0.0 (every gap NaN, dropped by
+    # max) and worst_ddot_formula -inf, which no JSON file can hold
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = scenario_energy_identity(OVERFLOWING, 3, 42)
+    _non_finite_fails(rep, ["worst_identity_gap", "worst_ddot_formula"])
 
 
 def test_scenario_energy_identity_domain_gate():

@@ -21,27 +21,29 @@ byte-identical files.  CSV files start with a comment line carrying the
 tool version and the config hash; JSON files carry the same pair as
 top-level fields, comments not being valid JSON.
 
-Every file is written to ``<name>.part`` in the outdir and renamed into
-place once complete, so a failure never leaves a truncated file, and an
-older file of the same name keeps its bytes.  ``snapshots.csv`` (one row
-of about 73 bytes per node and stored snapshot) is formatted by a second
-process, ``_snapshot_writer.py``, while the solver runs: ``simulate``
-gives it n and the CSV head on its command line, then pipes it each
-snapshot's raw floats as the run stores it, so the two overlap, and
-the run keeps none: the memory either process takes for the snapshots
-is bounded by one snapshot, not by the file.  ``simulate`` waits for
-the writer before it returns or raises.
+Every file, ``snapshots.csv`` too, is written to ``<name>.part`` in the
+outdir and renamed into place once complete (``_published``), so a
+failure never leaves a truncated file, and an older file of the same
+name keeps its bytes.  ``snapshots.csv`` (one row of about 73 bytes per
+node and stored snapshot) is formatted by a second process,
+``_snapshot_writer.py``, that ``simulate`` starts before the run: it
+gives it the part file, n and the CSV head on its command line, then
+pipes it each snapshot's raw floats as the run stores it, so the two
+overlap, and the run keeps none: the memory either process takes for
+the snapshots is bounded by one snapshot, not by the file.  The writer
+is reaped before its part file is renamed or removed, whether the run
+succeeds or fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,9 +211,7 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
                                  f"of its {steps:.0f} steps, more than "
                                  f"MAX_KEPT_BYTES = {MAX_KEPT_BYTES}")
     except ValueError as exc:
-        # a preset names the parameter u0 feeds, not the key
-        reason = re.sub(r"\bu_(center|offset)\b", "u0", str(exc))
-        raise ConfigError(f"{where}{reason}") from exc
+        raise ConfigError(f"{where}{exc}") from exc
     return cfg
 
 
@@ -273,20 +273,27 @@ def _run(cfg: RunConfig, on_snapshot=None):
 # ---------------------------------------------------------------------------
 # emission
 
-def _publish(path: Path, *texts: str):
-    """Write ``texts`` in order to ``<name>.part`` beside ``path``, and
-    rename it to ``path`` once all are written.  On any exception the
-    part file is removed and the exception re-raised, so ``path`` is
-    either complete or as it was before."""
+@contextlib.contextmanager
+def _published(path: Path):
+    """Yield ``<name>.part`` beside ``path``, and rename it to ``path``
+    when the block ends.  On any exception the part file is removed (a
+    directory of that name is left alone) and the exception re-raised,
+    so ``path`` is either complete or as it was before."""
     part = path.with_name(path.name + ".part")
     try:
-        with open(part, "w") as f:
-            for text in texts:
-                f.write(text)
+        yield part
         os.replace(part, path)
     except BaseException:
-        part.unlink(missing_ok=True)
+        if not part.is_dir():
+            part.unlink(missing_ok=True)
         raise
+
+
+def _publish(path: Path, *texts: str):
+    """Write ``texts`` in order to ``path``, through ``_published``."""
+    with _published(path) as part, open(part, "w") as f:
+        for text in texts:
+            f.write(text)
 
 
 def _csv_head(cfg: RunConfig, columns) -> str:
@@ -304,57 +311,45 @@ def _write_csv(cfg: RunConfig, path: Path, columns, data):
 
 class _SnapshotStream:
     """``run``'s ``on_snapshot`` for ``simulate``: it sends each snapshot
-    to a ``_snapshot_writer.py`` process that writes ``snapshots.csv.part``
-    in the outdir, rows ``t,x,u,v`` with 17 significant digits as
-    ``_write_csv`` writes them.
+    to a ``_snapshot_writer.py`` process that writes ``part``, rows
+    ``t,x,u,v`` with 17 significant digits as ``_write_csv`` writes them.
+    ``t_end`` is the time of the last snapshot sent.
 
-    Making one makes the outdir and starts the writer, and ``t_end`` is
-    the time of the last snapshot sent.  ``publish`` waits for the writer
-    and renames the part file into place; ``discard`` kills a writer
-    still running, waits for it and removes the part file.  Either way
-    no writer outlives the call."""
+    Entering it starts the writer.  A clean exit closes the writer's
+    input, waits for it and raises OSError with the last line of its
+    stderr unless it exited 0; so does an exit on the BrokenPipeError a
+    writer that failed first leaves.  An exit on any other exception
+    kills a writer still running and reaps it.  No writer outlives the
+    block."""
 
-    def __init__(self, cfg: RunConfig):
-        import subprocess  # only simulate needs it: keep it off import
-        self.path = _outdir(cfg) / "snapshots.csv"
-        self.part = self.path.with_name(self.path.name + ".part")
+    def __init__(self, cfg: RunConfig, part: Path):
+        self.args = [sys.executable, _snapshot_writer.__file__, str(part),
+                     str(cfg.n), _csv_head(cfg, ("t", "x", "u", "v"))]
         self.t_end = None
-        self.proc = subprocess.Popen(
-            [sys.executable, _snapshot_writer.__file__, str(self.part),
-             str(cfg.n), _csv_head(cfg, ("t", "x", "u", "v"))],
-            stdin=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def __enter__(self):
+        import subprocess  # only simulate needs it: keep it off import
+        self.proc = subprocess.Popen(self.args, stdin=subprocess.PIPE,
+                                     stderr=subprocess.PIPE)
+        return self
 
     def __call__(self, t: float, state):
         record = np.empty(2 * state.grid.n + 1)
         record[0] = t
         record[1::2] = state.u
         record[2::2] = state.v
-        try:
-            self.proc.stdin.write(record)
-        except BrokenPipeError:
-            self._wait()  # the writer has exited: raise its error
-            raise
+        self.proc.stdin.write(record)
         self.t_end = t
 
-    def _wait(self):
-        """Close the writer's input and wait for it; raise OSError with
-        the last line of its stderr unless it exited 0."""
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None and self.proc.poll() is None:
+            self.proc.kill()
         err = self.proc.communicate()[1].decode(errors="replace").strip()
-        if self.proc.returncode != 0:
+        # a broken pipe is the writer's exit, not the block's failure
+        if exc_type in (None, BrokenPipeError) and self.proc.returncode != 0:
             reason = err.splitlines()[-1] if err else "no message"
             raise OSError(f"snapshot writer exited with status "
                           f"{self.proc.returncode}: {reason}")
-
-    def publish(self):
-        self._wait()
-        os.replace(self.part, self.path)
-
-    def discard(self):
-        if self.proc.returncode is None:
-            self.proc.kill()
-            self.proc.communicate()
-        if not self.part.is_dir():
-            self.part.unlink(missing_ok=True)
 
 
 def _write_json(cfg: RunConfig, path: Path, payload: dict):
@@ -377,14 +372,10 @@ def _outdir(cfg: RunConfig) -> Path:
 # subcommands
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    snapshots = _SnapshotStream(cfg)
-    try:
+    out = _outdir(cfg)
+    with (_published(out / "snapshots.csv") as part,
+          _SnapshotStream(cfg, part) as snapshots):
         traj = _run(cfg, snapshots)
-        snapshots.publish()
-    except BaseException:
-        snapshots.discard()
-        raise
-    out = Path(cfg.outdir)
     _write_csv(cfg, out / "series.csv", SERIES_COLUMNS, traj.series)
     _write_json(cfg, out / "run.json", {
         "status": traj.status.value,

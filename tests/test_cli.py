@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -694,13 +693,13 @@ def _no_constant(name):
 def test_verify_fails_a_refused_scenario_and_reports_the_rest(tmp_path, capsys):
     # under a = 1e308 the constant scenario's run refuses its data: verify
     # ended in that ValueError's traceback, with an empty outdir
+    # numpy's overflow and scipy's quad warned ahead of the verdicts, and
+    # pytest's error filter fails the test on any warning that escapes
     out = tmp_path / "out"
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")  # numpy's overflow, scipy's quad
-        code = run_cli(*sets(["preset=elliptic_random", "quartic_a=1e308",
-                              "verify_seeds=1", "verify_t_max=1",
-                              "verify_n=16", "wave_n=16", f"outdir={out}"]),
-                       "verify")
+    code = run_cli(*sets(["preset=elliptic_random", "quartic_a=1e308",
+                          "verify_seeds=1", "verify_t_max=1",
+                          "verify_n=16", "wave_n=16", f"outdir={out}"]),
+                   "verify")
     assert code == 1
     agg = json.loads((out / "verify.json").read_text(),
                      parse_constant=_no_constant)
@@ -710,7 +709,9 @@ def test_verify_fails_a_refused_scenario_and_reports_the_rest(tmp_path, capsys):
         assert json.loads(path.read_text(), parse_constant=_no_constant)
         assert rep["reason"]
     assert "first CFL step" in agg["reports"][0]["reason"]
-    assert capsys.readouterr().out.count(": fail\n") == 7
+    captured = capsys.readouterr()
+    assert captured.out.count(": fail\n") == 7
+    assert "Warning" not in captured.err
 
 
 # ---------------------------------------------------------------------------

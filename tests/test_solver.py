@@ -109,7 +109,7 @@ def test_start_reads_the_first_step_off_the_extremes_of_u():
     # starts: the first CFL step from the two extremes of u is the one
     # from every sample, and admission-refused data has none
     g = PeriodicGrid(64)
-    s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u_offset=-1.0)
+    s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u0=-1.0)
     config = SolverConfig(t_max=0.5)
     c, rows, m0, dt0 = start(QUAD, s0, 0.0, config)
     assert dt0 == cfl_dt(QUAD, g, s0.u, config.cfl_safety)
@@ -205,7 +205,7 @@ def test_on_snapshot_is_not_called_when_run_raises(t0, t_max):
 def test_run_conserves_means_while_smooth():
     # both right-hand sides are exact x-derivatives
     g = PeriodicGrid(256)
-    s0 = random_trig_state(g, seed=1, modes=3, amplitude=0.05, u_offset=-1.0)
+    s0 = random_trig_state(g, seed=1, modes=3, amplitude=0.05, u0=-1.0)
     traj = run(QUAD, s0, 0.0, SolverConfig(t_max=3.0))
     mu0, mv0 = np.mean(s0.u), np.mean(s0.v)
     smooth_span = 0.0
@@ -425,7 +425,7 @@ def test_run_matches_physical_space_reference(data):
         cfg = SolverConfig(t_max=2.2)
     else:
         s0 = random_trig_state(g, seed=int(data[-1]), modes=3, amplitude=0.25,
-                               u_offset=-1.0)
+                               u0=-1.0)
         cfg = SolverConfig(t_max=50.0)
     traj = run(QUAD, s0, 0.0, cfg)
     status, t_detect, steps, snapshots = _reference_run(QUAD, s0, 0.0, cfg)
@@ -454,7 +454,7 @@ def test_run_fft_budget(monkeypatch):
         return wrapper
 
     g = PeriodicGrid(64)
-    s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u_offset=-1.0)
+    s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u0=-1.0)
     # a consumer's run keeps no snapshots, so the count it must see comes
     # from a run made before the counters go in
     stored = len(run(QUAD, s0, 0.0, SolverConfig(t_max=0.5)).snapshots)

@@ -83,6 +83,14 @@ def test_crossing_time_oracle_rejects_non_hyperbolic_wave(u_center, amplitude):
         crossing_time_oracle(QUAD, u_center, amplitude, 1)
 
 
+def test_crossing_time_oracle_rejects_an_overflowing_speed():
+    # p' overflows to -inf on the wave: np.gradient of the infinite speed
+    # is NaN, and the oracle returned that NaN as a crossing time
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="overflows"):
+            crossing_time_oracle(PressureLaw(1e308), -1.0, 0.3, 1)
+
+
 def test_scenario_constant_passes():
     for law, u0, v0 in ((QUAD, -1.0, 0.0), (QUAD, -4.0, 2.5),
                         (PressureLaw.quartic(0.1), -1.0, 0.0)):
@@ -190,7 +198,7 @@ def test_scenario_sweep_fails_on_interface():
     # near-interface data with strong v: every run reaches u ~ 0, some
     # before their second snapshot, and none counts as a blow-up
     rep = scenario_random_hyperbolic_sweep(QUAD, 3, 5.0, n=64, amplitude=0.6,
-                                           u_offset=-0.06, spotcheck_seeds=2)
+                                           u0=-0.06, spotcheck_seeds=2)
     assert rep.verdict == "fail"
     assert rep.metrics["n_interface_reached"] == 3.0
     assert rep.metrics["n_blow_up"] + rep.metrics["n_resolution_lost"] == 0.0

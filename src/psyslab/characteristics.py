@@ -23,7 +23,7 @@ interface or stayed bounded; anything else is reported as undetermined.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -343,12 +343,7 @@ class SpotcheckReport:
     classified B: no solution of the system should ever produce one.
     """
 
-    labels: dict = dc_field(default_factory=dict)  # {(Direction, Family): [ClassLabel]}
-    violations: list = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    violations: list
 
 
 def spotcheck_points(sample_points: int) -> list:
@@ -360,29 +355,23 @@ def spotcheck_report(seeds: list, traced: dict) -> SpotcheckReport:
     """The dual-growth report of curves already traced from ``seeds``.
 
     ``traced[direction][(x0, family)]`` is the curve from x0 of each
-    seed and family, or an EllipticStart, which is recorded as
-    undetermined; every curve is classified with ``classify``'s default
-    growth factor.
+    seed and family, or an EllipticStart, which counts as undetermined;
+    every curve is classified with ``classify``'s default growth factor.
+    A violation records the seeds of each family's B curves.
     """
-    report = SpotcheckReport()
-    for direction in Direction:
-        for fam in Family:
-            curves = (traced[direction][(x0, fam)] for x0 in seeds)
-            report.labels[(direction, fam)] = [
-                ClassLabel.undetermined if isinstance(c, EllipticStart)
-                else classify(c) for c in curves]
+    violations = []
     for direction in Direction:
         b = ClassLabel.B_plus if direction is Direction.forward else ClassLabel.B_minus
-        s1 = [seeds[i] for i, lab in
-              enumerate(report.labels[(direction, Family.first)]) if lab is b]
-        s2 = [seeds[i] for i, lab in
-              enumerate(report.labels[(direction, Family.second)]) if lab is b]
+        curves = traced[direction]
+        s1, s2 = ([x0 for x0 in seeds
+                   if not isinstance(curves[(x0, fam)], EllipticStart)
+                   and classify(curves[(x0, fam)]) is b] for fam in Family)
         if s1 and s2:
-            report.violations.append({
+            violations.append({
                 "direction": direction.name, "label": b.value,
                 "family1_seeds": s1, "family2_seeds": s2,
             })
-    return report
+    return SpotcheckReport(violations)
 
 
 def dual_growth_spotcheck(trajectory: Trajectory,

@@ -51,9 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _snapshot_writer
-from .characteristics import (GROWTH_FACTOR, ClassLabel, CurveSample,
-                              Direction, classify, predict_blowup,
-                              spotcheck_points, trace_batch)
+from .characteristics import (GROWTH_FACTOR, STEP_FACTOR, ClassLabel,
+                              CurveSample, Direction, classify,
+                              predict_blowup, spotcheck_points, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
@@ -66,22 +66,17 @@ from .verify import (constant_state, default_suite, random_elliptic_state,
 
 PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 
-#: the most steps a config may ask of its run, estimated as t_max - t0
-#: over the first CFL step of the preset's state: 10x the steps of the
-#: largest grid's default run (n = 4096, t_max = 10: 102,400 steps)
-MAX_STEPS = 2**20
-
-#: the most bytes a command may keep from its run, estimated from those
-#: steps: 48 of series a step, and for ``trace`` and ``predict`` 16n a
-#: kept snapshot and ``CURVE_SAMPLE_BYTES`` a traced curve's sample.  The
-#: default ``trace`` (n = 256, t_max = 10) keeps 6.1 MB, and at n = 4096
-#: it keeps 1.4 GB
+#: the most bytes a command may keep from its run, estimated from its
+#: steps, t_max - t0 over the first CFL step: a float64 series row a
+#: step, and for ``trace`` and ``predict`` 16n a kept snapshot and
+#: ``CURVE_SAMPLE_BYTES`` a traced curve's sample.  The default ``trace``
+#: (n = 256, t_max = 10) keeps 6.1 MB, and at n = 4096 it keeps 1.4 GB
 MAX_KEPT_BYTES = 2**32
 
 #: a traced curve's bytes a sample: ``trace_batch`` peaks at 106 with its
 #: 6 float64 buffer columns and the curve's 7 (measured with tracemalloc
 #: over 2000 curves of 641 samples), and a curve keeps 58.  A curve takes
-#: about one sample every 2 stored snapshots
+#: about one sample every ``STEP_FACTOR`` stored snapshots
 CURVE_SAMPLE_BYTES = 106
 
 
@@ -156,10 +151,10 @@ _DIRECTIONS = {"forward": [Direction.forward], "backward": [Direction.backward],
 
 def _validate(cfg: RunConfig, command=None) -> RunConfig:
     """Build every library object the config names and make the solver's
-    up-front checks (``solver.start``) on the preset's state, turning
-    their ValueErrors into ConfigErrors; check here only what none of
-    them holds.  ``command``, when given, is the one the config is for:
-    ``trace`` and ``predict`` keep their run's snapshots and curves."""
+    up-front checks (``solver.start``, its step budget included) on the
+    preset's state, turning their ValueErrors into ConfigErrors; check
+    here only what none of them holds: the bytes ``command``, when given,
+    keeps (``trace`` and ``predict`` keep their snapshots and curves)."""
     for key, table in (("family", _FAMILIES), ("direction", _DIRECTIONS)):
         if getattr(cfg, key) not in table:
             raise ConfigError(f"{key} must be one of {', '.join(table)}, "
@@ -193,17 +188,13 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
         *_, dt0 = start(law, state0, cfg.t0, config)
         # data that admission refuses takes no step
         if dt0 is not None:
-            if cfg.t_max - cfg.t0 > MAX_STEPS * dt0:
-                raise ValueError(f"t_max - t0 = {cfg.t_max - cfg.t0:g} is more "
-                                 f"than MAX_STEPS = {MAX_STEPS} first CFL "
-                                 f"steps of {dt0:g}")
             steps = (cfg.t_max - cfg.t0) / dt0
-            kept = 48 * steps
+            kept = 8 * len(SERIES_COLUMNS) * steps
             if command in ("trace", "predict"):
                 curves = cfg.curve_seeds * (
                     len(_FAMILIES[cfg.family]) * len(_DIRECTIONS[cfg.direction])
                     if command == "trace" else 1)
-                samples = steps / (2 * cfg.snapshot_stride) + 1
+                samples = steps / (STEP_FACTOR * cfg.snapshot_stride) + 1
                 kept += ((steps // cfg.snapshot_stride + 2) * 16 * cfg.n
                          + curves * samples * CURVE_SAMPLE_BYTES)
             if kept > MAX_KEPT_BYTES:

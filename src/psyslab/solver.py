@@ -87,6 +87,11 @@ class SolverConfig:
             raise ValueError("snapshot_stride must be an integer >= 1")
 
 
+#: the most steps a run may ask for, estimated as t_max - t0 over its
+#: first CFL step: 10x the steps of the largest grid's default run
+#: (n = 4096, t_max = 10: 102,400 steps)
+MAX_STEPS = 2**20
+
 #: the columns of ``Trajectory.series``: t and its ``_state_metrics``
 SERIES_COLUMNS = ("t", "max_u", "min_u", "max_abs_ux", "max_abs_vx",
                   "tail_ratio")
@@ -269,7 +274,8 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
     Raises ValueError unless t0 is finite and t_max - t0 and, for
     admitted data, the first CFL step exceed ``time_resolution(t0,
     t_max)`` (a shorter step would round away in ``t + dt`` or carry a
-    timing error above ~1e-4 of itself), or when the state's spectrum or
+    timing error above ~1e-4 of itself), when t_max - t0 is more than
+    ``MAX_STEPS`` first CFL steps, or when the state's spectrum or
     monitor readings overflow the float range."""
     t_slack = time_resolution(t0, config.t_max)
     try:
@@ -287,6 +293,10 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
                          f"time resolution {t_slack:g} at t0 = {t0:g}")
+    if config.t_max - t0 > MAX_STEPS * dt0:
+        raise ValueError(f"t_max - t0 = {config.t_max - t0:g} is more "
+                         f"than MAX_STEPS = {MAX_STEPS} first CFL "
+                         f"steps of {dt0:g}")
     return c, rows, m0, dt0
 
 

@@ -372,6 +372,9 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
                             None, thresholds={"relative_gap": 1e-6})
     K_total, _ = quad(lambda s: riccati_k(law, u_of_t(s)), 0.0, T,
                       epsabs=1e-13, epsrel=1e-13, limit=200)
+    if not math.isfinite(K_total):  # k(u) overflows: no ODE to compare
+        report.metrics = {"K_total": K_total}
+        return _judge(report, False, "")
     beta_crit = -1.0 / K_total
     betas = [-2.0, -0.5, 0.1, 0.9 * beta_crit]
     worst = 0.0
@@ -448,8 +451,9 @@ def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
     """The standard scenario battery used by the command-line ``verify``.
 
     A scenario that raises ValueError (a run's up-front checks refuse
-    its data under the law, say) fails with the error as its reason, and
-    the others still run.  Each runs with warnings ignored."""
+    its data under the law, or its run would take more than
+    ``solver.MAX_STEPS`` steps, say) fails with the error as its reason,
+    and the others still run.  Each runs with warnings ignored."""
     suite = {
         "constant_rigidity": lambda: scenario_constant(law, -1.0, 0.0, 10.0),
         "simple_wave_blowup": lambda: scenario_simple_wave_blowup(

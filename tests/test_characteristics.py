@@ -15,7 +15,8 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      predict_blowup, run, simple_wave_state, trace,
                      trace_batch)
 from psyslab.characteristics import (CONTINUATION, CharacteristicCurve,
-                                     CurveSample, _median_spacing)
+                                     CurveSample, _median_spacing,
+                                     spotcheck_points)
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
@@ -232,15 +233,15 @@ def test_synthetic_growth_is_B_plus():
     c = trace(traj, 0.3, Family.first)
     assert classify(c) is ClassLabel.B_plus
     report = dual_growth_spotcheck(traj, 3)
-    assert not report.ok  # engineered non-solution: detector must fire
+    assert report.violations  # engineered non-solution: detector must fire
     assert any(v["direction"] == "forward" for v in report.violations)
 
 
 def test_spotcheck_constant_trajectory_clean(constant_traj):
-    report = dual_growth_spotcheck(constant_traj, 4)
-    assert report.ok
-    labels = report.labels[(Direction.forward, Family.first)]
-    assert all(lab is ClassLabel.A_plus for lab in labels)
+    assert not dual_growth_spotcheck(constant_traj, 4).violations
+    starts = [(x0, Family.first) for x0 in spotcheck_points(4)]
+    curves = trace_batch(constant_traj, starts).values()
+    assert all(classify(c) is ClassLabel.A_plus for c in curves)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +289,7 @@ def test_prediction_triangulates_oracle(wave_traj):
 
 def test_spotcheck_wave_trajectory_clean(wave_traj):
     traj, _ = wave_traj
-    assert dual_growth_spotcheck(traj, 4).ok
+    assert not dual_growth_spotcheck(traj, 4).violations
 
 
 def test_gradient_beta_matches_analytic(wave_traj):

@@ -1,3 +1,4 @@
+import importlib
 import re
 from pathlib import Path
 
@@ -20,3 +21,20 @@ def test_readme_python_block_runs(source):
     # a block that names a removed function or keyword fails here, not
     # in a reader's session
     exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+#: the budget constants the README states as "`module.NAME` = value"
+BUDGETS = ("MAX_STEPS", "MAX_KEPT_BYTES", "CURVE_SAMPLE_BYTES")
+
+
+def test_readme_budget_numbers_match_the_code():
+    # a constant moved to another module, or changed, fails here rather
+    # than leaving the README naming the old home or value
+    stated = re.findall(rf"`(\w+)\.({'|'.join(BUDGETS)})` = (2\^\d+|\d+)\b",
+                        README.read_text())
+    assert {name for _, name, _ in stated} == set(BUDGETS)
+    for module, name, value in stated:
+        base, _, exp = value.partition("^")
+        expected = int(base) ** int(exp) if exp else int(base)
+        actual = getattr(importlib.import_module(f"psyslab.{module}"), name)
+        assert actual == expected, f"{module}.{name} = {value}"

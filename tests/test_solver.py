@@ -117,6 +117,16 @@ def test_start_reads_the_first_step_off_the_extremes_of_u():
     assert start(QUAD, constant_state(g, -1e-4, 0.0), 0.0, config)[3] is None
 
 
+def test_start_refuses_more_than_max_steps():
+    # the step budget bounds every run, not only the command line's: the
+    # quartic law's constant run at n=256 to t_max=10 would take about
+    # 4.0e6 steps, and verify's constant scenario ran it for minutes
+    g = PeriodicGrid(256)
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        start(PressureLaw(1e5), constant_state(g, -1.0, 0.0), 0.0,
+              SolverConfig(t_max=10.0))
+
+
 def test_run_requires_future_t_max():
     g = PeriodicGrid(64)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,20 @@ def test_scenario_riccati_ramp_profile():
     assert rep.verdict == "pass"
     # int_0^2 -1/(4 (1+t)^(5/4)) dt = 3^(-1/4) - 1
     assert rep.metrics["K_total"] == pytest.approx(3.0 ** -0.25 - 1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("profile", ["constant", "ramp"])
+def test_scenario_riccati_names_a_non_finite_K_total(profile):
+    # k(u) overflows under the law: quad returns K_total = nan, and the
+    # reason was solve_ivp's "array must not contain infs or NaNs"
+    from scipy.integrate import IntegrationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", IntegrationWarning)
+        rep = scenario_riccati_crosscheck(PressureLaw(1e308), profile)
+    assert rep.verdict == "fail"
+    assert rep.reason.startswith("non-finite K_total = ")
+    assert rep.metrics == {"K_total": None}
 
 
 def test_scenario_simple_wave_small_grid():

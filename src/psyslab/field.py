@@ -127,15 +127,17 @@ def trig_coefficients(samples: np.ndarray) -> np.ndarray:
     return np.fft.rfft(samples) * _parseval_weights(n) / n
 
 
-def _tail_ratio(c: np.ndarray, scales) -> float:
+def _tail_ratio(c: np.ndarray, scales, out=None) -> float:
     """Energy fraction in the top third of the non-mean modes of the rfft
     rows ``c``, summed over the rows (Parseval weights).
 
     Reads 0 when the non-mean energy is at the level of pure FFT roundoff
-    for fields whose largest |sample| are ``scales`` (one per row).
+    for fields whose largest |sample| are ``scales`` (one per row).  The
+    energies go into ``out``, a float array of c's shape, when given.
     """
     n = 2 * (c.shape[-1] - 1)
-    e = _parseval_weights(n) * np.abs(c) ** 2
+    e = np.abs(c, out=out)
+    np.multiply(_parseval_weights(n), np.square(e, out=e), out=e)
     total = float(e[:, 1:].sum(axis=1).sum())
     tail = float(e[:, n // 3 + 1:].sum(axis=1).sum())
     floor = sum((NOISE_FLOOR * n * max(1.0, scale)) ** 2 for scale in scales)

@@ -10,7 +10,11 @@ after each step: it is near-identity on resolved modes and suppresses
 aliasing from the quadratic nonlinearity.  One stacked inverse transform
 per step gives the samples u, v, u_x, v_x whose maxima the monitor
 reads; the same maxima show a non-finite step, and the extremes of u
-set the next CFL step.  Snapshots are built only when stored.
+set the next CFL step.  Snapshots are built only when stored.  Each
+run builds one workspace that every RK stage, transform and monitor
+product writes into, so a step allocates only the rfft rows and
+samples it returns; the float operations stay those of the plain
+expressions, in their order, so every output keeps its bits.
 
 Evolution is only admitted for strictly hyperbolic data; the
 initial-value problem is ill-posed in the elliptic region, so elliptic
@@ -136,14 +140,14 @@ class Trajectory:
         return SpaceTimeField(self.snapshots, self.law)
 
 
-def _rhs_coefficients(law, n: int, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """rfft rows of (du/dt, dv/dt) = (-v_x, (p(u))_x), given the rfft rows
-    c = (u^, v^) and the samples u of u^: one forward transform."""
-    ik = _derivative_multipliers(n)
-    k = np.empty_like(c)
-    k[0] = -ik * c[1]
-    k[1] = ik * np.fft.rfft(law.p(u))
-    return k
+def _rhs_coefficients(law, ws: _Workspace, c: np.ndarray, u: np.ndarray,
+                      k: np.ndarray) -> None:
+    """Write into the slope k the rfft rows of (du/dt, dv/dt) = (-v_x,
+    (p(u))_x), given the rfft rows c = (u^, v^) and the samples u of u^:
+    one forward transform, into the workspace's p^."""
+    np.multiply(ws.neg_ik, c[1], out=k[0])
+    np.fft.rfft(law.p(u), out=ws.p_hat)
+    np.multiply(ws.ik, ws.p_hat, out=k[1])
 
 
 def cfl_dt(law, grid: PeriodicGrid, u: np.ndarray, cfl_safety: float) -> float:
@@ -163,41 +167,75 @@ def cfl_dt(law, grid: PeriodicGrid, u: np.ndarray, cfl_safety: float) -> float:
 def _filter_multipliers(n: int) -> np.ndarray:
     m = np.arange(n // 2 + 1)
     m_max = n // 2
-    return np.exp(-36.0 * (m / m_max) ** 36)
+    sigma = np.exp(-36.0 * (m / m_max) ** 36)
+    sigma.flags.writeable = False
+    return sigma
 
 
-def _rows(n: int, c: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """What one run's steps write into at grid size n, with m = n/2 + 1
+    modes: the slopes k1..k4, a stage state, p^, a stage's u samples, the
+    stacked input of ``_rows`` and the monitor's energies; and -ik, ik and
+    the filter.  Each ``run`` and ``step_rk4`` builds its own."""
+
+    __slots__ = ("n", "k", "stage", "p_hat", "u", "stacked", "energy",
+                 "ik", "neg_ik", "sigma")
+
+    def __init__(self, n: int):
+        m = n // 2 + 1
+        self.n = n
+        self.k = np.empty((4, 2, m), dtype=complex)
+        self.stage = np.empty((2, m), dtype=complex)
+        self.p_hat = np.empty(m, dtype=complex)
+        self.u = np.empty(n)
+        self.stacked = np.empty((4, m), dtype=complex)
+        self.energy = np.empty((2, m))
+        self.ik = _derivative_multipliers(n)
+        self.neg_ik = -self.ik
+        self.sigma = _filter_multipliers(n)
+
+
+def _rows(n: int, c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """Samples (u, v, u_x, v_x) of the rfft rows c = (u^, v^), from one
-    stacked inverse transform."""
-    return np.fft.irfft(np.concatenate((c, c * _derivative_multipliers(n))), n)
+    inverse transform of the (4, m) ``stacked`` (u^, v^, ik u^, ik v^)
+    it writes; the samples are a new array."""
+    stacked[:2] = c
+    np.multiply(c, _derivative_multipliers(n), out=stacked[2:])
+    return np.fft.irfft(stacked, n)
 
 
 def _spectral(state: StateField):
     """(c, rows) of a state: its rfft rows (u^, v^) and the samples
     (u, v, u_x, v_x), with u and v exactly the state's."""
     c = np.fft.rfft(np.stack((state.u, state.v)))
-    rows = _rows(state.grid.n, c)
+    rows = _rows(state.grid.n, c, np.empty((4, c.shape[-1]), dtype=complex))
     rows[0], rows[1] = state.u, state.v
     return c, rows
 
 
-def _advance(law, n: int, c: np.ndarray, u: np.ndarray, dt: float):
+def _advance(law, ws: _Workspace, c: np.ndarray, u: np.ndarray, dt: float):
     """One classical RK4 step of the rfft rows c = (u^, v^), whose u
     samples are u, followed by the exponential filter, a multiply.
 
     Returns (c, rows) of the new state (see ``_rows``): 8 FFT calls, 11
-    transformed rows.
+    transformed rows.  Every stage, transform and sum writes into the
+    workspace ``ws``, so the step allocates only the (c, rows) it
+    returns (and what ``law.p`` returns); the float operations are those
+    of c + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), in that order.
     """
-    k1 = _rhs_coefficients(law, n, c, u)
-    c2 = c + 0.5 * dt * k1
-    k2 = _rhs_coefficients(law, n, c2, np.fft.irfft(c2[0], n))
-    c3 = c + 0.5 * dt * k2
-    k3 = _rhs_coefficients(law, n, c3, np.fft.irfft(c3[0], n))
-    c4 = c + dt * k3
-    k4 = _rhs_coefficients(law, n, c4, np.fft.irfft(c4[0], n))
-    cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    cn *= _filter_multipliers(n)
-    return cn, _rows(n, cn)
+    n, stage = ws.n, ws.stage
+    k1, k2, k3, k4 = ws.k
+    _rhs_coefficients(law, ws, c, u, k1)
+    for k, h, k_next in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
+        np.add(c, np.multiply(h, k, out=stage), out=stage)
+        _rhs_coefficients(law, ws, stage,
+                          np.fft.irfft(stage[0], n, out=ws.u), k_next)
+    s = np.add(k1, np.multiply(2.0, k2, out=k2), out=stage)
+    np.add(s, np.multiply(2.0, k3, out=k3), out=s)
+    np.add(s, k4, out=s)
+    cn = c + np.multiply(dt / 6.0, s, out=s)
+    cn *= ws.sigma
+    return cn, _rows(n, cn, ws.stacked)
 
 
 def step_rk4(law, state: StateField, dt: float) -> StateField:
@@ -209,16 +247,17 @@ def step_rk4(law, state: StateField, dt: float) -> StateField:
     produces a non-finite sample.
     """
     c, rows = _spectral(state)
-    _, rows = _advance(law, state.grid.n, c, rows[0], dt)
+    _, rows = _advance(law, _Workspace(state.grid.n), c, rows[0], dt)
     if not np.isfinite(rows).all():
         raise NonFiniteState("time step produced non-finite entries")
     return StateField(state.grid, *rows[:2])
 
 
-def _state_metrics(c: np.ndarray, rows: np.ndarray) -> tuple:
+def _state_metrics(c: np.ndarray, rows: np.ndarray, energy=None) -> tuple:
     """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum)
     of a state given as its rfft rows c = (u^, v^) and samples
-    (u, v, u_x, v_x).
+    (u, v, u_x, v_x); ``energy``, when given, is the (2, m) float array
+    the tail ratio writes its energies into (see ``_tail_ratio``).
 
     Raises NonFiniteState when a sample is not finite: NaN and +-inf
     carry into these extremes, so no separate pass looks for them.
@@ -228,7 +267,7 @@ def _state_metrics(c: np.ndarray, rows: np.ndarray) -> tuple:
     if not all(map(math.isfinite, (max_u, min_u, max_v, max_ux, max_vx))):
         raise NonFiniteState("time step produced non-finite entries")
     return (max_u, min_u, max_ux, max_vx,
-            _tail_ratio(c, (max(max_u, -min_u), max_v)))
+            _tail_ratio(c, (max(max_u, -min_u), max_v), energy))
 
 
 def _monitor_from_metrics(metrics: tuple, initial_scale: float,
@@ -338,6 +377,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, config)
 
+    ws = _Workspace(n)
     initial_scale = max(1.0, m0[2])
     t = t0
     steps = 0
@@ -350,9 +390,9 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     while config.t_max - t > t_slack:
         dt = min(cfl_dt(law, grid, np.array(m[:2]), config.cfl_safety),
                  config.t_max - t)
-        c, rows = _advance(law, n, c, rows[0], dt)
+        c, rows = _advance(law, ws, c, rows[0], dt)
         try:
-            m = _state_metrics(c, rows)
+            m = _state_metrics(c, rows, ws.energy)
         except NonFiniteState:
             status = RunStatus.blow_up_detected
             t_detect = t + dt

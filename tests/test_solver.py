@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
                      SolverConfig, StateField, cfl_dt, constant_state,
                      random_trig_state, run, spectral_derivative, step_rk4)
-from psyslab.solver import (_monitor_from_metrics, _spectral, _state_metrics,
-                            start)
+from psyslab.field import NOISE_FLOOR, _derivative_multipliers, _parseval_weights
+from psyslab.solver import (_advance, _filter_multipliers, _monitor_from_metrics,
+                            _spectral, _state_metrics, _Workspace, start)
 
 QUAD = PressureLaw.quadratic()
 
@@ -478,3 +479,125 @@ def test_run_fft_budget(monkeypatch):
     assert len(seen) == stored
     assert counts["calls"] <= 8 * traj.steps + 2
     assert counts["rows"] <= 11 * traj.steps + 6
+
+
+def test_cached_spectral_multipliers_are_read_only():
+    # a run's workspace holds these for the whole run: an in-place write
+    # into one would corrupt every later run at that n
+    for cached in (_derivative_multipliers, _parseval_weights,
+                   _filter_multipliers):
+        arr = cached(64)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def _allocating_step(law, n, c, u, dt):
+    """The RK4 step as plain numpy expressions, each allocating its
+    result: the float operations ``_advance`` must reproduce bit for bit."""
+    ik = 2j * np.pi * np.arange(n // 2 + 1)
+    ik[-1] = 0.0
+
+    def rhs(c, u):
+        k = np.empty_like(c)
+        k[0] = -ik * c[1]
+        k[1] = ik * np.fft.rfft(law.p(u))
+        return k
+
+    k1 = rhs(c, u)
+    c2 = c + 0.5 * dt * k1
+    k2 = rhs(c2, np.fft.irfft(c2[0], n))
+    c3 = c + 0.5 * dt * k2
+    k3 = rhs(c3, np.fft.irfft(c3[0], n))
+    c4 = c + dt * k3
+    k4 = rhs(c4, np.fft.irfft(c4[0], n))
+    cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    m = np.arange(n // 2 + 1)
+    cn *= np.exp(-36.0 * (m / (n // 2)) ** 36)
+    return cn, np.fft.irfft(np.concatenate((cn, cn * ik)), n)
+
+
+def _allocating_tail_ratio(c, rows):
+    n = 2 * (c.shape[-1] - 1)
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    e = w * np.abs(c) ** 2
+    total = float(e[:, 1:].sum(axis=1).sum())
+    tail = float(e[:, n // 3 + 1:].sum(axis=1).sum())
+    scales = (max(rows[0].max(), -rows[0].min()), np.abs(rows[1]).max())
+    floor = sum((NOISE_FLOOR * n * max(1.0, s)) ** 2 for s in scales)
+    return tail / total if total > floor else 0.0
+
+
+@pytest.mark.parametrize("law", [PressureLaw.quadratic(), PressureLaw.quartic(0.3)],
+                         ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_workspace_step_matches_the_allocating_step_bit_for_bit(law, n, sign):
+    g = PeriodicGrid(n)
+    s0 = random_trig_state(g, seed=3, modes=3, amplitude=0.25, u0=-1.0)
+    dt = sign * cfl_dt(law, g, s0.u, 0.4)
+    c, rows = _spectral(s0)
+    c_ref, rows_ref = c, rows
+    ws = _Workspace(n)
+    tails = []
+    for _ in range(20):
+        c, rows = _advance(law, ws, c, rows[0], dt)
+        c_ref, rows_ref = _allocating_step(law, n, c_ref, rows_ref[0], dt)
+        assert np.array_equal(c, c_ref) and np.array_equal(rows, rows_ref)
+        tail = _state_metrics(c, rows, ws.energy)[4]
+        assert tail == _allocating_tail_ratio(c_ref, rows_ref)
+        tails.append(tail)
+    assert max(tails) > 0.0  # the ratio is read, not floored to 0
+
+
+class _NestingLaw:
+    """The quadratic law, whose p calls ``nest`` once: on its 10th call,
+    the second RK stage of the third step."""
+
+    def __init__(self, nest):
+        self.calls, self.nest = 0, nest
+
+    def p(self, u):
+        self.calls += 1
+        if self.calls == 10:
+            self.nest()
+        return QUAD.p(u)
+
+    def dp(self, u):
+        return QUAD.dp(u)
+
+
+@pytest.mark.parametrize("inside", ["on_snapshot", "law.p"])
+def test_a_run_started_inside_another_run_shares_no_buffer(inside):
+    # on_snapshot starts the inner run between two of the outer run's
+    # steps, law.p in the middle of one, while its slopes are live
+    g = PeriodicGrid(64)
+    config = SolverConfig(t_max=0.5)
+    starts = [random_trig_state(g, seed=s, modes=3, amplitude=0.25, u0=-1.0)
+              for s in (4, 5)]
+
+    def recorder(kept):
+        return lambda t, state: kept.append((t, state.u.tobytes(),
+                                             state.v.tobytes()))
+
+    alone = [[], []]
+    alone_series = [run(QUAD, s0, 0.0, config, recorder(kept)).series
+                    for s0, kept in zip(starts, alone)]
+    nested, inner = [[], []], []
+
+    def nest():
+        inner.append(run(QUAD, starts[1], 0.0, config,
+                         recorder(nested[1])).series)
+
+    def outer_snapshot(t, state):
+        recorder(nested[0])(t, state)
+        if inside == "on_snapshot" and len(nested[0]) == 3:
+            nest()
+
+    law = _NestingLaw(nest) if inside == "law.p" else QUAD
+    outer_series = run(law, starts[0], 0.0, config, outer_snapshot).series
+    assert len(inner) == 1 and len(nested[0]) > 3
+    assert outer_series.tobytes() == alone_series[0].tobytes()
+    assert inner[0].tobytes() == alone_series[1].tobytes()
+    assert nested == alone

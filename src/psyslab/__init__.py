@@ -32,4 +32,4 @@ from .verify import (ScenarioReport, constant_state, crossing_time_oracle,
                      scenario_constant, scenario_energy_identity,
                      scenario_ramp_residual, scenario_random_hyperbolic_sweep,
                      scenario_riccati_crosscheck, scenario_simple_wave_blowup,
-                     simple_wave_state)
+                     simple_wave_exact, simple_wave_state)

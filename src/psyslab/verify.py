@@ -164,6 +164,43 @@ def crossing_time_oracle(law, u0: float, amplitude: float,
     return -1.0 / m
 
 
+def simple_wave_exact(law, u0: float, amplitude: float, mode: int, t: float,
+                      x) -> tuple:
+    """(u, v) at time t and the points x of the simple wave that
+    ``simple_wave_state`` starts (v0 = 0), for 0 <= t < t*.
+
+    r2 = v + q(u) stays 0, so v = -q(u), and u is constant along the
+    straight family-1 lines x = xi + lambda_1(u_init(xi)) t.  Before the
+    crossing time t* (``crossing_time_oracle``) that map is increasing
+    in xi, so each x has one foot xi, found by a vectorised Newton
+    iteration kept inside the bracket x - t [max, min] lambda_1.  Raises
+    DomainError as the oracle does, and ValueError for t outside [0, t*).
+    """
+    t_star = crossing_time_oracle(law, u0, amplitude, mode)
+    if not (0.0 <= t and (t_star is None or t < t_star)):
+        raise ValueError(f"t = {t!r} must lie in [0, t*) with t* = {t_star!r}")
+    k = 2.0 * np.pi * mode
+    x = np.asarray(x, dtype=float)
+    ends = np.sqrt(-law.dp(np.array([u0 - abs(amplitude), u0 + abs(amplitude)])))
+    lo, hi = x - t * float(ends.max()), x - t * float(ends.min())
+    xi = x.copy()
+    for _ in range(100):
+        u = u0 + amplitude * np.sin(k * xi)
+        lam = np.sqrt(-law.dp(u))
+        f = xi + t * lam - x
+        lo, hi = np.where(f < 0.0, xi, lo), np.where(f > 0.0, xi, hi)
+        # d(lambda_1)/du = -p''(u) / (2 lambda_1)
+        df = 1.0 - t * law.ddp(u) / (2.0 * lam) * amplitude * k * np.cos(k * xi)
+        step = xi - f / df
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.max(np.abs(step - xi), initial=0.0) <= 1e-15
+        xi = step
+        if done:
+            break
+    u = u0 + amplitude * np.sin(k * xi)
+    return u, -q_of_u(law, u)
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 

@@ -9,9 +9,10 @@ from psyslab import (PeriodicGrid, PressureLaw, crossing_time_oracle,
                      scenario_energy_identity, scenario_ramp_residual,
                      scenario_random_hyperbolic_sweep,
                      scenario_riccati_crosscheck, scenario_simple_wave_blowup,
-                     simple_wave_state)
+                     simple_wave_exact, simple_wave_state)
 from psyslab.errors import DomainError
 from psyslab.field import StateField
+from psyslab.solver import SolverConfig, run
 
 QUAD = PressureLaw.quadratic()
 
@@ -90,6 +91,46 @@ def test_crossing_time_oracle_rejects_an_overflowing_speed():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="overflows"):
             crossing_time_oracle(PressureLaw(1e308), -1.0, 0.3, 1)
+
+
+@pytest.mark.parametrize("law", [QUAD, PressureLaw.quartic(0.3)],
+                         ids=["quadratic", "quartic"])
+def test_simple_wave_exact_starts_at_the_initial_data(law):
+    g = PeriodicGrid(64)
+    s0 = simple_wave_state(law, g, -1.0, 0.3, 1)
+    u, v = simple_wave_exact(law, -1.0, 0.3, 1, 0.0, g.nodes)
+    assert np.array_equal(u, s0.u) and np.array_equal(v, s0.v)
+
+
+def test_simple_wave_exact_is_constant_along_straight_characteristics():
+    t_star = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
+    xi = np.linspace(0.0, 1.0, 9)
+    u_init = -1.0 + 0.3 * np.sin(2.0 * np.pi * xi)
+    t = 0.9 * t_star
+    u, v = simple_wave_exact(QUAD, -1.0, 0.3, 1, t, xi + np.sqrt(-QUAD.dp(u_init)) * t)
+    assert np.max(np.abs(u - u_init)) < 1e-13
+    assert np.array_equal(v, -q_of_u(QUAD, u))
+    for t in (-0.1, t_star, 2.0 * t_star):
+        with pytest.raises(ValueError, match=r"\[0, t\*\)"):
+            simple_wave_exact(QUAD, -1.0, 0.3, 1, t, xi)
+
+
+def _error_against_exact_wave(n, fraction, **config):
+    """Max |u - u_exact| of the solver's simple wave at fraction * t*."""
+    t_star = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
+    g = PeriodicGrid(n)
+    traj = run(QUAD, simple_wave_state(QUAD, g, -1.0, 0.3, 1), 0.0,
+               SolverConfig(t_max=fraction * t_star, **config))
+    t, state = traj.snapshots[-1]
+    u, _ = simple_wave_exact(QUAD, -1.0, 0.3, 1, t, g.nodes)
+    return float(np.max(np.abs(state.u - u)))
+
+
+def test_solver_error_against_the_exact_wave_falls_with_n():
+    # at the default step rule the error at t*/2 is the time stepping's,
+    # which falls 16x per doubling of n; 12x leaves room for roundoff
+    errors = [_error_against_exact_wave(n, 0.5) for n in (256, 512, 1024)]
+    assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
 
 def test_scenario_constant_passes():

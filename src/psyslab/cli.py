@@ -70,7 +70,7 @@ PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 #: steps, t_max - t0 over the first CFL step: a float64 series row a
 #: step, and for ``trace`` and ``predict`` 16n a kept snapshot and
 #: ``CURVE_SAMPLE_BYTES`` a traced curve's sample.  The default ``trace``
-#: (n = 256, t_max = 10) keeps 6.1 MB, and at n = 4096 it keeps 1.4 GB
+#: (n = 256, t_max = 10) keeps 3.1 MB, and at n = 4096 it keeps 0.7 GB
 MAX_KEPT_BYTES = 2**32
 
 #: a traced curve's bytes a sample: ``trace_batch`` peaks at 106 with its

@@ -1,20 +1,25 @@
 """Method-of-lines time integration of u_t = -v_x, v_t = (p(u))_x.
 
 Space is discretized spectrally on the periodic grid; time stepping is
-classical RK4 with a CFL step recomputed from the current maximum
-characteristic speed.  ``run`` carries the state between steps as its
-rfft coefficients (u^, v^): in each RK stage -i k v^ costs no transform
-and i k rfft(p(irfft(u^))) costs two.  The exponential high-mode filter
-sigma(m) = exp(-36 (m/m_max)^36) is then a multiply of the coefficients
-after each step: it is near-identity on resolved modes and suppresses
-aliasing from the quadratic nonlinearity.  One stacked inverse transform
-per step gives the samples u, v, u_x, v_x whose maxima the monitor
-reads; the same maxima show a non-finite step, and the extremes of u
-set the next CFL step.  Snapshots are built only when stored.  Each
-run builds one workspace that every RK stage, transform and monitor
-product writes into, so a step allocates only the rfft rows and
-samples it returns; the float operations stay those of the plain
-expressions, in their order, so every output keeps its bits.
+Lawson's integrating-factor RK4 with a CFL step recomputed from the
+current maximum characteristic speed.  The right-hand side is split at
+the mean state u_bar, which a run never changes: the linear wave
+u^_t = -i k v^, v^_t = -i k c_bar^2 u^ (c_bar^2 = -p'(u_bar)) is solved
+exactly, a rotation of each mode that costs no transform, and RK4
+integrates the rest, N = (0, i k rfft(p(u) - p'(u_bar) u)), in the
+rotating frame.  So the step is no longer limited by RK4's damping of
+the resolved waves, and the default ``cfl_safety`` is 0.8.  ``run``
+carries the state between steps as its rfft coefficients (u^, v^):
+each stage's N costs two transforms, irfft(u^) and rfft(p(u)).  The
+exponential high-mode filter sigma(m) = exp(-36 (m/m_max)^36) is then a
+multiply of the coefficients after each step: it is near-identity on
+resolved modes and suppresses aliasing from the quadratic nonlinearity.
+One stacked inverse transform per step gives the samples u, v, u_x,
+v_x whose maxima the monitor reads; the same maxima show a non-finite
+step, and the extremes of u set the next CFL step.  Snapshots are built
+only when stored.  Each run builds one workspace that every stage,
+transform and monitor product writes into, so a step allocates only
+the rfft rows and samples it returns.
 
 Evolution is only admitted for strictly hyperbolic data; the
 initial-value problem is ill-posed in the elliptic region, so elliptic
@@ -64,13 +69,17 @@ class SolverConfig:
     fraction in the top third of modes exceeds 1e-4, the steepening
     front has reached the grid scale and the smooth solution is over.
     On the quadratic wave u = -1 + 0.3 sin 2 pi x, ``t_detect`` misses
-    the analytic t* by -0.56% at n=256, +1.27% at 512, +2.25% at 1024,
-    +3.44% at 2048 and +6.64% at 4096 (past the 5% gate).  Larger
+    the analytic t* by -0.69% at n=256, +1.27% at 512, +2.19% at 1024,
+    +3.49% at 2048 and +6.82% at 4096 (past the 5% gate).  Larger
     values delay or miss detection: the filter caps the tail's growth.
+
+    ``cfl_safety`` is at most 1: the simple wave runs stably to its
+    stop at 1.0 at every n up to 4096, and at 1.2 it went unstable at
+    n = 4096.  At 0.4 the stop moves by at most 0.15% at n <= 1024.
     """
 
     t_max: float
-    cfl_safety: float = 0.4
+    cfl_safety: float = 0.8
     grad_blowup_factor: float = 1e4
     tail_ratio_max: float = 1e-4
     hyperbolicity_eps: float = 1e-3
@@ -92,8 +101,8 @@ class SolverConfig:
 
 
 #: the most steps a run may ask for, estimated as t_max - t0 over its
-#: first CFL step: 10x the steps of the largest grid's default run
-#: (n = 4096, t_max = 10: 102,400 steps)
+#: first CFL step: about 20x the steps of the largest grid's default run
+#: (n = 4096, t_max = 10: 51,200 steps)
 MAX_STEPS = 2**20
 
 #: the columns of ``Trajectory.series``: t and its ``_state_metrics``
@@ -140,14 +149,17 @@ class Trajectory:
         return SpaceTimeField(self.snapshots, self.law)
 
 
-def _rhs_coefficients(law, ws: _Workspace, c: np.ndarray, u: np.ndarray,
-                      k: np.ndarray) -> None:
-    """Write into the slope k the rfft rows of (du/dt, dv/dt) = (-v_x,
-    (p(u))_x), given the rfft rows c = (u^, v^) and the samples u of u^:
-    one forward transform, into the workspace's p^."""
-    np.multiply(ws.neg_ik, c[1], out=k[0])
+def _nonlinear(law, ws: _Workspace, u_hat: np.ndarray, u: np.ndarray,
+               out: np.ndarray) -> None:
+    """Write into ``out`` the v^ row of the nonlinear part N = (0, ik
+    F[p(u) - p'(u_bar) u]) of the right-hand side, given a stage's u^
+    and its samples u: one forward transform, into the workspace's p^.
+    The linear part, p'(u_bar) ik u^ = -c_bar^2 ik u^, is taken off in
+    coefficient space, so it costs no transform."""
     np.fft.rfft(law.p(u), out=ws.p_hat)
-    np.multiply(ws.ik, ws.p_hat, out=k[1])
+    np.multiply(ws.c2, u_hat, out=out)
+    np.add(ws.p_hat, out, out=out)
+    np.multiply(ws.ik, out, out=out)
 
 
 def cfl_dt(law, grid: PeriodicGrid, u: np.ndarray, cfl_safety: float) -> float:
@@ -174,25 +186,61 @@ def _filter_multipliers(n: int) -> np.ndarray:
 
 class _Workspace:
     """What one run's steps write into at grid size n, with m = n/2 + 1
-    modes: the slopes k1..k4, a stage state, p^, a stage's u samples, the
-    stacked input of ``_rows`` and the monitor's energies; and -ik, ik and
-    the filter.  Each ``run`` and ``step_rk4`` builds its own."""
+    modes: the nonlinear slopes n1..n4 (v^ rows only: N has no u^ row),
+    the stage states a = E c, b = E (0, n1) and a stage, a scratch state,
+    p^, a stage's u samples, the stacked input of ``_rows`` and the
+    monitor's energies; and ik, the filter, and the integrating factor.
 
-    __slots__ = ("n", "k", "stage", "p_hat", "u", "stacked", "energy",
-                 "ik", "neg_ik", "sigma")
+    The integrating factor linearises at u_bar, the mean of the u samples
+    of the rfft rows ``c`` it is built from: mode 0 never changes in a
+    run, so u_bar holds for all of it, and c_bar^2 = -p'(u_bar).  E, the
+    exact flow of the linear part over half a step, is a rotation of each
+    mode's (u^, v^) by theta = k c_bar h / 2: u^ <- cos u^ - i sin/c_bar
+    v^, v^ <- -i c_bar sin u^ + cos v^, identity on mode 0 and on the
+    Nyquist mode (k = 0 there).  ``half_step`` sets it for a step h.
+    Each ``run`` and ``step_rk4`` builds its own.  Raises ValueError
+    unless c_bar^2 > 0: the integrating factor of an elliptic mean state
+    is not a rotation."""
 
-    def __init__(self, n: int):
-        m = n // 2 + 1
-        self.n = n
-        self.k = np.empty((4, 2, m), dtype=complex)
-        self.stage = np.empty((2, m), dtype=complex)
+    __slots__ = ("n", "slopes", "a", "b", "stage", "scratch", "p_hat", "u",
+                 "stacked", "energy", "ik", "sigma", "c2", "c_bar", "cos",
+                 "sin", "rot")
+
+    def __init__(self, law, c: np.ndarray):
+        m = c.shape[-1]
+        n = 2 * (m - 1)
+        c2 = -float(law.dp(float(c[0, 0].real) / n))
+        if not 0.0 < c2 < math.inf:
+            raise ValueError(f"-p'(mean u) = {c2!r} must be positive and "
+                             "finite for the integrating factor")
+        self.n, self.c2, self.c_bar = n, c2, math.sqrt(c2)
+        self.slopes = np.empty((4, m), dtype=complex)
+        self.a, self.b, self.stage, self.scratch = \
+            np.empty((4, 2, m), dtype=complex)
         self.p_hat = np.empty(m, dtype=complex)
         self.u = np.empty(n)
         self.stacked = np.empty((4, m), dtype=complex)
         self.energy = np.empty((2, m))
         self.ik = _derivative_multipliers(n)
-        self.neg_ik = -self.ik
         self.sigma = _filter_multipliers(n)
+        self.cos, self.sin = np.empty((2, m))
+        self.rot = np.zeros((2, m), dtype=complex)  # real parts stay 0
+
+    def half_step(self, h: float) -> None:
+        """Set E to the linear flow over h / 2: cos theta and the
+        off-diagonal entries (-i sin/c_bar, -i c_bar sin) of each mode."""
+        theta = np.multiply(self.ik.imag, 0.5 * h * self.c_bar, out=self.cos)
+        np.sin(theta, out=self.sin)
+        np.cos(theta, out=self.cos)
+        np.multiply(self.sin, -1.0 / self.c_bar, out=self.rot[0].imag)
+        np.multiply(self.sin, -self.c_bar, out=self.rot[1].imag)
+
+    def rotate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = E x for a (2, m) state x; out may be x, and is not the
+        scratch state."""
+        np.multiply(self.rot, x[::-1], out=self.scratch)
+        np.multiply(self.cos, x, out=out)
+        return np.add(out, self.scratch, out=out)
 
 
 def _rows(n: int, c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -214,40 +262,61 @@ def _spectral(state: StateField):
 
 
 def _advance(law, ws: _Workspace, c: np.ndarray, u: np.ndarray, dt: float):
-    """One classical RK4 step of the rfft rows c = (u^, v^), whose u
-    samples are u, followed by the exponential filter, a multiply.
+    """One integrating-factor RK4 step (Lawson's) of the rfft rows c =
+    (u^, v^), whose u samples are u, followed by the exponential filter,
+    a multiply.
+
+    The linear wave at the mean state is carried exactly by E, the
+    workspace's half-step rotation, and classical RK4 integrates the
+    nonlinear part N in the rotating frame: with h = dt,
+    n1 = N(c), n2 = N(E(c + h/2 n1)), n3 = N(Ec + h/2 n2),
+    n4 = N(E^2 c + h E n3) and
+    c+ = E^2 c + h/6 (E^2 n1 + 2 E (n2 + n3) + n4), evaluated as
+    E(Ec + h/6 (E n1 + 2 (n2 + n3))) + h/6 n4: four rotations by E and
+    none by E^2.  N is 0 on mode 0, and E the identity there, so mode 0
+    of c keeps its bits.
 
     Returns (c, rows) of the new state (see ``_rows``): 8 FFT calls, 11
     transformed rows.  Every stage, transform and sum writes into the
     workspace ``ws``, so the step allocates only the (c, rows) it
-    returns (and what ``law.p`` returns); the float operations are those
-    of c + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), in that order.
+    returns (and what ``law.p`` returns).
     """
-    n, stage = ws.n, ws.stage
-    k1, k2, k3, k4 = ws.k
-    _rhs_coefficients(law, ws, c, u, k1)
-    for k, h, k_next in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
-        np.add(c, np.multiply(h, k, out=stage), out=stage)
-        _rhs_coefficients(law, ws, stage,
-                          np.fft.irfft(stage[0], n, out=ws.u), k_next)
-    s = np.add(k1, np.multiply(2.0, k2, out=k2), out=stage)
-    np.add(s, np.multiply(2.0, k3, out=k3), out=s)
-    np.add(s, k4, out=s)
-    cn = c + np.multiply(dt / 6.0, s, out=s)
+    n, a, b, stage = ws.n, ws.a, ws.b, ws.stage
+    n1, n2, n3, n4 = ws.slopes
+    ws.half_step(dt)
+    _nonlinear(law, ws, c[0], u, n1)
+    ws.rotate(c, a)
+    np.multiply(ws.rot[0], n1, out=b[0])
+    np.multiply(ws.cos, n1, out=b[1])
+    np.add(a, np.multiply(0.5 * dt, b, out=stage), out=stage)
+    _nonlinear(law, ws, stage[0], np.fft.irfft(stage[0], n, out=ws.u), n2)
+    stage[0] = a[0]
+    np.add(a[1], np.multiply(0.5 * dt, n2, out=stage[1]), out=stage[1])
+    _nonlinear(law, ws, stage[0], np.fft.irfft(stage[0], n, out=ws.u), n3)
+    np.add(a[1], np.multiply(dt, n3, out=stage[1]), out=stage[1])
+    ws.rotate(stage, stage)
+    _nonlinear(law, ws, stage[0], np.fft.irfft(stage[0], n, out=ws.u), n4)
+    np.add(n2, n3, out=n2)
+    np.add(b[1], np.multiply(2.0, n2, out=n2), out=b[1])
+    np.add(a, np.multiply(dt / 6.0, b, out=b), out=b)
+    cn = ws.rotate(b, np.empty_like(c))
+    np.add(cn[1], np.multiply(dt / 6.0, n4, out=n4), out=cn[1])
     cn *= ws.sigma
     return cn, _rows(n, cn, ws.stacked)
 
 
 def step_rk4(law, state: StateField, dt: float) -> StateField:
-    """One classical RK4 step followed by the exponential filter.
+    """One integrating-factor RK4 step (Lawson's; see ``_advance``),
+    linearised at the state's mean, followed by the exponential filter.
 
     The filter is identity on mode 0, so constant states are exact
     fixed points.  Negative dt is accepted (time-reversed stepping for
     self-consistency checks).  Raises NonFiniteState when the step
-    produces a non-finite sample.
+    produces a non-finite sample, and ValueError when the mean state is
+    not strictly hyperbolic (-p'(mean u) <= 0).
     """
     c, rows = _spectral(state)
-    _, rows = _advance(law, _Workspace(state.grid.n), c, rows[0], dt)
+    _, rows = _advance(law, _Workspace(law, c), c, rows[0], dt)
     if not np.isfinite(rows).all():
         raise NonFiniteState("time step produced non-finite entries")
     return StateField(state.grid, *rows[:2])
@@ -377,7 +446,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         return Trajectory(law, snapshots, RunStatus.admission_refused,
                           None, series, config)
 
-    ws = _Workspace(n)
+    ws = _Workspace(law, c)
     initial_scale = max(1.0, m0[2])
     t = t0
     steps = 0

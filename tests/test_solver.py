@@ -359,13 +359,20 @@ def test_solver_config_validation():
 
 
 def _reference_run(law, state0, t0, config):
-    """The physical-space loop the coefficient-space core replaced: each
-    stage differentiates v and p(u) from their samples, the filter takes
-    an rfft/irfft pair per field, and the metrics re-transform the
-    filtered samples.  Same CFL step, monitor and snapshot rules as
-    ``run``; kept only as the reference the solver must reproduce."""
+    """The integrating-factor RK4 run written in physical space: the
+    linear flow at the mean state moves the characteristic variables
+    v +- c_bar u by -+c_bar t (a spectral shift), each stage
+    differentiates p(u) - p'(u_bar) u from its samples, the stages
+    follow Lawson's formula as written, the filter takes an rfft/irfft
+    pair per field, and the metrics re-transform the filtered samples.
+    Same CFL step, monitor and snapshot rules as ``run``; kept only as
+    the reference the solver must reproduce."""
     grid = state0.grid
     n = grid.n
+    u_bar = float(np.mean(state0.u))
+    c_bar = float(np.sqrt(-law.dp(u_bar)))
+    k = 2 * np.pi * np.arange(n // 2 + 1)
+    k[-1] = 0.0
     sigma = np.exp(-36.0 * (np.arange(n // 2 + 1) / (n // 2)) ** 36)
     weights = np.full(n // 2 + 1, 2.0)
     weights[[0, -1]] = 1.0
@@ -382,17 +389,34 @@ def _reference_run(law, state0, t0, config):
                 float(np.max(np.abs(spectral_derivative(grid, v)))),
                 tail / total if total > floor else 0.0)
 
-    def rhs_physical(u, v):
-        return (-spectral_derivative(grid, v),
-                spectral_derivative(grid, law.p(u)))
+    def shift(f, d):
+        return np.fft.irfft(np.fft.rfft(f) * np.exp(-1j * k * d), n)
+
+    def linear_flow(y, h):
+        # v + c_bar u travels right at c_bar, v - c_bar u left
+        u, v = y
+        right = shift(v + c_bar * u, c_bar * h)
+        left = shift(v - c_bar * u, -c_bar * h)
+        return np.array(((right - left) / (2.0 * c_bar), (right + left) / 2.0))
+
+    def nonlinear(y):
+        return np.array((np.zeros(n), spectral_derivative(
+            grid, law.p(y[0]) - law.dp(u_bar) * y[0])))
 
     def step(u, v, dt):
-        ku1, kv1 = rhs_physical(u, v)
-        ku2, kv2 = rhs_physical(u + 0.5 * dt * ku1, v + 0.5 * dt * kv1)
-        ku3, kv3 = rhs_physical(u + 0.5 * dt * ku2, v + 0.5 * dt * kv2)
-        ku4, kv4 = rhs_physical(u + dt * ku3, v + dt * kv3)
-        un = u + (dt / 6.0) * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4)
-        vn = v + (dt / 6.0) * (kv1 + 2.0 * kv2 + 2.0 * kv3 + kv4)
+        y = np.array((u, v))
+
+        def e_half(z):
+            return linear_flow(z, 0.5 * dt)
+
+        def e_full(z):
+            return linear_flow(z, dt)
+
+        n1 = nonlinear(y)
+        n2 = nonlinear(e_half(y + 0.5 * dt * n1))
+        n3 = nonlinear(e_half(y) + 0.5 * dt * n2)
+        n4 = nonlinear(e_full(y) + dt * e_half(n3))
+        un, vn = e_full(y) + (dt / 6.0) * (e_full(n1) + 2.0 * e_half(n2 + n3) + n4)
         return (np.fft.irfft(sigma * np.fft.rfft(un), n),
                 np.fft.irfft(sigma * np.fft.rfft(vn), n))
 
@@ -437,7 +461,8 @@ def test_run_matches_physical_space_reference(data):
     else:
         s0 = random_trig_state(g, seed=int(data[-1]), modes=3, amplitude=0.25,
                                u0=-1.0)
-        cfg = SolverConfig(t_max=50.0)
+        # half the default step, so that each run compares over 100 steps
+        cfg = SolverConfig(t_max=50.0, cfl_safety=0.4)
     traj = run(QUAD, s0, 0.0, cfg)
     status, t_detect, steps, snapshots = _reference_run(QUAD, s0, 0.0, cfg)
     assert traj.status is status is not RunStatus.completed
@@ -468,12 +493,12 @@ def test_run_fft_budget(monkeypatch):
     s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u0=-1.0)
     # a consumer's run keeps no snapshots, so the count it must see comes
     # from a run made before the counters go in
-    stored = len(run(QUAD, s0, 0.0, SolverConfig(t_max=0.5)).snapshots)
+    stored = len(run(QUAD, s0, 0.0, SolverConfig(t_max=1.0)).snapshots)
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     # a snapshot consumer adds no transform
     seen = []
-    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5),
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=1.0),
                lambda t, state: seen.append(t))
     assert traj.status is RunStatus.completed and traj.steps >= 50
     assert len(seen) == stored
@@ -493,25 +518,33 @@ def test_cached_spectral_multipliers_are_read_only():
 
 
 def _allocating_step(law, n, c, u, dt):
-    """The RK4 step as plain numpy expressions, each allocating its
-    result: the float operations ``_advance`` must reproduce bit for bit."""
+    """The integrating-factor RK4 step as plain numpy expressions, each
+    allocating its result: the float operations ``_advance`` must
+    reproduce bit for bit."""
     ik = 2j * np.pi * np.arange(n // 2 + 1)
     ik[-1] = 0.0
+    c2 = -law.dp(c[0, 0].real / n)
+    c_bar = np.sqrt(c2)
+    sin = np.sin(ik.imag * (0.5 * dt * c_bar))
+    cos = np.cos(ik.imag * (0.5 * dt * c_bar))
+    rot = np.array((sin * (-1j / c_bar), sin * (-1j * c_bar)))
 
-    def rhs(c, u):
-        k = np.empty_like(c)
-        k[0] = -ik * c[1]
-        k[1] = ik * np.fft.rfft(law.p(u))
-        return k
+    def rotate(x):
+        return cos * x + rot * x[::-1]
 
-    k1 = rhs(c, u)
-    c2 = c + 0.5 * dt * k1
-    k2 = rhs(c2, np.fft.irfft(c2[0], n))
-    c3 = c + 0.5 * dt * k2
-    k3 = rhs(c3, np.fft.irfft(c3[0], n))
-    c4 = c + dt * k3
-    k4 = rhs(c4, np.fft.irfft(c4[0], n))
-    cn = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def nonlinear(u_hat, u):
+        return ik * (np.fft.rfft(law.p(u)) + c2 * u_hat)
+
+    n1 = nonlinear(c[0], u)
+    a = rotate(c)
+    b = np.array((rot[0] * n1, cos * n1))
+    s2 = a + 0.5 * dt * b
+    n2 = nonlinear(s2[0], np.fft.irfft(s2[0], n))
+    n3 = nonlinear(a[0], np.fft.irfft(a[0], n))
+    s4 = rotate(np.array((a[0], a[1] + dt * n3)))
+    n4 = nonlinear(s4[0], np.fft.irfft(s4[0], n))
+    cn = rotate(a + (dt / 6.0) * np.array((b[0], b[1] + 2.0 * (n2 + n3))))
+    cn[1] = cn[1] + (dt / 6.0) * n4
     m = np.arange(n // 2 + 1)
     cn *= np.exp(-36.0 * (m / (n // 2)) ** 36)
     return cn, np.fft.irfft(np.concatenate((cn, cn * ik)), n)
@@ -536,10 +569,10 @@ def _allocating_tail_ratio(c, rows):
 def test_workspace_step_matches_the_allocating_step_bit_for_bit(law, n, sign):
     g = PeriodicGrid(n)
     s0 = random_trig_state(g, seed=3, modes=3, amplitude=0.25, u0=-1.0)
-    dt = sign * cfl_dt(law, g, s0.u, 0.4)
+    dt = sign * cfl_dt(law, g, s0.u, 0.8)
     c, rows = _spectral(s0)
     c_ref, rows_ref = c, rows
-    ws = _Workspace(n)
+    ws = _Workspace(law, c)
     tails = []
     for _ in range(20):
         c, rows = _advance(law, ws, c, rows[0], dt)
@@ -549,6 +582,46 @@ def test_workspace_step_matches_the_allocating_step_bit_for_bit(law, n, sign):
         assert tail == _allocating_tail_ratio(c_ref, rows_ref)
         tails.append(tail)
     assert max(tails) > 0.0  # the ratio is read, not floored to 0
+
+
+@pytest.mark.parametrize("law", [PressureLaw.quadratic(), PressureLaw.quartic(0.3)],
+                         ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("n", [16, 512])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mode_zero_is_exact(law, n, sign):
+    # the integrating factor linearises at the mean of u for the whole
+    # run, so no step may move mode 0 of (u^, v^) by a bit
+    g = PeriodicGrid(n)
+    s0 = random_trig_state(g, seed=3, modes=3, amplitude=0.25, u0=-1.0)
+    c, rows = _spectral(s0)
+    mode0 = c[:, 0].tobytes()
+    ws = _Workspace(law, c)
+    dt = sign * cfl_dt(law, g, s0.u, 0.8)
+    for _ in range(50):
+        c, rows = _advance(law, ws, c, rows[0], dt)
+        assert c[:, 0].tobytes() == mode0
+    assert np.ptp(rows[0]) > 0.1  # the steps moved every other mode
+
+
+@pytest.mark.parametrize("law", [PressureLaw.quadratic(), PressureLaw.quartic(0.3)],
+                         ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_the_largest_admitted_step_is_stable(law, n):
+    # cfl_safety is capped at 1: there the simple wave must still run to
+    # the stop it reaches at half that step
+    from psyslab import crossing_time_oracle, simple_wave_state
+    t_star = crossing_time_oracle(law, -1.0, 0.3, 1)
+    s0 = simple_wave_state(law, PeriodicGrid(n), -1.0, 0.3, 1)
+    top, half = (run(law, s0, 0.0, SolverConfig(t_max=2.0 * t_star, cfl_safety=cfl))
+                 for cfl in (1.0, 0.5))
+    assert top.status is half.status is RunStatus.resolution_lost
+    assert abs(top.t_detect - half.t_detect) < 0.01 * half.t_detect
+
+
+def test_step_refuses_an_elliptic_mean_state():
+    g = PeriodicGrid(16)
+    with pytest.raises(ValueError, match="integrating factor"):
+        step_rk4(QUAD, constant_state(g, 0.5, 0.0), 1e-3)
 
 
 class _NestingLaw:

@@ -133,6 +133,14 @@ def test_solver_error_against_the_exact_wave_falls_with_n():
     assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
 
 
+def test_solver_error_against_the_exact_wave_at_n_1024():
+    # the integrating-factor step at cfl_safety 0.8 measured 1.2e-11,
+    # 4.1e-10 and 4.6e-8; each bound is 1.25x that, and below classical
+    # RK4's error at half the step (1.7e-11, 1.8e-9 and 5.1e-7)
+    for fraction, bound in ((0.5, 1.5e-11), (0.75, 5.1e-10), (0.9, 5.8e-8)):
+        assert _error_against_exact_wave(1024, fraction) < bound
+
+
 def test_scenario_constant_passes():
     for law, u0, v0 in ((QUAD, -1.0, 0.0), (QUAD, -4.0, 2.5),
                         (PressureLaw.quartic(0.1), -1.0, 0.0)):

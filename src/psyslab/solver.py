@@ -75,7 +75,8 @@ class SolverConfig:
 
     ``cfl_safety`` is at most 1: the simple wave runs stably to its
     stop at 1.0 at every n up to 4096, and at 1.2 it went unstable at
-    n = 4096.  At 0.4 the stop moves by at most 0.15% at n <= 1024.
+    n = 4096.  Against 0.4 the stop moves by 0.07% of t* at n = 512, by
+    none at 256 and 1024, and by at most 0.12% on 20 random seeds.
     """
 
     t_max: float

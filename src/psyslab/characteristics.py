@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,6 +44,10 @@ GROWTH_FACTOR = 10.0
 #: where the Riccati root sits, so roots often fall just past the window
 CONTINUATION = 0.25
 
+#: the sample columns of a ``CharacteristicCurve``, in the order of a
+#: curve CSV's header
+CURVE_COLUMNS = ("t", "x", "u", "r1", "r2", "beta", "K_accum")
+
 
 class Direction(enum.Enum):
     forward = 1
@@ -62,20 +66,10 @@ class ClassLabel(str, enum.Enum):
     undetermined = "undetermined"
 
 
-class CurveSample(NamedTuple):
-    t: float
-    x: float  # unwrapped (lifted) position
-    u: float
-    r1: float
-    r2: float
-    beta: float
-    K_accum: float
-
-
 @dataclass(eq=False)
 class CharacteristicCurve:
-    """One traced curve.  Each column holds one entry per sample, in
-    traversal order (times monotone along the direction)."""
+    """One traced curve.  Each of its ``CURVE_COLUMNS`` holds one entry
+    per sample, in traversal order (times monotone along the direction)."""
 
     family: Family
     direction: Direction
@@ -87,12 +81,6 @@ class CharacteristicCurve:
     beta: np.ndarray
     K_accum: np.ndarray
     t_hit: Optional[float] = None  # boundary-hit time, if any
-
-    @property
-    def samples(self) -> list:
-        """The samples as CurveSample tuples, built on each access."""
-        columns = (getattr(self, name).tolist() for name in CurveSample._fields)
-        return [CurveSample(*row) for row in zip(*columns)]
 
     @property
     def t_start(self) -> float:

@@ -51,9 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _snapshot_writer
-from .characteristics import (GROWTH_FACTOR, STEP_FACTOR, ClassLabel,
-                              CurveSample, Direction, classify,
-                              predict_blowup, spotcheck_points, trace_batch)
+from .characteristics import (CURVE_COLUMNS, GROWTH_FACTOR, STEP_FACTOR,
+                              ClassLabel, Direction, classify, predict_blowup,
+                              spotcheck_points, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
@@ -67,7 +67,7 @@ from .verify import (constant_state, default_suite, random_elliptic_state,
 PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 
 #: the most bytes a command may keep from its run, estimated from its
-#: steps, t_max - t0 over the first CFL step: a float64 series row a
+#: steps, t_max over the first CFL step: a float64 series row a
 #: step, and for ``trace`` and ``predict`` 16n a kept snapshot and
 #: ``CURVE_SAMPLE_BYTES`` a traced curve's sample.  The default ``trace``
 #: (n = 256, t_max = 10) keeps 3.1 MB, and at n = 4096 it keeps 0.7 GB
@@ -91,7 +91,6 @@ class RunConfig:
     mode: int = 1
     seed: int = 0
     modes: int = 3
-    t0: float = 0.0
     t_max: float = 10.0
     cfl_safety: float = SolverConfig.cfl_safety
     grad_blowup_factor: float = SolverConfig.grad_blowup_factor
@@ -185,10 +184,10 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
         where = f"preset {cfg.preset}: "
         state0 = build_initial_state(cfg, PeriodicGrid(cfg.n))
         where = ""
-        *_, dt0 = start(law, state0, cfg.t0, config)
+        *_, dt0 = start(law, state0, 0.0, config)
         # data that admission refuses takes no step
         if dt0 is not None:
-            steps = (cfg.t_max - cfg.t0) / dt0
+            steps = cfg.t_max / dt0
             kept = 8 * len(SERIES_COLUMNS) * steps
             if command in ("trace", "predict"):
                 curves = cfg.curve_seeds * (
@@ -255,10 +254,10 @@ def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
 
 
 def _run(cfg: RunConfig, on_snapshot=None):
-    """Solve the config's initial-value problem, through the module's
-    ``run``, so that a wrapper installed on it sees the call."""
+    """Solve the config's initial-value problem from t = 0, through the
+    module's ``run``, so that a wrapper installed on it sees the call."""
     return run(cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n)),
-               cfg.t0, cfg.solver_config(), on_snapshot)
+               0.0, cfg.solver_config(), on_snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +417,8 @@ def cmd_trace(cfg: RunConfig) -> int:
                                     "label": ClassLabel.undetermined.value,
                                     "error": str(curve)})
                     continue
-                _write_csv(cfg, out / name, CurveSample._fields, np.column_stack(
-                    [getattr(curve, col) for col in CurveSample._fields]))
+                _write_csv(cfg, out / name, CURVE_COLUMNS, np.column_stack(
+                    [getattr(curve, col) for col in CURVE_COLUMNS]))
                 label = classify(curve, cfg.growth_factor)
                 entries.append({"x0": x0, "family": fam.name,
                                 "direction": direction.name,
@@ -551,7 +550,3 @@ def main(argv=None) -> int:
 
 def console_main():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

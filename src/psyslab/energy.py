@@ -18,7 +18,7 @@ quadrature for these integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
 
 import numpy as np
 
@@ -28,44 +28,29 @@ from .field import StateField, spectral_derivative
 #: roundoff tolerated at the u = 0 interface
 DOMAIN_EPS = 1e-12
 
-LOG1P = "log1p"
-RATIONAL = "rational"
 
-
-@dataclass(frozen=True)
-class ConcaveGauge:
-    """Gauge function f for the energy; two built-in kinds.
+class ConcaveGauge(str, enum.Enum):
+    """Gauge function f for the energy.
 
     ``log1p``:    f(u) = log(1 + u),  f'' = -1/(1+u)^2
     ``rational``: f(u) = u/(1 + u),   f'' = -2/(1+u)^3  (bounded gauge)
     """
 
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (LOG1P, RATIONAL):
-            raise ValueError(f"unknown gauge kind: {self.kind!r}")
-
-    @classmethod
-    def log1p(cls) -> "ConcaveGauge":
-        return cls(LOG1P)
-
-    @classmethod
-    def rational(cls) -> "ConcaveGauge":
-        return cls(RATIONAL)
+    log1p = "log1p"
+    rational = "rational"
 
     def f(self, u):
-        if self.kind == LOG1P:
+        if self is ConcaveGauge.log1p:
             return np.log1p(u)
         return u / (1.0 + u)
 
     def df(self, u):
-        if self.kind == LOG1P:
+        if self is ConcaveGauge.log1p:
             return 1.0 / (1.0 + u)
         return 1.0 / (1.0 + u) ** 2
 
     def ddf(self, u):
-        if self.kind == LOG1P:
+        if self is ConcaveGauge.log1p:
             return -1.0 / (1.0 + u) ** 2
         return -2.0 / (1.0 + u) ** 3
 

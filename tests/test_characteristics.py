@@ -14,8 +14,8 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      dual_growth_spotcheck, gradient_beta, invariant_drift,
                      predict_blowup, run, simple_wave_state, trace,
                      trace_batch)
-from psyslab.characteristics import (CONTINUATION, CharacteristicCurve,
-                                     CurveSample, _median_spacing,
+from psyslab.characteristics import (CONTINUATION, CURVE_COLUMNS,
+                                     CharacteristicCurve, _median_spacing,
                                      spotcheck_points)
 from psyslab.solver import RunStatus, Trajectory
 
@@ -53,21 +53,25 @@ def constant_traj():
 
 def test_constant_state_family1_line(constant_traj):
     c = trace(constant_traj, 0.25, Family.first)
-    last = c.samples[-1]
     assert c.t_hit is None  # it ran the whole window
-    assert abs(last.t - 3.0) < 1e-9
-    assert abs(last.x - 3.25) < 1e-9          # speed exactly 1, unwrapped
-    assert abs(last.K_accum + 0.75) < 1e-8    # k = -1/4 along the curve
-    assert all(abs(s.beta) < 1e-12 for s in c.samples)
-    xs = [s.x for s in c.samples]
-    assert np.all(np.diff(xs) > 0.0)          # family-1 lift non-decreasing
+    assert abs(c.t[-1] - 3.0) < 1e-9
+    assert abs(c.x[-1] - 3.25) < 1e-9         # speed exactly 1, unwrapped
+    assert abs(c.K_accum[-1] + 0.75) < 1e-8   # k = -1/4 along the curve
+    assert np.all(np.abs(c.beta) < 1e-12)
+    assert np.all(np.diff(c.x) > 0.0)         # family-1 lift non-decreasing
 
 
 def test_constant_state_family2_line(constant_traj):
     c = trace(constant_traj, 0.25, Family.second)
-    assert abs(c.samples[-1].x + 2.75) < 1e-9
-    xs = [s.x for s in c.samples]
-    assert np.all(np.diff(xs) < 0.0)
+    assert abs(c.x[-1] + 2.75) < 1e-9
+    assert np.all(np.diff(c.x) < 0.0)
+
+
+def test_curve_columns_are_the_curve_arrays():
+    # the curve CSV header names each sample column once, in field order
+    assert CURVE_COLUMNS == tuple(
+        f.name for f in dataclasses.fields(CharacteristicCurve)
+        if f.type == "np.ndarray")
 
 
 def test_constant_state_drift_zero(constant_traj):
@@ -96,8 +100,7 @@ def test_invariant_drift_stops_at_t_end(direction):
 
 def test_K_accum_non_increasing(constant_traj):
     c = trace(constant_traj, 0.6, Family.first)
-    ks = [s.K_accum for s in c.samples]
-    assert np.all(np.diff(ks) <= 0.0)
+    assert np.all(np.diff(c.K_accum) <= 0.0)
 
 
 def with_beta0(curve, b0):
@@ -139,10 +142,9 @@ def test_classify_constant_is_A(constant_traj):
 
 def test_backward_trace_starts_at_window_end(constant_traj):
     c = trace(constant_traj, 0.5, Family.first, Direction.backward)
-    assert c.samples[0].t == pytest.approx(3.0, abs=1e-9)
-    ts = [s.t for s in c.samples]
-    assert np.all(np.diff(ts) < 0.0)
-    assert abs(c.samples[-1].t) < 1e-9
+    assert c.t[0] == pytest.approx(3.0, abs=1e-9)
+    assert np.all(np.diff(c.t) < 0.0)
+    assert abs(c.t[-1]) < 1e-9
 
 
 @pytest.mark.parametrize("eps, t_hit", [(1e-3, 1.0), (0.05, 0.5)])
@@ -362,7 +364,7 @@ def test_batch_matches_single_traces(direction):
         assert (got.t_hit is None) == (ref.t_hit is None)
         if ref.t_hit is not None:
             assert got.t_hit == pytest.approx(ref.t_hit, abs=1e-14)
-        for name in CurveSample._fields:
+        for name in CURVE_COLUMNS:
             np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
                                        rtol=1e-14, atol=1e-14, err_msg=name)
         outcomes.add("reached_horizon" if got.t_hit is None
@@ -388,7 +390,7 @@ def test_trace_batch_traces_a_repeated_start_once(monkeypatch):
     assert list(batch) == starts[:2]
     assert widths[0] == 2 and max(widths) == 2
     for key, curve in batch.items():
-        for name in CurveSample._fields:
+        for name in CURVE_COLUMNS:
             np.testing.assert_array_equal(getattr(curve, name),
                                           getattr(unique[key], name), err_msg=name)
 

@@ -28,6 +28,13 @@ def run_cli(*args):
     return main(["--quiet", *args])
 
 
+#: a span whose first CFL step is below the time resolution of its end:
+#: near t = 1e15, t + dt would round back to t
+ROUNDS_AWAY = ["preset=simple_wave", "n=16", "t_max=1e15"]
+ROUNDS_AWAY_ERROR = ("the first CFL step 0.0438529 does not exceed the "
+                     "time resolution 1000 ")
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -105,8 +112,8 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["preset=elliptic_random", "seed=-1"],
     ["law=quadratic"],
     ["preset=bogus"],
-    ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
-    ["preset=simple_wave", "n=16", "t0=1e17", "t_max=100000000000000064"],
+    ROUNDS_AWAY,
+    ["preset=simple_wave", "n=16", "t_max=1e17"],
     ["preset=random_trig", "amplitude=-5"],
     # each ran as a constant state, labelled as the preset
     ["preset=random_trig", "modes=0"],
@@ -137,7 +144,11 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     for item in ["n=64", f"outdir={tmp_path / 'out'}"] + overrides:
         args += ["--set", item]
     assert run_cli(*args, "simulate") == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if "t_max=1e15" in overrides or "t_max=1e17" in overrides:
+        # refused for its span, not for a key or value
+        assert "does not exceed the time resolution" in err
     assert not (tmp_path / "out" / "run.json").exists()
 
 
@@ -194,30 +205,26 @@ def test_preset_errors_name_the_config_key(tmp_path, capsys, overrides):
     assert "u_offset" not in err and "u_center" not in err
 
 
-@pytest.mark.parametrize("overrides", [
-    ["preset=simple_wave", "n=16", "t0=1e15", "t_max=1000000000002000"],
-    ["preset=constant", "v0=1e308"],
-    ["preset=random_trig", "amplitude=1e300"],
+@pytest.mark.parametrize("overrides, match", [
+    (ROUNDS_AWAY, ROUNDS_AWAY_ERROR),
+    (["preset=constant", "v0=1e308"], "overflows the monitor"),
+    (["preset=random_trig", "amplitude=1e300"], "overflows the monitor"),
 ], ids=["step_rounds_away", "constant_overflows", "random_trig_overflows"])
 @pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
-def test_parse_config_makes_the_run_up_front_checks(command, overrides):
+def test_parse_config_makes_the_run_up_front_checks(command, overrides, match):
     # each passed parse_config and was refused only inside run
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         parse_config(None, overrides, command)
 
 
 @pytest.mark.parametrize("command", ["simulate", "trace", "predict"])
 def test_run_config_error_leaves_no_outdir(tmp_path, capsys, writers, command):
-    # the run's first step would round away (t + dt rounds back to t near
-    # t0 = 1e15): the config is refused before the command starts, so
+    # the run's steps would round away (t + dt rounds back to t near
+    # t_max = 1e15): the config is refused before the command starts, so
     # no outdir is made and no snapshot writer started
     out = tmp_path / "out"
-    args = []
-    for item in ["preset=simple_wave", "n=16", "t0=1e15",
-                 "t_max=1000000000002000", f"outdir={out}"]:
-        args += ["--set", item]
-    assert run_cli(*args, command) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert run_cli(*sets(ROUNDS_AWAY + [f"outdir={out}"]), command) == 2
+    assert ROUNDS_AWAY_ERROR in capsys.readouterr().err
     assert not out.exists() and writers == []
 
 
@@ -239,14 +246,13 @@ def test_json_rejects_non_finite(tmp_path):
         _write_json(cfg, tmp_path / "x.json", {"t_detect": float("nan")})
 
 
-@pytest.mark.parametrize("module", ["psyslab", "psyslab.cli"])
-def test_module_entry_point(tmp_path, module):
+def test_module_entry_point(tmp_path):
     src = str(Path(psyslab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", module, "--quiet", "--set", "n=16",
+        [sys.executable, "-m", "psyslab", "--quiet", "--set", "n=16",
          "--set", "t_max=0.05", "--set", f"outdir={out}", "simulate"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -460,7 +466,8 @@ def test_simulate_run_keeps_no_snapshots(tmp_path):
 def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
                                                            monkeypatch):
     # past its first rows the series doubles in place, and is trimmed to
-    # one 48-byte row at t0 and one per step; series.csv holds those rows
+    # one 48-byte row at t = 0 and one per step; series.csv holds those
+    # rows
     runs = []
 
     def recording_run(*args):
@@ -468,8 +475,8 @@ def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
         return runs[-1]
 
     monkeypatch.setattr(cli, "run", recording_run)
-    cfg = parse_config(None, ["preset=simple_wave", "n=64", "t0=0.25",
-                              "t_max=1.05", f"outdir={tmp_path}"])
+    cfg = parse_config(None, ["preset=simple_wave", "n=64", "t_max=0.8",
+                              f"outdir={tmp_path}"])
     assert cli.cmd_simulate(cfg) == 0
     (traj,) = runs
     series, steps = traj.series, traj.steps
@@ -481,7 +488,7 @@ def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
     assert lines[1] == ",".join(psyslab.SERIES_COLUMNS)
     assert np.array_equal(np.loadtxt(lines[2:], delimiter=","), series)
     # its snapshots went to the writer: t0 comes from the series
-    assert traj.snapshots == [] and traj.t0 == 0.25
+    assert traj.snapshots == [] and traj.t0 == 0.0
     refused = solver.run(cfg.law_obj(), psyslab.constant_state(
         PeriodicGrid(64), 0.0, 0.0), 0.25, cfg.solver_config())
     assert refused.status is solver.RunStatus.admission_refused
@@ -808,9 +815,7 @@ _FUZZ_VERIFY = ["verify_seeds=1", "verify_t_max=0.5", "verify_n=16", "wave_n=16"
 @st.composite
 def _fuzz_configs(draw):
     items = draw(st.fixed_dictionaries({}, optional=_FUZZ_KEYS))
-    t0 = draw(st.floats(-5.0, 5.0, **_FLOATS))
-    span = draw(st.floats(0.01, 0.3, **_FLOATS))
-    items.update(t0=t0, t_max=t0 + span)
+    items["t_max"] = draw(st.floats(0.01, 0.3, **_FLOATS))
     return ([f"{key}={value}" for key, value in items.items()] + _FUZZ_VERIFY
             + draw(st.lists(st.sampled_from(_FUZZ_BAD), max_size=1)))
 

@@ -4,11 +4,18 @@ from pathlib import Path
 
 import pytest
 
+from psyslab.cli import parse_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: the body of every ```python block of the README, in order
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
                     flags=re.MULTILINE | re.DOTALL)
+
+#: the body of the README's example config, the plain block that starts
+#: with ``quartic_a``
+CONFIG = re.search(r"^```\n(quartic_a = .*?)^```$", README.read_text(),
+                   flags=re.MULTILINE | re.DOTALL)
 
 
 def test_readme_has_a_python_block():
@@ -38,3 +45,13 @@ def test_readme_budget_numbers_match_the_code():
         expected = int(base) ** int(exp) if exp else int(base)
         actual = getattr(importlib.import_module(f"psyslab.{module}"), name)
         assert actual == expected, f"{module}.{name} = {value}"
+
+
+def test_readme_example_config_parses(tmp_path):
+    # a key deleted from RunConfig but left in the example fails here,
+    # as an unknown key, rather than in a reader's first run
+    assert CONFIG
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG.group(1))
+    cfg = parse_config(path)
+    assert (cfg.preset, cfg.n, cfg.t_max) == ("simple_wave", 512, 2.2)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
                      SolverConfig, StateField, cfl_dt, constant_state,
-                     random_trig_state, run, spectral_derivative, step_rk4)
+                     random_trig_state, run, simple_wave_state,
+                     spectral_derivative, step_rk4)
+from psyslab import solver
 from psyslab.field import NOISE_FLOOR, _derivative_multipliers, _parseval_weights
 from psyslab.solver import (_advance, _filter_multipliers, _monitor_from_metrics,
                             _spectral, _state_metrics, _Workspace, start)
@@ -601,6 +603,56 @@ def test_mode_zero_is_exact(law, n, sign):
         c, rows = _advance(law, ws, c, rows[0], dt)
         assert c[:, 0].tobytes() == mode0
     assert np.ptp(rows[0]) > 0.1  # the steps moved every other mode
+
+
+@pytest.mark.parametrize("law", [PressureLaw.quadratic(), PressureLaw.quartic(0.3)],
+                         ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("preset", ["simple_wave", "random_trig"])
+def test_mode_zero_keeps_its_bits_over_a_whole_run(monkeypatch, law, preset):
+    # every step of a run to its stop leaves mode 0 of (u^, v^) as the
+    # initial state has it
+    g = PeriodicGrid(512)
+    s0 = (simple_wave_state(law, g, -1.0, 0.3, 1) if preset == "simple_wave"
+          else random_trig_state(g, seed=5, modes=3, amplitude=0.25, u0=-1.0))
+    mode0 = []
+    advance = solver._advance
+
+    def recording(law, ws, c, u, dt):
+        c, rows = advance(law, ws, c, u, dt)
+        mode0.append(c[:, 0].tobytes())
+        return c, rows
+
+    monkeypatch.setattr(solver, "_advance", recording)
+    traj = run(law, s0, 0.0, SolverConfig(t_max=5.0))
+    assert traj.status is not RunStatus.completed  # it ran to its stop
+    assert len(mode0) >= traj.steps > 100
+    assert set(mode0) == {_spectral(s0)[0][:, 0].tobytes()}
+
+
+@pytest.mark.parametrize("law", [PressureLaw.quadratic(), PressureLaw.quartic(0.3)],
+                         ids=["quadratic", "quartic"])
+@pytest.mark.parametrize("preset", ["simple_wave", "random_trig"])
+def test_a_later_start_only_relabels_time(law, preset):
+    # a run from t0 = 100 takes the steps of the run from 0 with the same
+    # bits; its times differ by the rounding of one addition a step
+    g = PeriodicGrid(256)
+    s0 = (simple_wave_state(law, g, -1.0, 0.3, 1) if preset == "simple_wave"
+          else random_trig_state(g, seed=3, modes=3, amplitude=0.25, u0=-1.0))
+    base = run(law, s0, 0.0, SolverConfig(t_max=3.0))
+    later = run(law, s0, 100.0, SolverConfig(t_max=103.0))
+    assert base.status is later.status is RunStatus.resolution_lost
+    assert later.steps == base.steps
+    assert later.series[:, 1:].tobytes() == base.series[:, 1:].tobytes()
+    assert len(later.snapshots) == len(base.snapshots)
+    for (_, a), (_, b) in zip(base.snapshots, later.snapshots):
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+    # measured at most 1.3e-13; the bound is a spacing of 103 a step
+    bound = base.steps * np.spacing(103.0)
+    shift = later.series[:, 0] - 100.0 - base.series[:, 0]
+    assert np.max(np.abs(shift)) < bound
+    assert abs(later.t_detect - 100.0 - base.t_detect) < bound
+    assert all(abs(tb - 100.0 - ta) < bound for (ta, _), (tb, _)
+               in zip(base.snapshots, later.snapshots))
 
 
 @pytest.mark.parametrize("law", [PressureLaw.quadratic(), PressureLaw.quartic(0.3)],

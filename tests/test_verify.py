@@ -249,6 +249,18 @@ def test_scenario_simple_wave_quartic_law():
         crossing_time_oracle(QUAD, -1.0, 0.2, 1))  # its own oracle value
 
 
+def test_scenario_simple_wave_quartic_n_1024_passes_its_gates():
+    # the faster quartic speeds drift the most since the step doubled
+    # (invariant_drift_max reads 3.35e-5 against its 1e-4 gate): a longer
+    # snapshot spacing, or a coarser time interpolant, fails here
+    rep = scenario_simple_wave_blowup(PressureLaw.quartic(0.3), -1.0, 0.3, 1,
+                                      n=1024)
+    assert rep.verdict == "pass", rep.reason
+    assert (rep.metrics["invariant_drift_max"]
+            < rep.thresholds["drift_max"])
+    assert rep.metrics["spotcheck_violations"] == 0.0
+
+
 def test_scenario_sweep_small():
     rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128,
                                            spotcheck_seeds=2)

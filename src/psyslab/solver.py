@@ -9,11 +9,15 @@ exactly, a rotation of each mode that costs no transform, and RK4
 integrates the rest, N = (0, i k rfft(p(u) - p'(u_bar) u)), in the
 rotating frame.  So the step is no longer limited by RK4's damping of
 the resolved waves, and the default ``cfl_safety`` is 0.8.  ``run``
-carries the state between steps as its rfft coefficients (u^, v^):
-each stage's N costs two transforms, irfft(u^) and rfft(p(u)).  The
-exponential high-mode filter sigma(m) = exp(-36 (m/m_max)^36) is then a
-multiply of the coefficients after each step: it is near-identity on
-resolved modes and suppresses aliasing from the quadratic nonlinearity.
+carries the state between steps as its rfft coefficients (u^, v^).  N
+reads only a stage's u^ row, and the third stage's u^ row is the
+rotated state's, so the four stages pair off into two independent
+pairs: each pair's N costs one stacked irfft(u^) and one stacked
+rfft(p(u)), less the first stage's irfft, whose samples the step is
+given.  The exponential high-mode filter sigma(m) = exp(-36
+(m/m_max)^36) is then a multiply of the coefficients after each step:
+it is near-identity on resolved modes and suppresses aliasing from the
+quadratic nonlinearity.
 One stacked inverse transform per step gives the samples u, v, u_x,
 v_x whose maxima the monitor reads; the same maxima show a non-finite
 step, and the extremes of u set the next CFL step.  Snapshots are built
@@ -152,25 +156,29 @@ class Trajectory:
 
 def _nonlinear(law, ws: _Workspace, u_hat: np.ndarray, u: np.ndarray,
                out: np.ndarray) -> None:
-    """Write into ``out`` the v^ row of the nonlinear part N = (0, ik
-    F[p(u) - p'(u_bar) u]) of the right-hand side, given a stage's u^
-    and its samples u: one forward transform, into the workspace's p^.
-    The linear part, p'(u_bar) ik u^ = -c_bar^2 ik u^, is taken off in
-    coefficient space, so it costs no transform."""
+    """Write into the (2, m) ``out`` the v^ rows of the nonlinear part
+    N = (0, ik F[p(u) - p'(u_bar) u]) of the right-hand side at two
+    stages, given their stacked u^ rows and u samples: one forward
+    transform of the two rows p(u), into the workspace's p^.  The linear
+    part, p'(u_bar) ik u^ = -c_bar^2 ik u^, is taken off in coefficient
+    space, so it costs no transform."""
     np.fft.rfft(law.p(u), out=ws.p_hat)
     np.multiply(ws.c2, u_hat, out=out)
     np.add(ws.p_hat, out, out=out)
     np.multiply(ws.ik, out, out=out)
 
 
-def cfl_dt(law, grid: PeriodicGrid, u: np.ndarray, cfl_safety: float) -> float:
-    """CFL step: cfl_safety * dx / max_j |characteristic speed| at the
-    samples u.
+def cfl_dt(law, grid: PeriodicGrid, max_u: float, min_u: float,
+           cfl_safety: float) -> float:
+    """CFL step: cfl_safety * dx / max |characteristic speed| over a
+    state whose samples of u lie in [min_u, max_u].
 
-    The speed magnitude is |p'(u)|^(1/2).  Degenerate states with maximum
-    speed below 1e-12 fall back to cfl_safety * dx.
+    The speed magnitude is |p'(u)|^(1/2), and p' is increasing, so its
+    largest magnitude is at max_u or min_u.  Degenerate states with
+    maximum speed below 1e-12 fall back to cfl_safety * dx; an infinite
+    speed gives 0.
     """
-    speed = float(np.sqrt(np.max(np.abs(law.dp(u)))))
+    speed = math.sqrt(max(abs(law.dp(max_u)), abs(law.dp(min_u))))
     if speed < 1e-12:
         return cfl_safety * grid.dx
     return cfl_safety * grid.dx / speed
@@ -187,10 +195,11 @@ def _filter_multipliers(n: int) -> np.ndarray:
 
 class _Workspace:
     """What one run's steps write into at grid size n, with m = n/2 + 1
-    modes: the nonlinear slopes n1..n4 (v^ rows only: N has no u^ row),
-    the stage states a = E c, b = E (0, n1) and a stage, a scratch state,
-    p^, a stage's u samples, the stacked input of ``_rows`` and the
-    monitor's energies; and ik, the filter, and the integrating factor.
+    modes: the nonlinear slopes as two (2, m) pairs (n1, n3) and (n2, n4)
+    (v^ rows only: N has no u^ row), the states a = E c and b = E (0, n1),
+    a scratch state, and the two stacked stages N reads: their u^ rows,
+    u samples and p^; the stacked input of ``_rows`` and the monitor's
+    energies; and ik, the filter, and the integrating factor.
 
     The integrating factor linearises at u_bar, the mean of the u samples
     of the rfft rows ``c`` it is built from: mode 0 never changes in a
@@ -203,7 +212,7 @@ class _Workspace:
     unless c_bar^2 > 0: the integrating factor of an elliptic mean state
     is not a rotation."""
 
-    __slots__ = ("n", "slopes", "a", "b", "stage", "scratch", "p_hat", "u",
+    __slots__ = ("n", "slopes", "a", "b", "scratch", "u_hat", "u", "p_hat",
                  "stacked", "energy", "ik", "sigma", "c2", "c_bar", "cos",
                  "sin", "rot")
 
@@ -215,11 +224,10 @@ class _Workspace:
             raise ValueError(f"-p'(mean u) = {c2!r} must be positive and "
                              "finite for the integrating factor")
         self.n, self.c2, self.c_bar = n, c2, math.sqrt(c2)
-        self.slopes = np.empty((4, m), dtype=complex)
-        self.a, self.b, self.stage, self.scratch = \
-            np.empty((4, 2, m), dtype=complex)
-        self.p_hat = np.empty(m, dtype=complex)
-        self.u = np.empty(n)
+        self.slopes = np.empty((2, 2, m), dtype=complex)
+        self.a, self.b, self.scratch, self.u_hat, self.p_hat = \
+            np.empty((5, 2, m), dtype=complex)
+        self.u = np.empty((2, n))
         self.stacked = np.empty((4, m), dtype=complex)
         self.energy = np.empty((2, m))
         self.ik = _derivative_multipliers(n)
@@ -277,26 +285,32 @@ def _advance(law, ws: _Workspace, c: np.ndarray, u: np.ndarray, dt: float):
     none by E^2.  N is 0 on mode 0, and E the identity there, so mode 0
     of c keeps its bits.
 
-    Returns (c, rows) of the new state (see ``_rows``): 8 FFT calls, 11
+    N has no u^ row and reads only a stage's u^ row, so n3 = N(Ec) does
+    not depend on n2: n1 and n3 come from one stacked transform pair, as
+    do n2 (which needs only n1) and n4 (only n3).  Each transformed row
+    gets the float operations a 1-row transform would give it.
+
+    Returns (c, rows) of the new state (see ``_rows``): 5 FFT calls, 11
     transformed rows.  Every stage, transform and sum writes into the
     workspace ``ws``, so the step allocates only the (c, rows) it
-    returns (and what ``law.p`` returns).
+    returns (and what ``law.p`` returns, twice).
     """
-    n, a, b, stage = ws.n, ws.a, ws.b, ws.stage
-    n1, n2, n3, n4 = ws.slopes
+    n, a, b, u_hat, scratch = ws.n, ws.a, ws.b, ws.u_hat, ws.scratch
+    (n1, n3), (n2, n4) = ws.slopes
     ws.half_step(dt)
-    _nonlinear(law, ws, c[0], u, n1)
     ws.rotate(c, a)
+    u_hat[0], u_hat[1] = c[0], a[0]
+    ws.u[0] = u
+    np.fft.irfft(a[0], n, out=ws.u[1])
+    _nonlinear(law, ws, u_hat, ws.u, ws.slopes[0])
     np.multiply(ws.rot[0], n1, out=b[0])
     np.multiply(ws.cos, n1, out=b[1])
-    np.add(a, np.multiply(0.5 * dt, b, out=stage), out=stage)
-    _nonlinear(law, ws, stage[0], np.fft.irfft(stage[0], n, out=ws.u), n2)
-    stage[0] = a[0]
-    np.add(a[1], np.multiply(0.5 * dt, n2, out=stage[1]), out=stage[1])
-    _nonlinear(law, ws, stage[0], np.fft.irfft(stage[0], n, out=ws.u), n3)
-    np.add(a[1], np.multiply(dt, n3, out=stage[1]), out=stage[1])
-    ws.rotate(stage, stage)
-    _nonlinear(law, ws, stage[0], np.fft.irfft(stage[0], n, out=ws.u), n4)
+    # the u^ rows of E(c + h/2 n1) = Ec + h/2 b and of E(Ec + h (0, n3))
+    np.add(a[0], np.multiply(0.5 * dt, b[0], out=u_hat[0]), out=u_hat[0])
+    np.add(a[1], np.multiply(dt, n3, out=scratch[0]), out=scratch[0])
+    np.multiply(ws.rot[0], scratch[0], out=scratch[0])
+    np.add(np.multiply(ws.cos, a[0], out=u_hat[1]), scratch[0], out=u_hat[1])
+    _nonlinear(law, ws, u_hat, np.fft.irfft(u_hat, n, out=ws.u), ws.slopes[1])
     np.add(n2, n3, out=n2)
     np.add(b[1], np.multiply(2.0, n2, out=n2), out=b[1])
     np.add(a, np.multiply(dt / 6.0, b, out=b), out=b)
@@ -395,10 +409,8 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     if m0[0] > -config.hyperbolicity_eps:
         return c, rows, m0, None
-    # p' is increasing, so max_j |p'(u_j)| is reached at max u or min u:
     # the CFL step reads the state's two extremes of u, not its samples
-    with np.errstate(over="ignore"):  # an infinite speed gives dt0 = 0
-        dt0 = cfl_dt(law, state0.grid, np.array(m0[:2]), config.cfl_safety)
+    dt0 = cfl_dt(law, state0.grid, *m0[:2], config.cfl_safety)
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
                          f"time resolution {t_slack:g} at t0 = {t0:g}")
@@ -458,7 +470,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     # stop within roundoff of t_max: a ~1e-13 trailing step would create
     # a degenerate snapshot spacing that poisons temporal interpolation
     while config.t_max - t > t_slack:
-        dt = min(cfl_dt(law, grid, np.array(m[:2]), config.cfl_safety),
+        dt = min(cfl_dt(law, grid, *m[:2], config.cfl_safety),
                  config.t_max - t)
         c, rows = _advance(law, ws, c, rows[0], dt)
         try:

@@ -10,10 +10,10 @@ integrates the rest, N = (0, i k rfft(p(u) - p'(u_bar) u)), in the
 rotating frame.  So the step is no longer limited by RK4's damping of
 the resolved waves, and the default ``cfl_safety`` is 0.8.  ``run``
 carries the state between steps as its rfft coefficients (u^, v^).  N
-reads only a stage's u^ row, and the third stage's u^ row is the
-rotated state's, so the four stages pair off into two independent
-pairs: each pair's N costs one stacked irfft(u^) and one stacked
-rfft(p(u)), less the first stage's irfft, whose samples the step is
+reads only a stage's u^ row, so stages 1 and 3 need no slope and
+stages 2 and 4 only n1 and n3: the step evaluates N on two stacked
+pairs of stages, each one irfft of the pair's u^ rows and one rfft of
+its p(u) rows, less the first stage's irfft, whose samples the step is
 given.  The exponential high-mode filter sigma(m) = exp(-36
 (m/m_max)^36) is then a multiply of the coefficients after each step:
 it is near-identity on resolved modes and suppresses aliasing from the
@@ -409,7 +409,6 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     if m0[0] > -config.hyperbolicity_eps:
         return c, rows, m0, None
-    # the CFL step reads the state's two extremes of u, not its samples
     dt0 = cfl_dt(law, state0.grid, *m0[:2], config.cfl_safety)
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "

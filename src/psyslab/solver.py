@@ -390,9 +390,9 @@ def time_resolution(t0: float, t_max: float) -> float:
 
 
 def start(law, state0: StateField, t0: float, config: SolverConfig):
-    """A run's up-front checks: (c, rows, m0, dt0) of (t0, state0), its
-    rfft rows and samples (``_spectral``), ``_state_metrics`` and first
-    CFL step, None for data admission refuses.  Two FFT calls.
+    """A run's up-front checks: (t_slack, c, rows, m0, dt0), its time
+    resolution and (t0, state0)'s rfft rows and samples, ``_state_metrics``
+    and first CFL step, None for data admission refuses.  Two FFT calls.
 
     Raises ValueError unless t0 is finite and t_max - t0 and, for
     admitted data, the first CFL step exceed ``time_resolution(t0,
@@ -408,7 +408,7 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     if m0[0] > -config.hyperbolicity_eps:
-        return c, rows, m0, None
+        return t_slack, c, rows, m0, None
     dt0 = cfl_dt(law, state0.grid, *m0[:2], config.cfl_safety)
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
@@ -417,7 +417,7 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
         raise ValueError(f"t_max - t0 = {config.t_max - t0:g} is more "
                          f"than MAX_STEPS = {MAX_STEPS} first CFL "
                          f"steps of {dt0:g}")
-    return c, rows, m0, dt0
+    return t_slack, c, rows, m0, dt0
 
 
 def run(law, state0: StateField, t0: float, config: SolverConfig,
@@ -443,8 +443,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     checks have passed: a run that raises ValueError has passed nothing,
     and an ``admission_refused`` run passes its one snapshot.
     """
-    c, rows, m0, dt0 = start(law, state0, t0, config)
-    t_slack = time_resolution(t0, config.t_max)
+    t_slack, c, rows, m0, dt0 = start(law, state0, t0, config)
     grid = state0.grid
     n = grid.n
     # doubled when full and trimmed at the end, in place: it has no views

@@ -154,13 +154,15 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize("command, overrides", [
     ("verify", ["wave_n=100"]),
-    ("verify", ["verify_n=48"]),
+    ("verify", ["n=48"]),
     ("predict", ["family=both"]),
     ("trace", ["curve_seeds=0"]),
     ("predict", ["curve_seeds=-1"]),
     ("verify", ["verify_seeds=0"]),
-    ("verify", ["verify_t_max=0"]),
-    ("verify", ["verify_t_max=1e-13"]),
+    # a million sweep runs
+    ("verify", ["verify_seeds=1000000"]),
+    ("verify", ["t_max=0"]),
+    ("verify", ["t_max=1e-13"]),
     ("trace", ["growth_factor=-2"]),
     ("verify", ["preset=simple_wave", "u0=0.5"]),
     ("verify", ["wave_n=8192"]),
@@ -174,9 +176,10 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("energy", ["preset=constant", "u0=1e200"]),
     # 100,000 curves of 641 samples: about 6.8 GB
     ("trace", ["n=256", "t_max=20", "curve_seeds=100000"]),
-], ids=["wave_n", "verify_n",
+], ids=["wave_n", "verify_bad_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
-        "verify_t_max_zero", "verify_t_max_below_resolution",
+        "verify_million_seeds", "verify_zero_t_max",
+        "verify_t_max_below_resolution",
         "growth_factor_negative", "verify_bad_preset",
         "wave_n_too_large", "energy_bad_gauge",
         "predict_overflowing_state", "trace_overflowing_state",
@@ -657,8 +660,7 @@ def test_energy_elliptic_random_preset(tmp_path):
     assert rep["identity_gap"] < 1e-8
 
 
-SMALL_VERIFY = ["verify_seeds=2", "verify_t_max=10", "verify_n=128",
-                "wave_n=256"]
+SMALL_VERIFY = ["verify_seeds=2", "t_max=10", "n=128", "wave_n=256"]
 
 
 def sets(items):
@@ -693,6 +695,40 @@ def test_verify_small_suite(tmp_path, small_verify):
         assert (out / name).read_bytes() == (elsewhere / name).read_bytes(), name
 
 
+def test_verify_sweeps_on_n_and_t_max(tmp_path, capsys):
+    # the sweep runs on the grid and horizon the config checks were made
+    # on, so its report is the library scenario's at those sizes
+    out = tmp_path / "out"
+    assert run_cli(*sets(["n=64", "t_max=5", "verify_seeds=2",
+                          f"outdir={out}"]), "verify") == 0
+    path = out / "scenario_random_hyperbolic_sweep.json"
+    rep = json.loads(path.read_text())
+    lib = psyslab.scenario_random_hyperbolic_sweep(
+        psyslab.PressureLaw.quadratic(), 2, 5.0, n=64, spotcheck_seeds=2)
+    assert rep["metrics"] == lib.metrics
+    assert rep["thresholds"] == lib.thresholds == {
+        "t_max": 5.0, "min_relative_amplitude": 1e-12}
+
+
+@pytest.mark.parametrize("item", ["verify_n=64", "verify_t_max=5"])
+def test_verify_sweep_keys_are_gone(tmp_path, capsys, item):
+    # the sweep's grid and horizon are n and t_max
+    out = tmp_path / "out"
+    assert run_cli(*sets([item, f"outdir={out}"]), "verify") == 2
+    key = item.partition("=")[0]
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    [], SMALL_VERIFY, ["verify_seeds=20", "n=512", "t_max=50"],
+], ids=["default", "small", "acceptance"])
+def test_verify_admits_its_sizes(overrides):
+    # MAX_VERIFY_SEEDS bounds the sweep's runs, and admits the acceptance
+    # sweep's 20 seeds at n=512; a refused config raises ConfigError
+    parse_config(None, overrides, "verify")
+
+
 def _no_constant(name):
     raise ValueError(f"{name} in a JSON file")
 
@@ -704,8 +740,8 @@ def test_verify_fails_a_refused_scenario_and_reports_the_rest(tmp_path, capsys):
     # pytest's error filter fails the test on any warning that escapes
     out = tmp_path / "out"
     code = run_cli(*sets(["preset=elliptic_random", "quartic_a=1e308",
-                          "verify_seeds=1", "verify_t_max=1",
-                          "verify_n=16", "wave_n=16", f"outdir={out}"]),
+                          "verify_seeds=1", "t_max=1", "n=16", "wave_n=16",
+                          f"outdir={out}"]),
                    "verify")
     assert code == 1
     agg = json.loads((out / "verify.json").read_text(),
@@ -808,21 +844,21 @@ _FUZZ_BAD = ["n=48", "preset=bogus", "quartic_a=-0.1", "u0=0.5", "amplitude=0",
              "gauge=cubic", "hyperbolicity_eps=0", "cfl_safety=1e-7",
              "t_max=1e6"]
 
-#: verify's own keys, at their smallest sizes
-_FUZZ_VERIFY = ["verify_seeds=1", "verify_t_max=0.5", "verify_n=16", "wave_n=16"]
+#: verify's sizes, at their smallest
+_FUZZ_VERIFY = ["verify_seeds=1", "t_max=0.5", "n=16", "wave_n=16"]
 
 
 @st.composite
 def _fuzz_configs(draw):
     items = draw(st.fixed_dictionaries({}, optional=_FUZZ_KEYS))
     items["t_max"] = draw(st.floats(0.01, 0.3, **_FLOATS))
-    return ([f"{key}={value}" for key, value in items.items()] + _FUZZ_VERIFY
+    return ([f"{key}={value}" for key, value in items.items()]
             + draw(st.lists(st.sampled_from(_FUZZ_BAD), max_size=1)))
 
 
-# verify reads only the law and its own keys, and its constant scenario
-# runs 3200 steps at n=256 whatever they are (about 1 s, twice that under
-# the quartic law), so it runs once, at its smallest sizes, not at random
+# verify's constant scenario runs 3200 steps at n=256 whatever the config
+# (about 1 s, twice that under the quartic law), so verify runs once, at
+# its smallest sizes, not at random
 @settings(max_examples=50, deadline=15_000, derandomize=True, database=None)
 @given(overrides=_fuzz_configs(),
        command=st.sampled_from(["simulate", "trace", "predict", "energy"]))

@@ -112,16 +112,18 @@ def test_run_refuses_an_initial_state_that_overflows_the_monitor():
 
 def test_start_reads_the_first_step_off_the_extremes_of_u():
     # run's up-front checks, which the command line makes before a command
-    # starts: the first CFL step from the two extremes of u is the one
-    # from every sample, and admission-refused data has none
+    # starts: the time resolution 1e-12 * max(1, |t0|, |t_max|), the first
+    # CFL step from the two extremes of u, which is the one from every
+    # sample, and admission-refused data has no step
     g = PeriodicGrid(64)
     s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u0=-1.0)
     config = SolverConfig(t_max=0.5)
-    c, rows, m0, dt0 = start(QUAD, s0, 0.0, config)
+    t_slack, c, rows, m0, dt0 = start(QUAD, s0, 0.0, config)
     speed = np.sqrt(np.max(np.abs(QUAD.dp(s0.u))))
     assert dt0 == config.cfl_safety * g.dx / speed
     assert tuple(run(QUAD, s0, 0.0, config).series[0, 1:]) == m0
-    assert start(QUAD, constant_state(g, -1e-4, 0.0), 0.0, config)[3] is None
+    assert t_slack == 1e-12
+    assert start(QUAD, constant_state(g, -1e-4, 0.0), 0.0, config)[4] is None
 
 
 def test_start_refuses_more_than_max_steps():

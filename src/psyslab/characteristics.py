@@ -1,14 +1,14 @@
 """Characteristic curves traced through a computed trajectory.
 
-A curve of family i solves dx/dt = lambda_i(u(t, x)) through
-``trajectory.field``, the space-time field a Trajectory builds on the
-first tracer call and keeps.  Evaluation of u between grid points is
-trigonometric in x and cubic Hermite in t, with the time derivatives at
-each snapshot taken from the PDE, so the tracer sees the field the
-solver computed, to fourth order in the snapshot spacing.  Along the
-curve we record the Riemann invariants, the scaled gradient beta, and
-the accumulated Riccati integral K(t) = int k(u) ds, from which
-finite-time gradient blow-up is predicted via 1 + beta0 * K(t*) = 0.
+A curve of family i solves dx/dt = lambda_i(u(t, x)) through a
+``SpaceTimeField`` that each tracer call builds on the trajectory's
+snapshots.  Evaluation of u between grid points is trigonometric in x
+and cubic Hermite in t, with the time derivatives at each snapshot
+taken from the PDE, so the tracer sees the field the solver computed,
+to fourth order in the snapshot spacing.  Along the curve we record the
+Riemann invariants, the scaled gradient beta, and the accumulated
+Riccati integral K(t) = int k(u) ds, from which finite-time gradient
+blow-up is predicted via 1 + beta0 * K(t*) = 0.
 
 Curves are traced in batches: one RK4 loop advances every curve of a
 batch at the same times, so the snapshot coefficients are combined once
@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EllipticStart
+from .field import SpaceTimeField
 from .riemann import Family, beta_from_gradient, q_of_u, riccati_k
 from .solver import Trajectory
 
@@ -122,7 +123,8 @@ def gradient_beta(trajectory: Trajectory, x0, fam: Family):
     beta = r_x (-p'(u))^(1/4).  ``x0`` is a point or an array of
     points; the result has the same shape.
     """
-    u, _v, ux, vx = trajectory.field.values(trajectory.t0, np.atleast_1d(x0))
+    fld = SpaceTimeField(trajectory.snapshots, trajectory.law)
+    u, _v, ux, vx = fld.values(trajectory.t0, np.atleast_1d(x0))
     sq = np.sqrt(np.maximum(-trajectory.law.dp(np.minimum(u, 0.0)), 0.0))
     beta = beta_from_gradient(trajectory.law, u, vx + fam.sign * sq * ux)
     return float(beta[0]) if np.ndim(x0) == 0 else beta
@@ -159,8 +161,8 @@ def trace_batch(trajectory: Trajectory, starts,
     with u >= 0, which does not stop the other curves.  Positions are
     recorded unwrapped; reduce modulo 1 for plotting.
     """
-    fld = trajectory.field
     law = trajectory.law
+    fld = SpaceTimeField(trajectory.snapshots, law)
     eps = trajectory.config.hyperbolicity_eps
     keys = list(dict.fromkeys(starts))
     x = np.array([x0 for x0, _ in keys], dtype=float)

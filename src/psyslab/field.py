@@ -160,8 +160,8 @@ class SpaceTimeField:
     ``_KEPT_ROWS`` snapshots used keep theirs, so the field holds O(n)
     numbers beyond the snapshots themselves.  A tracer pass walks the
     window monotonically and so builds each snapshot once; u_t is a
-    multiply of v^ and is not stored.  ``Trajectory.field`` builds one
-    on first read and keeps it for every tracer call.  Derivative rows
+    multiply of v^ and is not stored.  Each tracer call builds its own
+    field: building one transforms no snapshot.  Derivative rows
     are the combined rows times 2 pi i m, Nyquist zeroed.  The layout
     has two levels: mode m = 32 a + b sits at [a, b], so the phases
     exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and

@@ -40,10 +40,6 @@ class PressureLaw:
     def quadratic(cls) -> "PressureLaw":
         return cls()
 
-    @classmethod
-    def quartic(cls, a: float) -> "PressureLaw":
-        return cls(float(a))
-
     def p(self, u):
         if self.a == 0.0:
             return 0.5 * u * u

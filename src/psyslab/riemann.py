@@ -81,7 +81,7 @@ def q_of_u(law, u):
         q(u) = integral_0^sqrt(-u) 2 w sqrt(-p'(-w^2)) dw,
 
     and apply a fixed 64-point Gauss-Legendre rule in w.  Over 400
-    points u in [-50, -1e-6] and quartic(a), a in {0.01, 0.3, 1, 10},
+    points u in [-50, -1e-6] and PressureLaw(a), a in {0.01, 0.3, 1, 10},
     it agrees with adaptive quadrature (epsrel 1e-13) to 4.4e-15
     relative; 32 points give only 1.6e-12 at a = 10.  An array comes
     back with the input's shape, a scalar as a float; both are computed

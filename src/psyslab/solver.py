@@ -47,14 +47,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonFiniteState
-from .field import (PeriodicGrid, SpaceTimeField, StateField,
-                    _derivative_multipliers, _tail_ratio)
+from .field import (PeriodicGrid, StateField, _derivative_multipliers,
+                    _tail_ratio)
 
 
 class RunStatus(str, enum.Enum):
@@ -123,7 +123,7 @@ class Trajectory:
     ``config`` is the SolverConfig the run used; its hyperbolicity_eps is
     also where a traced curve counts as reaching the interface.  A run
     whose snapshots went to an ``on_snapshot`` consumer keeps none; only
-    ``t_end`` and ``field`` need kept snapshots.
+    ``t_end`` and the tracer need kept snapshots.
     """
 
     law: object
@@ -144,14 +144,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return self.snapshots[-1][0]
-
-    @cached_property
-    def field(self) -> SpaceTimeField:
-        """The snapshots' space-time evaluator, built on first read and
-        kept; raises WindowTooShort with fewer than 2 distinct times.  It
-        builds a snapshot's coefficient rows when a tracer first needs
-        them and keeps only a few, so it adds O(n) memory to the run."""
-        return SpaceTimeField(self.snapshots, self.law)
 
 
 def _nonlinear(law, ws: _Workspace, u_hat: np.ndarray, u: np.ndarray,
@@ -375,10 +367,19 @@ def _monitor_from_metrics(metrics: tuple, initial_scale: float,
     return None
 
 
-def time_resolution(t0: float, t_max: float) -> float:
-    """t_slack = 1e-12 * max(1, |t0|, |t_max|), at least 4500 float
-    spacings of the larger end, for a run from t0 to t_max; raises
-    ValueError unless t0 is finite and t_max - t0 exceeds it."""
+def start(law, state0: StateField, t0: float, config: SolverConfig):
+    """A run's up-front checks: (t_slack, c, rows, m0, dt0), its time
+    resolution and (t0, state0)'s rfft rows and samples, ``_state_metrics``
+    and first CFL step, None for data admission refuses.  Two FFT calls.
+
+    The time resolution is t_slack = 1e-12 * max(1, |t0|, |t_max|), at
+    least 4500 float spacings of the larger end.  Raises ValueError
+    unless t0 is finite and t_max - t0 and, for admitted data, the first
+    CFL step exceed t_slack (a shorter step would round away in
+    ``t + dt`` or carry a timing error above ~1e-4 of itself), when
+    t_max - t0 is more than ``MAX_STEPS`` first CFL steps, or when the
+    state's spectrum or monitor readings overflow the float range."""
+    t_max = config.t_max
     # written so that NaN fails both checks
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
@@ -386,21 +387,6 @@ def time_resolution(t0: float, t_max: float) -> float:
     if not t_max - t0 > t_slack:
         raise ValueError(f"t_max - t0 = {t_max - t0:g} must exceed "
                          f"the time resolution {t_slack:g}")
-    return t_slack
-
-
-def start(law, state0: StateField, t0: float, config: SolverConfig):
-    """A run's up-front checks: (t_slack, c, rows, m0, dt0), its time
-    resolution and (t0, state0)'s rfft rows and samples, ``_state_metrics``
-    and first CFL step, None for data admission refuses.  Two FFT calls.
-
-    Raises ValueError unless t0 is finite and t_max - t0 and, for
-    admitted data, the first CFL step exceed ``time_resolution(t0,
-    t_max)`` (a shorter step would round away in ``t + dt`` or carry a
-    timing error above ~1e-4 of itself), when t_max - t0 is more than
-    ``MAX_STEPS`` first CFL steps, or when the state's spectrum or
-    monitor readings overflow the float range."""
-    t_slack = time_resolution(t0, config.t_max)
     try:
         with np.errstate(over="raise", invalid="raise"):
             c, rows = _spectral(state0)
@@ -413,8 +399,8 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
                          f"time resolution {t_slack:g} at t0 = {t0:g}")
-    if config.t_max - t0 > MAX_STEPS * dt0:
-        raise ValueError(f"t_max - t0 = {config.t_max - t0:g} is more "
+    if t_max - t0 > MAX_STEPS * dt0:
+        raise ValueError(f"t_max - t0 = {t_max - t0:g} is more "
                          f"than MAX_STEPS = {MAX_STEPS} first CFL "
                          f"steps of {dt0:g}")
     return t_slack, c, rows, m0, dt0
@@ -434,7 +420,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     A step that produces non-finite values (possible only after the
     smooth solution has already degenerated) is recorded as
     ``blow_up_detected`` at that time.  The run stops once t is within
-    ``time_resolution(t0, t_max)`` of t_max.  ``start`` makes the
+    the time resolution ``start`` returns of t_max.  ``start`` makes the
     up-front checks, and raises their ValueError.
 
     ``on_snapshot(t, state)``, when given, is called with each snapshot

@@ -25,7 +25,7 @@ from .characteristics import (Direction, dual_growth_spotcheck,  # noqa: F401
                               gradient_beta, invariant_drift, predict_blowup,
                               spotcheck_points, spotcheck_report, trace,
                               trace_batch)
-from .energy import ConcaveGauge, energy, energy_ddot_direct, energy_ddot_formula
+from .energy import ConcaveGauge, energy_ddot_direct, energy_ddot_formula
 from .errors import DomainError
 from .field import PeriodicGrid, StateField
 from .pressure import PressureLaw
@@ -468,7 +468,6 @@ def scenario_energy_identity(law, n_fields: int, seed: int, n: int = 256,
             for gauge in ConcaveGauge:
                 d_formula = energy_ddot_formula(law, state, gauge)
                 d_direct = energy_ddot_direct(law, state, gauge)
-                energy(state, gauge)  # domain gate + positivity path
                 worst_gap = float(np.maximum(worst_gap,
                                              abs(d_direct - d_formula)))
                 worst_formula = float(np.maximum(worst_formula, d_formula))

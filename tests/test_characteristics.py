@@ -184,23 +184,36 @@ def test_window_too_short():
         trace(traj, 0.5, Family.first)
 
 
-def test_trajectory_builds_its_field_once(monkeypatch):
+def test_trajectory_keeps_no_field():
+    # each tracer call builds its own field; the solver knows no evaluator
     traj = synthetic_trajectory(lambda t: -(1.0 + t), 0.0, np.linspace(0, 2, 9))
-    builds = []
-    init = SpaceTimeField.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SpaceTimeField, "__init__", counting_init)
-    gradient_beta(traj, [0.1, 0.6], Family.first)
-    trace_batch(traj, [(0.1, Family.second), (0.6, Family.second)],
-                Direction.backward)
     trace(traj, 0.3, Family.first)
-    dual_growth_spotcheck(traj, 2)
-    assert len(builds) == 1
-    assert traj.field is builds[0]
+    assert not hasattr(traj, "field")
+    assert not hasattr(psyslab.solver, "SpaceTimeField")
+
+
+def test_tracer_calls_carry_no_state_between_them():
+    # forward, backward, forward again on one trajectory: each pass's
+    # curves are the bits of the same pass on a fresh run
+    def fresh():
+        s0 = simple_wave_state(QUAD, PeriodicGrid(128), -1.0, 0.3, 1)
+        return run(QUAD, s0, 0.0, SolverConfig(t_max=1.0))
+
+    starts = [(x0, fam) for fam in Family for x0 in (0.1, 0.45, 0.8)]
+    passes = (Direction.forward, Direction.backward, Direction.forward)
+    traj = fresh()
+    for direction in passes:
+        reused = trace_batch(traj, starts, direction)
+        new = trace_batch(fresh(), starts, direction)
+        assert list(reused) == list(new) == starts
+        for key, curve in reused.items():
+            for name in CURVE_COLUMNS:
+                np.testing.assert_array_equal(getattr(curve, name),
+                                              getattr(new[key], name),
+                                              err_msg=f"{direction} {key} {name}")
+            assert curve.t_hit == new[key].t_hit
+    assert gradient_beta(traj, 0.45, Family.second) == \
+        gradient_beta(fresh(), 0.45, Family.second)
 
 
 @pytest.mark.parametrize("count", [2, 3, 5, 627, 628])
@@ -406,7 +419,7 @@ def test_field_evaluator_matches_direct_sum():
     traj = completed([(float(t), StateField(g, -1.0 + 0.1 * rng.standard_normal(n),
                                             0.1 * rng.standard_normal(n)))
                       for t in times])
-    fld = traj.field
+    fld = SpaceTimeField(traj.snapshots, traj.law)
     assert np.array_equal(fld.times, times)
     m = np.arange(n // 2 + 1)
     ik = 2j * np.pi * m
@@ -485,8 +498,9 @@ def test_field_rows_built_on_demand_match_eager_rows():
     boundary = list(times) + [float(np.nextafter(times[3], np.inf))]
     outside = [times[0] - 0.3, times[-1] + 0.2]
     queries = interior + boundary + outside
+    fld = SpaceTimeField(traj.snapshots, traj.law)
     for t in queries + queries[::-1] + list(rng.permutation(queries)):
-        np.testing.assert_array_equal(traj.field.coefficients(t),
+        np.testing.assert_array_equal(fld.coefficients(t),
                                       eager_coefficients(traj.snapshots, QUAD, t))
 
 
@@ -508,8 +522,9 @@ def test_field_memory_is_a_fraction_of_the_eager_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    eager = 3 * 544 * 16 * len(traj.field.times)
-    assert len(traj.field.times) > 600
+    times = SpaceTimeField(traj.snapshots, traj.law).times
+    eager = 3 * 544 * 16 * len(times)
+    assert len(times) > 600
     for curves, t_end in ((forward, traj.t_end), (backward, traj.t0)):
         assert all(c.t_end == pytest.approx(t_end, abs=1e-12) for c in curves.values())
     assert peak < eager / 4, (peak, eager)

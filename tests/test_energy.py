@@ -95,7 +95,7 @@ def test_ddot_formula_against_quadrature_oracle():
 
 def test_identity_and_concavity_on_random_fields():
     rng = np.random.default_rng(8)
-    for law in (QUAD, PressureLaw.quartic(0.1)):
+    for law in (QUAD, PressureLaw(0.1)):
         for _ in range(25):
             s = random_elliptic_state(GRID, rng)
             for gauge in ConcaveGauge:

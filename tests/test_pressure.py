@@ -5,7 +5,7 @@ from psyslab import PeriodicGrid, PressureLaw, q_of_u
 from psyslab.verify import simple_wave_state
 
 QUAD = PressureLaw.quadratic()
-QUART = PressureLaw.quartic(0.1)
+QUART = PressureLaw(0.1)
 
 
 def test_eval_p_values():
@@ -23,7 +23,7 @@ def test_eval_dp_values():
 def test_eval_ddp_values():
     for u in (-3.0, 0.0, 7.5):
         assert QUAD.ddp(u) == 1.0
-    assert PressureLaw.quartic(0.0).ddp(2.0) == 1.0
+    assert PressureLaw(0.0).ddp(2.0) == 1.0
     assert QUART.ddp(1.0) == pytest.approx(2.2, abs=1e-15)  # 1 + 12au^2
 
 
@@ -34,7 +34,7 @@ def test_array_evaluation():
 
 
 def test_anchor_and_convexity_invariants():
-    for law in (QUAD, QUART, PressureLaw.quartic(2.5)):
+    for law in (QUAD, QUART, PressureLaw(2.5)):
         assert law.p(0.0) == 0.0
         assert law.dp(0.0) == 0.0
         u = np.linspace(-100, 100, 2001)
@@ -55,7 +55,7 @@ def test_derivatives_match_finite_differences():
 
 def test_quartic_zero_is_the_quadratic_law():
     # one law, one path: a = 0 takes the quadratic closed forms, q included
-    law = PressureLaw.quartic(0.0)
+    law = PressureLaw(0.0)
     assert law == QUAD and law.describe() == "quadratic"
     a, b = (simple_wave_state(lw, PeriodicGrid(64), -1.0, 0.3, 1)
             for lw in (law, QUAD))
@@ -66,5 +66,5 @@ def test_quartic_zero_is_the_quadratic_law():
 def test_constructor_rejects_bad_laws():
     for a in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            PressureLaw.quartic(a)
+            PressureLaw(a)
 

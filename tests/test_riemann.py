@@ -8,7 +8,7 @@ from psyslab import (BlowUpError, DomainError, PressureLaw, RiemannPair,
                      riemann_from_state, state_from_riemann, u_of_q)
 
 QUAD = PressureLaw.quadratic()
-QUART = PressureLaw.quartic(0.1)
+QUART = PressureLaw(0.1)
 
 
 def q_oracle(law, u):
@@ -26,7 +26,7 @@ def test_q_values_quadratic():
 
 def test_q_matches_quadrature_oracle():
     # relative, so that an error at small |u| (where q ~ |u|^1.5) shows
-    for law in [QUAD] + [PressureLaw.quartic(a) for a in (0.01, 0.3, 1.0, 10.0)]:
+    for law in [QUAD] + [PressureLaw(a) for a in (0.01, 0.3, 1.0, 10.0)]:
         for u in (-1e-6, -1e-3, -0.25, -1.0, -3.7, -20.0, -50.0):
             assert q_of_u(law, u) == pytest.approx(q_oracle(law, u), rel=1e-13, abs=0.0)
 
@@ -93,7 +93,7 @@ def test_u_of_q_residual_quartic():
 @pytest.mark.parametrize("a", [0.01, 0.3, 10.0])
 def test_u_of_q_matches_brentq_oracle(a):
     # an independent bracketing root search on the same q
-    law = PressureLaw.quartic(a)
+    law = PressureLaw(a)
     for y in (1e-9, 1e-3, 0.2, 1.0, 7.5, 60.0, 1e4):
         left = -1.0
         while q_of_u(law, left) < y:
@@ -148,7 +148,7 @@ def test_round_trip(law):
 def test_riccati_k_values():
     assert riccati_k(QUAD, -1.0) == -0.25
     assert riccati_k(QUAD, -16.0) == pytest.approx(-1.0 / 128.0, rel=1e-13)
-    assert riccati_k(PressureLaw.quartic(0.0), -1.0) == -0.25
+    assert riccati_k(PressureLaw(0.0), -1.0) == -0.25
     assert riccati_k(QUART, -2.0) < 0.0
     with pytest.raises(DomainError):
         riccati_k(QUAD, 0.0)

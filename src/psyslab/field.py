@@ -146,7 +146,8 @@ def _tail_ratio(c: np.ndarray, scales, out=None) -> float:
 
 class SpaceTimeField:
     """Spectral-in-x, cubic-Hermite-in-t evaluator over a list of
-    (t, StateField) snapshots with increasing times.
+    (t, StateField) snapshots whose times strictly increase, however
+    closely (ValueError names the first pair that does not).
 
     Each snapshot interval [t_i, t_i+1] is interpolated in t by the cubic
     Hermite polynomial through the two end states and their time
@@ -176,18 +177,15 @@ class SpaceTimeField:
     def __init__(self, snapshots: list, law):
         if len(snapshots) < 2:
             raise WindowTooShort("tracing needs at least 2 snapshots")
-        times = np.array([t for t, _ in snapshots])
-        # drop near-duplicate times: a zero-length interval divides by
-        # zero in the Hermite basis
-        tiny = 1e-9 * float(np.max(np.diff(times), initial=0.0))
-        idx = [0]
-        for i in range(1, len(times)):
-            if times[i] - times[idx[-1]] > tiny:
-                idx.append(i)
-        if len(idx) < 2:
-            raise WindowTooShort("tracing needs at least 2 distinct times")
-        self.times = times[idx]
-        self._states = [snapshots[i][1] for i in idx]
+        self.times = np.array([t for t, _ in snapshots])
+        # written so that NaN fails the check
+        bad = np.flatnonzero(~(np.diff(self.times) > 0.0))
+        if len(bad):
+            i = bad[0]
+            raise ValueError("snapshot times must strictly increase: "
+                             f"t[{i}] = {self.times[i]}, "
+                             f"t[{i + 1}] = {self.times[i + 1]}")
+        self._states = [state for _, state in snapshots]
         self._law = law
         self._kept = {}  # snapshot index -> its rows, least recently used first
         n = self._states[0].grid.n

@@ -136,7 +136,6 @@ def u_of_q(law, y: float) -> float:
 
 def riemann_from_state(law, u: float, v: float) -> RiemannPair:
     """(r1, r2) = (v - q(u), v + q(u)) for a hyperbolic state u <= 0."""
-    _require_nonpositive(u)
     qv = q_of_u(law, u)
     return RiemannPair(v - qv, v + qv)
 

@@ -368,17 +368,17 @@ def _monitor_from_metrics(metrics: tuple, initial_scale: float,
 
 
 def start(law, state0: StateField, t0: float, config: SolverConfig):
-    """A run's up-front checks: (t_slack, c, rows, m0, dt0), its time
-    resolution and (t0, state0)'s rfft rows and samples, ``_state_metrics``
-    and first CFL step, None for data admission refuses.  Two FFT calls.
+    """A run's up-front checks: (c, rows, m0, dt0), (t0, state0)'s rfft
+    rows and samples, ``_state_metrics`` and first CFL step, None for
+    data admission refuses.  Two FFT calls.
 
-    The time resolution is t_slack = 1e-12 * max(1, |t0|, |t_max|), at
-    least 4500 float spacings of the larger end.  Raises ValueError
-    unless t0 is finite and t_max - t0 and, for admitted data, the first
-    CFL step exceed t_slack (a shorter step would round away in
-    ``t + dt`` or carry a timing error above ~1e-4 of itself), when
-    t_max - t0 is more than ``MAX_STEPS`` first CFL steps, or when the
-    state's spectrum or monitor readings overflow the float range."""
+    The time resolution is 1e-12 * max(1, |t0|, |t_max|), at least 4500
+    float spacings of the larger end.  Raises ValueError unless t0 is
+    finite and t_max - t0 and, for admitted data, the first CFL step
+    exceed it (a shorter step would round away in ``t + dt`` or carry a
+    timing error above ~1e-4 of itself), when t_max - t0 is more than
+    ``MAX_STEPS`` first CFL steps, or when the state's spectrum or
+    monitor readings overflow the float range."""
     t_max = config.t_max
     # written so that NaN fails both checks
     if not math.isfinite(t0):
@@ -394,7 +394,7 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
     if m0[0] > -config.hyperbolicity_eps:
-        return t_slack, c, rows, m0, None
+        return c, rows, m0, None
     dt0 = cfl_dt(law, state0.grid, *m0[:2], config.cfl_safety)
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
@@ -403,7 +403,7 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
         raise ValueError(f"t_max - t0 = {t_max - t0:g} is more "
                          f"than MAX_STEPS = {MAX_STEPS} first CFL "
                          f"steps of {dt0:g}")
-    return t_slack, c, rows, m0, dt0
+    return c, rows, m0, dt0
 
 
 def run(law, state0: StateField, t0: float, config: SolverConfig,
@@ -419,9 +419,9 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
 
     A step that produces non-finite values (possible only after the
     smooth solution has already degenerated) is recorded as
-    ``blow_up_detected`` at that time.  The run stops once t is within
-    the time resolution ``start`` returns of t_max.  ``start`` makes the
-    up-front checks, and raises their ValueError.
+    ``blow_up_detected`` at that time.  The last step is t_max - t,
+    however short: a ``completed`` run ends at t_max.  ``start`` makes
+    the up-front checks, and raises their ValueError.
 
     ``on_snapshot(t, state)``, when given, is called with each snapshot
     as it is stored, in order, and is its one consumer: the trajectory
@@ -429,7 +429,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     checks have passed: a run that raises ValueError has passed nothing,
     and an ``admission_refused`` run passes its one snapshot.
     """
-    t_slack, c, rows, m0, dt0 = start(law, state0, t0, config)
+    c, rows, m0, dt0 = start(law, state0, t0, config)
     grid = state0.grid
     n = grid.n
     # doubled when full and trimmed at the end, in place: it has no views
@@ -451,9 +451,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     t_detect = None
     m = m0
 
-    # stop within roundoff of t_max: a ~1e-13 trailing step would create
-    # a degenerate snapshot spacing that poisons temporal interpolation
-    while config.t_max - t > t_slack:
+    while t < config.t_max:
         dt = min(cfl_dt(law, grid, *m[:2], config.cfl_safety),
                  config.t_max - t)
         c, rows = _advance(law, ws, c, rows[0], dt)
@@ -463,7 +461,8 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
             status = RunStatus.blow_up_detected
             t_detect = t + dt
             break
-        t += dt
+        # t + (t_max - t) can round past t_max while t < t_max / 2
+        t = min(t + dt, config.t_max)
         steps += 1
         if steps == len(series):
             series.resize((2 * steps, len(SERIES_COLUMNS)), refcheck=False)

@@ -15,8 +15,8 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
                      predict_blowup, run, simple_wave_state, trace,
                      trace_batch)
 from psyslab.characteristics import (CONTINUATION, CURVE_COLUMNS,
-                                     CharacteristicCurve, _median_spacing,
-                                     spotcheck_points)
+                                     GROWTH_FACTOR, CharacteristicCurve,
+                                     _median_spacing, spotcheck_points)
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
@@ -140,6 +140,18 @@ def test_classify_constant_is_A(constant_traj):
     assert classify(cb) is ClassLabel.A_minus
 
 
+def test_classify_undetermined_when_growth_turns_back():
+    # -u ends 15x its start, above the growth factor, but falls over the
+    # final quarter of the window: neither A nor B
+    t = np.linspace(0.0, 1.0, 11)
+    minus_u = np.array([1.0, 3, 5, 8, 11, 14, 17, 20, 19, 17, 15])
+    assert minus_u[-1] > GROWTH_FACTOR * minus_u[0]
+    zeros = np.zeros_like(t)
+    curve = CharacteristicCurve(Family.first, Direction.forward, t, t,
+                                -minus_u, zeros, zeros, zeros, zeros)
+    assert classify(curve) is ClassLabel.undetermined
+
+
 def test_backward_trace_starts_at_window_end(constant_traj):
     c = trace(constant_traj, 0.5, Family.first, Direction.backward)
     assert c.t[0] == pytest.approx(3.0, abs=1e-9)
@@ -182,6 +194,30 @@ def test_window_too_short():
     traj = synthetic_trajectory(lambda t: -1.0, 0.0, [0.0])
     with pytest.raises(WindowTooShort):
         trace(traj, 0.5, Family.first)
+
+
+def test_field_keeps_a_last_snapshot_however_close():
+    # the run to 5e-12 past its second-to-last step stores that step's
+    # state, and both directions trace through it: the field used to drop
+    # a snapshot closer than 1e-9 of the largest spacing to the one before
+    s0 = simple_wave_state(QUAD, PeriodicGrid(64), -1.0, 0.3, 1)
+    t_k = float(run(QUAD, s0, 0.0, SolverConfig(t_max=0.05)).series[-2, 0])
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=t_k + 5e-12,
+                                           snapshot_stride=1))
+    assert SpaceTimeField(traj.snapshots, QUAD).times[-1] == traj.t_end
+    starts = [(x0, fam) for fam in Family for x0 in spotcheck_points(4)]
+    for direction in Direction:
+        for curve in trace_batch(traj, starts, direction).values():
+            assert np.isfinite(np.column_stack(
+                [getattr(curve, col) for col in CURVE_COLUMNS])).all()
+            if direction is Direction.backward:
+                assert curve.t_start == traj.t_end
+
+
+def test_field_refuses_times_that_do_not_increase():
+    s = constant_state(PeriodicGrid(16), -1.0, 0.0)
+    with pytest.raises(ValueError, match=r"t\[1\] = 0.5, t\[2\] = 0.5"):
+        SpaceTimeField([(0.0, s), (0.5, s), (0.5, s), (1.0, s)], QUAD)
 
 
 def test_trajectory_keeps_no_field():

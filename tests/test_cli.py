@@ -618,6 +618,26 @@ def test_predict_elliptic_start_gives_nan_row(tmp_path):
     assert pred["n_predicting"] == 0 and pred["t_predicted_min"] is None
 
 
+def test_trace_labels_an_elliptic_start_undetermined(tmp_path):
+    # the data of the predict test above: the midpoint x0 = 0.7 lies in
+    # the interpolant's u >= 0 pocket, so its curve is reported, not traced
+    out = tmp_path / "out"
+    args = []
+    for item in ["preset=random_trig", "n=16", "seed=2", "modes=7",
+                 "amplitude=0.95", "u0=-1", "t_max=0.0001",
+                 "curve_seeds=5", f"outdir={out}"]:
+        args += ["--set", item]
+    assert run_cli(*args, "trace") == 0
+    curves = json.loads((out / "classification.json").read_text())["curves"]
+    assert [c["x0"] for c in curves] == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
+    elliptic = curves[3]
+    assert elliptic["label"] == "undetermined" and elliptic["error"]
+    assert "artifact" not in elliptic
+    assert all("error" not in c for i, c in enumerate(curves) if i != 3)
+    assert not (out / "curve_first_forward_3.csv").exists()
+    assert (out / "curve_first_forward_2.csv").exists()
+
+
 def test_energy_elliptic_field(tmp_path):
     out = tmp_path / "out"
     code = run_cli("--set", "preset=constant", "--set", "u0=1.0",

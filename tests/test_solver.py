@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,12 +120,14 @@ def test_start_reads_the_first_step_off_the_extremes_of_u():
     g = PeriodicGrid(64)
     s0 = random_trig_state(g, seed=0, modes=3, amplitude=0.05, u0=-1.0)
     config = SolverConfig(t_max=0.5)
-    t_slack, c, rows, m0, dt0 = start(QUAD, s0, 0.0, config)
+    c, rows, m0, dt0 = start(QUAD, s0, 0.0, config)
     speed = np.sqrt(np.max(np.abs(QUAD.dp(s0.u))))
     assert dt0 == config.cfl_safety * g.dx / speed
     assert tuple(run(QUAD, s0, 0.0, config).series[0, 1:]) == m0
-    assert t_slack == 1e-12
-    assert start(QUAD, constant_state(g, -1e-4, 0.0), 0.0, config)[4] is None
+    with pytest.raises(ValueError, match="must exceed the time resolution 1e-12"):
+        start(QUAD, s0, 0.0, SolverConfig(t_max=1e-12))
+    assert start(QUAD, s0, 0.0, SolverConfig(t_max=2e-12))[3] == dt0
+    assert start(QUAD, constant_state(g, -1e-4, 0.0), 0.0, config)[3] is None
 
 
 def test_start_refuses_more_than_max_steps():
@@ -219,6 +223,70 @@ def test_on_snapshot_is_not_called_when_run_raises(t0, t_max):
         run(QUAD, s0, t0, SolverConfig(t_max=t_max),
             lambda t, state: seen.append(t))
     assert seen == []
+
+
+def _last_step_start():
+    """(s0, t_k): the n=64 wave and the time its run to 0.05 takes its
+    last step from."""
+    s0 = simple_wave_state(QUAD, PeriodicGrid(64), -1.0, 0.3, 1)
+    return s0, float(run(QUAD, s0, 0.0, SolverConfig(t_max=0.05)).series[-2, 0])
+
+
+@pytest.mark.parametrize("remainder", ["1e-13", "one ulp"])
+def test_a_completed_run_ends_at_t_max(remainder):
+    # however short the remainder after the last CFL step, the run takes
+    # it: it used to stop short of t_max, within 1e-12 of it
+    s0, t_k = _last_step_start()
+    t_max = t_k + 1e-13 if remainder == "1e-13" else math.nextafter(t_k, 1.0)
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=t_max))
+    assert traj.status is RunStatus.completed
+    assert traj.t_end == t_max == traj.series[-1, 0]
+    assert traj.series[-2, 0] == t_k
+
+
+@pytest.mark.parametrize("t0, t_max, steps", [
+    (-0.004765309920093808, 0.003604906474672216, 1),
+    (-0.00420571580830845, 0.0033302507526366703, 2),
+], ids=["rounds_past", "rounds_short"])
+def test_a_last_step_that_rounds_ends_at_t_max(t0, t_max, steps):
+    # one step covers the span, and t0 + (t_max - t0) rounds past t_max in
+    # the first case and short of it in the second, which takes one more
+    # step of one float spacing
+    s0 = simple_wave_state(QUAD, PeriodicGrid(64), -1.0, 0.3, 1)
+    assert (t0 + (t_max - t0) > t_max) == (steps == 1)
+    traj = run(QUAD, s0, t0, SolverConfig(t_max=t_max))
+    assert traj.status is RunStatus.completed and traj.steps == steps
+    assert traj.t_end == t_max == traj.series[-1, 0]
+
+
+def test_run_stops_at_a_step_that_is_not_finite(monkeypatch):
+    # the 7th step's samples hold a NaN: the run ends blow_up_detected at
+    # the time that step would have reached, and stores nothing from it
+    g = PeriodicGrid(64)
+    s0 = simple_wave_state(QUAD, g, -1.0, 0.3, 1)
+    advance = solver._advance
+    calls = []
+
+    def failing(law, ws, c, u, dt):
+        c, rows = advance(law, ws, c, u, dt)
+        calls.append(dt)
+        if len(calls) == 7:
+            rows[0, 3] = np.nan
+        return c, rows
+
+    monkeypatch.setattr(solver, "_advance", failing)
+    config = SolverConfig(t_max=1.0)
+    seen = []
+    traj = run(QUAD, s0, 0.0, config)
+    calls.clear()
+    run(QUAD, s0, 0.0, config, lambda t, state: seen.append(t))
+    assert traj.status is RunStatus.blow_up_detected
+    assert traj.steps == 6 and len(traj.series) == 7
+    t, max_u, min_u = traj.series[-1, :3]
+    assert traj.t_detect == t + min(cfl_dt(QUAD, g, max_u, min_u, 0.8),
+                                    config.t_max - t)
+    stored = [t for t, _ in traj.snapshots]
+    assert stored == seen == [0.0, traj.series[5, 0]]
 
 
 def test_run_conserves_means_while_smooth():

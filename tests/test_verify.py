@@ -234,6 +234,22 @@ def test_scenario_simple_wave_traces_each_curve_once(monkeypatch):
     assert len(traced) == len(set(traced)) == 32 + 8 + 16
 
 
+def test_scenario_simple_wave_fails_a_run_without_detection(monkeypatch):
+    # a tail ratio is a fraction, so it never passes 1, and no gradient
+    # passes 1e300 of its start: the run to twice the oracle time ends
+    # without a monitor firing, and the scenario fails
+    import functools
+    import psyslab.verify as verify
+    monkeypatch.setattr(verify, "SolverConfig", functools.partial(
+        SolverConfig, tail_ratio_max=1.0, grad_blowup_factor=1e300))
+    rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.3, 1, n=64,
+                                      n_curve_seeds=4, drift_seeds=2,
+                                      spotcheck_seeds=2)
+    assert rep.verdict == "fail"
+    assert rep.reason == "run ended completed without detection"
+    assert rep.metrics["status_completed"] == 1.0
+
+
 def test_scenario_simple_wave_zero_amplitude_inconclusive():
     rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.0, 1, n=64)
     assert rep.verdict == "inconclusive"

@@ -1,10 +1,10 @@
 """Format ``snapshots.csv`` in a process of its own, from raw snapshots.
 
-``psyslab simulate`` runs ``python _snapshot_writer.py <path> <n> <head>``
-beside the solver and feeds it on stdin, so that the solver and the
-formatting use two CPUs.  Only the standard library is imported: the
-process starts in a few tens of ms, and the pipe does not fill while it
-loads numpy.
+``psyslab simulate`` runs ``python -I -S _snapshot_writer.py <path> <n>
+<head>`` beside the solver and feeds it on stdin, so that the solver and
+the formatting use two CPUs.  Only ``sys`` and ``array`` are imported:
+the process needs no ``site`` or ``PYTHON*`` variable, starts in tens
+of ms, and the pipe does not fill while it loads numpy.
 
 Input: one record per snapshot, until end of input: t, u_0, v_0, u_1,
 v_1, ..., u_{n-1}, v_{n-1} as float64 in native byte order.  The nodes

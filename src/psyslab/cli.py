@@ -26,13 +26,13 @@ outdir and renamed into place once complete (``_published``), so a
 failure never leaves a truncated file, and an older file of the same
 name keeps its bytes.  ``snapshots.csv`` (one row of about 73 bytes per
 node and stored snapshot) is formatted by a second process,
-``_snapshot_writer.py``, that ``simulate`` starts before the run: it
-gives it the part file, n and the CSV head on its command line, then
-pipes it each snapshot's raw floats as the run stores it, so the two
-overlap, and the run keeps none: the memory either process takes for
-the snapshots is bounded by one snapshot, not by the file.  The writer
-is reaped before its part file is renamed or removed, whether the run
-succeeds or fails.
+``_snapshot_writer.py``, that ``simulate`` starts, isolated (``-I -S``),
+before the run: it gives it the part file, n and the CSV head on its
+command line, then pipes it each snapshot's raw floats as the run
+stores it, so the two overlap, and the run keeps none: the memory
+either process takes for the snapshots is bounded by one snapshot, not
+by the file.  The writer is reaped before its part file is renamed or
+removed, whether the run succeeds or fails.
 """
 
 from __future__ import annotations
@@ -231,9 +231,9 @@ def parse_config(path=None, overrides=(), command=None) -> RunConfig:
     return _validate(cfg, command)
 
 
-def _echo_config(cfg: RunConfig, stream=sys.stderr):
+def _echo_config(cfg: RunConfig):
     for f in dataclasses.fields(cfg):
-        print(f"config: {f.name} = {getattr(cfg, f.name)}", file=stream)
+        print(f"config: {f.name} = {getattr(cfg, f.name)}", file=sys.stderr)
 
 
 def build_initial_state(cfg: RunConfig, grid: PeriodicGrid):
@@ -312,8 +312,8 @@ class _SnapshotStream:
     block."""
 
     def __init__(self, cfg: RunConfig, part: Path):
-        self.args = [sys.executable, _snapshot_writer.__file__, str(part),
-                     str(cfg.n), _csv_head(cfg, ("t", "x", "u", "v"))]
+        self.args = [sys.executable, "-I", "-S", _snapshot_writer.__file__,
+                     str(part), str(cfg.n), _csv_head(cfg, ("t", "x", "u", "v"))]
         self.t_end = None
 
     def __enter__(self):

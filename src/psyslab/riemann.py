@@ -54,14 +54,14 @@ class RiemannPair(NamedTuple):
     r2: float
 
 
-def _require_nonpositive(u, what="u"):
+def _require_nonpositive(u):
     if np.any(np.asarray(u) > 0.0):
-        raise DomainError(f"{what} must be <= 0 (hyperbolic closure)")
+        raise DomainError("u must be <= 0 (hyperbolic closure)")
 
 
-def _require_negative(u, what="u"):
+def _require_negative(u):
     if np.any(np.asarray(u) >= 0.0):
-        raise DomainError(f"{what} must be < 0 (strict hyperbolic interior)")
+        raise DomainError("u must be < 0 (strict hyperbolic interior)")
 
 
 @lru_cache(maxsize=1)

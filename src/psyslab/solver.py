@@ -22,8 +22,8 @@ One stacked inverse transform per step gives the samples u, v, u_x,
 v_x whose maxima the monitor reads; the same maxima show a non-finite
 step, and the extremes of u set the next CFL step.  Snapshots are built
 only when stored.  Each run builds one workspace that every stage,
-transform and monitor product writes into, so a step allocates only
-the rfft rows and samples it returns.
+transform and monitor product writes into, the new rfft rows included,
+so a step allocates only the samples it returns.
 
 Evolution is only admitted for strictly hyperbolic data; the
 initial-value problem is ill-posed in the elliptic region, so elliptic
@@ -190,8 +190,8 @@ class _Workspace:
     modes: the nonlinear slopes as two (2, m) pairs (n1, n3) and (n2, n4)
     (v^ rows only: N has no u^ row), the states a = E c and b = E (0, n1),
     a scratch state, and the two stacked stages N reads: their u^ rows,
-    u samples and p^; the stacked input of ``_rows`` and the monitor's
-    energies; and ik, the filter, and the integrating factor.
+    u samples and p^; the new state's stacked rows (see ``_rows``) and the
+    monitor's energies; and ik, the filter, and the integrating factor.
 
     The integrating factor linearises at u_bar, the mean of the u samples
     of the rfft rows ``c`` it is built from: mode 0 never changes in a
@@ -199,14 +199,14 @@ class _Workspace:
     exact flow of the linear part over half a step, is a rotation of each
     mode's (u^, v^) by theta = k c_bar h / 2: u^ <- cos u^ - i sin/c_bar
     v^, v^ <- -i c_bar sin u^ + cos v^, identity on mode 0 and on the
-    Nyquist mode (k = 0 there).  ``half_step`` sets it for a step h.
-    Each ``run`` and ``step_rk4`` builds its own.  Raises ValueError
-    unless c_bar^2 > 0: the integrating factor of an elliptic mean state
-    is not a rotation."""
+    Nyquist mode (k = 0 there).  ``flow`` holds its entries (cos, -i
+    sin/c_bar, -i c_bar sin) with other parts +0.0, so a product with cos
+    keeps a real cos's bits; ``half_step`` sets them for a step h.  Each
+    ``run`` and ``step_rk4`` builds its own.  Raises ValueError unless
+    c_bar^2 > 0: an elliptic mean state's integrating factor is no rotation."""
 
     __slots__ = ("n", "slopes", "a", "b", "scratch", "u_hat", "u", "p_hat",
-                 "stacked", "energy", "ik", "sigma", "c2", "c_bar", "cos",
-                 "sin", "rot")
+                 "stacked", "energy", "ik", "sigma", "c2", "c_bar", "flow")
 
     def __init__(self, law, c: np.ndarray):
         m = c.shape[-1]
@@ -224,42 +224,42 @@ class _Workspace:
         self.energy = np.empty((2, m))
         self.ik = _derivative_multipliers(n)
         self.sigma = _filter_multipliers(n)
-        self.cos, self.sin = np.empty((2, m))
-        self.rot = np.zeros((2, m), dtype=complex)  # real parts stay 0
+        self.flow = np.zeros((3, m), dtype=complex)
 
     def half_step(self, h: float) -> None:
-        """Set E to the linear flow over h / 2: cos theta and the
-        off-diagonal entries (-i sin/c_bar, -i c_bar sin) of each mode."""
-        theta = np.multiply(self.ik.imag, 0.5 * h * self.c_bar, out=self.cos)
-        np.sin(theta, out=self.sin)
-        np.cos(theta, out=self.cos)
-        np.multiply(self.sin, -1.0 / self.c_bar, out=self.rot[0].imag)
-        np.multiply(self.sin, -self.c_bar, out=self.rot[1].imag)
+        """Set E to the linear flow over h / 2: cos theta, and sin theta
+        scaled into -i sin/c_bar and -i c_bar sin, in place in ``flow``."""
+        cos, sin = self.flow[0].real, self.flow[1].imag
+        theta = np.multiply(self.ik.imag, 0.5 * h * self.c_bar, out=cos)
+        np.sin(theta, out=sin)
+        np.cos(theta, out=cos)
+        np.multiply(sin, -self.c_bar, out=self.flow[2].imag)
+        np.multiply(sin, -1.0 / self.c_bar, out=sin)
 
     def rotate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = E x for a (2, m) state x; out may be x, and is not the
         scratch state."""
-        np.multiply(self.rot, x[::-1], out=self.scratch)
-        np.multiply(self.cos, x, out=out)
+        np.multiply(self.flow[1:], x[::-1], out=self.scratch)
+        np.multiply(self.flow[0], x, out=out)
         return np.add(out, self.scratch, out=out)
 
 
-def _rows(n: int, c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """Samples (u, v, u_x, v_x) of the rfft rows c = (u^, v^), from one
-    inverse transform of the (4, m) ``stacked`` (u^, v^, ik u^, ik v^)
-    it writes; the samples are a new array."""
-    stacked[:2] = c
-    np.multiply(c, _derivative_multipliers(n), out=stacked[2:])
+def _rows(n: int, stacked: np.ndarray) -> np.ndarray:
+    """Samples (u, v, u_x, v_x) of the rfft rows (u^, v^) held in the first
+    two rows of the (4, m) ``stacked``, from one inverse transform once it
+    writes ik u^, ik v^ into the other two; the samples are a new array."""
+    np.multiply(stacked[:2], _derivative_multipliers(n), out=stacked[2:])
     return np.fft.irfft(stacked, n)
 
 
 def _spectral(state: StateField):
-    """(c, rows) of a state: its rfft rows (u^, v^) and the samples
-    (u, v, u_x, v_x), with u and v exactly the state's."""
-    c = np.fft.rfft(np.stack((state.u, state.v)))
-    rows = _rows(state.grid.n, c, np.empty((4, c.shape[-1]), dtype=complex))
+    """(c, rows) of a state: its rfft rows (u^, v^), stacked for ``_rows``,
+    and the samples (u, v, u_x, v_x), u and v exactly the state's."""
+    stacked = np.empty((4, state.grid.n // 2 + 1), dtype=complex)
+    np.fft.rfft(np.stack((state.u, state.v)), out=stacked[:2])
+    rows = _rows(state.grid.n, stacked)
     rows[0], rows[1] = state.u, state.v
-    return c, rows
+    return stacked[:2], rows
 
 
 def _advance(law, ws: _Workspace, c: np.ndarray, u: np.ndarray, dt: float):
@@ -284,7 +284,8 @@ def _advance(law, ws: _Workspace, c: np.ndarray, u: np.ndarray, dt: float):
 
     Returns (c, rows) of the new state (see ``_rows``): 5 FFT calls, 11
     transformed rows.  Every stage, transform and sum writes into the
-    workspace ``ws``, so the step allocates only the (c, rows) it
+    workspace ``ws``, c into its stacked rows (the next step reads it
+    before it writes them), so the step allocates only the samples it
     returns (and what ``law.p`` returns, twice).
     """
     n, a, b, u_hat, scratch = ws.n, ws.a, ws.b, ws.u_hat, ws.scratch
@@ -295,21 +296,20 @@ def _advance(law, ws: _Workspace, c: np.ndarray, u: np.ndarray, dt: float):
     ws.u[0] = u
     np.fft.irfft(a[0], n, out=ws.u[1])
     _nonlinear(law, ws, u_hat, ws.u, ws.slopes[0])
-    np.multiply(ws.rot[0], n1, out=b[0])
-    np.multiply(ws.cos, n1, out=b[1])
+    np.multiply(ws.flow[1::-1], n1, out=b)
     # the u^ rows of E(c + h/2 n1) = Ec + h/2 b and of E(Ec + h (0, n3))
     np.add(a[0], np.multiply(0.5 * dt, b[0], out=u_hat[0]), out=u_hat[0])
     np.add(a[1], np.multiply(dt, n3, out=scratch[0]), out=scratch[0])
-    np.multiply(ws.rot[0], scratch[0], out=scratch[0])
-    np.add(np.multiply(ws.cos, a[0], out=u_hat[1]), scratch[0], out=u_hat[1])
+    np.multiply(ws.flow[1], scratch[0], out=scratch[0])
+    np.add(np.multiply(ws.flow[0], a[0], out=u_hat[1]), scratch[0], out=u_hat[1])
     _nonlinear(law, ws, u_hat, np.fft.irfft(u_hat, n, out=ws.u), ws.slopes[1])
     np.add(n2, n3, out=n2)
     np.add(b[1], np.multiply(2.0, n2, out=n2), out=b[1])
     np.add(a, np.multiply(dt / 6.0, b, out=b), out=b)
-    cn = ws.rotate(b, np.empty_like(c))
+    cn = ws.rotate(b, ws.stacked[:2])
     np.add(cn[1], np.multiply(dt / 6.0, n4, out=n4), out=cn[1])
     cn *= ws.sigma
-    return cn, _rows(n, cn, ws.stacked)
+    return cn, _rows(n, ws.stacked)
 
 
 def step_rk4(law, state: StateField, dt: float) -> StateField:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -193,6 +194,45 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     assert run_cli(*args, command) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("item, message", [
+    ("family=third", "family must be one of first, second, both, got 'third'"),
+    ("direction=sideways",
+     "direction must be one of forward, backward, both, got 'sideways'"),
+], ids=["family", "direction"])
+def test_unknown_family_or_direction_exits_2(tmp_path, capsys, item, message):
+    assert run_cli("--set", item, "--set", f"outdir={tmp_path}", "trace") == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, "n = 64\n# a comment\nt_max 0.5\n")
+    assert run_cli("--config", path, "simulate") == 2
+    assert f"config error: {path}:3: expected key = value" in (
+        capsys.readouterr().err)
+
+
+def test_set_without_equals_exits_2(capsys):
+    assert run_cli("--set", "n", "simulate") == 2
+    assert "config error: --set 'n': expected key=value" in (
+        capsys.readouterr().err)
+
+
+def test_main_echoes_every_config_key_unless_quiet(tmp_path, capsys):
+    # the echo once wrote to the sys.stderr of import time, so a stderr
+    # redirected later, as capsys does, never saw it
+    overrides = ["n=16", "t_max=0.05", f"outdir={tmp_path}"]
+    args = [a for item in overrides for a in ("--set", item)]
+    assert main([*args, "simulate"]) == 0
+    cfg = parse_config(None, overrides)
+    echo = [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("config: ")]
+    assert echo == [f"config: {f.name} = {getattr(cfg, f.name)}"
+                    for f in dataclasses.fields(cfg)]
+    assert len(echo) == 23
+    assert run_cli(*args, "simulate") == 0
+    assert "config: " not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -543,6 +583,45 @@ def test_writer_rejects_a_truncated_record(tmp_path):
         input=struct.pack("=8d", *range(8)), capture_output=True, timeout=120)
     assert proc.returncode != 0
     assert b"a record ended after 24 of 40 bytes" in proc.stderr
+
+
+def test_writer_without_its_three_arguments_prints_usage(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, _snapshot_writer.__file__, str(tmp_path / "s.csv"),
+         "2"], capture_output=True, timeout=120)
+    assert proc.returncode != 0
+    assert b"usage:" in proc.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+def _simulate_snapshots(out):
+    """Run a small simulate into ``out`` and return its snapshots.csv."""
+    assert run_cli("--set", "preset=simple_wave", "--set", "n=64",
+                   "--set", "t_max=0.2", "--set", f"outdir={out}",
+                   "simulate") == 0
+    assert sorted(p.name for p in out.iterdir()) == ["run.json", "series.csv",
+                                                     "snapshots.csv"]
+    return (out / "snapshots.csv").read_bytes()
+
+
+@pytest.mark.parametrize("module, source", [
+    # site imports sitecustomize from PYTHONPATH at start-up
+    ("sitecustomize", "import sys\nsys.exit(3)\n"),
+    # array is an extension module in lib-dynload, after PYTHONPATH
+    ("array", "raise ImportError('a stand-in for array')\n"),
+], ids=["sitecustomize", "array"])
+def test_writer_ignores_the_callers_python_environment(tmp_path, monkeypatch,
+                                                       module, source):
+    # the writer once ran with the caller's PYTHONPATH and site, and so
+    # exited with status 1 before it read a snapshot
+    reference = _simulate_snapshots(tmp_path / "reference")
+    hooks = tmp_path / "hooks"
+    hooks.mkdir()
+    (hooks / f"{module}.py").write_text(source)
+    monkeypatch.setenv("PYTHONPATH", str(hooks))
+    snapshots = _simulate_snapshots(tmp_path / "out")
+    assert (hashlib.sha256(snapshots).hexdigest()
+            == hashlib.sha256(reference).hexdigest())
 
 
 def test_writer_nodes_are_the_grid_nodes():

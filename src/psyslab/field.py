@@ -168,10 +168,14 @@ class SpaceTimeField:
     exp(2 pi i m x) at a point are products of 32 + n/64 + 1 sines and
     cosines rather than n/2 + 1, and no long cumulative product
     accumulates error with m.  Sums over the layout go through
-    ``einsum`` without ``optimize``, which never calls BLAS: a BLAS
-    ``matmul`` of these shapes ran 6x faster in wall time on 2 cores,
-    but OpenBLAS threads spin between the small products, and the
-    tracer's process CPU time doubled.
+    ``einsum`` without ``optimize``, which never calls BLAS.  A BLAS
+    ``matmul`` uses 6-9x less CPU at the benchmark's shapes, where
+    OpenBLAS stays on one thread: 4 rows x 17 blocks x 48 points took
+    18-25 us against 110-164 us with ``einsum``, at CPU/wall 1.00 (2
+    vCPUs).  But at 4 x 65 x 128 it runs at CPU/wall 2.0, and tracing
+    128 curves at n=4096 took 2.1 s of CPU instead of 1.55 s, with
+    OpenBLAS threads spinning between the small products (CPU/wall
+    1.99).  ``einsum`` holds one thread at every shape.
     """
 
     def __init__(self, snapshots: list, law):

@@ -139,29 +139,70 @@ def random_trig_state(grid: PeriodicGrid, seed: int, modes: int,
 
 def crossing_time_oracle(law, u0: float, amplitude: float,
                          mode: int) -> Optional[float]:
-    """Dense-sampling crossing time for a simple wave started at t = 0.
+    """Crossing time for a simple wave started at t = 0, from the
+    steepest point of lambda_1 on the initial data.
 
     With r2 constant, lambda_1 is transported by itself, so the first
-    characteristic crossing is at -1/min_x d(lambda_1)/dx evaluated on
-    the initial data, sampled at 100 001 points.  Returns None when no
-    compression exists.  Raises DomainError unless u0 + |amplitude| < 0:
-    d(lambda_1)/dx is unbounded at u = 0; and where lambda_1 overflows.
+    characteristic crossing is at -1/min_x d(lambda_1)/dx on the initial
+    data.  On u = u0 + A sin(theta), theta = k x and k = 2 pi mode, that
+    slope is s(theta) = -p''(u) / (2 sqrt(-p'(u))) A k cos(theta).  A
+    scan of ``_SCAN_ANGLES`` angles brackets its minimum in the two cells
+    around the smallest sample, and a golden-section search refines it
+    there.  Returns None when no compression exists.  Raises DomainError
+    unless u0 + |amplitude| < 0: d(lambda_1)/dx is unbounded at u = 0;
+    and where lambda_1 or its slope overflows.
     """
     if not u0 + abs(amplitude) < 0.0:
         raise DomainError("the wave must stay strictly hyperbolic: "
                           f"u0 + |amplitude| = {u0 + abs(amplitude):g}")
-    xs = np.linspace(0.0, 1.0, 100_001)
-    u = u0 + amplitude * np.sin(2.0 * np.pi * mode * xs)
-    lam = np.sqrt(-law.dp(u))
-    # np.gradient of an infinite speed is NaN, which no test below catches
-    if not np.all(np.isfinite(lam)):
+    # lambda_1 grows with -u, so the wave's lowest u holds its largest value
+    lam_max = math.sqrt(-law.dp(u0 - abs(amplitude)))
+    if not math.isfinite(lam_max):
         raise DomainError("the characteristic speed overflows on the wave")
-    dlam = np.gradient(lam, xs)
-    m = float(np.min(dlam))
-    # roundoff floor: differencing a constant profile yields ~1e-12 noise
-    if m >= -1e-9 * max(1.0, float(np.max(lam))):
+    k = 2.0 * math.pi * mode
+
+    def slope(theta: float) -> float:
+        u = u0 + amplitude * math.sin(theta)
+        return (-law.ddp(u) / (2.0 * math.sqrt(-law.dp(u)))
+                * amplitude * k * math.cos(theta))
+
+    cell = 2.0 * math.pi / _SCAN_ANGLES
+    scan = [slope(cell * j) for j in range(_SCAN_ANGLES)]
+    j = min(range(_SCAN_ANGLES), key=scan.__getitem__)
+    m = min(scan[j], _golden_section_minimum(slope, cell * (j - 1), cell * (j + 1)))
+    # p'' can overflow where lambda_1 does not
+    if not (all(map(math.isfinite, scan)) and math.isfinite(m)):
+        raise DomainError("the characteristic speed's slope overflows on the wave")
+    # flatter than this is no compression: t* would pass 1e9 / max(1, lambda_1)
+    if m >= -1e-9 * max(1.0, lam_max):
         return None
     return -1.0 / m
+
+
+#: angles the crossing-time oracle scans to bracket the steepest point
+_SCAN_ANGLES = 64
+
+#: golden-section steps: they shrink the bracket by 0.618**60 ~ 3e-13
+_GOLDEN_STEPS = 60
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_minimum(f, a: float, b: float) -> float:
+    """The smallest value of f that a golden-section search on [a, b]
+    finds; f is taken to have one minimum there."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return min(fc, fd)
 
 
 def simple_wave_exact(law, u0: float, amplitude: float, mode: int, t: float,
@@ -229,10 +270,11 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     """Triangulate the blow-up time three independent ways.
 
     The solver's detection time and the minimum Riccati-predicted time
-    over traced family-1 curves must each agree with the dense-sampling
-    crossing-time oracle within ``relative_gap``, and the invariant drift
-    up to the 10x-gradient time must stay below ``drift_max``.  The run
-    goes to twice the oracle time.  Also records the dual-growth spot
+    over traced family-1 curves must each agree with the crossing time
+    from the steepest point of lambda_1 (``crossing_time_oracle``)
+    within ``relative_gap``, and the invariant drift up to the
+    10x-gradient time must stay below ``drift_max``.  The run goes to
+    twice the oracle time.  Also records the dual-growth spot
     check, a separate acceptance gate on the same run.
     """
     report = ScenarioReport("simple_wave_blowup", law.describe(), None,

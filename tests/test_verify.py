@@ -69,10 +69,20 @@ def test_presets_reject_zero_amplitude():
     assert np.ptp(random_trig_state(g, 0, 3, 1e-14, -1.0).u) > 0.0
 
 
+#: -1 / min d(lambda_1)/dx by (a, u_center, amplitude) at mode 1, frozen
+#: from a 40-digit mpmath root of the slope's derivative at these floats
+_CROSSING_TIMES = {
+    (0.0, -1.0, 0.3): 1.048743779355751084422848534912919739701,
+    (0.3, -1.0, 0.3): 0.3381533052289823064644505778924043813611,
+    (0.0, -0.55, 0.5449): 0.3264849352344278473177946443169754665378,
+}
+
+
 def test_crossing_time_oracle_quadratic_wave():
-    # frozen from the analytic d/dx sqrt(1 - 0.3 sin(2 pi x)) minimum
-    t = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
-    assert t == pytest.approx(1.04874378, abs=1e-6)
+    # 100,001 samples read the quadratic wave 8.45e-10 high
+    for (a, u_center, amplitude), t_star in _CROSSING_TIMES.items():
+        t = crossing_time_oracle(PressureLaw(a), u_center, amplitude, 1)
+        assert t == pytest.approx(t_star, rel=1e-14, abs=0.0), (a, u_center)
     assert crossing_time_oracle(QUAD, -1.0, 0.0, 1) is None
 
 
@@ -91,6 +101,22 @@ def test_crossing_time_oracle_rejects_an_overflowing_speed():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="overflows"):
             crossing_time_oracle(PressureLaw(1e308), -1.0, 0.3, 1)
+        # lambda_1 stays finite but p'' overflows: unguarded, the analytic
+        # slope gave a crossing time of 0.0, and 100,001 samples 5.5e-155
+        with pytest.raises(DomainError, match="overflows"):
+            crossing_time_oracle(PressureLaw(1e307), -1.0, 0.3, 1)
+
+
+def test_crossing_time_oracle_allocates_no_sample_grid():
+    # sampling d(lambda_1)/dx at 100,001 points peaked at 7.8 MB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        crossing_time_oracle(PressureLaw(0.3), -1.0, 0.3, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("law", [QUAD, PressureLaw(0.3)],

@@ -34,10 +34,11 @@ from .riemann import Family, beta_from_gradient, q_of_u, riccati_k
 from .solver import Trajectory
 
 #: RK4 step of a curve, in median snapshot spacings.  Finer steps read
-#: worse, not better: on ``verify``'s n=256 wave (cfl_safety 0.8, 16/4/4
-#: curves) the r2 drift is 5.8e-5 at 2, 1.12e-4 at 1 and 8.4e-4 at 0.5,
-#: so the error there comes from the field between snapshots, not from
-#: the curve's step, and 2 needs the fewest field evaluations
+#: worse: on ``verify``'s n=256 wave (cfl_safety 0.8, 16/4/4 curves) the
+#: r2 drift is 5.8e-5 at 2, 1.12e-4 at 1 and 8.4e-4 at 0.5: the error is
+#: the field's between snapshots.  4 halves the field evaluations, but
+#: coarsens ``t_hit`` to its step grid (``test_boundary_hit_in_mixed_field``
+#: fails) and lifts the n=1024 wave's drift from 2.3e-7 to 2.0e-5
 STEP_FACTOR = 2.0
 
 #: growth of -u over a curve's window beyond which ``classify`` reads B

@@ -69,15 +69,21 @@ PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 #: the most bytes a command may keep from its run, estimated from its
 #: steps, t_max over the first CFL step: a float64 series row a
 #: step, and for ``trace`` and ``predict`` 16n a kept snapshot and
-#: ``CURVE_SAMPLE_BYTES`` a traced curve's sample.  The default ``trace``
-#: (n = 256, t_max = 10) keeps 3.1 MB, and at n = 4096 it keeps 0.7 GB
+#: ``CURVE_BYTES`` a traced curve plus ``CURVE_SAMPLE_BYTES`` a sample.
+#: The default ``trace`` (n = 256, t_max = 10) keeps 3.1 MB
 MAX_KEPT_BYTES = 2**32
 
 #: a traced curve's bytes a sample: ``trace_batch`` peaks at 106 with its
 #: 6 float64 buffer columns and the curve's 7 (measured with tracemalloc
-#: over 2000 curves of 641 samples), and a curve keeps 58.  A curve takes
-#: about one sample every ``STEP_FACTOR`` stored snapshots
+#: over 2000 curves of 641 samples), and a curve keeps 58 at 401 samples,
+#: 78-100 at 23-44.  A curve takes a sample every ``STEP_FACTOR`` snapshots
 CURVE_SAMPLE_BYTES = 106
+
+#: a traced curve's fixed bytes, its 7 arrays and its CharacteristicCurve:
+#: ``trace_batch`` peaks 1.1 KB a curve above ``CURVE_SAMPLE_BYTES`` a
+#: sample at 500-2000 curves (n = 64), 1.4 KB at 200 (n = 256, with the
+#: field's rows)
+CURVE_BYTES = 1536
 
 #: the most runs, one a seed, ``verify``'s sweep may make
 MAX_VERIFY_SEEDS = 1000
@@ -194,7 +200,8 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
                     if command == "trace" else 1)
                 samples = steps / (STEP_FACTOR * cfg.snapshot_stride) + 1
                 kept += ((steps // cfg.snapshot_stride + 2) * 16 * cfg.n
-                         + curves * samples * CURVE_SAMPLE_BYTES)
+                         + curves * (samples * CURVE_SAMPLE_BYTES
+                                     + CURVE_BYTES))
             if kept > MAX_KEPT_BYTES:
                 raise ValueError(f"{command} would keep about {kept:.3g} bytes "
                                  f"of its {steps:.0f} steps, more than "

@@ -431,7 +431,6 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     """
     c, rows, m0, dt0 = start(law, state0, t0, config)
     grid = state0.grid
-    n = grid.n
     # doubled when full and trimmed at the end, in place: it has no views
     series = np.empty((_SERIES_ROWS, len(SERIES_COLUMNS)))
     series[0] = t0, *m0

@@ -399,34 +399,31 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
 
 
 def scenario_ramp_residual(law) -> ScenarioReport:
-    """Exact-solution residual check for (u, v) = (t, -x) on a 5 x 9
-    grid of (t, x) points.
+    """Exact-solution residual check for (u, v) = (t, -x) at five times.
 
     The pair solves the system identically for every law, since u_x = 0
     (u_t + v_x = 1 - 1 = 0 and v_t - (p(u))_x = 0 - p'(u) * 0 = 0), but
     v is not periodic: v(x+1) - v(x) = -1.  So u-periodicity alone is
     strictly weaker than periodicity of the pair, and this solution is
-    outside the rigidity class.  All residuals must vanish exactly in
-    floating point.
+    outside the rigidity class.  The residuals do not depend on x, and
+    must vanish exactly in floating point.
     """
     report = ScenarioReport("ramp_residual", law.describe(), None,
                             thresholds={"residual": 0.0})
     max_r1 = max_r2 = 0.0
     for t in np.linspace(-2.0, 3.0, 5):
-        for x in np.linspace(0.0, 1.0, 9):
-            u_t, u_x = 1.0, 0.0          # u(t, x) = t
-            v_t, v_x = 0.0, -1.0         # v(t, x) = -x
-            r1 = u_t + v_x
-            r2 = v_t - law.dp(t) * u_x
-            # np.maximum keeps a NaN residual, where max drops it
-            max_r1 = float(np.maximum(max_r1, abs(r1)))
-            max_r2 = float(np.maximum(max_r2, abs(r2)))
+        u_t, u_x = 1.0, 0.0          # u(t, x) = t
+        v_t, v_x = 0.0, -1.0         # v(t, x) = -x
+        r1 = u_t + v_x
+        r2 = v_t - law.dp(t) * u_x
+        # np.maximum keeps a NaN residual, where max drops it
+        max_r1 = float(np.maximum(max_r1, abs(r1)))
+        max_r2 = float(np.maximum(max_r2, abs(r2)))
     v_shift = -(0.25 + 1.0) - -(0.25)    # v(x+1) - v(x)
     u_shift = 0.0                        # u independent of x
     report.metrics = {"max_residual_1": max_r1, "max_residual_2": max_r2,
                       "v_period_shift": v_shift, "u_period_shift": u_shift}
-    ok = (max(max_r1, max_r2) <= report.thresholds["residual"]
-          and v_shift == -1.0 and u_shift == 0.0)
+    ok = max(max_r1, max_r2) <= report.thresholds["residual"]
     return _judge(report, ok, f"residuals {max_r1:g}, {max_r2:g}")
 
 

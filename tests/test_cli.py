@@ -175,7 +175,7 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("trace", ["n=4096", "t_max=200"]),
     # the state overflows the monitor, as it does under simulate
     ("energy", ["preset=constant", "u0=1e200"]),
-    # 100,000 curves of 641 samples: about 6.8 GB
+    # 100,000 curves of 641 samples: about 7.0 GB
     ("trace", ["n=256", "t_max=20", "curve_seeds=100000"]),
 ], ids=["wave_n", "verify_bad_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
@@ -194,6 +194,26 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     assert run_cli(*args, command) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, curves", [
+    (["preset=simple_wave", "n=64", "snapshot_stride=1"], 500),  # 44 samples
+    (["preset=simple_wave", "n=256"], 200),  # stride 5, 39 samples
+])
+def test_curve_budget_bounds_the_tracers_peak(overrides, curves):
+    # the budget once counted CURVE_SAMPLE_BYTES a sample and nothing a
+    # curve, and read 19-25% under the tracer's peak at these shapes
+    traj = cli._run(parse_config(None, overrides))
+    starts = [(x0, psyslab.Family.first) for x0 in np.arange(curves) / curves]
+    tracemalloc.start()
+    try:
+        traced = cli.trace_batch(traj, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = sum(len(curve.t) for curve in traced.values())
+    estimate = samples * cli.CURVE_SAMPLE_BYTES + curves * cli.CURVE_BYTES
+    assert peak <= estimate < 1.25 * peak, (peak, estimate)
 
 
 @pytest.mark.parametrize("item, message", [

@@ -32,7 +32,7 @@ def test_readme_python_block_runs(source):
 
 #: the budget constants the README states as "`module.NAME` = value"
 BUDGETS = ("MAX_STEPS", "MAX_KEPT_BYTES", "CURVE_SAMPLE_BYTES",
-           "MAX_VERIFY_SEEDS")
+           "CURVE_BYTES", "MAX_VERIFY_SEEDS")
 
 
 def test_readme_budget_numbers_match_the_code():

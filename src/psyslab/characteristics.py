@@ -178,7 +178,8 @@ def trace_batch(trajectory: Trajectory, starts,
     span = float(times[-1] - times[0])
     t_start = float(times[0] if direction is Direction.forward else times[-1])
     spacing = _median_spacing(times)
-    n_steps = max(1, int(np.ceil(span / (STEP_FACTOR * spacing))))
+    # span >= spacing gives n_steps >= 1, and no product here can overflow
+    n_steps = int(np.ceil(span / spacing / STEP_FACTOR))
     h = direction.sign * span / n_steps
     # sample columns (x, u, v, u_x, v_x, K) per step; curve b owns rows
     # 0 .. count[b] - 1 of column b

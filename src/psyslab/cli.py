@@ -27,12 +27,12 @@ failure never leaves a truncated file, and an older file of the same
 name keeps its bytes.  ``snapshots.csv`` (one row of about 73 bytes per
 node and stored snapshot) is formatted by a second process,
 ``_snapshot_writer.py``, that ``simulate`` starts, isolated (``-I -S``),
-before the run: it gives it the part file, n and the CSV head on its
-command line, then pipes it each snapshot's raw floats as the run
-stores it, so the two overlap, and the run keeps none: the memory
-either process takes for the snapshots is bounded by one snapshot, not
-by the file.  The writer is reaped before its part file is renamed or
-removed, whether the run succeeds or fails.
+before the run, with n as its one argument and, as its stdout, the
+part file ``simulate`` has opened and headed.  ``simulate`` pipes it
+each snapshot's raw floats as the run stores it, so the two overlap,
+and the run keeps none: the memory either process takes for the
+snapshots is bounded by one snapshot, not by the file.  The writer is
+reaped before its part file is renamed or removed, whatever the outcome.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ CURVE_SAMPLE_BYTES = 106
 
 #: a traced curve's fixed bytes, its 7 arrays and its CharacteristicCurve:
 #: ``trace_batch`` peaks 1.1 KB a curve above ``CURVE_SAMPLE_BYTES`` a
-#: sample at 500-2000 curves (n = 64), 1.4 KB at 200 (n = 256, with the
-#: field's rows)
+#: sample at 500-2000 curves (n = 64), 1.4 KB at 200 (n = 256).  The
+#: field's rows in that 1.4 KB are a cost per call, not per curve (2.4 KB
+#: a curve at 50 curves): the 16n-a-snapshot term covers them
 CURVE_BYTES = 1536
 
 #: the most runs, one a seed, ``verify``'s sweep may make
@@ -306,27 +307,30 @@ def _write_csv(cfg: RunConfig, path: Path, columns, data):
 
 
 class _SnapshotStream:
-    """``run``'s ``on_snapshot`` for ``simulate``: it sends each snapshot
-    to a ``_snapshot_writer.py`` process that writes ``part``, rows
-    ``t,x,u,v`` with 17 significant digits as ``_write_csv`` writes them.
+    """``run``'s ``on_snapshot`` for ``simulate``.  Entering it opens
+    ``part`` (so a part file it cannot write fails before any process
+    starts), writes the CSV head and starts a ``_snapshot_writer.py``
+    process with ``part`` as its stdout; each snapshot is piped to it,
+    and it appends the rows ``t,x,u,v`` as ``_write_csv`` writes them.
     ``t_end`` is the time of the last snapshot sent.
 
-    Entering it starts the writer.  A clean exit closes the writer's
-    input, waits for it and raises OSError with the last line of its
-    stderr unless it exited 0; so does an exit on the BrokenPipeError a
-    writer that failed first leaves.  An exit on any other exception
-    kills a writer still running and reaps it.  No writer outlives the
-    block."""
+    A clean exit closes the writer's input, waits for it and raises
+    OSError with the last line of its stderr unless it exited 0; so does
+    an exit on the BrokenPipeError a writer that failed first leaves.  An
+    exit on any other exception kills a writer still running and reaps
+    it.  No writer outlives the block."""
 
     def __init__(self, cfg: RunConfig, part: Path):
-        self.args = [sys.executable, "-I", "-S", _snapshot_writer.__file__,
-                     str(part), str(cfg.n), _csv_head(cfg, ("t", "x", "u", "v"))]
-        self.t_end = None
+        self.cfg, self.part, self.t_end = cfg, part, None
 
     def __enter__(self):
-        import subprocess  # only simulate needs it: keep it off import
-        self.proc = subprocess.Popen(self.args, stdin=subprocess.PIPE,
-                                     stderr=subprocess.PIPE)
+        from subprocess import PIPE, Popen  # only simulate needs it
+        with open(self.part, "w") as out:
+            out.write(_csv_head(self.cfg, ("t", "x", "u", "v")))
+            out.flush()  # the head goes before the writer's rows
+            self.proc = Popen([sys.executable, "-I", "-S",
+                               _snapshot_writer.__file__, str(self.cfg.n)],
+                              stdin=PIPE, stdout=out, stderr=PIPE)
         return self
 
     def __call__(self, t: float, state):

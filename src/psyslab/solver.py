@@ -437,20 +437,18 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     snapshots = []
     store = on_snapshot or (lambda t, state: snapshots.append((t, state)))
     store(t0, state0)
-    if dt0 is None:
-        series.resize((1, len(SERIES_COLUMNS)), refcheck=False)
-        return Trajectory(law, snapshots, RunStatus.admission_refused,
-                          None, series, config)
-
-    ws = _Workspace(law, c)
+    # refused data takes no step, nor a workspace: its mean may be elliptic
+    status = RunStatus.admission_refused
+    if dt0 is not None:
+        status = RunStatus.completed
+        ws = _Workspace(law, c)
     initial_scale = max(1.0, m0[2])
     t = t0
     steps = 0
-    status = RunStatus.completed
     t_detect = None
     m = m0
 
-    while t < config.t_max:
+    while status is RunStatus.completed and t < config.t_max:
         dt = min(cfl_dt(law, grid, *m[:2], config.cfl_safety),
                  config.t_max - t)
         c, rows = _advance(law, ws, c, rows[0], dt)

@@ -188,8 +188,12 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
         "trace_keeps_100000_curves"])
 def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
+    items = ["n=64", "t_max=0.5"] + overrides + [f"outdir={out}"]
+    # a case admitted by mistake fails here, before its command runs
+    with pytest.raises(ConfigError):
+        parse_config(None, items, command=command)
     args = []
-    for item in ["n=64", "t_max=0.5"] + overrides + [f"outdir={out}"]:
+    for item in items:
         args += ["--set", item]
     assert run_cli(*args, command) == 2
     assert "config error:" in capsys.readouterr().err
@@ -449,10 +453,10 @@ def test_streamed_snapshots_match_one_array(tmp_path, monkeypatch, wave_traj,
     assert len(writers) == 1 and writers[0].returncode == 0
 
 
-def _simulate_fails(out, existing, writers, raises, planted=()):
+def _simulate_fails(out, existing, writers, raises, planted=(), started=1):
     """Run simulate into ``out``, holding ``existing`` snapshots.csv bytes
     and the ``planted`` entries, expect ``raises``, and check that it
-    left nothing of its own and waited for its writer."""
+    left nothing of its own and waited for the ``started`` writers."""
     if existing is not None:
         (out / "snapshots.csv").write_bytes(existing)
     with raises:
@@ -462,8 +466,10 @@ def _simulate_fails(out, existing, writers, raises, planted=()):
     if existing is not None:
         assert (out / "snapshots.csv").read_bytes() == existing
     assert not (out / "snapshots.csv.part").is_file()
-    assert len(writers) == 1 and writers[0].poll() is not None
-    assert writers[0].stdin.closed and writers[0].stderr.closed
+    assert len(writers) == started
+    for writer in writers:
+        assert writer.poll() is not None
+        assert writer.stdin.closed and writer.stderr.closed
 
 
 @pytest.mark.parametrize("existing", [None, b"old snapshots\n"],
@@ -484,14 +490,13 @@ def test_failed_snapshot_stream_leaves_no_partial_file(tmp_path, monkeypatch,
 def test_failed_snapshot_writer_leaves_no_partial_file(tmp_path, monkeypatch,
                                                       wave_traj, writers,
                                                       existing):
-    # the writer cannot open its part file: a directory, the test's own,
-    # which stays
+    # the part file is a directory, the test's own, which stays: simulate
+    # opens the part file itself, and fails before any writer starts
     out = tmp_path / "out"
     (out / "snapshots.csv.part").mkdir(parents=True)
     monkeypatch.setattr(cli, "run", _replay(wave_traj))
-    _simulate_fails(out, existing, writers,
-                    pytest.raises(OSError, match="IsADirectoryError"),
-                    planted=["snapshots.csv.part"])
+    _simulate_fails(out, existing, writers, pytest.raises(IsADirectoryError),
+                    planted=["snapshots.csv.part"], started=0)
 
 
 def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
@@ -581,36 +586,38 @@ def test_writer_memory_is_bounded_by_one_snapshot(tmp_path, wave_traj):
 def test_writer_loads_no_numpy(tmp_path):
     # it starts beside the solver, so its start-up delays the first
     # snapshot; -X importtime lists every module it imports
-    part = tmp_path / "snapshots.csv.part"
     record = struct.pack("=5d", 0.5, -1.0, 0.25, -1.5, 2.0)
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", _snapshot_writer.__file__,
-         str(part), "2", "# head\nt,x,u,v\n"],
+        [sys.executable, "-X", "importtime", _snapshot_writer.__file__, "2"],
         input=record, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip()
                 for line in proc.stderr.decode().splitlines()]
     assert imported and not [m for m in imported
                              if m.split(".")[0] in ("numpy", "psyslab")]
-    assert part.read_text() == ("# head\nt,x,u,v\n"
-                                "0.5,0,-1,0.25\n0.5,0.5,-1.5,2\n")
+    assert proc.stdout == b"0.5,0,-1,0.25\n0.5,0.5,-1.5,2\n"
 
 
-def test_writer_rejects_a_truncated_record(tmp_path):
-    part = tmp_path / "snapshots.csv.part"
+def test_writer_rejects_a_truncated_record():
     proc = subprocess.run(
-        [sys.executable, _snapshot_writer.__file__, str(part), "2", "t,x,u,v\n"],
+        [sys.executable, _snapshot_writer.__file__, "2"],
         input=struct.pack("=8d", *range(8)), capture_output=True, timeout=120)
     assert proc.returncode != 0
     assert b"a record ended after 24 of 40 bytes" in proc.stderr
+    # the complete record before it was written
+    assert proc.stdout == b"0,0,1,2\n0,0.5,3,4\n"
 
 
-def test_writer_without_its_three_arguments_prints_usage(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, _snapshot_writer.__file__, str(tmp_path / "s.csv"),
-         "2"], capture_output=True, timeout=120)
-    assert proc.returncode != 0
-    assert b"usage:" in proc.stderr
+def test_writer_without_exactly_one_argument_prints_usage(tmp_path):
+    # its one argument is n; the old command line (path, n, head) makes
+    # no file either
+    for args in ([], [str(tmp_path / "s.csv"), "2", "t,x,u,v\n"]):
+        proc = subprocess.run(
+            [sys.executable, _snapshot_writer.__file__, *args],
+            input=struct.pack("=5d", *range(5)), capture_output=True,
+            timeout=120)
+        assert proc.returncode != 0
+        assert b"usage:" in proc.stderr and proc.stdout == b""
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -627,9 +634,11 @@ def _simulate_snapshots(out):
 @pytest.mark.parametrize("module, source", [
     # site imports sitecustomize from PYTHONPATH at start-up
     ("sitecustomize", "import sys\nsys.exit(3)\n"),
+    # stdout carries the rows: a sitecustomize that prints would add one
+    ("sitecustomize", "print('a line from sitecustomize')\n"),
     # array is an extension module in lib-dynload, after PYTHONPATH
     ("array", "raise ImportError('a stand-in for array')\n"),
-], ids=["sitecustomize", "array"])
+], ids=["sitecustomize", "sitecustomize_prints", "array"])
 def test_writer_ignores_the_callers_python_environment(tmp_path, monkeypatch,
                                                        module, source):
     # the writer once ran with the caller's PYTHONPATH and site, and so

@@ -102,6 +102,20 @@ def test_run_refuses_elliptic_and_interface_data():
         assert traj.steps == 0
 
 
+@pytest.mark.parametrize("u0", [1.0, -1e-4], ids=["elliptic", "interface"])
+def test_refused_run_keeps_its_start_and_builds_no_workspace(monkeypatch, u0):
+    # a refused run leaves through the same exit as an admitted one; an
+    # elliptic mean state has no integrating factor, so no workspace
+    monkeypatch.setattr(solver, "_Workspace", None)
+    state0 = constant_state(PeriodicGrid(64), u0, 0.0)
+    traj = run(QUAD, state0, 0.25, SolverConfig(t_max=1.0))
+    assert traj.status is RunStatus.admission_refused
+    assert traj.t_detect is None
+    (t, state), = traj.snapshots
+    assert t == 0.25 and state is state0
+    assert traj.series.shape == (1, 6) and traj.series[0, 0] == 0.25
+
+
 def test_run_refuses_an_initial_state_that_overflows_the_monitor():
     # each used to escape as OverflowError or NonFiniteState
     g = PeriodicGrid(64)

@@ -3,8 +3,8 @@ CSV/JSON emission for plots and CI.
 
 Subcommands: simulate, trace, predict, energy, verify.
 Exit codes: 0 success / all scenarios pass, 1 scenario failure or
-invariant violation, 2 configuration error.  A simulation that ends in
-blow-up exits 0: blow-up is a result, not an error.
+error, 2 configuration error; ``main`` alone prints a failure's one
+stderr line.  A run that ends in blow-up exits 0: blow-up is a result.
 
 A config is validated once, before any command runs, by building what
 it names (grids, law, solver config, gauge, initial state) and making
@@ -47,6 +47,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .characteristics import (CURVE_COLUMNS, GROWTH_FACTOR, STEP_FACTOR,
                               spotcheck_points, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
-from .errors import ConfigError, DomainError, EllipticStart, WindowTooShort
+from .errors import ConfigError, EllipticStart, PsyslabError, WindowTooShort
 from .field import PeriodicGrid
 from .pressure import PressureLaw
 from .riemann import Family
@@ -318,7 +319,7 @@ class _SnapshotStream:
     OSError with the last line of its stderr unless it exited 0; so does
     an exit on the BrokenPipeError a writer that failed first leaves.  An
     exit on any other exception kills a writer still running and reaps
-    it.  No writer outlives the block."""
+    it.  No writer outlives the block; ``main`` reports the OSError."""
 
     def __init__(self, cfg: RunConfig, part: Path):
         self.cfg, self.part, self.t_end = cfg, part, None
@@ -388,14 +389,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
-                 payload: dict) -> int:
+                 payload: dict) -> NoReturn:
     """Write ``payload`` with the reason a run cannot be traced (it ended,
-    say, admission_refused with one snapshot) and report it as exit 1."""
+    say, admission_refused with one snapshot), then raise WindowTooShort
+    with that reason, which ``main`` reports as an ``error:`` line."""
     reason = (f"run ended {traj.status.value} with {len(traj.snapshots)} "
               f"snapshot(s): {exc}")
     _write_json(cfg, path, {**payload, "error": reason})
-    print(f"error: {reason}", file=sys.stderr)
-    return 1
+    raise WindowTooShort(reason) from exc
 
 
 def cmd_trace(cfg: RunConfig) -> int:
@@ -412,7 +413,7 @@ def cmd_trace(cfg: RunConfig) -> int:
         batches = {direction: trace_batch(traj, starts, direction)
                    for direction in _DIRECTIONS[cfg.direction]}
     except WindowTooShort as exc:
-        return _untraceable(cfg, out / "classification.json", traj, exc, {
+        _untraceable(cfg, out / "classification.json", traj, exc, {
             "run_status": traj.status.value, "curves": [],
             "thresholds": thresholds})
     entries = []
@@ -453,7 +454,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     try:
         curves = trace_batch(traj, [(x0, fam) for x0 in seeds])
     except WindowTooShort as exc:
-        return _untraceable(cfg, out / "predict.json", traj, exc, {
+        _untraceable(cfg, out / "predict.json", traj, exc, {
             "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
             "solver_status": traj.status.value,
             "solver_t_detect": traj.t_detect})
@@ -481,14 +482,10 @@ def cmd_energy(cfg: RunConfig) -> int:
     law = cfg.law_obj()
     state = build_initial_state(cfg, PeriodicGrid(cfg.n))
     gauge = ConcaveGauge(cfg.gauge)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            e = energy(state, gauge)
-            d_formula = energy_ddot_formula(law, state, gauge)
-            d_direct = energy_ddot_direct(law, state, gauge)
-    except (DomainError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with np.errstate(over="raise", invalid="raise"):
+        e = energy(state, gauge)
+        d_formula = energy_ddot_formula(law, state, gauge)
+        d_direct = energy_ddot_direct(law, state, gauge)
     _write_json(cfg, _outdir(cfg) / "energy.json", {
         "E": e,
         "ddot_formula": d_formula,
@@ -533,6 +530,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command.  Only here does a failure become one stderr line
+    and an exit code: 2 for a ConfigError, 1 for another PsyslabError, a
+    FloatingPointError or an OSError (a failed write, say)."""
     parser = argparse.ArgumentParser(
         prog="psyslab",
         description="Numerical laboratory for the mixed-type p-system "
@@ -546,16 +546,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.overrides, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if not args.quiet:
-        _echo_config(cfg)
-    try:
+        if not args.quiet:
+            _echo_config(cfg)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (PsyslabError, FloatingPointError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main():

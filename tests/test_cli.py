@@ -1007,3 +1007,49 @@ def test_cli_fuzz(overrides, command):
                     rows = list(itertools.islice(f, 2, 2 + cfg.n))
                 uv = np.array([row.split(",")[2:] for row in rows], dtype=float)
                 assert np.ptp(uv, axis=0).max() > 0.0  # not a constant state
+
+
+#: each command's small config, and the file it writes last or alone
+PART_DIRS = {
+    "simulate": (["preset=simple_wave", "n=64", "t_max=0.5"], "snapshots.csv"),
+    "trace": (["preset=simple_wave", "n=64", "t_max=0.5"],
+              "classification.json"),
+    "energy": (["preset=elliptic_random", "n=64"], "energy.json"),
+    "verify": (_FUZZ_VERIFY, "verify.json"),
+}
+
+
+@pytest.mark.parametrize("command", PART_DIRS)
+def test_write_failure_is_one_error_line(tmp_path, capsys, command):
+    # the command's part file is a directory, the test's own: the write
+    # fails with an OSError, which main reports as one line, not a traceback
+    overrides, name = PART_DIRS[command]
+    out = tmp_path / "out"
+    part = out / f"{name}.part"
+    part.mkdir(parents=True)
+    (out / name).write_bytes(b"old bytes\n")
+    assert run_cli(*sets(overrides + [f"outdir={out}"]), command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert repr(str(part)) in err[0]
+    assert part.is_dir() and not list(part.iterdir())
+    assert (out / name).read_bytes() == b"old bytes\n"
+
+
+def test_failed_snapshot_writer_is_one_error_line(tmp_path, capsys,
+                                                  monkeypatch, writers):
+    # the run sends a snapshot of 16 nodes where the writer reads 64: the
+    # writer sees a record cut short and exits 1, which main reports
+    def short_record_run(law, state0, t0, config, on_snapshot=None):
+        on_snapshot(0.0, psyslab.constant_state(PeriodicGrid(16), -1.0, 0.0))
+
+    monkeypatch.setattr(cli, "run", short_record_run)
+    out = tmp_path / "out"
+    assert run_cli(*sets(["preset=simple_wave", "n=64", "t_max=0.5",
+                          f"outdir={out}"]), "simulate") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: snapshot writer exited with status 1: ")
+    assert "a record ended after 264 of 1032 bytes" in err[0]
+    assert list(out.iterdir()) == []
+    assert len(writers) == 1 and writers[0].returncode == 1

@@ -233,6 +233,34 @@ def test_scenario_simple_wave_small_grid():
     assert rep.metrics["spotcheck_violations"] == 0.0
 
 
+class _SkewedPressure(PressureLaw):
+    """The quadratic law with p scaled by 1.001 and p', p'' left alone: a
+    planted defect the solver's flux sees and the tracer's speed does not."""
+
+    def p(self, u):
+        return 1.001 * super().p(u)
+
+
+@pytest.mark.parametrize("defect", [None, "law_p", "tracer_speed"])
+def test_small_wave_drift_gate_fails_a_planted_defect(monkeypatch, defect):
+    # a flux p off by 0.1% (drift 2.3e-3), or a tracer speed off by 0.1%
+    # (4.4e-3): the invariant is no longer carried along the traced
+    # curves, and the drift gate fails a scenario that passes without
+    # the defect (5.8e-5)
+    import psyslab.characteristics as characteristics
+    law = _SkewedPressure() if defect == "law_p" else QUAD
+    if defect == "tracer_speed":
+        speed = characteristics._speed
+        monkeypatch.setattr(characteristics, "_speed",
+                            lambda law, u, sign: 1.001 * speed(law, u, sign))
+    rep = scenario_simple_wave_blowup(law, -1.0, 0.3, 1, n=256,
+                                      n_curve_seeds=16, drift_seeds=4,
+                                      spotcheck_seeds=4)
+    drifted = rep.metrics["invariant_drift_max"] > rep.thresholds["drift_max"]
+    assert drifted == (defect is not None)
+    assert rep.verdict == ("fail" if drifted else "pass")
+
+
 def test_scenario_simple_wave_traces_each_curve_once(monkeypatch):
     # predictions, drift and the spot check's forward curves share one
     # forward batch, the spot check's backward curves make the other; the

@@ -21,24 +21,23 @@ byte-identical files.  CSV files start with a comment line carrying the
 tool version and the config hash; JSON files carry the same pair as
 top-level fields, comments not being valid JSON.
 
-Every file, ``snapshots.csv`` too, is written to ``<name>.part`` in the
-outdir and renamed into place once complete (``_published``), so a
-failure never leaves a truncated file, and an older file of the same
-name keeps its bytes.  ``snapshots.csv`` (one row of about 73 bytes per
-node and stored snapshot) is formatted by a second process,
+A command's files, ``snapshots.csv`` too, are written to ``<name>.part``
+in the outdir and renamed into place together once the command has
+written them all (``_Outputs``), so a failure leaves every older file
+as it was.  ``snapshots.csv`` (one row of about 73 bytes per node and
+stored snapshot) is formatted by a second process,
 ``_snapshot_writer.py``, that ``simulate`` starts, isolated (``-I -S``),
 before the run, with n as its one argument and, as its stdout, the
 part file ``simulate`` has opened and headed.  ``simulate`` pipes it
 each snapshot's raw floats as the run stores it, so the two overlap,
 and the run keeps none: the memory either process takes for the
 snapshots is bounded by one snapshot, not by the file.  The writer is
-reaped before its part file is renamed or removed, whatever the outcome.
+reaped before any part file is renamed or removed, whatever the outcome.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -271,40 +270,58 @@ def _run(cfg: RunConfig, on_snapshot=None):
 # ---------------------------------------------------------------------------
 # emission
 
-@contextlib.contextmanager
-def _published(path: Path):
-    """Yield ``<name>.part`` beside ``path``, and rename it to ``path``
-    when the block ends.  On any exception the part file is removed (a
-    directory of that name is left alone) and the exception re-raised,
-    so ``path`` is either complete or as it was before."""
-    part = path.with_name(path.name + ".part")
-    try:
-        yield part
-        os.replace(part, path)
-    except BaseException:
-        if not part.is_dir():
-            part.unlink(missing_ok=True)
-        raise
-
-
-def _publish(path: Path, *texts: str):
-    """Write ``texts`` in order to ``path``, through ``_published``."""
-    with _published(path) as part, open(part, "w") as f:
-        for text in texts:
-            f.write(text)
-
-
 def _csv_head(cfg: RunConfig, columns) -> str:
     return (f"# psyslab {__version__} config_sha256={cfg.config_hash()}\n"
             f"{','.join(columns)}\n")
 
 
-def _write_csv(cfg: RunConfig, path: Path, columns, data):
-    """Write the 2-D float array ``data``, one row per line, each value
-    with 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    body = (row * len(data)) % tuple(data.ravel().tolist())
-    _publish(path, _csv_head(cfg, columns), body)
+class _Outputs:
+    """A command's files, each written to ``<name>.part`` in the outdir,
+    which making one makes (a ConfigError if it cannot).  A clean exit
+    renames every part into place in the order written; an exception, or
+    a failed rename, removes every part not yet renamed (a directory of
+    that name is left alone) and goes on."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.dir, self.parts = cfg, Path(cfg.outdir), []
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outdir {cfg.outdir!r} is not writable: {exc}") from exc
+
+    def __enter__(self):
+        return self
+
+    def part(self, name: str) -> Path:
+        self.parts.append(self.dir / f"{name}.part")
+        return self.parts[-1]
+
+    def _write(self, name: str, *texts: str):
+        with open(self.part(name), "w") as f:
+            f.writelines(texts)
+
+    def csv(self, name: str, columns, data):
+        """Write the 2-D float array ``data``, one row per line, each
+        value with 17 significant digits."""
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        body = (row * len(data)) % tuple(data.ravel().tolist())
+        self._write(name, _csv_head(self.cfg, columns), body)
+
+    def json(self, name: str, payload: dict):
+        payload = {"tool_version": __version__,
+                   "config_hash": self.cfg.config_hash(), **payload}
+        self._write(name, json.dumps(payload, sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n")
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            while exc_type is None and self.parts:
+                os.replace(self.parts[0], self.parts[0].with_suffix(""))
+                del self.parts[0]
+        finally:
+            for part in self.parts:
+                if not part.is_dir():
+                    part.unlink(missing_ok=True)
 
 
 class _SnapshotStream:
@@ -312,8 +329,9 @@ class _SnapshotStream:
     ``part`` (so a part file it cannot write fails before any process
     starts), writes the CSV head and starts a ``_snapshot_writer.py``
     process with ``part`` as its stdout; each snapshot is piped to it,
-    and it appends the rows ``t,x,u,v`` as ``_write_csv`` writes them.
-    ``t_end`` is the time of the last snapshot sent.
+    and it appends the rows ``t,x,u,v`` as ``_Outputs.csv`` writes them.
+    ``t_end`` is the time of the last snapshot sent.  ``simulate`` opens
+    it on ``out.part("snapshots.csv")`` inside its ``_Outputs`` block.
 
     A clean exit closes the writer's input, waits for it and raises
     OSError with the last line of its stderr unless it exited 0; so does
@@ -353,128 +371,109 @@ class _SnapshotStream:
                           f"{self.proc.returncode}: {reason}")
 
 
-def _write_json(cfg: RunConfig, path: Path, payload: dict):
-    payload = {"tool_version": __version__,
-               "config_hash": cfg.config_hash(), **payload}
-    _publish(path, json.dumps(payload, sort_keys=True, indent=2,
-                              allow_nan=False) + "\n")
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.outdir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"outdir {cfg.outdir!r} is not writable: {exc}") from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    with (_published(out / "snapshots.csv") as part,
-          _SnapshotStream(cfg, part) as snapshots):
-        traj = _run(cfg, snapshots)
-    _write_csv(cfg, out / "series.csv", SERIES_COLUMNS, traj.series)
-    _write_json(cfg, out / "run.json", {
-        "status": traj.status.value,
-        "t_detect": traj.t_detect,
-        "steps": traj.steps,
-        "t_end": snapshots.t_end,
-        "law": traj.law.describe(),
-    })
+    with _Outputs(cfg) as out:
+        with _SnapshotStream(cfg, out.part("snapshots.csv")) as snapshots:
+            traj = _run(cfg, snapshots)
+        out.csv("series.csv", SERIES_COLUMNS, traj.series)
+        out.json("run.json", {
+            "status": traj.status.value,
+            "t_detect": traj.t_detect,
+            "steps": traj.steps,
+            "t_end": snapshots.t_end,
+            "law": traj.law.describe(),
+        })
     return 0
 
 
-def _untraceable(cfg: RunConfig, path: Path, traj, exc: WindowTooShort,
+def _untraceable(cfg: RunConfig, name: str, traj, exc: WindowTooShort,
                  payload: dict) -> NoReturn:
-    """Write ``payload`` with the reason a run cannot be traced (it ended,
-    say, admission_refused with one snapshot), then raise WindowTooShort
-    with that reason, which ``main`` reports as an ``error:`` line."""
+    """Publish ``payload`` as ``name``, with the reason a run cannot be
+    traced (it ended admission_refused with one snapshot, say), and raise
+    WindowTooShort with that reason, an ``error:`` line from ``main``."""
     reason = (f"run ended {traj.status.value} with {len(traj.snapshots)} "
               f"snapshot(s): {exc}")
-    _write_json(cfg, path, {**payload, "error": reason})
+    with _Outputs(cfg) as out:
+        out.json(name, {**payload, "error": reason})
     raise WindowTooShort(reason) from exc
 
 
 def cmd_trace(cfg: RunConfig) -> int:
     traj = _run(cfg)
-    out = _outdir(cfg)
-    # each curve is classified over the whole window the run computed
-    thresholds = {"horizon": traj.t_end - traj.t0,
-                  "growth_factor": cfg.growth_factor,
-                  "hyperbolicity_eps": cfg.hyperbolicity_eps}
-    families = _FAMILIES[cfg.family]
-    seeds = spotcheck_points(cfg.curve_seeds)
-    starts = [(x0, fam) for fam in families for x0 in seeds]
-    try:
-        batches = {direction: trace_batch(traj, starts, direction)
-                   for direction in _DIRECTIONS[cfg.direction]}
-    except WindowTooShort as exc:
-        _untraceable(cfg, out / "classification.json", traj, exc, {
-            "run_status": traj.status.value, "curves": [],
-            "thresholds": thresholds})
-    entries = []
-    for fam in families:
-        for direction, curves in batches.items():
-            for i, x0 in enumerate(seeds):
-                curve = curves[(x0, fam)]
-                name = f"curve_{fam.name}_{direction.name}_{i}.csv"
-                if isinstance(curve, EllipticStart):
-                    entries.append({"x0": x0, "family": fam.name,
-                                    "direction": direction.name,
-                                    "label": ClassLabel.undetermined.value,
-                                    "error": str(curve)})
-                    continue
-                _write_csv(cfg, out / name, CURVE_COLUMNS, np.column_stack(
-                    [getattr(curve, col) for col in CURVE_COLUMNS]))
-                label = classify(curve, cfg.growth_factor)
-                entries.append({"x0": x0, "family": fam.name,
-                                "direction": direction.name,
-                                "label": label.value,
-                                "termination": ("reached_horizon" if curve.t_hit
-                                                is None else "reached_boundary"),
-                                "t_hit": curve.t_hit,
-                                "artifact": name})
-    _write_json(cfg, out / "classification.json", {
-        "run_status": traj.status.value,
-        "curves": entries,
-        "thresholds": thresholds,
-    })
+    with _Outputs(cfg) as out:
+        # each curve is classified over the whole window the run computed
+        thresholds = {"horizon": traj.t_end - traj.t0,
+                      "growth_factor": cfg.growth_factor,
+                      "hyperbolicity_eps": cfg.hyperbolicity_eps}
+        families = _FAMILIES[cfg.family]
+        seeds = spotcheck_points(cfg.curve_seeds)
+        starts = [(x0, fam) for fam in families for x0 in seeds]
+        try:
+            batches = {direction: trace_batch(traj, starts, direction)
+                       for direction in _DIRECTIONS[cfg.direction]}
+        except WindowTooShort as exc:
+            _untraceable(cfg, "classification.json", traj, exc, {
+                "run_status": traj.status.value, "curves": [],
+                "thresholds": thresholds})
+        entries = []
+        for fam in families:
+            for direction, curves in batches.items():
+                for i, x0 in enumerate(seeds):
+                    curve = curves[(x0, fam)]
+                    entry = {"x0": x0, "family": fam.name,
+                             "direction": direction.name}
+                    if isinstance(curve, EllipticStart):
+                        entries.append({**entry, "error": str(curve),
+                                        "label": ClassLabel.undetermined.value})
+                        continue
+                    name = f"curve_{fam.name}_{direction.name}_{i}.csv"
+                    out.csv(name, CURVE_COLUMNS, np.column_stack(
+                        [getattr(curve, col) for col in CURVE_COLUMNS]))
+                    entries.append({
+                        **entry,
+                        "label": classify(curve, cfg.growth_factor).value,
+                        "termination": ("reached_horizon" if curve.t_hit
+                                        is None else "reached_boundary"),
+                        "t_hit": curve.t_hit, "artifact": name})
+        out.json("classification.json", {
+            "run_status": traj.status.value,
+            "curves": entries,
+            "thresholds": thresholds,
+        })
     return 0
 
 
 def cmd_predict(cfg: RunConfig) -> int:
     fam = Family[cfg.family]
     traj = _run(cfg)
-    out = _outdir(cfg)
-    seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
-    try:
-        curves = trace_batch(traj, [(x0, fam) for x0 in seeds])
-    except WindowTooShort as exc:
-        _untraceable(cfg, out / "predict.json", traj, exc, {
-            "family": fam.name, "t_predicted_min": None, "n_predicting": 0,
+    with _Outputs(cfg) as out:
+        seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
+        try:
+            curves = trace_batch(traj, [(x0, fam) for x0 in seeds])
+        except WindowTooShort as exc:
+            _untraceable(cfg, "predict.json", traj, exc, {
+                "family": fam.name, "t_predicted_min": None,
+                "n_predicting": 0, "solver_status": traj.status.value,
+                "solver_t_detect": traj.t_detect})
+        # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
+        table = np.full((len(seeds), 3), np.nan)
+        table[:, 0] = seeds
+        for row, curve in zip(table, curves.values()):
+            if not isinstance(curve, EllipticStart):
+                t = predict_blowup(curve)
+                row[1:] = curve.beta[0], np.nan if t is None else t
+        out.csv("predictions.csv", ("x0", "beta0", "t_predicted"), table)
+        predictions = table[~np.isnan(table[:, 2]), 2].tolist()
+        out.json("predict.json", {
+            "family": fam.name,
+            "t_predicted_min": min(predictions) if predictions else None,
+            "n_predicting": len(predictions),
             "solver_status": traj.status.value,
-            "solver_t_detect": traj.t_detect})
-    # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
-    table = np.full((len(seeds), 3), np.nan)
-    table[:, 0] = seeds
-    for row, curve in zip(table, curves.values()):
-        if not isinstance(curve, EllipticStart):
-            t = predict_blowup(curve)
-            row[1:] = curve.beta[0], np.nan if t is None else t
-    _write_csv(cfg, out / "predictions.csv", ("x0", "beta0", "t_predicted"),
-               table)
-    predictions = table[~np.isnan(table[:, 2]), 2].tolist()
-    _write_json(cfg, out / "predict.json", {
-        "family": fam.name,
-        "t_predicted_min": min(predictions) if predictions else None,
-        "n_predicting": len(predictions),
-        "solver_status": traj.status.value,
-        "solver_t_detect": traj.t_detect,
-    })
+            "solver_t_detect": traj.t_detect,
+        })
     return 0
 
 
@@ -486,35 +485,35 @@ def cmd_energy(cfg: RunConfig) -> int:
         e = energy(state, gauge)
         d_formula = energy_ddot_formula(law, state, gauge)
         d_direct = energy_ddot_direct(law, state, gauge)
-    _write_json(cfg, _outdir(cfg) / "energy.json", {
-        "E": e,
-        "ddot_formula": d_formula,
-        "ddot_direct": d_direct,
-        "identity_gap": abs(d_direct - d_formula),
-        "gauge": cfg.gauge,
-        "law": law.describe(),
-    })
+    with _Outputs(cfg) as out:
+        out.json("energy.json", {
+            "E": e,
+            "ddot_formula": d_formula,
+            "ddot_direct": d_direct,
+            "identity_gap": abs(d_direct - d_formula),
+            "gauge": cfg.gauge,
+            "law": law.describe(),
+        })
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    reports = default_suite(cfg.law_obj(), cfg.verify_seeds, cfg.t_max, cfg.n,
-                            cfg.wave_n)
-    for rep in reports:
-        path = out / f"scenario_{rep.scenario_id}.json"
-        rep.artifacts.append(path.name)
-        _write_json(cfg, path, rep.to_dict())
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for rep in reports:
-        counts[rep.verdict] += 1
-    _write_json(cfg, out / "verify.json", {
-        "reports": [rep.to_dict() for rep in reports],
-        "n_pass": counts["pass"],
-        "n_fail": counts["fail"],
-        "n_inconclusive": counts["inconclusive"],
-        "all_pass": counts["pass"] == len(reports),
-    })
+    with _Outputs(cfg) as out:
+        reports = default_suite(cfg.law_obj(), cfg.verify_seeds, cfg.t_max,
+                                cfg.n, cfg.wave_n)
+        for rep in reports:
+            rep.artifacts.append(f"scenario_{rep.scenario_id}.json")
+            out.json(rep.artifacts[-1], rep.to_dict())
+        counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+        for rep in reports:
+            counts[rep.verdict] += 1
+        out.json("verify.json", {
+            "reports": [rep.to_dict() for rep in reports],
+            "n_pass": counts["pass"],
+            "n_fail": counts["fail"],
+            "n_inconclusive": counts["inconclusive"],
+            "all_pass": counts["pass"] == len(reports),
+        })
     for rep in reports:
         print(f"{rep.scenario_id}: {rep.verdict}")
     return 0 if counts["pass"] == len(reports) else 1

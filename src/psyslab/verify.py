@@ -274,8 +274,8 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     from the steepest point of lambda_1 (``crossing_time_oracle``)
     within ``relative_gap``, and the invariant drift up to the
     10x-gradient time must stay below ``drift_max``.  The run goes to
-    twice the oracle time.  Also records the dual-growth spot
-    check, a separate acceptance gate on the same run.
+    twice the oracle time.  The dual-growth spot check on the same run
+    must find no violation.
     """
     report = ScenarioReport("simple_wave_blowup", law.describe(), None,
                             thresholds={"relative_gap": 0.05,
@@ -336,10 +336,12 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
         "t_gradient_10x": t_10x, "invariant_drift_max": drift,
         "spotcheck_violations": float(len(spot.violations)),
     })
-    ok = max(gap_do, gap_po) < th["relative_gap"] and drift < th["drift_max"]
+    ok = (max(gap_do, gap_po) < th["relative_gap"] and drift < th["drift_max"]
+          and not spot.violations)
     return _judge(report, ok, f"time gaps: detect/oracle {gap_do:.3f}, "
                               f"predicted/oracle {gap_po:.3f}; "
-                              f"invariant drift {drift:.3g}")
+                              f"invariant drift {drift:.3g}; "
+                              f"dual-growth violations {len(spot.violations)}")
 
 
 def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
@@ -353,7 +355,8 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     runs whose data is numerically constant (relative amplitude below
     1e-12) are reported inconclusive rather than counted.  A run that
     reaches the interface (interface_reached) fails the scenario: it
-    left the strictly hyperbolic setting the statement is about.
+    left the strictly hyperbolic setting the statement is about, and so
+    does a dual-growth violation on any run's spot check.
     """
     report = ScenarioReport("random_hyperbolic_sweep", law.describe(), 0,
                             thresholds={"t_max": t_max,
@@ -394,8 +397,9 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
         report.reason = "all seeds below the amplitude noise floor"
         return report
     ok = statuses["completed"] == 0 and statuses["admission_refused"] == 0 \
-        and n_terminated + n_inconclusive == n_seeds
-    return _judge(report, ok, f"statuses: {statuses}")
+        and n_terminated + n_inconclusive == n_seeds and violations == 0
+    return _judge(report, ok, f"statuses: {statuses}; "
+                              f"dual-growth violations {violations}")
 
 
 def scenario_ramp_residual(law) -> ScenarioReport:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import psyslab
 from psyslab import PeriodicGrid, _snapshot_writer, cli, solver
-from psyslab.cli import _csv_head, _write_csv, _write_json, main, parse_config
+from psyslab.cli import _csv_head, _Outputs, main, parse_config
 from psyslab.errors import ConfigError
 from psyslab.solver import SolverConfig
 
@@ -298,8 +298,9 @@ def test_run_config_error_leaves_no_outdir(tmp_path, capsys, writers, command):
 def test_csv_writes_17_significant_digits(tmp_path):
     values = [0.1, 1 / 3, 1e-300, -0.0, 2**53 + 1, float("nan")]
     path = tmp_path / "x.csv"
-    _write_csv(parse_config(), path, ("a", "b", "c"),
-               np.array(values, dtype=float).reshape(2, 3))
+    with _Outputs(parse_config(None, [f"outdir={tmp_path}"])) as out:
+        out.csv(path.name, ("a", "b", "c"),
+                np.array(values, dtype=float).reshape(2, 3))
     lines = path.read_text().split("\n")
     assert lines[0].startswith("# psyslab ") and lines[1] == "a,b,c"
     assert lines[4] == ""  # the file ends in a newline
@@ -308,9 +309,9 @@ def test_csv_writes_17_significant_digits(tmp_path):
 
 
 def test_json_rejects_non_finite(tmp_path):
-    cfg = parse_config()
-    with pytest.raises(ValueError):
-        _write_json(cfg, tmp_path / "x.json", {"t_detect": float("nan")})
+    cfg = parse_config(None, [f"outdir={tmp_path}"])
+    with pytest.raises(ValueError), _Outputs(cfg) as out:
+        out.json("x.json", {"t_detect": float("nan")})
 
 
 def test_module_entry_point(tmp_path):
@@ -428,12 +429,13 @@ def _reference_snapshots_csv(cfg, traj, path):
     """snapshots.csv written from one (snapshots * n, 4) array, as before
     the file was streamed; kept as the reference the stream must match."""
     times, states = zip(*traj.snapshots)
-    _write_csv(cfg, path, ("t", "x", "u", "v"), np.column_stack([
-        np.repeat(times, cfg.n),
-        np.tile(PeriodicGrid(cfg.n).nodes, len(times)),
-        np.concatenate([s.u for s in states]),
-        np.concatenate([s.v for s in states]),
-    ]))
+    with _Outputs(dataclasses.replace(cfg, outdir=str(path.parent))) as out:
+        out.csv(path.name, ("t", "x", "u", "v"), np.column_stack([
+            np.repeat(times, cfg.n),
+            np.tile(PeriodicGrid(cfg.n).nodes, len(times)),
+            np.concatenate([s.u for s in states]),
+            np.concatenate([s.v for s in states]),
+        ]))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1034,6 +1036,38 @@ def test_write_failure_is_one_error_line(tmp_path, capsys, command):
     assert repr(str(part)) in err[0]
     assert part.is_dir() and not list(part.iterdir())
     assert (out / name).read_bytes() == b"old bytes\n"
+
+
+#: each command's small config but t_max, and the file it writes last
+LAST_FILES = {
+    "simulate": (["preset=simple_wave", "n=64"], "run.json"),
+    "trace": (["preset=simple_wave", "n=64"], "classification.json"),
+    "predict": (["preset=simple_wave", "n=64"], "predict.json"),
+    "energy": (["preset=elliptic_random", "n=64"], "energy.json"),
+    "verify": ([o for o in _FUZZ_VERIFY if not o.startswith("t_max=")],
+               "verify.json"),
+}
+
+
+@pytest.mark.parametrize("command", LAST_FILES)
+def test_failed_write_leaves_one_generation(tmp_path, capsys, command):
+    # a rerun with another t_max fails at its last file: every file of
+    # the first run keeps its bytes, and no file of the rerun is left
+    overrides, last = LAST_FILES[command]
+    out = tmp_path / "out"
+    assert run_cli(*sets(overrides + ["t_max=0.5", f"outdir={out}"]),
+                   command) in (0, 1)
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert last in first
+    part = out / f"{last}.part"
+    part.mkdir()
+    capsys.readouterr()
+    assert run_cli(*sets(overrides + ["t_max=0.4", f"outdir={out}"]),
+                   command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert part.is_dir() and not list(part.iterdir())
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p != part} == first
 
 
 def test_failed_snapshot_writer_is_one_error_line(tmp_path, capsys,

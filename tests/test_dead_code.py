@@ -1,13 +1,16 @@
 """No module under ``src/psyslab`` computes a value that nothing reads.
 
-The checker parses each module and reports two kinds of dead code:
+The checker parses each module and reports three kinds of dead code:
 
 - a local that a function assigns and that neither the function nor a
   scope nested in it reads (names starting with ``_`` are exempt, and
   so are parameters);
 - a name imported at module level that the module never uses
   (``__init__.py``, ``__future__`` imports and import statements marked
-  ``# noqa: F401`` are exempt).
+  ``# noqa: F401`` are exempt);
+- a private function or class (``_name``, not a dunder) defined at
+  module level that no module of the package reads, by name or as an
+  attribute.
 """
 import ast
 import symtable
@@ -77,6 +80,26 @@ def dead_code(source: str, path: str = "<source>") -> list:
     return found
 
 
+def unread_privates(sources: dict) -> list:
+    """Every module-level private function or class in ``sources`` (path
+    to source) that no module of ``sources`` reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [f"{path}: defines {node.name}, never read"
+            for path, tree in trees.items() for node in tree.body
+            if isinstance(node, defs) and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in read]
+
+
 PLANTED = textwrap.dedent("""\
     import json
     import math
@@ -95,6 +118,51 @@ def test_checker_reports_exactly_the_planted_dead_code():
     # only by a nested function is live, the other two are not
     assert dead_code(PLANTED) == ["<source>: f assigns dead, never read",
                                   "<source>: imports json, never used"]
+
+
+PLANTED_MODULES = {
+    "a.py": textwrap.dedent("""\
+        import b
+
+        def _read_here():
+            return 1
+
+        def _read_by_b():
+            return 2
+
+        def _unread():
+            return 3
+
+        class _Unread:
+            pass
+
+        def __getattr__(name):
+            raise AttributeError(name)
+
+        def f():
+            return _read_here() + b.g()
+    """),
+    "b.py": textwrap.dedent("""\
+        import a
+
+        def g():
+            a._unread = None
+            return a._read_by_b()
+    """),
+}
+
+
+def test_checker_reports_exactly_the_planted_unread_privates():
+    # a private read only by the other module is live, and so is a
+    # dunder; one only assigned through an attribute is not read
+    assert unread_privates(PLANTED_MODULES) == [
+        "a.py: defines _unread, never read",
+        "a.py: defines _Unread, never read"]
+
+
+def test_package_reads_every_private_it_defines():
+    assert unread_privates({str(path): path.read_text(encoding="utf-8")
+                            for path in sorted(SRC.glob("*.py"))}) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

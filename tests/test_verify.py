@@ -241,18 +241,27 @@ class _SkewedPressure(PressureLaw):
         return 1.001 * super().p(u)
 
 
-@pytest.mark.parametrize("defect", [None, "law_p", "tracer_speed"])
+@pytest.mark.parametrize("defect", [None, "law_p", "tracer_speed", "cbar"])
 def test_small_wave_drift_gate_fails_a_planted_defect(monkeypatch, defect):
-    # a flux p off by 0.1% (drift 2.3e-3), or a tracer speed off by 0.1%
-    # (4.4e-3): the invariant is no longer carried along the traced
-    # curves, and the drift gate fails a scenario that passes without
-    # the defect (5.8e-5)
+    # a flux p off by 0.1% (drift 2.3e-3), a tracer speed off by 0.1%
+    # (4.4e-3), or an integrating factor whose c_bar is off by 1% (4.8e-2):
+    # the invariant is no longer carried along the traced curves, and the
+    # drift gate fails a scenario that passes without the defect (5.8e-5)
     import psyslab.characteristics as characteristics
+    import psyslab.solver as solver
     law = _SkewedPressure() if defect == "law_p" else QUAD
     if defect == "tracer_speed":
         speed = characteristics._speed
         monkeypatch.setattr(characteristics, "_speed",
                             lambda law, u, sign: 1.001 * speed(law, u, sign))
+    if defect == "cbar":
+        init = solver._Workspace.__init__
+
+        def skewed_init(self, law, c):
+            init(self, law, c)
+            self.c_bar *= 1.01
+
+        monkeypatch.setattr(solver._Workspace, "__init__", skewed_init)
     rep = scenario_simple_wave_blowup(law, -1.0, 0.3, 1, n=256,
                                       n_curve_seeds=16, drift_seeds=4,
                                       spotcheck_seeds=4)
@@ -338,6 +347,27 @@ def test_scenario_sweep_small():
     assert rep.metrics["n_completed"] == 0.0
     assert rep.metrics["n_interface_reached"] == 0.0
     assert rep.metrics["spotcheck_violations"] == 0.0
+
+
+@pytest.mark.parametrize("defect", [None, "growth_factor"])
+def test_scenario_sweep_fails_a_dual_growth_violation(monkeypatch, defect):
+    # classify with a tenth of its growth factor finds both families
+    # growing on one run: a violation of the A/B dichotomy, which fails
+    # the sweep that passes without the defect
+    import psyslab.characteristics as characteristics
+    if defect == "growth_factor":
+        classify = characteristics.classify
+        monkeypatch.setattr(
+            characteristics, "classify",
+            lambda curve, growth_factor=characteristics.GROWTH_FACTOR:
+                classify(curve, 0.1 * growth_factor))
+    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128,
+                                           spotcheck_seeds=4)
+    violations = rep.metrics["spotcheck_violations"]
+    assert (violations > 0) == (defect is not None)
+    assert rep.verdict == ("fail" if violations else "pass")
+    if violations:
+        assert f"dual-growth violations {violations:.0f}" in rep.reason
 
 
 def test_scenario_sweep_fails_on_interface():

@@ -46,7 +46,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -389,35 +388,37 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _untraceable(cfg: RunConfig, name: str, traj, exc: WindowTooShort,
-                 payload: dict) -> NoReturn:
-    """Publish ``payload`` as ``name``, with the reason a run cannot be
-    traced (it ended admission_refused with one snapshot, say), and raise
-    WindowTooShort with that reason, an ``error:`` line from ``main``."""
-    reason = (f"run ended {traj.status.value} with {len(traj.snapshots)} "
-              f"snapshot(s): {exc}")
-    with _Outputs(cfg) as out:
-        out.json(name, {**payload, "error": reason})
-    raise WindowTooShort(reason) from exc
+def _traced(cfg: RunConfig, traj, starts, directions, name: str,
+            payload: dict) -> dict:
+    """``{direction: trace_batch(traj, starts, direction)}``.  A run that
+    cannot be traced (it ended admission_refused, say) has ``payload``
+    published as ``name`` with the reason, through an ``_Outputs`` of its
+    own, and raises WindowTooShort with that reason.  ``trace`` and
+    ``predict`` call it before they make their outdir."""
+    try:
+        return {direction: trace_batch(traj, starts, direction)
+                for direction in directions}
+    except WindowTooShort as exc:
+        reason = (f"run ended {traj.status.value} with "
+                  f"{len(traj.snapshots)} snapshot(s): {exc}")
+        with _Outputs(cfg) as out:
+            out.json(name, {**payload, "error": reason})
+        raise WindowTooShort(reason) from exc
 
 
 def cmd_trace(cfg: RunConfig) -> int:
     traj = _run(cfg)
+    # each curve is classified over the whole window the run computed
+    thresholds = {"horizon": traj.t_end - traj.t0,
+                  "growth_factor": cfg.growth_factor,
+                  "hyperbolicity_eps": cfg.hyperbolicity_eps}
+    families = _FAMILIES[cfg.family]
+    seeds = spotcheck_points(cfg.curve_seeds)
+    batches = _traced(cfg, traj, [(x0, fam) for fam in families for x0 in seeds],
+                      _DIRECTIONS[cfg.direction], "classification.json", {
+                          "run_status": traj.status.value, "curves": [],
+                          "thresholds": thresholds})
     with _Outputs(cfg) as out:
-        # each curve is classified over the whole window the run computed
-        thresholds = {"horizon": traj.t_end - traj.t0,
-                      "growth_factor": cfg.growth_factor,
-                      "hyperbolicity_eps": cfg.hyperbolicity_eps}
-        families = _FAMILIES[cfg.family]
-        seeds = spotcheck_points(cfg.curve_seeds)
-        starts = [(x0, fam) for fam in families for x0 in seeds]
-        try:
-            batches = {direction: trace_batch(traj, starts, direction)
-                       for direction in _DIRECTIONS[cfg.direction]}
-        except WindowTooShort as exc:
-            _untraceable(cfg, "classification.json", traj, exc, {
-                "run_status": traj.status.value, "curves": [],
-                "thresholds": thresholds})
         entries = []
         for fam in families:
             for direction, curves in batches.items():
@@ -449,15 +450,13 @@ def cmd_trace(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     fam = Family[cfg.family]
     traj = _run(cfg)
+    seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
+    curves = _traced(cfg, traj, [(x0, fam) for x0 in seeds],
+                     [Direction.forward], "predict.json", {
+                         "family": fam.name, "t_predicted_min": None,
+                         "n_predicting": 0, "solver_status": traj.status.value,
+                         "solver_t_detect": traj.t_detect})[Direction.forward]
     with _Outputs(cfg) as out:
-        seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
-        try:
-            curves = trace_batch(traj, [(x0, fam) for x0 in seeds])
-        except WindowTooShort as exc:
-            _untraceable(cfg, "predict.json", traj, exc, {
-                "family": fam.name, "t_predicted_min": None,
-                "n_predicting": 0, "solver_status": traj.status.value,
-                "solver_t_detect": traj.t_detect})
         # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
         table = np.full((len(seeds), 3), np.nan)
         table[:, 0] = seeds

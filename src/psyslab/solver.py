@@ -412,10 +412,11 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
 
     Data that is not strictly hyperbolic (max u > -hyperbolicity_eps) is
     refused with status ``admission_refused``.  After each step the
-    monitor may end the run (see ``_monitor_from_metrics``); the state
-    that fired it is stored as the last snapshot, except on
-    ``interface_reached``, whose state lies outside the regime the run
-    covers.  Its series record is kept either way.
+    monitor may end the run (see ``_monitor_from_metrics``), and the
+    step's series record is kept.  A step's state is stored when the
+    step is a ``snapshot_stride`` multiple, reaches t_max or fires a
+    monitor, unless that monitor is ``interface_reached``: that state
+    lies outside the regime the run covers.
 
     A step that produces non-finite values (possible only after the
     smooth solution has already degenerated) is recorded as
@@ -466,15 +467,10 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         series[steps] = t, *m
         fired = _monitor_from_metrics(m, initial_scale, config)
         if fired is not None:
-            status = fired
-            t_detect = t
-            if fired is not RunStatus.interface_reached:
-                store(t, StateField(grid, *rows[:2]))
-            break
-        if steps % config.snapshot_stride == 0:
+            status, t_detect = fired, t
+        if fired is not RunStatus.interface_reached and (
+                fired is not None or t == config.t_max
+                or steps % config.snapshot_stride == 0):
             store(t, StateField(grid, *rows[:2]))
-
-    if status is RunStatus.completed and steps % config.snapshot_stride:
-        store(t, StateField(grid, *rows[:2]))
     series.resize((steps + 1, len(SERIES_COLUMNS)), refcheck=False)
     return Trajectory(law, snapshots, status, t_detect, series, config)

@@ -696,6 +696,34 @@ def test_untraceable_run_reports_status(tmp_path, capsys, command, report, prese
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, report", [("trace", "classification.json"),
+                                             ("predict", "predict.json")])
+def test_untraceable_run_opens_one_outputs(tmp_path, monkeypatch, command, report):
+    # the report of a run with nothing to trace is published through the
+    # one _Outputs the command opens: never two on one outdir at once
+    open_now, most = [], []
+
+    class Counting(cli._Outputs):
+        def __enter__(self):
+            open_now.append(self)
+            most.append(len(open_now))
+            return super().__enter__()
+
+        def __exit__(self, *exc_info):
+            open_now.remove(self)
+            return super().__exit__(*exc_info)
+
+    monkeypatch.setattr(cli, "_Outputs", Counting)
+    out = tmp_path / "out"
+    args = []
+    for item in ["preset=constant", "u0=-0.0005", "n=64", "t_max=0.5",
+                 f"outdir={out}"]:
+        args += ["--set", item]
+    assert run_cli(*args, command) == 1
+    assert (out / report).exists()
+    assert max(most) == 1 and not open_now
+
+
 def test_predict_table(tmp_path):
     out = tmp_path / "out"
     code = run_cli("--set", "preset=simple_wave", "--set", "n=256",

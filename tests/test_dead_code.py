@@ -8,9 +8,9 @@ The checker parses each module and reports three kinds of dead code:
 - a name imported at module level that the module never uses
   (``__init__.py``, ``__future__`` imports and import statements marked
   ``# noqa: F401`` are exempt);
-- a private function or class (``_name``, not a dunder) defined at
-  module level that no module of the package reads, by name or as an
-  attribute.
+- a private function, class or constant (``_name``, not a dunder)
+  defined or assigned at module level that no module of the package
+  reads, by name or as an attribute.
 """
 import ast
 import symtable
@@ -80,9 +80,24 @@ def dead_code(source: str, path: str = "<source>") -> list:
     return found
 
 
+def _module_names(node) -> list:
+    """The names a module-level statement defines: a function's or a
+    class's, or each plain name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+
+
 def unread_privates(sources: dict) -> list:
-    """Every module-level private function or class in ``sources`` (path
-    to source) that no module of ``sources`` reads."""
+    """Every module-level private function, class or constant in
+    ``sources`` (path to source) that no module of ``sources`` reads."""
     trees = {path: ast.parse(source) for path, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -92,12 +107,12 @@ def unread_privates(sources: dict) -> list:
             elif (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [f"{path}: defines {node.name}, never read"
+    return [f"{path}: defines {name}, never read"
             for path, tree in trees.items() for node in tree.body
-            if isinstance(node, defs) and node.name.startswith("_")
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in read]
+            for name in _module_names(node)
+            if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__"))
+            and name not in read]
 
 
 PLANTED = textwrap.dedent("""\
@@ -158,6 +173,40 @@ def test_checker_reports_exactly_the_planted_unread_privates():
     assert unread_privates(PLANTED_MODULES) == [
         "a.py: defines _unread, never read",
         "a.py: defines _Unread, never read"]
+
+
+PLANTED_CONSTANTS = {
+    "a.py": textwrap.dedent("""\
+        import b
+
+        __all__ = ["f"]
+        _READ_HERE = 1
+        _READ_BY_B = 2
+        _UNREAD: int = 3
+        _PAIR_READ, _PAIR_UNREAD = 4, 5
+        _TABLE = {}
+        _TABLE["key"] = 6
+
+        def f():
+            return _READ_HERE + _PAIR_READ + b.g()
+    """),
+    "b.py": textwrap.dedent("""\
+        import a
+
+        def g():
+            a._UNREAD = None
+            return a._READ_BY_B
+    """),
+}
+
+
+def test_checker_reports_exactly_the_planted_unread_constants():
+    # as for functions: a constant read only by the other module is live,
+    # and so is a dunder; an item assignment reads its table; a constant
+    # only assigned, here or through an attribute, is not read
+    assert unread_privates(PLANTED_CONSTANTS) == [
+        "a.py: defines _UNREAD, never read",
+        "a.py: defines _PAIR_UNREAD, never read"]
 
 
 def test_package_reads_every_private_it_defines():

@@ -154,6 +154,29 @@ def test_riccati_k_values():
         riccati_k(QUAD, 0.0)
 
 
+@pytest.mark.parametrize("defect", [None, "riccati_k"])
+def test_riccati_k_is_the_speed_derivative(monkeypatch, defect):
+    # on a simple wave beta = 2 (-p')^(3/4) u_x, and u_x' = -lambda1' u_x^2
+    # along a straight family-1 line (Lax 1964), so k must satisfy
+    # 2 (-p'(u))^(3/4) k(u) = d lambda1 / du with lambda1 = sqrt(-p'(u)).
+    # The derivative is a central difference, independent of ``ddp``:
+    # the worst relative gap is 3e-10 clean, 1e-2 with k off by 1%
+    import psyslab.riemann as riemann
+    if defect == "riccati_k":
+        k = riemann.riccati_k
+        monkeypatch.setattr(riemann, "riccati_k",
+                            lambda law, u: 1.01 * k(law, u))
+    u = np.linspace(-3.0, -0.05, 200)
+    h = 2.0 ** -20
+    gaps = []
+    for law in (PressureLaw(a) for a in (0.0, 0.3, 1.0, 10.0)):
+        speed_up, speed_down = np.sqrt(-law.dp(u + h)), np.sqrt(-law.dp(u - h))
+        dspeed = (speed_up - speed_down) / (2.0 * h)
+        lhs = 2.0 * (-law.dp(u)) ** 0.75 * riemann.riccati_k(law, u)
+        gaps.append(np.max(np.abs(lhs - dspeed) / np.abs(dspeed)))
+    assert (max(gaps) < 1e-7) == (defect is None)
+
+
 def test_beta_from_gradient():
     assert beta_from_gradient(QUAD, -1.0, 0.0) == 0.0
     assert beta_from_gradient(QUAD, -1.0, 2.0) == 2.0

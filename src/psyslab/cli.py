@@ -388,36 +388,26 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _traced(cfg: RunConfig, traj, starts, directions, name: str,
-            payload: dict) -> dict:
-    """``{direction: trace_batch(traj, starts, direction)}``.  A run that
-    cannot be traced (it ended admission_refused, say) has ``payload``
-    published as ``name`` with the reason, through an ``_Outputs`` of its
-    own, and raises WindowTooShort with that reason.  ``trace`` and
-    ``predict`` call it before they make their outdir."""
+def _traced(traj, starts, directions):
+    """Trace the run: ``({direction: trace_batch(traj, starts, direction)},
+    None)``, or ``({}, reason)`` for a run that cannot be traced (it
+    ended admission_refused, say)."""
     try:
         return {direction: trace_batch(traj, starts, direction)
-                for direction in directions}
+                for direction in directions}, None
     except WindowTooShort as exc:
-        reason = (f"run ended {traj.status.value} with "
-                  f"{len(traj.snapshots)} snapshot(s): {exc}")
-        with _Outputs(cfg) as out:
-            out.json(name, {**payload, "error": reason})
-        raise WindowTooShort(reason) from exc
+        return {}, (f"run ended {traj.status.value} with "
+                    f"{len(traj.snapshots)} snapshot(s): {exc}")
 
 
 def cmd_trace(cfg: RunConfig) -> int:
+    """Curve CSVs and ``classification.json``; an untraceable run gets no
+    curves, its reason as the JSON's ``error``, then WindowTooShort."""
     traj = _run(cfg)
-    # each curve is classified over the whole window the run computed
-    thresholds = {"horizon": traj.t_end - traj.t0,
-                  "growth_factor": cfg.growth_factor,
-                  "hyperbolicity_eps": cfg.hyperbolicity_eps}
     families = _FAMILIES[cfg.family]
     seeds = spotcheck_points(cfg.curve_seeds)
-    batches = _traced(cfg, traj, [(x0, fam) for fam in families for x0 in seeds],
-                      _DIRECTIONS[cfg.direction], "classification.json", {
-                          "run_status": traj.status.value, "curves": [],
-                          "thresholds": thresholds})
+    batches, error = _traced(traj, [(x0, fam) for fam in families for x0 in seeds],
+                             _DIRECTIONS[cfg.direction])
     with _Outputs(cfg) as out:
         entries = []
         for fam in families:
@@ -442,29 +432,35 @@ def cmd_trace(cfg: RunConfig) -> int:
         out.json("classification.json", {
             "run_status": traj.status.value,
             "curves": entries,
-            "thresholds": thresholds,
+            # each curve is classified over the whole window the run computed
+            "thresholds": {"horizon": traj.t_end - traj.t0,
+                           "growth_factor": cfg.growth_factor,
+                           "hyperbolicity_eps": cfg.hyperbolicity_eps},
+            **({"error": error} if error else {}),
         })
+    if error:
+        raise WindowTooShort(error)
     return 0
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    """``predictions.csv`` and ``predict.json``; an untraceable run gets
+    only the JSON, its reason as ``error``, then WindowTooShort."""
     fam = Family[cfg.family]
     traj = _run(cfg)
     seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
-    curves = _traced(cfg, traj, [(x0, fam) for x0 in seeds],
-                     [Direction.forward], "predict.json", {
-                         "family": fam.name, "t_predicted_min": None,
-                         "n_predicting": 0, "solver_status": traj.status.value,
-                         "solver_t_detect": traj.t_detect})[Direction.forward]
+    batches, error = _traced(traj, [(x0, fam) for x0 in seeds],
+                             [Direction.forward])
     with _Outputs(cfg) as out:
         # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
         table = np.full((len(seeds), 3), np.nan)
         table[:, 0] = seeds
-        for row, curve in zip(table, curves.values()):
+        for row, curve in zip(table, batches.get(Direction.forward, {}).values()):
             if not isinstance(curve, EllipticStart):
                 t = predict_blowup(curve)
                 row[1:] = curve.beta[0], np.nan if t is None else t
-        out.csv("predictions.csv", ("x0", "beta0", "t_predicted"), table)
+        if not error:
+            out.csv("predictions.csv", ("x0", "beta0", "t_predicted"), table)
         predictions = table[~np.isnan(table[:, 2]), 2].tolist()
         out.json("predict.json", {
             "family": fam.name,
@@ -472,7 +468,10 @@ def cmd_predict(cfg: RunConfig) -> int:
             "n_predicting": len(predictions),
             "solver_status": traj.status.value,
             "solver_t_detect": traj.t_detect,
+            **({"error": error} if error else {}),
         })
+    if error:
+        raise WindowTooShort(error)
     return 0
 
 

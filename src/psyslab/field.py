@@ -158,8 +158,9 @@ class SpaceTimeField:
 
     A snapshot's coefficient rows (u^, v^, P^) are built by one stacked
     FFT when ``coefficients`` first needs them, and only the last
-    ``_KEPT_ROWS`` snapshots used keep theirs, so the field holds O(n)
-    numbers beyond the snapshots themselves.  A tracer pass walks the
+    ``_KEPT_ROWS`` snapshots used keep theirs, in an ``lru_cache`` that
+    holds no reference to the field, so the field holds O(n) numbers
+    beyond the snapshots themselves.  A tracer pass walks the
     window monotonically and so builds each snapshot once; u_t is a
     multiply of v^ and is not stored.  Each tracer call builds its own
     field: building one transforms no snapshot.  Derivative rows
@@ -189,32 +190,27 @@ class SpaceTimeField:
             raise ValueError("snapshot times must strictly increase: "
                              f"t[{i}] = {self.times[i]}, "
                              f"t[{i + 1}] = {self.times[i + 1]}")
-        self._states = [state for _, state in snapshots]
-        self._law = law
-        self._kept = {}  # snapshot index -> its rows, least recently used first
-        n = self._states[0].grid.n
-        self._n_modes = n // 2 + 1
-        self._blocks = -(-self._n_modes // _BLOCK)
-        dmul = np.zeros(self._blocks * _BLOCK, dtype=complex)  # padding unused
-        dmul[:self._n_modes] = _derivative_multipliers(n)
-        self._dmul = dmul.reshape(self._blocks, _BLOCK)
-        self._lo = 2.0 * np.pi * np.arange(_BLOCK)
-        self._hi = 2.0 * np.pi * _BLOCK * np.arange(self._blocks)
+        states = [state for _, state in snapshots]
+        n = states[0].grid.n
+        n_modes = n // 2 + 1
+        blocks = -(-n_modes // _BLOCK)
 
-    def _snapshot_rows(self, k: int) -> np.ndarray:
-        """Coefficient rows (u^, v^, P^) of snapshot k in the split
-        layout, zero-padded to whole blocks."""
-        rows = self._kept.pop(k, None)
-        if rows is None:
-            state = self._states[k]
-            rows = np.zeros((3, self._blocks * _BLOCK), dtype=complex)
-            rows[:, :self._n_modes] = trig_coefficients(
-                np.stack((state.u, state.v, self._law.p(state.u))))
-            rows = rows.reshape(3, self._blocks, _BLOCK)
-            if len(self._kept) >= _KEPT_ROWS:
-                del self._kept[next(iter(self._kept))]
-        self._kept[k] = rows
-        return rows
+        @lru_cache(maxsize=_KEPT_ROWS)
+        def snapshot_rows(k: int) -> np.ndarray:
+            """Coefficient rows (u^, v^, P^) of snapshot k in the split
+            layout, zero-padded to whole blocks."""
+            state = states[k]
+            rows = np.zeros((3, blocks * _BLOCK), dtype=complex)
+            rows[:, :n_modes] = trig_coefficients(
+                np.stack((state.u, state.v, law.p(state.u))))
+            return rows.reshape(3, blocks, _BLOCK)
+
+        self._snapshot_rows = snapshot_rows
+        dmul = np.zeros(blocks * _BLOCK, dtype=complex)  # padding unused
+        dmul[:n_modes] = _derivative_multipliers(n)
+        self._dmul = dmul.reshape(blocks, _BLOCK)
+        self._lo = 2.0 * np.pi * np.arange(_BLOCK)
+        self._hi = 2.0 * np.pi * _BLOCK * np.arange(blocks)
 
     def coefficients(self, t: float) -> np.ndarray:
         """Rows (u, v, u_x, v_x) of the field at time t, in the split

@@ -532,7 +532,9 @@ def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
     A scenario that raises ValueError (a run's up-front checks refuse
     its data under the law, or its run would take more than
     ``solver.MAX_STEPS`` steps, say) fails with the error as its reason,
-    and the others still run.  Each runs with warnings ignored."""
+    and so does one that raises ArithmeticError (an overflow on Python
+    floats, say), with the error's type named; the others still run.
+    Each runs with warnings ignored."""
     suite = {
         "constant_rigidity": lambda: scenario_constant(law, -1.0, 0.0, 10.0),
         "simple_wave_blowup": lambda: scenario_simple_wave_blowup(
@@ -555,7 +557,9 @@ def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 reports.append(scenario())
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
+            reason = (str(exc) if isinstance(exc, ValueError)
+                      else f"{type(exc).__name__}: {exc}")
             reports.append(ScenarioReport(scenario_id, law.describe(), None,
-                                          verdict=FAIL, reason=str(exc)))
+                                          verdict=FAIL, reason=reason))
     return reports

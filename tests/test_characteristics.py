@@ -586,3 +586,28 @@ def test_field_memory_is_a_fraction_of_the_eager_rows():
     for curves, t_end in ((forward, traj.t_end), (backward, traj.t0)):
         assert all(c.t_end == pytest.approx(t_end, abs=1e-12) for c in curves.values())
     assert peak < eager / 4, (peak, eager)
+
+
+def test_field_builds_each_snapshot_rows_once_a_pass(monkeypatch):
+    # a pass walks the window monotonically, so the kept rows must serve
+    # every later fetch of a snapshot: one FFT per snapshot and pass
+    from psyslab import crossing_time_oracle, field
+    s0 = simple_wave_state(QUAD, PeriodicGrid(256), -1.0, 0.3, 1)
+    t_star = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=2.0 * t_star))
+    index = {(state.u.tobytes(), state.v.tobytes()): k
+             for k, (_, state) in enumerate(traj.snapshots)}
+    built = []
+
+    def recording(samples):
+        built.append(index[samples[0].tobytes(), samples[1].tobytes()])
+        return trig_coefficients(samples)
+
+    trig_coefficients = field.trig_coefficients
+    monkeypatch.setattr(field, "trig_coefficients", recording)
+    x0 = np.arange(16) / 16
+    for family, direction in ((Family.first, Direction.forward),
+                              (Family.second, Direction.backward)):
+        built.clear()
+        trace_batch(traj, [(x, family) for x in x0], direction)
+        assert sorted(built) == list(range(len(traj.snapshots)))

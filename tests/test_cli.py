@@ -694,6 +694,11 @@ def test_untraceable_run_reports_status(tmp_path, capsys, command, report, prese
     assert rep.get("run_status", rep.get("solver_status")) == "admission_refused"
     assert rep.get("curves", []) == [] and rep.get("n_predicting", 0) == 0
     assert not list(out.glob("*.csv"))
+    # the report of a traceable run has the same keys, but for the error
+    traced = tmp_path / "traced"
+    assert run_cli("--set", "n=16", "--set", "t_max=0.05", "--set", "curve_seeds=1",
+                   "--set", f"outdir={traced}", command) == 0
+    assert set(rep) == set(json.loads((traced / report).read_text())) | {"error"}
 
 
 @pytest.mark.parametrize("command, report", [("trace", "classification.json"),
@@ -913,6 +918,34 @@ def test_verify_fails_a_refused_scenario_and_reports_the_rest(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.count(": fail\n") == 7
     assert "Warning" not in captured.err
+
+
+def test_verify_fails_an_overflowing_scenario_and_reports_the_rest(tmp_path):
+    # under a = 1e300 the Riccati cross-checks raise OverflowError: riccati_k
+    # takes (-p'(u))^1.25 of a Python float.  verify ended in its traceback,
+    # with an empty outdir; elliptic data takes no step budget, so the
+    # config passes validation
+    src = str(Path(psyslab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "psyslab", "--quiet",
+         *sets(["preset=elliptic_random", "quartic_a=1e300", "verify_seeds=1",
+                "t_max=1", "n=16", "wave_n=16", f"outdir={out}"]), "verify"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stdout.splitlines()) == 7
+    agg = json.loads((out / "verify.json").read_text(),
+                     parse_constant=_no_constant)
+    reports = {rep["scenario_id"]: rep for rep in agg["reports"]}
+    assert len(reports) == 7
+    for scenario_id in reports:
+        assert (out / f"scenario_{scenario_id}.json").exists()
+    for scenario_id in ("riccati_crosscheck_constant", "riccati_crosscheck_ramp"):
+        assert reports[scenario_id]["verdict"] == "fail"
+        assert reports[scenario_id]["reason"].startswith("OverflowError: ")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ The checker parses each module and reports three kinds of dead code:
   ``# noqa: F401`` are exempt);
 - a private function, class or constant (``_name``, not a dunder)
   defined or assigned at module level that no module of the package
-  reads, by name or as an attribute.
+  reads, by name or as an attribute;
+- an attribute that a class stores on ``self`` and that no module of
+  the package reads, on any object.
 """
 import ast
 import symtable
@@ -95,24 +97,50 @@ def _module_names(node) -> list:
             if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
 
 
-def unread_privates(sources: dict) -> list:
-    """Every module-level private function, class or constant in
-    ``sources`` (path to source) that no module of ``sources`` reads."""
-    trees = {path: ast.parse(source) for path, source in sources.items()}
+def _read_names(trees) -> set:
+    """Every name, and every attribute of any object, that ``trees`` read."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif (isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
+    return read
+
+
+def unread_privates(sources: dict) -> list:
+    """Every module-level private function, class or constant in
+    ``sources`` (path to source) that no module of ``sources`` reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = _read_names(trees.values())
     return [f"{path}: defines {name}, never read"
             for path, tree in trees.items() for node in tree.body
             for name in _module_names(node)
             if name.startswith("_")
             and not (name.startswith("__") and name.endswith("__"))
             and name not in read]
+
+
+def unread_attributes(sources: dict) -> list:
+    """Every attribute that a class in ``sources`` (path to source) stores
+    on ``self`` and that no module of ``sources`` reads, on any object."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = _read_names(trees.values())
+    found = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored = {node.attr for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"}
+            found += [f"{path}: {cls.name} stores self.{name}, never read"
+                      for name in sorted(stored - read)]
+    return found
 
 
 PLANTED = textwrap.dedent("""\
@@ -207,6 +235,43 @@ def test_checker_reports_exactly_the_planted_unread_constants():
     assert unread_privates(PLANTED_CONSTANTS) == [
         "a.py: defines _UNREAD, never read",
         "a.py: defines _PAIR_UNREAD, never read"]
+
+
+PLANTED_ATTRIBUTES = {
+    "a.py": textwrap.dedent("""\
+        class Box:
+            def __init__(self, x):
+                self.read_here, self.read_by_b = x, 2 * x
+                self.unread = 3 * x
+                self.only_stored = None
+
+            def total(self):
+                return self.read_here
+
+        def clear(box):
+            box.only_stored = 0
+    """),
+    "b.py": textwrap.dedent("""\
+        import a
+
+        def g(box):
+            return a.Box(1).read_by_b + box.total()
+    """),
+}
+
+
+def test_checker_reports_exactly_the_planted_unread_attributes():
+    # an attribute read only by the other module, on another name than
+    # self, is live, and so is one stored in a tuple; one only stored,
+    # on self or through another name, is not read
+    assert unread_attributes(PLANTED_ATTRIBUTES) == [
+        "a.py: Box stores self.only_stored, never read",
+        "a.py: Box stores self.unread, never read"]
+
+
+def test_package_reads_every_attribute_it_stores():
+    assert unread_attributes({str(path): path.read_text(encoding="utf-8")
+                              for path in sorted(SRC.glob("*.py"))}) == []
 
 
 def test_package_reads_every_private_it_defines():

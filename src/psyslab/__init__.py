@@ -22,9 +22,9 @@ from .errors import (BlowUpError, ConfigError, DomainError, EllipticStart,
 from .field import (PeriodicGrid, SpaceTimeField, StateField,
                     spectral_derivative)
 from .pressure import PressureLaw
-from .riemann import (Family, RiemannPair, beta_from_gradient, q_of_u,
-                      riccati_evolve, riccati_k, riemann_from_state,
-                      state_from_riemann, u_of_q)
+from .riemann import (Family, beta_from_gradient, q_of_u, riccati_evolve,
+                      riccati_k, riemann_from_state, state_from_riemann,
+                      u_of_q)
 from .solver import (SERIES_COLUMNS, RunStatus, SolverConfig, Trajectory,
                      cfl_dt, run, step_rk4)
 from .verify import (ScenarioReport, constant_state, crossing_time_oracle,

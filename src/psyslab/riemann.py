@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,11 +46,6 @@ class Family(enum.Enum):
     @property
     def sign(self) -> float:
         return 1.0 if self is Family.first else -1.0
-
-
-class RiemannPair(NamedTuple):
-    r1: float
-    r2: float
 
 
 def _require_nonpositive(u):
@@ -134,13 +128,13 @@ def u_of_q(law, y: float) -> float:
                               f"{exc} at u = {u!r}") from None
 
 
-def riemann_from_state(law, u: float, v: float) -> RiemannPair:
-    """(r1, r2) = (v - q(u), v + q(u)) for a hyperbolic state u <= 0."""
+def riemann_from_state(law, u: float, v: float) -> tuple:
+    """The plain tuple (r1, r2) = (v - q(u), v + q(u)) for u <= 0."""
     qv = q_of_u(law, u)
-    return RiemannPair(v - qv, v + qv)
+    return v - qv, v + qv
 
 
-def state_from_riemann(law, pair: RiemannPair):
+def state_from_riemann(law, pair: tuple):
     """Recover (u, v) from the invariants: v = (r1+r2)/2, u = q^{-1}((r2-r1)/2)."""
     r1, r2 = pair
     if r2 < r1:
@@ -151,9 +145,25 @@ def state_from_riemann(law, pair: RiemannPair):
 
 
 def riccati_k(law, u):
-    """Riccati coefficient k(u) = -p''(u) / (4 (-p'(u))^(5/4)) < 0."""
+    """Riccati coefficient k(u) = -p''(u) / (4 (-p'(u))^(5/4)) < 0.
+
+    A float gives a float and an array an array.  Both raise DomainError
+    where k is not a finite nonzero float: where p'(u), p''(u) or the
+    denominator overflows, or the denominator underflows to 0 (with
+    p'' >= 1, k is nonzero otherwise).  Python's pow raises OverflowError
+    on a float where numpy's gives inf; both end here, with numpy's
+    warnings silenced.
+    """
     _require_negative(u)
-    return -law.ddp(u) / (4.0 * (-law.dp(u)) ** 1.25)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            k = -law.ddp(u) / (4.0 * (-law.dp(u)) ** 1.25)
+        except (OverflowError, ZeroDivisionError):
+            k = math.nan
+    if not np.all(np.isfinite(k) & (k != 0.0)):
+        raise DomainError(f"k(u) = -p''(u) / (4 (-p'(u))^(5/4)) is not a "
+                          f"finite nonzero float under {law.describe()}")
+    return k
 
 
 def beta_from_gradient(law, u, r_x):

@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -176,22 +175,14 @@ def cfl_dt(law, grid: PeriodicGrid, max_u: float, min_u: float,
     return cfl_safety * grid.dx / speed
 
 
-@lru_cache(maxsize=8)
-def _filter_multipliers(n: int) -> np.ndarray:
-    m = np.arange(n // 2 + 1)
-    m_max = n // 2
-    sigma = np.exp(-36.0 * (m / m_max) ** 36)
-    sigma.flags.writeable = False
-    return sigma
-
-
 class _Workspace:
     """What one run's steps write into at grid size n, with m = n/2 + 1
     modes: the nonlinear slopes as two (2, m) pairs (n1, n3) and (n2, n4)
     (v^ rows only: N has no u^ row), the states a = E c and b = E (0, n1),
     a scratch state, and the two stacked stages N reads: their u^ rows,
     u samples and p^; the new state's stacked rows (see ``_rows``) and the
-    monitor's energies; and ik, the filter, and the integrating factor.
+    monitor's energies; and ik, the filter sigma, computed for each run,
+    and the integrating factor.
 
     The integrating factor linearises at u_bar, the mean of the u samples
     of the rfft rows ``c`` it is built from: mode 0 never changes in a
@@ -223,7 +214,7 @@ class _Workspace:
         self.stacked = np.empty((4, m), dtype=complex)
         self.energy = np.empty((2, m))
         self.ik = _derivative_multipliers(n)
-        self.sigma = _filter_multipliers(n)
+        self.sigma = np.exp(-36.0 * (np.arange(m) / (n // 2)) ** 36)
         self.flow = np.zeros((3, m), dtype=complex)
 
     def half_step(self, h: float) -> None:

@@ -345,15 +345,15 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
 
 
 def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
-                                     n: int = 512, modes: int = 3,
-                                     amplitude: float = 0.25,
+                                     n: int = 512, amplitude: float = 0.25,
                                      u0: float = -1.0,
                                      spotcheck_seeds: int = 4) -> ScenarioReport:
     """No nonconstant strictly hyperbolic run may survive to t_max.
 
-    Every seeded run must end in blow_up_detected or resolution_lost;
-    runs whose data is numerically constant (relative amplitude below
-    1e-12) are reported inconclusive rather than counted.  A run that
+    Each seed draws ``random_trig_state`` data with 3 modes, and every
+    run must end in blow_up_detected or resolution_lost; runs whose data
+    is numerically constant (relative amplitude below 1e-12) are
+    reported inconclusive rather than counted.  A run that
     reaches the interface (interface_reached) fails the scenario: it
     left the strictly hyperbolic setting the statement is about, and so
     does a dual-growth violation on any run's spot check.
@@ -367,7 +367,7 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     violations = 0
     worst_t = 0.0
     for seed in range(n_seeds):
-        state0 = random_trig_state(grid, seed, modes, amplitude, u0)
+        state0 = random_trig_state(grid, seed, 3, amplitude, u0)
         rel_amp = max(float(np.ptp(state0.u)), float(np.ptp(state0.v))) / \
             max(1.0, float(np.max(np.abs(state0.u))), float(np.max(np.abs(state0.v))))
         if rel_amp < report.thresholds["min_relative_amplitude"]:
@@ -410,21 +410,36 @@ def scenario_ramp_residual(law) -> ScenarioReport:
     v is not periodic: v(x+1) - v(x) = -1.  So u-periodicity alone is
     strictly weaker than periodicity of the pair, and this solution is
     outside the rigidity class.  The residuals do not depend on x, and
-    must vanish exactly in floating point.
+    must vanish exactly in floating point.  The derivatives are central
+    differences with step 2^-10 at x = 0.25, and the period shifts are
+    taken there at t = 0: on these dyadic times and points every
+    difference is exact.
     """
     report = ScenarioReport("ramp_residual", law.describe(), None,
                             thresholds={"residual": 0.0})
+    h, x = 2.0 ** -10, 0.25
+
+    def u(t, x):
+        return t
+
+    def v(t, x):
+        return -x
+
+    def d_t(f, t):
+        return (f(t + h, x) - f(t - h, x)) / (2.0 * h)
+
+    def d_x(f, t):
+        return (f(t, x + h) - f(t, x - h)) / (2.0 * h)
+
     max_r1 = max_r2 = 0.0
     for t in np.linspace(-2.0, 3.0, 5):
-        u_t, u_x = 1.0, 0.0          # u(t, x) = t
-        v_t, v_x = 0.0, -1.0         # v(t, x) = -x
-        r1 = u_t + v_x
-        r2 = v_t - law.dp(t) * u_x
+        r1 = d_t(u, t) + d_x(v, t)
+        r2 = d_t(v, t) - law.dp(t) * d_x(u, t)
         # np.maximum keeps a NaN residual, where max drops it
         max_r1 = float(np.maximum(max_r1, abs(r1)))
         max_r2 = float(np.maximum(max_r2, abs(r2)))
-    v_shift = -(0.25 + 1.0) - -(0.25)    # v(x+1) - v(x)
-    u_shift = 0.0                        # u independent of x
+    v_shift = v(0.0, x + 1.0) - v(0.0, x)
+    u_shift = u(0.0, x + 1.0) - u(0.0, x)
     report.metrics = {"max_residual_1": max_r1, "max_residual_2": max_r2,
                       "v_period_shift": v_shift, "u_period_shift": u_shift}
     ok = max(max_r1, max_r2) <= report.thresholds["residual"]
@@ -443,7 +458,8 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
     Along a synthetic curve with a prescribed u(t), integrate
     beta' = -k(u(t)) beta^2 and compare with beta0 / (1 + beta0 K),
     K from adaptive quadrature, over a beta0 grid that includes 90% of
-    the critical value.
+    the critical value.  Raises DomainError where k(u) on the profile is
+    not finite under the law, as ``riccati_k`` does.
     """
     # imported here, not at module level, so that import psyslab loads numpy alone
     from scipy.integrate import quad, solve_ivp
@@ -452,9 +468,6 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
                             None, thresholds={"relative_gap": 1e-6})
     K_total, _ = quad(lambda s: riccati_k(law, u_of_t(s)), 0.0, T,
                       epsabs=1e-13, epsrel=1e-13, limit=200)
-    if not math.isfinite(K_total):  # k(u) overflows: no ODE to compare
-        report.metrics = {"K_total": K_total}
-        return _judge(report, False, "")
     beta_crit = -1.0 / K_total
     betas = [-2.0, -0.5, 0.1, 0.9 * beta_crit]
     worst = 0.0
@@ -489,21 +502,20 @@ def random_elliptic_state(grid: PeriodicGrid, rng) -> StateField:
     return StateField(grid, u, v)
 
 
-def scenario_energy_identity(law, n_fields: int, seed: int, n: int = 256,
-                             fields: Optional[list] = None) -> ScenarioReport:
+def scenario_energy_identity(law, n_fields: int, seed: int,
+                             n: int = 256) -> ScenarioReport:
     """Integration-by-parts identity and concavity on random elliptic data.
 
-    For every field and both gauges: |ddot_direct - ddot_formula| < 1e-8
-    and ddot_formula <= 1e-10.  A field violating the u >= 0 domain gate
-    makes the scenario fail with the propagated reason.
+    For the ``n_fields`` fields ``random_elliptic_state`` draws from ``seed``
+    and both gauges: |ddot_direct - ddot_formula| < 1e-8 and ddot_formula
+    <= 1e-10.  A field violating the u >= 0 domain gate fails the scenario.
     """
     report = ScenarioReport("energy_identity", law.describe(), seed,
                             thresholds={"identity_gap": 1e-8,
                                         "concavity": 1e-10})
     grid = PeriodicGrid(n)
-    if fields is None:
-        rng = np.random.default_rng(seed)
-        fields = [random_elliptic_state(grid, rng) for _ in range(n_fields)]
+    rng = np.random.default_rng(seed)
+    fields = [random_elliptic_state(grid, rng) for _ in range(n_fields)]
     worst_gap = 0.0
     worst_formula = -np.inf
     try:

@@ -59,6 +59,53 @@ def test_criterion_2_riccati_equivalence():
            f"both profiles, worst relative gap {worst:.3e}, {elapsed:.2f}s")
 
 
+def _worst_beta_gap(k_of) -> float:
+    """Worst relative gap between beta read off the exact simple wave and
+    the Riccati closed form with k = ``k_of(law, u)``.
+
+    With r2 = v + q(u) = 0, beta = r1_x (-p'(u))^(1/4) = 2 (-p'(u))^(3/4)
+    u_x, and u is constant on the straight family-1 line x = xi +
+    lambda_1(u(xi)) t, so k is too and K = k t (Lax 1964): beta(t) must
+    equal beta0 / (1 + beta0 k t).  u_x is a central difference of
+    ``simple_wave_exact``, independent of k, at 32 midpoint starts (none
+    where cos 2 pi xi = 0, so beta0 != 0) and t/t* in {0.25, 0.5, 0.75,
+    0.9}, for a in {0, 0.3, 1}."""
+    xi = (np.arange(32) + 0.5) / 32
+    h = 2.0 ** -20
+    worst = 0.0
+    for law in (ps.PressureLaw(a) for a in (0.0, 0.3, 1.0)):
+        t_star = ps.crossing_time_oracle(law, -1.0, 0.3, 1)
+        u = -1.0 + 0.3 * np.sin(2.0 * np.pi * xi)
+        lam = np.sqrt(-law.dp(u))
+
+        def beta(t):
+            x = xi + lam * t
+            u_up, _ = ps.simple_wave_exact(law, -1.0, 0.3, 1, t, x + h)
+            u_down, _ = ps.simple_wave_exact(law, -1.0, 0.3, 1, t, x - h)
+            return 2.0 * (-law.dp(u)) ** 0.75 * (u_up - u_down) / (2.0 * h)
+
+        beta0 = beta(0.0)
+        for t in (f * t_star for f in (0.25, 0.5, 0.75, 0.9)):
+            read = beta(t)
+            closed = beta0 / (1.0 + beta0 * k_of(law, u) * t)
+            gap = np.max(np.abs(read - closed) / np.abs(read))
+            worst = max(worst, float(gap))
+    return worst
+
+
+def test_criterion_2_riccati_k_on_the_exact_wave():
+    # criterion 2's scenario checks the closed form against an ODE built
+    # on the same k; this reads k off the exact wave instead
+    worst = _worst_beta_gap(ps.riccati_k)
+    report(2, worst < 1e-6,
+           f"beta on the exact simple wave, worst relative gap {worst:.3e}")
+
+
+def test_criterion_2_fails_a_planted_riccati_k_defect():
+    # k off by 1% reads a gap of 9.7e-2, against 5.8e-9 clean
+    assert _worst_beta_gap(lambda law, u: 1.01 * ps.riccati_k(law, u)) >= 1e-6
+
+
 def test_criterion_3_blowup_triangulation(wave_bundle):
     rep, elapsed = wave_bundle
     m = rep.metrics

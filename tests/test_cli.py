@@ -336,7 +336,7 @@ def test_import_loads_no_scipy():
     code = ("import sys, psyslab, psyslab.cli, psyslab.verify\n"
             "for law in (psyslab.PressureLaw.quadratic(),"
             " psyslab.PressureLaw(0.3)):\n"
-            "    psyslab.state_from_riemann(law, psyslab.RiemannPair(-1.0, 2.0))\n"
+            "    psyslab.state_from_riemann(law, (-1.0, 2.0))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -921,10 +921,10 @@ def test_verify_fails_a_refused_scenario_and_reports_the_rest(tmp_path, capsys):
 
 
 def test_verify_fails_an_overflowing_scenario_and_reports_the_rest(tmp_path):
-    # under a = 1e300 the Riccati cross-checks raise OverflowError: riccati_k
+    # under a = 1e300 the Riccati cross-checks raised OverflowError: riccati_k
     # takes (-p'(u))^1.25 of a Python float.  verify ended in its traceback,
     # with an empty outdir; elliptic data takes no step budget, so the
-    # config passes validation
+    # config passes validation.  riccati_k now raises DomainError instead
     src = str(Path(psyslab.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -945,7 +945,7 @@ def test_verify_fails_an_overflowing_scenario_and_reports_the_rest(tmp_path):
         assert (out / f"scenario_{scenario_id}.json").exists()
     for scenario_id in ("riccati_crosscheck_constant", "riccati_crosscheck_ramp"):
         assert reports[scenario_id]["verdict"] == "fail"
-        assert reports[scenario_id]["reason"].startswith("OverflowError: ")
+        assert reports[scenario_id]["reason"].startswith("k(u) = ")
 
 
 # ---------------------------------------------------------------------------

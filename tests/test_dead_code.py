@@ -12,7 +12,10 @@ The checker parses each module and reports three kinds of dead code:
   defined or assigned at module level that no module of the package
   reads, by name or as an attribute;
 - an attribute that a class stores on ``self`` and that no module of
-  the package reads, on any object.
+  the package reads, on any object;
+- a defaulted parameter of a function that no call by the function's
+  name, in ``src``, ``tests`` or ``perfbench``, passes: a knob that can
+  hold only its default.
 """
 import ast
 import symtable
@@ -21,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "psyslab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "psyslab"
 
 
 def _free_in_nested(table) -> set:
@@ -140,6 +144,58 @@ def unread_attributes(sources: dict) -> list:
                       and node.value.id == "self"}
             found += [f"{path}: {cls.name} stores self.{name}, never read"
                       for name in sorted(stored - read)]
+    return found
+
+
+def _defaulted(fn, method: bool) -> list:
+    """(position, name) of each defaulted parameter of ``fn``, position
+    None for a keyword-only one; a method's position leaves out self."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    params = [(i - method, a.arg) for i, a in enumerate(positional)
+              if i >= first]
+    return params + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                   args.kw_defaults)
+                     if d is not None]
+
+
+def unpassed_defaults(sources: dict, callers: dict) -> list:
+    """Every defaulted parameter of a function or method in ``sources``
+    (path to source) that no call by the function's name in ``callers``
+    (path to source) passes, by position or by keyword.  A call with
+    ``*args`` or ``**kwargs`` passes every parameter, and a class's name
+    calls its ``__init__``."""
+    calls = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        defs = [(node, False) for node in tree.body]
+        for cls in (node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)):
+            defs += [(node, cls.name) for node in cls.body]
+        for fn, cls in defs:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = cls if cls and fn.name == "__init__" else fn.name
+            method = bool(cls) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            for position, param in _defaulted(fn, method):
+                if not any(
+                        any(isinstance(a, ast.Starred) for a in call.args)
+                        or (position is not None and len(call.args) > position)
+                        or any(k.arg in (None, param) for k in call.keywords)
+                        for call in calls.get(name, [])):
+                    found.append(f"{path}: {fn.name} defaults {param}, "
+                                 f"never passed")
     return found
 
 
@@ -267,6 +323,62 @@ def test_checker_reports_exactly_the_planted_unread_attributes():
     assert unread_attributes(PLANTED_ATTRIBUTES) == [
         "a.py: Box stores self.only_stored, never read",
         "a.py: Box stores self.unread, never read"]
+
+
+PLANTED_KNOBS = {
+    "a.py": textwrap.dedent("""\
+        def f(a, b=1, c=2, *, d=3, e=4):
+            return a + b + c + d + e
+
+        def g(a, b=1):
+            return a + b
+
+        def h(a=1):
+            return a
+
+        class Box:
+            def __init__(self, size=1, shape=2):
+                self.size, self.shape = size, shape
+
+            def grow(self, by=1, twice=False):
+                return self.size + by
+
+            @staticmethod
+            def make(size=1):
+                return Box(shape=size)
+    """),
+    "b.py": textwrap.dedent("""\
+        import a
+
+        def run(args, kwargs):
+            a.f(0, 1, d=3)
+            a.g(*args)
+            a.h(**kwargs)
+            a.Box(shape=3).grow(2)
+            return a.Box.make
+    """),
+}
+
+
+def test_checker_reports_exactly_the_planted_unpassed_defaults():
+    # a parameter passed by position or keyword is live, and every one
+    # is under *args or **kwargs; a method's position leaves out self,
+    # a static method's does not, and a class's name calls __init__
+    assert unpassed_defaults(PLANTED_KNOBS, PLANTED_KNOBS) == [
+        "a.py: f defaults c, never passed",
+        "a.py: f defaults e, never passed",
+        "a.py: __init__ defaults size, never passed",
+        "a.py: grow defaults twice, never passed",
+        "a.py: make defaults size, never passed"]
+
+
+def test_package_passes_every_defaulted_parameter():
+    sources = {str(path): path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    callers = {str(path): path.read_text(encoding="utf-8")
+               for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))}
+    assert unpassed_defaults(sources, callers) == []
 
 
 def test_package_reads_every_attribute_it_stores():

@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from psyslab import (BlowUpError, DomainError, PressureLaw, RiemannPair,
-                     beta_from_gradient, q_of_u, riccati_evolve, riccati_k,
-                     riemann_from_state, state_from_riemann, u_of_q)
+from psyslab import (BlowUpError, DomainError, PressureLaw, beta_from_gradient,
+                     q_of_u, riccati_evolve, riccati_k, riemann_from_state,
+                     state_from_riemann, u_of_q)
 
 QUAD = PressureLaw.quadratic()
 QUART = PressureLaw(0.1)
@@ -124,13 +124,13 @@ def test_riemann_pair_values():
 
 
 def test_state_from_riemann_values():
-    assert state_from_riemann(QUAD, RiemannPair(3.0, 3.0)) == (0.0, 3.0)
-    u, v = state_from_riemann(QUAD, RiemannPair(-1.0 / 6.0, 7.0 / 6.0))
+    assert state_from_riemann(QUAD, (3.0, 3.0)) == (0.0, 3.0)
+    u, v = state_from_riemann(QUAD, (-1.0 / 6.0, 7.0 / 6.0))
     assert (u, v) == pytest.approx((-1.0, 0.5), abs=1e-10)
-    u, v = state_from_riemann(QUAD, RiemannPair(-16.0 / 3.0, 16.0 / 3.0))
+    u, v = state_from_riemann(QUAD, (-16.0 / 3.0, 16.0 / 3.0))
     assert (u, v) == pytest.approx((-4.0, 0.0), abs=1e-10)
     with pytest.raises(DomainError):
-        state_from_riemann(QUAD, RiemannPair(1.0, 0.0))
+        state_from_riemann(QUAD, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("law", [QUAD, QUART], ids=["quadratic", "quartic"])
@@ -152,6 +152,24 @@ def test_riccati_k_values():
     assert riccati_k(QUART, -2.0) < 0.0
     with pytest.raises(DomainError):
         riccati_k(QUAD, 0.0)
+
+
+@pytest.mark.parametrize("a, u", [(1e300, -1.0), (1e308, -1.0), (1e305, -10.0),
+                                  (0.0, -1e-320)])
+def test_riccati_k_out_of_range_is_a_domain_error_for_floats_and_arrays(a, u):
+    # a float raised OverflowError (Python's pow) at a = 1e300 where an
+    # array gave -0.0, a float gave NaN at 1e308, and at 1e305 p' alone
+    # overflows, so both gave -0.0; where (-p')^(5/4) underflows to 0 a
+    # float raised ZeroDivisionError and an array gave -inf.  A numpy
+    # warning is an error here
+    law = PressureLaw(a)
+    for arg in (u, np.array([u]), np.array([-1e-120, u])):
+        with pytest.raises(DomainError, match="not a finite nonzero float"):
+            riccati_k(law, arg)
+    # where k is in range, a float still gives a float, with the array's bits
+    k = riccati_k(PressureLaw(1e300), -1e-120)
+    assert type(k) is float and k < 0.0
+    assert riccati_k(PressureLaw(1e300), np.array([-1e-120])).tolist() == [k]
 
 
 @pytest.mark.parametrize("defect", [None, "riccati_k"])

@@ -11,8 +11,8 @@ from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
                      spectral_derivative, step_rk4)
 from psyslab import solver
 from psyslab.field import NOISE_FLOOR, _derivative_multipliers, _parseval_weights
-from psyslab.solver import (_advance, _filter_multipliers, _monitor_from_metrics,
-                            _spectral, _state_metrics, _Workspace, start)
+from psyslab.solver import (_advance, _monitor_from_metrics, _spectral,
+                            _state_metrics, _Workspace, start)
 
 QUAD = PressureLaw.quadratic()
 
@@ -600,8 +600,7 @@ def test_run_fft_budget(monkeypatch):
 def test_cached_spectral_multipliers_are_read_only():
     # a run's workspace holds these for the whole run: an in-place write
     # into one would corrupt every later run at that n
-    for cached in (_derivative_multipliers, _parseval_weights,
-                   _filter_multipliers):
+    for cached in (_derivative_multipliers, _parseval_weights):
         arr = cached(64)
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

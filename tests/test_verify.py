@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -211,16 +210,11 @@ def test_scenario_riccati_ramp_profile():
 
 @pytest.mark.parametrize("profile", ["constant", "ramp"])
 def test_scenario_riccati_names_a_non_finite_K_total(profile):
-    # k(u) overflows under the law: quad returns K_total = nan, and the
-    # reason was solve_ivp's "array must not contain infs or NaNs"
-    from scipy.integrate import IntegrationWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        warnings.simplefilter("ignore", IntegrationWarning)
-        rep = scenario_riccati_crosscheck(PressureLaw(1e308), profile)
-    assert rep.verdict == "fail"
-    assert rep.reason.startswith("non-finite K_total = ")
-    assert rep.metrics == {"K_total": None}
+    # k(u) overflows under the law: quad returned K_total = nan, and the
+    # reason was solve_ivp's "array must not contain infs or NaNs".  Now
+    # riccati_k raises, and the scenario with it, as its siblings do
+    with pytest.raises(DomainError, match="not a finite nonzero float"):
+        scenario_riccati_crosscheck(PressureLaw(1e308), profile)
 
 
 def test_scenario_simple_wave_small_grid():
@@ -426,12 +420,14 @@ def test_scenario_energy_identity_fails_on_non_finite_diagnostics():
     _non_finite_fails(rep, ["worst_identity_gap", "worst_ddot_formula"])
 
 
-def test_scenario_energy_identity_domain_gate():
+def test_scenario_energy_identity_domain_gate(monkeypatch):
+    import psyslab.verify as verify
     g = PeriodicGrid(64)
     u = np.full(64, 1.0)
     u[5] = -0.5
     bad = StateField(g, u, np.zeros(64))
-    rep = scenario_energy_identity(QUAD, 1, seed=0, n=64, fields=[bad])
+    monkeypatch.setattr(verify, "random_elliptic_state", lambda grid, rng: bad)
+    rep = scenario_energy_identity(QUAD, 1, seed=0, n=64)
     assert rep.verdict == "fail"
     assert "domain gate" in rep.reason
 

@@ -44,6 +44,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -502,9 +503,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         for rep in reports:
             rep.artifacts.append(f"scenario_{rep.scenario_id}.json")
             out.json(rep.artifacts[-1], rep.to_dict())
-        counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-        for rep in reports:
-            counts[rep.verdict] += 1
+        counts = Counter(rep.verdict for rep in reports)
         out.json("verify.json", {
             "reports": [rep.to_dict() for rep in reports],
             "n_pass": counts["pass"],

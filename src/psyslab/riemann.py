@@ -58,6 +58,12 @@ def _require_negative(u):
         raise DomainError("u must be < 0 (strict hyperbolic interior)")
 
 
+def _as_input(values: np.ndarray, u):
+    """``values``, computed on ``np.atleast_1d(u)``, in the type of u: an
+    array of u's shape, or a float with the bits a batch would give."""
+    return values.reshape(np.shape(u)) if isinstance(u, np.ndarray) else float(values[0])
+
+
 @lru_cache(maxsize=1)
 def _gauss_legendre():
     """64-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
@@ -78,8 +84,7 @@ def q_of_u(law, u):
     points u in [-50, -1e-6] and PressureLaw(a), a in {0.01, 0.3, 1, 10},
     it agrees with adaptive quadrature (epsrel 1e-13) to 4.4e-15
     relative; 32 points give only 1.6e-12 at a = 10.  An array comes
-    back with the input's shape, a scalar as a float; both are computed
-    as arrays of 1 or more dimensions, so batching never changes a bit.
+    back with the input's shape, a scalar as a float (``_as_input``).
     """
     _require_nonpositive(u)
     a = np.atleast_1d(np.asarray(u, dtype=float))
@@ -90,7 +95,7 @@ def q_of_u(law, u):
         s = np.sqrt(-a)
         w = np.multiply.outer(s, t)
         q = s * np.einsum("...k,k->...", 2.0 * w * np.sqrt(-law.dp(-w * w)), wt)
-    return q.reshape(np.shape(u)) if isinstance(u, np.ndarray) else float(q[0])
+    return _as_input(q, u)
 
 
 def u_of_q(law, y: float) -> float:
@@ -147,29 +152,28 @@ def state_from_riemann(law, pair: tuple):
 def riccati_k(law, u):
     """Riccati coefficient k(u) = -p''(u) / (4 (-p'(u))^(5/4)) < 0.
 
-    A float gives a float and an array an array.  Both raise DomainError
-    where k is not a finite nonzero float: where p'(u), p''(u) or the
-    denominator overflows, or the denominator underflows to 0 (with
-    p'' >= 1, k is nonzero otherwise).  Python's pow raises OverflowError
-    on a float where numpy's gives inf; both end here, with numpy's
-    warnings silenced.
+    A float gives a float and an array an array, with the same bits
+    (``_as_input``).  Both raise DomainError where k is not a finite
+    nonzero float: where p'(u), p''(u) or the denominator overflows, or
+    the denominator underflows to 0 (with p'' >= 1, k is nonzero
+    otherwise), with numpy's warnings silenced.
     """
     _require_negative(u)
+    a = np.atleast_1d(np.asarray(u, dtype=float))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            k = -law.ddp(u) / (4.0 * (-law.dp(u)) ** 1.25)
-        except (OverflowError, ZeroDivisionError):
-            k = math.nan
+        k = -law.ddp(a) / (4.0 * (-law.dp(a)) ** 1.25)
     if not np.all(np.isfinite(k) & (k != 0.0)):
         raise DomainError(f"k(u) = -p''(u) / (4 (-p'(u))^(5/4)) is not a "
                           f"finite nonzero float under {law.describe()}")
-    return k
+    return _as_input(k, u)
 
 
 def beta_from_gradient(law, u, r_x):
-    """Scaled invariant gradient beta = r_x * (-p'(u))^(1/4)."""
+    """Scaled invariant gradient beta = r_x * (-p'(u))^(1/4), with the
+    same bits for a float u as for an array (``_as_input``)."""
     _require_negative(u)
-    return r_x * (-law.dp(u)) ** 0.25
+    a = np.atleast_1d(np.asarray(u, dtype=float))
+    return r_x * _as_input((-law.dp(a)) ** 0.25, u)
 
 
 def riccati_evolve(beta0: float, K: float) -> float:

@@ -1,9 +1,9 @@
 """Scenario harness: reproducible end-to-end corroboration runs.
 
 Each scenario assembles solver, characteristics, and energy diagnostics
-into a pass/fail report with its thresholds embedded, so the verdict is
-auditable from the report alone.  Scenarios are deterministic given
-(law, parameters, seed).
+into a pass/fail report that declares its gates, each a bound on one
+metric, so the verdict is auditable from the report alone.  Scenarios
+are deterministic given (law, parameters, seed).
 
 These are numerical corroborations of rigidity statements, not proofs:
 a pass means the computation behaved exactly as the theory predicts at
@@ -13,6 +13,7 @@ the tested resolution and horizon.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
@@ -39,34 +40,56 @@ INCONCLUSIVE = "inconclusive"
 #: statuses of a run that ended in the gradient catastrophe
 TERMINATED = (RunStatus.blow_up_detected, RunStatus.resolution_lost)
 
+_COMPARISONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
+
 
 @dataclass
 class ScenarioReport:
+    """Each gate (metric, comparison, bound) bounds a reading in
+    ``metrics`` by a comparison that ``_COMPARISONS`` names; ``parameters``
+    holds inputs and windows.  The verdict is fail until ``_judge`` sets it."""
+
     scenario_id: str
     law: str
-    seed: Optional[int]
+    parameters: dict = dc_field(default_factory=dict)
     metrics: dict = dc_field(default_factory=dict)
-    verdict: str = INCONCLUSIVE
-    thresholds: dict = dc_field(default_factory=dict)
-    artifacts: list = dc_field(default_factory=list)
+    gates: list = dc_field(default_factory=list)
+    verdict: str = FAIL
     reason: str = ""
+    artifacts: list = dc_field(default_factory=list)
+
+    def passed(self, metric: str, comparison: str, bound: float) -> Optional[bool]:
+        """None without a reading (the scenario stopped first); a NaN or
+        None reading holds no bound."""
+        if metric in self.metrics:
+            value = self.metrics[metric]
+            return value is not None and bool(_COMPARISONS[comparison](value, bound))
+
+    def failed_gates(self) -> list:
+        return [gate for gate in self.gates if self.passed(*gate) is False]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "gates": [
+            {"metric": m, "comparison": c, "bound": b, "passed": self.passed(m, c, b)}
+            for m, c, b in self.gates]}
 
 
-def _judge(report: ScenarioReport, ok: bool, reason: str) -> ScenarioReport:
-    """Set the report's verdict: pass when ``ok`` and every metric is
-    finite, else fail for ``reason``.  Non-finite metrics are the reason
-    instead, and are written as None, JSON having no NaN or inf."""
+def _judge(report: ScenarioReport) -> ScenarioReport:
+    """Set the report's verdict.  A non-finite metric fails it, named in
+    the reason and written as None, JSON having no NaN or inf.  Else a
+    report with a reason stopped before its gates: it fails, unless its
+    scenario made it inconclusive.  Any other fails for its failing
+    gates, or passes."""
     bad = {k: v for k, v in report.metrics.items() if not math.isfinite(v)}
     if bad:
         report.metrics.update(dict.fromkeys(bad))
-        ok = False
-        reason = "non-finite " + ", ".join(f"{k} = {v}" for k, v in bad.items())
-    report.verdict = PASS if ok else FAIL
-    if not ok:
-        report.reason = reason
+        report.verdict = FAIL
+        report.reason = "non-finite " + ", ".join(f"{k} = {v}" for k, v in bad.items())
+    elif not report.reason:
+        failed = report.failed_gates()
+        report.verdict = FAIL if failed else PASS
+        report.reason = "; ".join(f"{m} {report.metrics[m]:.3g} fails {c} {b:g}"
+                                  for m, c, b in failed)
     return report
 
 
@@ -248,19 +271,17 @@ def simple_wave_exact(law, u0: float, amplitude: float, mode: int, t: float,
 def scenario_constant(law, u0: float, v0: float, t_max: float,
                       n: int = 256) -> ScenarioReport:
     """Constant hyperbolic data must evolve unchanged to t_max."""
-    report = ScenarioReport("constant_rigidity", law.describe(), None,
-                            thresholds={"max_deviation": 1e-10})
-    grid = PeriodicGrid(n)
-    state0 = constant_state(grid, u0, v0)
+    report = ScenarioReport("constant_rigidity", law.describe(), gates=[
+        ("status_completed", "==", 1.0), ("deviation", "<", 1e-10)])
+    state0 = constant_state(PeriodicGrid(n), u0, v0)
     traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
     _, final = traj.snapshots[-1]
     dev = max(float(np.max(np.abs(final.u - state0.u))),
               float(np.max(np.abs(final.v - state0.v))))
     report.metrics = {"t_final": traj.t_end, "deviation": dev,
-                      "steps": float(traj.steps)}
-    report.metrics["status_completed"] = 1.0 if traj.status is RunStatus.completed else 0.0
-    ok = traj.status is RunStatus.completed and dev < report.thresholds["max_deviation"]
-    return _judge(report, ok, f"status={traj.status.value}, deviation={dev:g}")
+                      "steps": float(traj.steps), "status_completed":
+                      1.0 if traj.status is RunStatus.completed else 0.0}
+    return _judge(report)
 
 
 def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
@@ -272,31 +293,30 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     The solver's detection time and the minimum Riccati-predicted time
     over traced family-1 curves must each agree with the crossing time
     from the steepest point of lambda_1 (``crossing_time_oracle``)
-    within ``relative_gap``, and the invariant drift up to the
-    10x-gradient time must stay below ``drift_max``.  The run goes to
+    within 5%, and the invariant drift up to the time the gradient grew
+    by ``drift_gradient_factor`` must stay below 1e-4.  The run goes to
     twice the oracle time.  The dual-growth spot check on the same run
     must find no violation.
     """
-    report = ScenarioReport("simple_wave_blowup", law.describe(), None,
-                            thresholds={"relative_gap": 0.05,
-                                        "drift_max": 1e-4,
-                                        "drift_gradient_factor": 10.0})
+    report = ScenarioReport(
+        "simple_wave_blowup", law.describe(),
+        parameters={"drift_gradient_factor": 10.0},
+        gates=[("gap_detect_oracle", "<", 0.05), ("gap_predicted_oracle", "<", 0.05),
+               ("invariant_drift_max", "<", 1e-4), ("spotcheck_violations", "==", 0.0)])
     t_oracle = crossing_time_oracle(law, u0, amplitude, mode)
     if t_oracle is None:
-        report.verdict = INCONCLUSIVE
-        report.reason = ("no compression in the initial data (zero amplitude); "
-                         "degenerates to the constant scenario by design")
-        return report
+        report.verdict, report.reason = INCONCLUSIVE, (
+            "no compression in the initial data (zero amplitude); "
+            "degenerates to the constant scenario by design")
+        return _judge(report)
 
-    grid = PeriodicGrid(n)
-    state0 = simple_wave_state(law, grid, u0, amplitude, mode)
+    state0 = simple_wave_state(law, PeriodicGrid(n), u0, amplitude, mode)
     traj = run(law, state0, 0.0, SolverConfig(t_max=2.0 * t_oracle))
     report.metrics["t_oracle"] = t_oracle
     report.metrics["status_" + traj.status.value] = 1.0
     if traj.status not in TERMINATED:
-        return _judge(report, False,
-                      f"run ended {traj.status.value} without detection")
-    t_detect = traj.t_detect
+        report.reason = f"run ended {traj.status.value} without detection"
+        return _judge(report)
 
     # each (start, family) is traced once per direction: one forward batch
     # holds the family-1 prediction curves, both families from the drift
@@ -311,13 +331,13 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     predictions = [t for t in (predict_blowup(forward[k]) for k in pred_keys)
                    if t is not None]
     if not predictions:
-        return _judge(report, False, "no traced curve predicted blow-up")
+        report.reason = "no traced curve predicted blow-up"
+        return _judge(report)
     t_predicted = min(predictions)
 
     # invariant transport until the gradient grew by 10x
     t, _, _, ux, _, _ = traj.series.T
-    th = report.thresholds
-    grown = ux >= th["drift_gradient_factor"] * ux[0]
+    grown = ux >= report.parameters["drift_gradient_factor"] * ux[0]
     t_10x = float(t[np.argmax(grown)]) if np.any(grown) else traj.t_end
     drift = max((invariant_drift(forward[k], t_10x) for k in drift_keys),
                 default=0.0)
@@ -326,22 +346,15 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     spot = spotcheck_report(spot_x0, {Direction.forward: forward,
                                       Direction.backward: backward})
 
-    gap_do = abs(t_detect - t_oracle) / t_oracle
-    gap_po = abs(t_predicted - t_oracle) / t_oracle
-    gap_dp = abs(t_detect - t_predicted) / t_oracle
     report.metrics.update({
-        "t_detect": t_detect, "t_predicted": t_predicted,
-        "gap_detect_oracle": gap_do, "gap_predicted_oracle": gap_po,
-        "gap_detect_predicted": gap_dp,
+        "t_detect": traj.t_detect, "t_predicted": t_predicted,
+        "gap_detect_oracle": abs(traj.t_detect - t_oracle) / t_oracle,
+        "gap_predicted_oracle": abs(t_predicted - t_oracle) / t_oracle,
+        "gap_detect_predicted": abs(traj.t_detect - t_predicted) / t_oracle,
         "t_gradient_10x": t_10x, "invariant_drift_max": drift,
         "spotcheck_violations": float(len(spot.violations)),
     })
-    ok = (max(gap_do, gap_po) < th["relative_gap"] and drift < th["drift_max"]
-          and not spot.violations)
-    return _judge(report, ok, f"time gaps: detect/oracle {gap_do:.3f}, "
-                              f"predicted/oracle {gap_po:.3f}; "
-                              f"invariant drift {drift:.3g}; "
-                              f"dual-growth violations {len(spot.violations)}")
+    return _judge(report)
 
 
 def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
@@ -358,19 +371,20 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     left the strictly hyperbolic setting the statement is about, and so
     does a dual-growth violation on any run's spot check.
     """
-    report = ScenarioReport("random_hyperbolic_sweep", law.describe(), 0,
-                            thresholds={"t_max": t_max,
-                                        "min_relative_amplitude": 1e-12})
+    report = ScenarioReport(
+        "random_hyperbolic_sweep", law.describe(),
+        parameters={"t_max": t_max, "min_relative_amplitude": 1e-12},
+        gates=[(key, "==", 0.0) for key in (  # statuses partition the judged seeds
+            "n_completed", "n_refused", "n_interface_reached", "spotcheck_violations")])
     grid = PeriodicGrid(n)
     statuses = {s.value: 0 for s in RunStatus}
-    n_inconclusive = 0
-    violations = 0
+    n_inconclusive = violations = 0
     worst_t = 0.0
     for seed in range(n_seeds):
         state0 = random_trig_state(grid, seed, 3, amplitude, u0)
         rel_amp = max(float(np.ptp(state0.u)), float(np.ptp(state0.v))) / \
             max(1.0, float(np.max(np.abs(state0.u))), float(np.max(np.abs(state0.v))))
-        if rel_amp < report.thresholds["min_relative_amplitude"]:
+        if rel_amp < report.parameters["min_relative_amplitude"]:
             n_inconclusive += 1
             continue
         traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
@@ -380,7 +394,6 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
         if len(traj.snapshots) > 1:  # else it stopped with nothing to trace
             violations += len(dual_growth_spotcheck(traj, spotcheck_seeds).violations)
 
-    n_terminated = statuses["blow_up_detected"] + statuses["resolution_lost"]
     report.metrics = {
         "n_seeds": float(n_seeds),
         "n_blow_up": float(statuses["blow_up_detected"]),
@@ -392,14 +405,10 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
         "latest_detection": worst_t,
         "spotcheck_violations": float(violations),
     }
-    if n_terminated == 0 and n_inconclusive == n_seeds:
+    if n_inconclusive == n_seeds:
         report.verdict = INCONCLUSIVE
         report.reason = "all seeds below the amplitude noise floor"
-        return report
-    ok = statuses["completed"] == 0 and statuses["admission_refused"] == 0 \
-        and n_terminated + n_inconclusive == n_seeds and violations == 0
-    return _judge(report, ok, f"statuses: {statuses}; "
-                              f"dual-growth violations {violations}")
+    return _judge(report)
 
 
 def scenario_ramp_residual(law) -> ScenarioReport:
@@ -415,8 +424,8 @@ def scenario_ramp_residual(law) -> ScenarioReport:
     taken there at t = 0: on these dyadic times and points every
     difference is exact.
     """
-    report = ScenarioReport("ramp_residual", law.describe(), None,
-                            thresholds={"residual": 0.0})
+    report = ScenarioReport("ramp_residual", law.describe(), gates=[
+        ("max_residual_1", "<=", 0.0), ("max_residual_2", "<=", 0.0)])
     h, x = 2.0 ** -10, 0.25
 
     def u(t, x):
@@ -438,12 +447,10 @@ def scenario_ramp_residual(law) -> ScenarioReport:
         # np.maximum keeps a NaN residual, where max drops it
         max_r1 = float(np.maximum(max_r1, abs(r1)))
         max_r2 = float(np.maximum(max_r2, abs(r2)))
-    v_shift = v(0.0, x + 1.0) - v(0.0, x)
-    u_shift = u(0.0, x + 1.0) - u(0.0, x)
     report.metrics = {"max_residual_1": max_r1, "max_residual_2": max_r2,
-                      "v_period_shift": v_shift, "u_period_shift": u_shift}
-    ok = max(max_r1, max_r2) <= report.thresholds["residual"]
-    return _judge(report, ok, f"residuals {max_r1:g}, {max_r2:g}")
+                      "v_period_shift": v(0.0, x + 1.0) - v(0.0, x),
+                      "u_period_shift": u(0.0, x + 1.0) - u(0.0, x)}
+    return _judge(report)
 
 
 RICCATI_PROFILES = {
@@ -465,24 +472,21 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
     from scipy.integrate import quad, solve_ivp
     u_of_t, T = RICCATI_PROFILES[profile]
     report = ScenarioReport(f"riccati_crosscheck_{profile}", law.describe(),
-                            None, thresholds={"relative_gap": 1e-6})
+                            gates=[("worst_relative_gap", "<", 1e-6)])
     K_total, _ = quad(lambda s: riccati_k(law, u_of_t(s)), 0.0, T,
                       epsabs=1e-13, epsrel=1e-13, limit=200)
     beta_crit = -1.0 / K_total
-    betas = [-2.0, -0.5, 0.1, 0.9 * beta_crit]
     worst = 0.0
-    for b0 in betas:
+    for b0 in [-2.0, -0.5, 0.1, 0.9 * beta_crit]:
         closed = riccati_evolve(b0, K_total)
         sol = solve_ivp(lambda s, y: [-riccati_k(law, u_of_t(s)) * y[0] ** 2],
-                        (0.0, T), [b0], method="Radau",
-                        rtol=1e-10, atol=1e-12)
+                        (0.0, T), [b0], method="Radau", rtol=1e-10, atol=1e-12)
         ode_val = float(sol.y[0, -1])
         scale = max(abs(closed), abs(ode_val), 1e-300)
         worst = float(np.maximum(worst, abs(closed - ode_val) / scale))
     report.metrics = {"K_total": float(K_total), "beta_crit": beta_crit,
                       "worst_relative_gap": worst}
-    return _judge(report, worst < report.thresholds["relative_gap"],
-                  f"worst relative gap {worst:g}")
+    return _judge(report)
 
 
 def random_elliptic_state(grid: PeriodicGrid, rng) -> StateField:
@@ -510,31 +514,27 @@ def scenario_energy_identity(law, n_fields: int, seed: int,
     and both gauges: |ddot_direct - ddot_formula| < 1e-8 and ddot_formula
     <= 1e-10.  A field violating the u >= 0 domain gate fails the scenario.
     """
-    report = ScenarioReport("energy_identity", law.describe(), seed,
-                            thresholds={"identity_gap": 1e-8,
-                                        "concavity": 1e-10})
+    report = ScenarioReport(
+        "energy_identity", law.describe(), parameters={"seed": seed},
+        gates=[("worst_identity_gap", "<", 1e-8), ("worst_ddot_formula", "<=", 1e-10)])
     grid = PeriodicGrid(n)
     rng = np.random.default_rng(seed)
     fields = [random_elliptic_state(grid, rng) for _ in range(n_fields)]
-    worst_gap = 0.0
-    worst_formula = -np.inf
+    worst_gap, worst_formula = 0.0, -np.inf
     try:
         for state in fields:
             for gauge in ConcaveGauge:
                 d_formula = energy_ddot_formula(law, state, gauge)
                 d_direct = energy_ddot_direct(law, state, gauge)
-                worst_gap = float(np.maximum(worst_gap,
-                                             abs(d_direct - d_formula)))
+                worst_gap = float(np.maximum(worst_gap, abs(d_direct - d_formula)))
                 worst_formula = float(np.maximum(worst_formula, d_formula))
     except DomainError as exc:
-        return _judge(report, False, f"domain gate: {exc}")
+        report.reason = f"domain gate: {exc}"
+        return _judge(report)
     report.metrics = {"n_fields": float(len(fields)),
                       "worst_identity_gap": worst_gap,
                       "worst_ddot_formula": worst_formula}
-    ok = (worst_gap < report.thresholds["identity_gap"]
-          and worst_formula <= report.thresholds["concavity"])
-    return _judge(report, ok, f"worst identity gap {worst_gap:g}, worst "
-                              f"ddot_formula {worst_formula:g}")
+    return _judge(report)
 
 
 def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
@@ -572,6 +572,5 @@ def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
         except (ValueError, ArithmeticError) as exc:
             reason = (str(exc) if isinstance(exc, ValueError)
                       else f"{type(exc).__name__}: {exc}")
-            reports.append(ScenarioReport(scenario_id, law.describe(), None,
-                                          verdict=FAIL, reason=reason))
+            reports.append(ScenarioReport(scenario_id, law.describe(), reason=reason))
     return reports

@@ -295,28 +295,6 @@ def test_spotcheck_constant_trajectory_clean(constant_traj):
     assert all(classify(c) is ClassLabel.A_plus for c in curves)
 
 
-def test_near_interface_wave_gives_a_B_label_and_no_violation(monkeypatch):
-    # solver data on which a B label is possible: the wave reaches
-    # u = -0.05, so a curve's growth bound is 21x, not 2.31x.  Run to
-    # 2 t*, it ends resolution_lost just past t*; some backward family-2
-    # curves read B_minus, no family-1 curve reads B, so no violation
-    import psyslab.characteristics as characteristics
-    from psyslab import crossing_time_oracle
-    t_star = crossing_time_oracle(QUAD, -0.55, 0.5, 1)
-    s0 = simple_wave_state(QUAD, PeriodicGrid(512), -0.55, 0.5, 1)
-    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=2.0 * t_star))
-    labels = []
-    label_of = characteristics.classify
-
-    def recording(curve, *args):
-        labels.append(label_of(curve, *args))
-        return labels[-1]
-
-    monkeypatch.setattr(characteristics, "classify", recording)
-    assert dual_growth_spotcheck(traj, 32).violations == []
-    assert {ClassLabel.B_plus, ClassLabel.B_minus} & set(labels)
-
-
 @pytest.fixture(scope="module")
 def wave_traj():
     from psyslab import crossing_time_oracle

@@ -869,7 +869,8 @@ def test_verify_sweeps_on_n_and_t_max(tmp_path, capsys):
     lib = psyslab.scenario_random_hyperbolic_sweep(
         psyslab.PressureLaw.quadratic(), 2, 5.0, n=64, spotcheck_seeds=2)
     assert rep["metrics"] == lib.metrics
-    assert rep["thresholds"] == lib.thresholds == {
+    assert rep["gates"] == lib.to_dict()["gates"]
+    assert rep["parameters"] == lib.parameters == {
         "t_max": 5.0, "min_relative_amplitude": 1e-12}
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from psyslab import PressureLaw, scenario_ramp_residual
 from psyslab.cli import parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -46,6 +47,23 @@ def test_readme_budget_numbers_match_the_code():
         expected = int(base) ** int(exp) if exp else int(base)
         actual = getattr(importlib.import_module(f"psyslab.{module}"), name)
         assert actual == expected, f"{module}.{name} = {value}"
+
+
+def _keys_named(subject: str) -> list:
+    """The backticked names that the README lists after ``subject`` and
+    "holds the keys", up to the next full stop or colon."""
+    text = " ".join(README.read_text().split())
+    listed = re.search(rf"{re.escape(subject)} holds the keys (.*?)[.:]", text)
+    assert listed, subject
+    return re.findall(r"`(\w+)`", listed.group(1))
+
+
+def test_readme_report_keys_match_the_code():
+    # a report field renamed or added, or a gate entry's, fails here
+    # rather than leaving the README naming the old keys
+    report = scenario_ramp_residual(PressureLaw.quadratic()).to_dict()
+    assert _keys_named("A scenario report, `scenario_<id>.json`,") == list(report)
+    assert _keys_named("Each entry of `gates`") == list(report["gates"][0])
 
 
 def test_readme_example_config_parses(tmp_path):

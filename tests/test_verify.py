@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from psyslab import (PeriodicGrid, PressureLaw, crossing_time_oracle,
-                     q_of_u, random_trig_state, scenario_constant,
+from psyslab import (ConcaveGauge, PeriodicGrid, PressureLaw,
+                     crossing_time_oracle, default_suite, q_of_u,
+                     random_trig_state, scenario_constant,
                      scenario_energy_identity, scenario_ramp_residual,
                      scenario_random_hyperbolic_sweep,
                      scenario_riccati_crosscheck, scenario_simple_wave_blowup,
@@ -172,13 +173,38 @@ def test_scenario_constant_passes():
         rep = scenario_constant(law, u0, v0, t_max=2.0, n=64)
         assert rep.verdict == "pass"
         assert rep.metrics["deviation"] < 1e-10
-        assert rep.thresholds["max_deviation"] == 1e-10
+        assert rep.gates == [("status_completed", "==", 1.0),
+                             ("deviation", "<", 1e-10)]
+
+
+@pytest.mark.parametrize("defect", [None, "mean_filter"])
+def test_constant_deviation_gate_fails_a_planted_defect(monkeypatch, defect):
+    # a filter that damps mode 0, the mean, by 1e-12 a step moves the
+    # constant state by 3.2e-9 over the 3,200 steps to t = 10, against a
+    # clean 0.0 and the bound 1e-10
+    import psyslab.solver as solver
+    if defect:
+        init = solver._Workspace.__init__
+
+        def damping_init(self, law, c):
+            init(self, law, c)
+            self.sigma[0] = 1.0 - 1e-12
+
+        monkeypatch.setattr(solver._Workspace, "__init__", damping_init)
+    rep = scenario_constant(QUAD, -1.0, 0.0, 10.0)
+    assert rep.metrics["deviation"] == (0.0 if defect is None else
+                                        pytest.approx(3.2e-9, rel=0.01))
+    assert rep.failed_gates() == ([] if defect is None
+                                  else [("deviation", "<", 1e-10)])
 
 
 def test_scenario_constant_fails_on_elliptic():
+    # admission refuses the data, so the run takes no step
     rep = scenario_constant(QUAD, 1.0, 0.0, t_max=1.0, n=64)
     assert rep.verdict == "fail"
-    assert "admission" in rep.reason
+    assert rep.failed_gates() == [("status_completed", "==", 1.0)]
+    assert rep.reason == "status_completed 0 fails == 1"
+    assert rep.metrics["steps"] == 0.0
 
 
 def test_scenario_ramp_residual():
@@ -206,6 +232,23 @@ def test_scenario_riccati_ramp_profile():
     assert rep.verdict == "pass"
     # int_0^2 -1/(4 (1+t)^(5/4)) dt = 3^(-1/4) - 1
     assert rep.metrics["K_total"] == pytest.approx(3.0 ** -0.25 - 1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("defect", [None, "riccati_evolve"])
+@pytest.mark.parametrize("profile", ["constant", "ramp"])
+def test_riccati_gap_gate_fails_a_planted_defect(monkeypatch, profile, defect):
+    # a closed form off by 1e-4 reads a gap of 1.0e-4 on both profiles,
+    # against 1.5e-12 (constant) and 9.5e-14 (ramp) clean: the bound is 1e-6
+    import psyslab.verify as verify
+    if defect:
+        evolve = verify.riccati_evolve
+        monkeypatch.setattr(verify, "riccati_evolve",
+                            lambda beta0, K: (1.0 + 1e-4) * evolve(beta0, K))
+    rep = scenario_riccati_crosscheck(QUAD, profile)
+    gap = rep.metrics["worst_relative_gap"]
+    assert (gap < 1e-7) if defect is None else gap == pytest.approx(1e-4, rel=1e-3)
+    assert rep.failed_gates() == ([] if defect is None
+                                  else [("worst_relative_gap", "<", 1e-6)])
 
 
 @pytest.mark.parametrize("profile", ["constant", "ramp"])
@@ -259,9 +302,9 @@ def test_small_wave_drift_gate_fails_a_planted_defect(monkeypatch, defect):
     rep = scenario_simple_wave_blowup(law, -1.0, 0.3, 1, n=256,
                                       n_curve_seeds=16, drift_seeds=4,
                                       spotcheck_seeds=4)
-    drifted = rep.metrics["invariant_drift_max"] > rep.thresholds["drift_max"]
-    assert drifted == (defect is not None)
-    assert rep.verdict == ("fail" if drifted else "pass")
+    failed = [metric for metric, _, _ in rep.failed_gates()]
+    assert failed == ([] if defect is None else ["invariant_drift_max"])
+    assert rep.verdict == ("pass" if defect is None else "fail")
 
 
 def test_scenario_simple_wave_traces_each_curve_once(monkeypatch):
@@ -329,8 +372,7 @@ def test_scenario_simple_wave_quartic_n_1024_passes_its_gates():
     rep = scenario_simple_wave_blowup(PressureLaw(0.3), -1.0, 0.3, 1,
                                       n=1024)
     assert rep.verdict == "pass", rep.reason
-    assert (rep.metrics["invariant_drift_max"]
-            < rep.thresholds["drift_max"])
+    assert rep.passed("invariant_drift_max", "<", 1e-4)
     assert rep.metrics["spotcheck_violations"] == 0.0
 
 
@@ -361,7 +403,8 @@ def test_scenario_sweep_fails_a_dual_growth_violation(monkeypatch, defect):
     assert (violations > 0) == (defect is not None)
     assert rep.verdict == ("fail" if violations else "pass")
     if violations:
-        assert f"dual-growth violations {violations:.0f}" in rep.reason
+        assert rep.failed_gates() == [("spotcheck_violations", "==", 0.0)]
+        assert rep.reason == f"spotcheck_violations {violations:.0f} fails == 0"
 
 
 def test_scenario_sweep_fails_on_interface():
@@ -387,6 +430,42 @@ def test_scenario_energy_identity_passes():
     assert rep.verdict == "pass"
     assert rep.metrics["worst_identity_gap"] < 1e-8
     assert rep.metrics["worst_ddot_formula"] <= 1e-10
+
+
+class _ConvexGauge:
+    """The log1p gauge with its sign flipped, f = -log(1 + u): convex, so
+    its d2E/dt2 is >= 0 and both evaluations of it keep their bits."""
+
+    def f(self, u):
+        return -ConcaveGauge.log1p.f(u)
+
+    def df(self, u):
+        return -ConcaveGauge.log1p.df(u)
+
+    def ddf(self, u):
+        return -ConcaveGauge.log1p.ddf(u)
+
+
+@pytest.mark.parametrize("defect", [None, "ddot_direct", "convex_gauge"])
+def test_energy_gates_fail_a_planted_defect(monkeypatch, defect):
+    # over the suite's 20 fields, a direct d2E/dt2 off by 1e-4 reads an
+    # identity gap of 5.2e-3 (clean 7.1e-15, bound 1e-8); a convex gauge
+    # reads a worst ddot_formula of 39.8 (clean -6.71, bound <= 1e-10),
+    # and leaves the identity gap as it was
+    import psyslab.verify as verify
+    if defect == "ddot_direct":
+        direct = verify.energy_ddot_direct
+        monkeypatch.setattr(verify, "energy_ddot_direct", lambda law, state, gauge:
+                            (1.0 + 1e-4) * direct(law, state, gauge))
+    if defect == "convex_gauge":
+        monkeypatch.setattr(verify, "ConcaveGauge", [_ConvexGauge()])
+    rep = scenario_energy_identity(QUAD, 20, 42)
+    gap, formula = rep.metrics["worst_identity_gap"], rep.metrics["worst_ddot_formula"]
+    assert gap < 1e-9 if defect != "ddot_direct" else gap > 1e-3
+    assert formula < -1.0 if defect != "convex_gauge" else formula > 1.0
+    assert [metric for metric, _, _ in rep.failed_gates()] == {
+        None: [], "ddot_direct": ["worst_identity_gap"],
+        "convex_gauge": ["worst_ddot_formula"]}[defect]
 
 
 #: p'(u) overflows under this law for |u| > 1
@@ -441,9 +520,38 @@ def test_scenarios_are_deterministic():
     assert c.metrics == d.metrics
 
 
+def test_default_suite_gates_read_metrics_and_reasons_name_failed_gates(monkeypatch):
+    # at the command line's small sizes, with defects planted that fail
+    # the Riccati and energy gates: each gate bounds a metric its report
+    # read, and a report's reason names exactly the gates that failed
+    import psyslab.verify as verify
+    evolve, direct = verify.riccati_evolve, verify.energy_ddot_direct
+    monkeypatch.setattr(verify, "riccati_evolve",
+                        lambda beta0, K: (1.0 + 1e-4) * evolve(beta0, K))
+    monkeypatch.setattr(verify, "energy_ddot_direct", lambda law, state, gauge:
+                        (1.0 + 1e-4) * direct(law, state, gauge))
+    failed = {}
+    for rep in default_suite(QUAD, 2, 10.0, 128, 256):
+        assert rep.gates
+        for metric, comparison, bound in rep.gates:
+            assert metric in rep.metrics and comparison in ("<", "<=", "==")
+        failed[rep.scenario_id] = [metric for metric, _, _ in rep.failed_gates()]
+        named = [clause.split()[0] for clause in rep.reason.split("; ") if clause]
+        assert named == failed[rep.scenario_id]
+        assert rep.verdict == ("fail" if named else "pass")
+        assert [gate["passed"] for gate in rep.to_dict()["gates"]] == [
+            metric not in named for metric, _, _ in rep.gates]
+    assert {k: v for k, v in failed.items() if v} == {
+        "riccati_crosscheck_constant": ["worst_relative_gap"],
+        "riccati_crosscheck_ramp": ["worst_relative_gap"],
+        "energy_identity": ["worst_identity_gap"]}
+
+
 def test_report_embeds_thresholds():
     rep = scenario_riccati_crosscheck(QUAD, "constant")
     d = rep.to_dict()
-    assert d["thresholds"]["relative_gap"] == 1e-6
+    assert d["gates"] == [{"metric": "worst_relative_gap", "comparison": "<",
+                           "bound": 1e-6, "passed": True}]
+    assert d["parameters"] == {}
     assert d["scenario_id"] == "riccati_crosscheck_constant"
     assert d["verdict"] in ("pass", "fail", "inconclusive")

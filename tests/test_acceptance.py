@@ -187,34 +187,16 @@ def test_criterion_8_invariant_transport(wave_bundle):
            f"t={rep.metrics['t_gradient_10x']:.3f} (both families)")
 
 
-def _near_interface_spotcheck(monkeypatch) -> tuple:
-    """(violations, B labels) of the 32-point spot check on data where a B
-    label is possible: the wave u0 = -0.55, amplitude 0.5 at n=512 reaches
-    u = -0.05, so a curve's growth bound is 21x, not the 2.31x of the
-    other runs.  Run to 2 t*, it ends resolution_lost just past t*."""
-    import psyslab.characteristics as characteristics
-    t_star = ps.crossing_time_oracle(QUAD, -0.55, 0.5, 1)
-    s0 = ps.simple_wave_state(QUAD, ps.PeriodicGrid(512), -0.55, 0.5, 1)
-    traj = ps.run(QUAD, s0, 0.0, ps.SolverConfig(t_max=2.0 * t_star))
-    labels = []
-    label_of = characteristics.classify
-
-    def recording(curve, *args):
-        labels.append(label_of(curve, *args))
-        return labels[-1]
-
-    monkeypatch.setattr(characteristics, "classify", recording)
-    violations = len(ps.dual_growth_spotcheck(traj, 32).violations)
-    b_labels = (ps.ClassLabel.B_plus, ps.ClassLabel.B_minus)
-    return violations, sum(label in b_labels for label in labels)
-
-
-def test_criterion_9_no_dual_growth(wave_bundle, sweep_bundle, monkeypatch):
+def test_criterion_9_no_dual_growth(wave_bundle, sweep_bundle,
+                                    near_interface_spotcheck):
     # on the wave and the sweep no curve can read B; on the near-interface
     # wave some backward family-2 curves do, and no family-1 curve
     wave_rep, _ = wave_bundle
     sweep_rep, _ = sweep_bundle
-    near, n_b = _near_interface_spotcheck(monkeypatch)
+    violations, labels = near_interface_spotcheck
+    near = len(violations)
+    n_b = sum(label in (ps.ClassLabel.B_plus, ps.ClassLabel.B_minus)
+              for label in labels)
     total = wave_rep.metrics["spotcheck_violations"] + \
         sweep_rep.metrics["spotcheck_violations"] + near
     report(9, total == 0.0 and n_b >= 1,

@@ -295,6 +295,17 @@ def test_spotcheck_constant_trajectory_clean(constant_traj):
     assert all(classify(c) is ClassLabel.A_plus for c in curves)
 
 
+def test_near_interface_wave_gives_a_B_label_and_no_violation(
+        near_interface_spotcheck):
+    # solver data on which a B label is possible: the wave reaches
+    # u = -0.05, so a curve's growth bound is 21x, not 2.31x.  Run to
+    # 2 t*, it ends resolution_lost just past t*; some backward family-2
+    # curves read B_minus, no family-1 curve reads B, so no violation
+    violations, labels = near_interface_spotcheck
+    assert violations == []
+    assert {ClassLabel.B_plus, ClassLabel.B_minus} & set(labels)
+
+
 @pytest.fixture(scope="module")
 def wave_traj():
     from psyslab import crossing_time_oracle

@@ -501,8 +501,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         reports = default_suite(cfg.law_obj(), cfg.verify_seeds, cfg.t_max,
                                 cfg.n, cfg.wave_n)
         for rep in reports:
-            rep.artifacts.append(f"scenario_{rep.scenario_id}.json")
-            out.json(rep.artifacts[-1], rep.to_dict())
+            out.json(f"scenario_{rep.scenario_id}.json", rep.to_dict())
         counts = Counter(rep.verdict for rep in reports)
         out.json("verify.json", {
             "reports": [rep.to_dict() for rep in reports],

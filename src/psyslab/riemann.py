@@ -48,14 +48,17 @@ class Family(enum.Enum):
         return 1.0 if self is Family.first else -1.0
 
 
-def _require_nonpositive(u):
+# each domain check returns the float array np.atleast_1d(u) it checked
+def _require_nonpositive(u) -> np.ndarray:
     if np.any(np.asarray(u) > 0.0):
         raise DomainError("u must be <= 0 (hyperbolic closure)")
+    return np.atleast_1d(np.asarray(u, dtype=float))
 
 
-def _require_negative(u):
+def _require_negative(u) -> np.ndarray:
     if np.any(np.asarray(u) >= 0.0):
         raise DomainError("u must be < 0 (strict hyperbolic interior)")
+    return np.atleast_1d(np.asarray(u, dtype=float))
 
 
 def _as_input(values: np.ndarray, u):
@@ -86,8 +89,7 @@ def q_of_u(law, u):
     relative; 32 points give only 1.6e-12 at a = 10.  An array comes
     back with the input's shape, a scalar as a float (``_as_input``).
     """
-    _require_nonpositive(u)
-    a = np.atleast_1d(np.asarray(u, dtype=float))
+    a = _require_nonpositive(u)
     if law.a == 0.0:
         q = (2.0 / 3.0) * np.abs(a) ** 1.5
     else:
@@ -158,8 +160,7 @@ def riccati_k(law, u):
     the denominator underflows to 0 (with p'' >= 1, k is nonzero
     otherwise), with numpy's warnings silenced.
     """
-    _require_negative(u)
-    a = np.atleast_1d(np.asarray(u, dtype=float))
+    a = _require_negative(u)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k = -law.ddp(a) / (4.0 * (-law.dp(a)) ** 1.25)
     if not np.all(np.isfinite(k) & (k != 0.0)):
@@ -171,8 +172,7 @@ def riccati_k(law, u):
 def beta_from_gradient(law, u, r_x):
     """Scaled invariant gradient beta = r_x * (-p'(u))^(1/4), with the
     same bits for a float u as for an array (``_as_input``)."""
-    _require_negative(u)
-    a = np.atleast_1d(np.asarray(u, dtype=float))
+    a = _require_negative(u)
     return r_x * _as_input((-law.dp(a)) ** 0.25, u)
 
 

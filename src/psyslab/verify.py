@@ -42,21 +42,47 @@ TERMINATED = (RunStatus.blow_up_detected, RunStatus.resolution_lost)
 
 _COMPARISONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq}
 
+#: a run must end in a status of TERMINATED: it ends in none of these
+_NO_SURVIVOR = [(f"n_{status.value}", "==", 0.0)
+                for status in RunStatus if status not in TERMINATED]
+
+#: each scenario's gates, by scenario id, in the order its report lists them
+GATES = {
+    "constant_rigidity": [("n_completed", "==", 1.0), ("deviation", "<", 1e-10)],
+    "simple_wave_blowup": _NO_SURVIVOR + [
+        ("gap_detect_oracle", "<", 0.05), ("gap_predicted_oracle", "<", 0.05),
+        ("invariant_drift_max", "<", 1e-4), ("spotcheck_violations", "==", 0.0)],
+    "random_hyperbolic_sweep": _NO_SURVIVOR + [("spotcheck_violations", "==", 0.0)],
+    "ramp_residual": [("max_residual_1", "<=", 0.0), ("max_residual_2", "<=", 0.0)],
+    "riccati_crosscheck_constant": [("worst_relative_gap", "<", 1e-6)],
+    "riccati_crosscheck_ramp": [("worst_relative_gap", "<", 1e-6)],
+    "energy_identity": [("worst_identity_gap", "<", 1e-8),
+                        ("worst_ddot_formula", "<=", 1e-10)],
+}
+
+
+def _status_counts(statuses) -> dict:
+    """``n_<status>`` for every RunStatus, zeros included: a gate on a
+    count its report lacks would read None, and fail nothing."""
+    return {f"n_{status.value}": float(statuses.count(status)) for status in RunStatus}
+
 
 @dataclass
 class ScenarioReport:
-    """Each gate (metric, comparison, bound) bounds a reading in
-    ``metrics`` by a comparison that ``_COMPARISONS`` names; ``parameters``
+    """Each gate (metric, comparison, bound) in ``GATES`` bounds a reading
+    in ``metrics`` by a comparison that ``_COMPARISONS`` names; ``parameters``
     holds inputs and windows.  The verdict is fail until ``_judge`` sets it."""
 
     scenario_id: str
     law: str
     parameters: dict = dc_field(default_factory=dict)
     metrics: dict = dc_field(default_factory=dict)
-    gates: list = dc_field(default_factory=list)
     verdict: str = FAIL
     reason: str = ""
-    artifacts: list = dc_field(default_factory=list)
+
+    @property
+    def gates(self) -> list:
+        return GATES[self.scenario_id]
 
     def passed(self, metric: str, comparison: str, bound: float) -> Optional[bool]:
         """None without a reading (the scenario stopped first); a NaN or
@@ -271,16 +297,14 @@ def simple_wave_exact(law, u0: float, amplitude: float, mode: int, t: float,
 def scenario_constant(law, u0: float, v0: float, t_max: float,
                       n: int = 256) -> ScenarioReport:
     """Constant hyperbolic data must evolve unchanged to t_max."""
-    report = ScenarioReport("constant_rigidity", law.describe(), gates=[
-        ("status_completed", "==", 1.0), ("deviation", "<", 1e-10)])
+    report = ScenarioReport("constant_rigidity", law.describe())
     state0 = constant_state(PeriodicGrid(n), u0, v0)
     traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
     _, final = traj.snapshots[-1]
     dev = max(float(np.max(np.abs(final.u - state0.u))),
               float(np.max(np.abs(final.v - state0.v))))
     report.metrics = {"t_final": traj.t_end, "deviation": dev,
-                      "steps": float(traj.steps), "status_completed":
-                      1.0 if traj.status is RunStatus.completed else 0.0}
+                      "steps": float(traj.steps), **_status_counts([traj.status])}
     return _judge(report)
 
 
@@ -295,14 +319,11 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     from the steepest point of lambda_1 (``crossing_time_oracle``)
     within 5%, and the invariant drift up to the time the gradient grew
     by ``drift_gradient_factor`` must stay below 1e-4.  The run goes to
-    twice the oracle time.  The dual-growth spot check on the same run
-    must find no violation.
+    twice the oracle time, and must end in a status of TERMINATED.  The
+    dual-growth spot check on the same run must find no violation.
     """
-    report = ScenarioReport(
-        "simple_wave_blowup", law.describe(),
-        parameters={"drift_gradient_factor": 10.0},
-        gates=[("gap_detect_oracle", "<", 0.05), ("gap_predicted_oracle", "<", 0.05),
-               ("invariant_drift_max", "<", 1e-4), ("spotcheck_violations", "==", 0.0)])
+    report = ScenarioReport("simple_wave_blowup", law.describe(),
+                            parameters={"drift_gradient_factor": 10.0})
     t_oracle = crossing_time_oracle(law, u0, amplitude, mode)
     if t_oracle is None:
         report.verdict, report.reason = INCONCLUSIVE, (
@@ -312,10 +333,8 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
 
     state0 = simple_wave_state(law, PeriodicGrid(n), u0, amplitude, mode)
     traj = run(law, state0, 0.0, SolverConfig(t_max=2.0 * t_oracle))
-    report.metrics["t_oracle"] = t_oracle
-    report.metrics["status_" + traj.status.value] = 1.0
-    if traj.status not in TERMINATED:
-        report.reason = f"run ended {traj.status.value} without detection"
+    report.metrics = {"t_oracle": t_oracle, **_status_counts([traj.status])}
+    if traj.status not in TERMINATED:  # it fails a status gate
         return _judge(report)
 
     # each (start, family) is traced once per direction: one forward batch
@@ -371,13 +390,10 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     left the strictly hyperbolic setting the statement is about, and so
     does a dual-growth violation on any run's spot check.
     """
-    report = ScenarioReport(
-        "random_hyperbolic_sweep", law.describe(),
-        parameters={"t_max": t_max, "min_relative_amplitude": 1e-12},
-        gates=[(key, "==", 0.0) for key in (  # statuses partition the judged seeds
-            "n_completed", "n_refused", "n_interface_reached", "spotcheck_violations")])
+    report = ScenarioReport("random_hyperbolic_sweep", law.describe(), parameters={
+        "t_max": t_max, "min_relative_amplitude": 1e-12})
     grid = PeriodicGrid(n)
-    statuses = {s.value: 0 for s in RunStatus}
+    statuses = []
     n_inconclusive = violations = 0
     worst_t = 0.0
     for seed in range(n_seeds):
@@ -388,7 +404,7 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
             n_inconclusive += 1
             continue
         traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
-        statuses[traj.status.value] += 1
+        statuses.append(traj.status)
         if traj.status in TERMINATED:
             worst_t = max(worst_t, traj.t_detect)
         if len(traj.snapshots) > 1:  # else it stopped with nothing to trace
@@ -396,11 +412,7 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
 
     report.metrics = {
         "n_seeds": float(n_seeds),
-        "n_blow_up": float(statuses["blow_up_detected"]),
-        "n_resolution_lost": float(statuses["resolution_lost"]),
-        "n_completed": float(statuses["completed"]),
-        "n_refused": float(statuses["admission_refused"]),
-        "n_interface_reached": float(statuses["interface_reached"]),
+        **_status_counts(statuses),  # they partition the judged seeds
         "n_inconclusive_data": float(n_inconclusive),
         "latest_detection": worst_t,
         "spotcheck_violations": float(violations),
@@ -424,8 +436,7 @@ def scenario_ramp_residual(law) -> ScenarioReport:
     taken there at t = 0: on these dyadic times and points every
     difference is exact.
     """
-    report = ScenarioReport("ramp_residual", law.describe(), gates=[
-        ("max_residual_1", "<=", 0.0), ("max_residual_2", "<=", 0.0)])
+    report = ScenarioReport("ramp_residual", law.describe())
     h, x = 2.0 ** -10, 0.25
 
     def u(t, x):
@@ -471,8 +482,7 @@ def scenario_riccati_crosscheck(law, profile: str = "constant") -> ScenarioRepor
     # imported here, not at module level, so that import psyslab loads numpy alone
     from scipy.integrate import quad, solve_ivp
     u_of_t, T = RICCATI_PROFILES[profile]
-    report = ScenarioReport(f"riccati_crosscheck_{profile}", law.describe(),
-                            gates=[("worst_relative_gap", "<", 1e-6)])
+    report = ScenarioReport(f"riccati_crosscheck_{profile}", law.describe())
     K_total, _ = quad(lambda s: riccati_k(law, u_of_t(s)), 0.0, T,
                       epsabs=1e-13, epsrel=1e-13, limit=200)
     beta_crit = -1.0 / K_total
@@ -512,25 +522,21 @@ def scenario_energy_identity(law, n_fields: int, seed: int,
 
     For the ``n_fields`` fields ``random_elliptic_state`` draws from ``seed``
     and both gauges: |ddot_direct - ddot_formula| < 1e-8 and ddot_formula
-    <= 1e-10.  A field violating the u >= 0 domain gate fails the scenario.
+    <= 1e-10.  Raises DomainError, as the energy diagnostics do, on a field
+    with u < 0 somewhere.
     """
-    report = ScenarioReport(
-        "energy_identity", law.describe(), parameters={"seed": seed},
-        gates=[("worst_identity_gap", "<", 1e-8), ("worst_ddot_formula", "<=", 1e-10)])
+    report = ScenarioReport("energy_identity", law.describe(),
+                            parameters={"seed": seed})
     grid = PeriodicGrid(n)
     rng = np.random.default_rng(seed)
     fields = [random_elliptic_state(grid, rng) for _ in range(n_fields)]
     worst_gap, worst_formula = 0.0, -np.inf
-    try:
-        for state in fields:
-            for gauge in ConcaveGauge:
-                d_formula = energy_ddot_formula(law, state, gauge)
-                d_direct = energy_ddot_direct(law, state, gauge)
-                worst_gap = float(np.maximum(worst_gap, abs(d_direct - d_formula)))
-                worst_formula = float(np.maximum(worst_formula, d_formula))
-    except DomainError as exc:
-        report.reason = f"domain gate: {exc}"
-        return _judge(report)
+    for state in fields:
+        for gauge in ConcaveGauge:
+            d_formula = energy_ddot_formula(law, state, gauge)
+            d_direct = energy_ddot_direct(law, state, gauge)
+            worst_gap = float(np.maximum(worst_gap, abs(d_direct - d_formula)))
+            worst_formula = float(np.maximum(worst_formula, d_formula))
     report.metrics = {"n_fields": float(len(fields)),
                       "worst_identity_gap": worst_gap,
                       "worst_ddot_formula": worst_formula}
@@ -542,11 +548,12 @@ def default_suite(law: PressureLaw, n_sweep_seeds: int, sweep_t_max: float,
     """The standard scenario battery used by the command-line ``verify``.
 
     A scenario that raises ValueError (a run's up-front checks refuse
-    its data under the law, or its run would take more than
-    ``solver.MAX_STEPS`` steps, say) fails with the error as its reason,
-    and so does one that raises ArithmeticError (an overflow on Python
-    floats, say), with the error's type named; the others still run.
-    Each runs with warnings ignored."""
+    its data under the law, its run would take more than
+    ``solver.MAX_STEPS`` steps, or a field leaves the energy's domain,
+    say) fails with the error as its reason, and so does one that raises
+    ArithmeticError (an overflow on Python floats, say), with the error's
+    type named; the others still run.  Its report lists its gates, each
+    without a reading.  Each runs with warnings ignored."""
     suite = {
         "constant_rigidity": lambda: scenario_constant(law, -1.0, 0.0, 10.0),
         "simple_wave_blowup": lambda: scenario_simple_wave_blowup(

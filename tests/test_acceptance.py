@@ -130,10 +130,10 @@ def test_criterion_4_no_surviving_runs(sweep_bundle):
     rep, elapsed = sweep_bundle
     m = rep.metrics
     ok = (rep.verdict == "pass" and m["n_completed"] == 0.0
-          and m["n_blow_up"] + m["n_resolution_lost"] == 20.0
+          and m["n_blow_up_detected"] + m["n_resolution_lost"] == 20.0
           and elapsed < 300.0)
     report(4, ok,
-           f"20 seeds: {m['n_blow_up']:.0f} blow_up, "
+           f"20 seeds: {m['n_blow_up_detected']:.0f} blow_up_detected, "
            f"{m['n_resolution_lost']:.0f} resolution_lost, "
            f"{m['n_completed']:.0f} completed, latest detection "
            f"t={m['latest_detection']:.2f}, {elapsed:.1f}s")

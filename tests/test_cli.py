@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psyslab
-from psyslab import PeriodicGrid, _snapshot_writer, cli, solver
+from psyslab import PeriodicGrid, _snapshot_writer, cli, solver, verify
 from psyslab.cli import _csv_head, _Outputs, main, parse_config
 from psyslab.errors import ConfigError
 from psyslab.solver import SolverConfig
@@ -858,6 +858,32 @@ def test_verify_small_suite(tmp_path, small_verify):
         assert (out / name).read_bytes() == (elsewhere / name).read_bytes(), name
 
 
+def _lists_its_gates(rep: dict) -> bool:
+    """Whether a report's JSON lists exactly its scenario's ``GATES``."""
+    return [(gate["metric"], gate["comparison"], gate["bound"])
+            for gate in rep["gates"]] == verify.GATES[rep["scenario_id"]]
+
+
+def test_verify_counts_every_run_by_status(small_verify):
+    # the constant scenario and the simple wave each judge one run, the
+    # sweep each seed above the noise floor; a status left out of the
+    # counts would fail no gate on it
+    _, out, _ = small_verify
+    reports = {rep["scenario_id"]: rep for rep in
+               json.loads((out / "verify.json").read_text())["reports"]}
+    assert set(reports) == set(verify.GATES)
+    keys = [f"n_{status.value}" for status in solver.RunStatus]
+    sweep = reports["random_hyperbolic_sweep"]["metrics"]
+    judged = {"constant_rigidity": 1.0, "simple_wave_blowup": 1.0,
+              "random_hyperbolic_sweep":
+                  sweep["n_seeds"] - sweep["n_inconclusive_data"]}
+    for scenario_id, runs in judged.items():
+        metrics = reports[scenario_id]["metrics"]
+        assert set(keys) <= set(metrics), scenario_id
+        assert sum(metrics[key] for key in keys) == runs, scenario_id
+    assert all(map(_lists_its_gates, reports.values()))
+
+
 def test_verify_sweeps_on_n_and_t_max(tmp_path, capsys):
     # the sweep runs on the grid and horizon the config checks were made
     # on, so its report is the library scenario's at those sizes
@@ -947,6 +973,15 @@ def test_verify_fails_an_overflowing_scenario_and_reports_the_rest(tmp_path):
     for scenario_id in ("riccati_crosscheck_constant", "riccati_crosscheck_ramp"):
         assert reports[scenario_id]["verdict"] == "fail"
         assert reports[scenario_id]["reason"].startswith("k(u) = ")
+    # each report lists its scenario's gates, and the five whose scenario
+    # raised hold each without a reading
+    raised = {"constant_rigidity", "simple_wave_blowup", "random_hyperbolic_sweep",
+              "riccati_crosscheck_constant", "riccati_crosscheck_ramp"}
+    for scenario_id, rep in reports.items():
+        assert _lists_its_gates(rep), scenario_id
+        if scenario_id in raised:
+            assert rep["metrics"] == {}
+            assert [gate["passed"] for gate in rep["gates"]] == [None] * len(rep["gates"])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from psyslab import PressureLaw, scenario_ramp_residual
 from psyslab.cli import parse_config
+from psyslab.solver import RunStatus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,6 +65,24 @@ def test_readme_report_keys_match_the_code():
     report = scenario_ramp_residual(PressureLaw.quadratic()).to_dict()
     assert _keys_named("A scenario report, `scenario_<id>.json`,") == list(report)
     assert _keys_named("Each entry of `gates`") == list(report["gates"][0])
+
+
+#: the backticked ``n_`` names in the README that count no run status
+OTHER_COUNTS = {"n_predicting"}
+
+
+def test_readme_run_statuses_match_the_code():
+    # a status added, renamed or dropped, or a status count whose name
+    # is not n_ and the status's value, fails here
+    text = " ".join(README.read_text().split())
+    listed = re.search(r"A run ends in one of \w+ statuses: (.*?) Blow-up is a result", text)
+    assert listed
+    # each status is named outside the parentheses that explain it
+    names = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", listed.group(1)))
+    values = [status.value for status in RunStatus]
+    assert sorted(names) == sorted(values)
+    counts = set(re.findall(r"`(n_\w+)`", text)) - OTHER_COUNTS
+    assert counts == {f"n_{value}" for value in values}
 
 
 def test_readme_example_config_parses(tmp_path):

@@ -173,7 +173,7 @@ def test_scenario_constant_passes():
         rep = scenario_constant(law, u0, v0, t_max=2.0, n=64)
         assert rep.verdict == "pass"
         assert rep.metrics["deviation"] < 1e-10
-        assert rep.gates == [("status_completed", "==", 1.0),
+        assert rep.gates == [("n_completed", "==", 1.0),
                              ("deviation", "<", 1e-10)]
 
 
@@ -202,8 +202,9 @@ def test_scenario_constant_fails_on_elliptic():
     # admission refuses the data, so the run takes no step
     rep = scenario_constant(QUAD, 1.0, 0.0, t_max=1.0, n=64)
     assert rep.verdict == "fail"
-    assert rep.failed_gates() == [("status_completed", "==", 1.0)]
-    assert rep.reason == "status_completed 0 fails == 1"
+    assert rep.failed_gates() == [("n_completed", "==", 1.0)]
+    assert rep.reason == "n_completed 0 fails == 1"
+    assert rep.metrics["n_admission_refused"] == 1.0
     assert rep.metrics["steps"] == 0.0
 
 
@@ -337,7 +338,7 @@ def test_scenario_simple_wave_traces_each_curve_once(monkeypatch):
 def test_scenario_simple_wave_fails_a_run_without_detection(monkeypatch):
     # a tail ratio is a fraction, so it never passes 1, and no gradient
     # passes 1e300 of its start: the run to twice the oracle time ends
-    # without a monitor firing, and the scenario fails
+    # without a monitor firing, and the scenario fails its status gate
     import functools
     import psyslab.verify as verify
     monkeypatch.setattr(verify, "SolverConfig", functools.partial(
@@ -346,8 +347,9 @@ def test_scenario_simple_wave_fails_a_run_without_detection(monkeypatch):
                                       n_curve_seeds=4, drift_seeds=2,
                                       spotcheck_seeds=2)
     assert rep.verdict == "fail"
-    assert rep.reason == "run ended completed without detection"
-    assert rep.metrics["status_completed"] == 1.0
+    assert rep.reason == "n_completed 1 fails == 0"
+    assert rep.metrics["n_completed"] == 1.0
+    assert "t_detect" not in rep.metrics
 
 
 def test_scenario_simple_wave_zero_amplitude_inconclusive():
@@ -414,7 +416,7 @@ def test_scenario_sweep_fails_on_interface():
                                            u0=-0.06, spotcheck_seeds=2)
     assert rep.verdict == "fail"
     assert rep.metrics["n_interface_reached"] == 3.0
-    assert rep.metrics["n_blow_up"] + rep.metrics["n_resolution_lost"] == 0.0
+    assert rep.metrics["n_blow_up_detected"] + rep.metrics["n_resolution_lost"] == 0.0
     assert rep.metrics["latest_detection"] == 0.0
     assert "interface_reached" in rep.reason
 
@@ -500,15 +502,21 @@ def test_scenario_energy_identity_fails_on_non_finite_diagnostics():
 
 
 def test_scenario_energy_identity_domain_gate(monkeypatch):
+    # the scenario raises the diagnostics' DomainError, and the suite
+    # fails it with that error as its reason
     import psyslab.verify as verify
     g = PeriodicGrid(64)
     u = np.full(64, 1.0)
     u[5] = -0.5
     bad = StateField(g, u, np.zeros(64))
     monkeypatch.setattr(verify, "random_elliptic_state", lambda grid, rng: bad)
-    rep = scenario_energy_identity(QUAD, 1, seed=0, n=64)
+    with pytest.raises(DomainError, match="u >= 0") as raised:
+        scenario_energy_identity(QUAD, 1, seed=0, n=64)
+    reports = {rep.scenario_id: rep for rep in default_suite(QUAD, 1, 0.5, 16, 16)}
+    rep = reports["energy_identity"]
     assert rep.verdict == "fail"
-    assert "domain gate" in rep.reason
+    assert rep.reason == str(raised.value)
+    assert [gate["passed"] for gate in rep.to_dict()["gates"]] == [None, None]
 
 
 def test_scenarios_are_deterministic():

@@ -241,13 +241,11 @@ def trace_batch(trajectory: Trajectory, starts,
     return curves
 
 
-def trace(trajectory: Trajectory, x0: float, fam: Family,
-          direction: Direction = Direction.forward) -> CharacteristicCurve:
-    """Trace one characteristic: ``trace_batch`` with a single curve.
-
-    Raises EllipticStart when u >= 0 at the start.
+def trace(trajectory: Trajectory, x0: float, fam: Family) -> CharacteristicCurve:
+    """Trace one characteristic forward: ``trace_batch`` with a single
+    curve.  Raises EllipticStart when u >= 0 at the start.
     """
-    curve, = trace_batch(trajectory, [(x0, fam)], direction).values()
+    curve, = trace_batch(trajectory, [(x0, fam)]).values()
     if isinstance(curve, EllipticStart):
         raise curve
     return curve
@@ -301,16 +299,16 @@ def predict_blowup(curve: CharacteristicCurve) -> Optional[float]:
     return None
 
 
-def classify(curve: CharacteristicCurve,
-             growth_factor: float = GROWTH_FACTOR) -> ClassLabel:
+def classify(curve: CharacteristicCurve) -> ClassLabel:
     """Proxy of the A/B dichotomy for this curve over the run's window.
 
     A curve that did not hit the interface ran the whole window (see
     ``trace_batch``).  B (by direction): -u at the end grew beyond
-    growth_factor times its start value, and -u is still non-decreasing
-    over the final quarter of the window.  A: hit the u = 0 interface in
-    finite time (``curve.t_hit`` is set), or ran the window with -u
-    bounded by the growth factor.  Everything else is undetermined.
+    ``GROWTH_FACTOR`` (read at each call) times its start value, and -u
+    is still non-decreasing over the final quarter of the window.  A:
+    hit the u = 0 interface in finite time (``curve.t_hit`` is set), or
+    ran the window with -u bounded by the growth factor.  Everything
+    else is undetermined.
     """
     plus = curve.direction is Direction.forward
     a_label = ClassLabel.A_plus if plus else ClassLabel.A_minus
@@ -319,7 +317,7 @@ def classify(curve: CharacteristicCurve,
     if curve.t_hit is not None:
         return a_label
     u = curve.u
-    if -u[-1] <= growth_factor * -u[0]:
+    if -u[-1] <= GROWTH_FACTOR * -u[0]:
         return a_label
 
     span = abs(curve.t_end - curve.t_start)
@@ -351,7 +349,7 @@ def spotcheck_report(seeds: list, traced: dict) -> SpotcheckReport:
 
     ``traced[direction][(x0, family)]`` is the curve from x0 of each
     seed and family, or an EllipticStart, which counts as undetermined;
-    every curve is classified with ``classify``'s default growth factor.
+    every other curve is labelled by ``classify``.
     A violation records the seeds of each family's B curves.
     """
     violations = []

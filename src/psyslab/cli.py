@@ -7,7 +7,7 @@ error, 2 configuration error; ``main`` alone prints a failure's one
 stderr line.  A run that ends in blow-up exits 0: blow-up is a result.
 
 A config is validated once, before any command runs, by building what
-it names (grids, law, solver config, gauge, initial state) and making
+it names (grids, law, solver config, initial state) and making
 the solver's up-front checks on that state: each rule lives in the
 object that holds it, and its ValueError is a config error.  So no
 command raises a config error once it has started, but for an outdir
@@ -50,9 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _snapshot_writer
-from .characteristics import (CURVE_COLUMNS, GROWTH_FACTOR, STEP_FACTOR,
-                              ClassLabel, Direction, classify, predict_blowup,
+from . import __version__, _snapshot_writer, characteristics
+from .characteristics import (CURVE_COLUMNS, STEP_FACTOR, ClassLabel,
+                              Direction, classify, predict_blowup,
                               spotcheck_points, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
@@ -111,8 +111,6 @@ class RunConfig:
     curve_seeds: int = 8
     family: str = "first"
     direction: str = "forward"
-    growth_factor: float = GROWTH_FACTOR
-    gauge: str = "log1p"
     verify_seeds: int = 5
     wave_n: int = 512
 
@@ -170,8 +168,6 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
         raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
     if not 1 <= cfg.verify_seeds <= MAX_VERIFY_SEEDS:
         raise ConfigError(f"verify_seeds must be in [1, {MAX_VERIFY_SEEDS}]")
-    if not cfg.growth_factor >= 1.0:
-        raise ConfigError(f"growth_factor = {cfg.growth_factor:g} must be >= 1")
     if command == "predict" and cfg.family == "both":
         raise ConfigError("predict traces one family: family must be "
                           "first or second")
@@ -186,7 +182,6 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
         where = ""
         law = cfg.law_obj()
         config = cfg.solver_config()
-        ConcaveGauge(cfg.gauge)
         where = f"preset {cfg.preset}: "
         state0 = build_initial_state(cfg, PeriodicGrid(cfg.n))
         where = ""
@@ -426,7 +421,7 @@ def cmd_trace(cfg: RunConfig) -> int:
                         [getattr(curve, col) for col in CURVE_COLUMNS]))
                     entries.append({
                         **entry,
-                        "label": classify(curve, cfg.growth_factor).value,
+                        "label": classify(curve).value,
                         "termination": ("reached_horizon" if curve.t_hit
                                         is None else "reached_boundary"),
                         "t_hit": curve.t_hit, "artifact": name})
@@ -435,7 +430,7 @@ def cmd_trace(cfg: RunConfig) -> int:
             "curves": entries,
             # each curve is classified over the whole window the run computed
             "thresholds": {"horizon": traj.t_end - traj.t0,
-                           "growth_factor": cfg.growth_factor,
+                           "growth_factor": characteristics.GROWTH_FACTOR,
                            "hyperbolicity_eps": cfg.hyperbolicity_eps},
             **({"error": error} if error else {}),
         })
@@ -477,22 +472,21 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_energy(cfg: RunConfig) -> int:
+    """``energy.json``: the preset's diagnostics under each gauge, keyed by
+    the gauge's value."""
     law = cfg.law_obj()
     state = build_initial_state(cfg, PeriodicGrid(cfg.n))
-    gauge = ConcaveGauge(cfg.gauge)
+    report = {"law": law.describe()}
     with np.errstate(over="raise", invalid="raise"):
-        e = energy(state, gauge)
-        d_formula = energy_ddot_formula(law, state, gauge)
-        d_direct = energy_ddot_direct(law, state, gauge)
+        for gauge in ConcaveGauge:
+            d_formula = energy_ddot_formula(law, state, gauge)
+            d_direct = energy_ddot_direct(law, state, gauge)
+            report[gauge.value] = {"E": energy(state, gauge),
+                                   "ddot_formula": d_formula,
+                                   "ddot_direct": d_direct,
+                                   "identity_gap": abs(d_direct - d_formula)}
     with _Outputs(cfg) as out:
-        out.json("energy.json", {
-            "E": e,
-            "ddot_formula": d_formula,
-            "ddot_direct": d_direct,
-            "identity_gap": abs(d_direct - d_formula),
-            "gauge": cfg.gauge,
-            "law": law.describe(),
-        })
+        out.json("energy.json", report)
     return 0
 
 

@@ -294,11 +294,10 @@ def simple_wave_exact(law, u0: float, amplitude: float, mode: int, t: float,
 # ---------------------------------------------------------------------------
 # scenarios
 
-def scenario_constant(law, u0: float, v0: float, t_max: float,
-                      n: int = 256) -> ScenarioReport:
-    """Constant hyperbolic data must evolve unchanged to t_max."""
+def scenario_constant(law, u0: float, v0: float, t_max: float) -> ScenarioReport:
+    """Constant hyperbolic data must evolve unchanged to t_max at n=256."""
     report = ScenarioReport("constant_rigidity", law.describe())
-    state0 = constant_state(PeriodicGrid(n), u0, v0)
+    state0 = constant_state(PeriodicGrid(256), u0, v0)
     traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
     _, final = traj.snapshots[-1]
     dev = max(float(np.max(np.abs(final.u - state0.u))),
@@ -376,19 +375,18 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     return _judge(report)
 
 
-def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
-                                     n: int = 512, amplitude: float = 0.25,
-                                     u0: float = -1.0,
+def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float, n: int = 512,
                                      spotcheck_seeds: int = 4) -> ScenarioReport:
     """No nonconstant strictly hyperbolic run may survive to t_max.
 
-    Each seed draws ``random_trig_state`` data with 3 modes, and every
-    run must end in blow_up_detected or resolution_lost; runs whose data
-    is numerically constant (relative amplitude below 1e-12) are
-    reported inconclusive rather than counted.  A run that
-    reaches the interface (interface_reached) fails the scenario: it
-    left the strictly hyperbolic setting the statement is about, and so
-    does a dual-growth violation on any run's spot check.
+    Each seed draws ``random_trig_state`` data with 3 modes and amplitude
+    0.25 around u0 = -1, and every run must end in blow_up_detected or
+    resolution_lost; runs whose data is numerically constant (relative
+    amplitude below 1e-12) are reported inconclusive rather than
+    counted.  A run that reaches the interface (interface_reached) fails
+    the scenario: it left the strictly hyperbolic setting the statement
+    is about, and so does a dual-growth violation on any run's spot
+    check.
     """
     report = ScenarioReport("random_hyperbolic_sweep", law.describe(), parameters={
         "t_max": t_max, "min_relative_amplitude": 1e-12})
@@ -397,7 +395,7 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
     n_inconclusive = violations = 0
     worst_t = 0.0
     for seed in range(n_seeds):
-        state0 = random_trig_state(grid, seed, 3, amplitude, u0)
+        state0 = random_trig_state(grid, seed, 3, 0.25, -1.0)
         rel_amp = max(float(np.ptp(state0.u)), float(np.ptp(state0.v))) / \
             max(1.0, float(np.max(np.abs(state0.u))), float(np.max(np.abs(state0.v))))
         if rel_amp < report.parameters["min_relative_amplitude"]:
@@ -516,18 +514,17 @@ def random_elliptic_state(grid: PeriodicGrid, rng) -> StateField:
     return StateField(grid, u, v)
 
 
-def scenario_energy_identity(law, n_fields: int, seed: int,
-                             n: int = 256) -> ScenarioReport:
+def scenario_energy_identity(law, n_fields: int, seed: int) -> ScenarioReport:
     """Integration-by-parts identity and concavity on random elliptic data.
 
     For the ``n_fields`` fields ``random_elliptic_state`` draws from ``seed``
-    and both gauges: |ddot_direct - ddot_formula| < 1e-8 and ddot_formula
-    <= 1e-10.  Raises DomainError, as the energy diagnostics do, on a field
-    with u < 0 somewhere.
+    at n=256, and both gauges: |ddot_direct - ddot_formula| < 1e-8 and
+    ddot_formula <= 1e-10.  Raises DomainError, as the energy diagnostics
+    do, on a field with u < 0 somewhere.
     """
     report = ScenarioReport("energy_identity", law.describe(),
                             parameters={"seed": seed})
-    grid = PeriodicGrid(n)
+    grid = PeriodicGrid(256)
     rng = np.random.default_rng(seed)
     fields = [random_elliptic_state(grid, rng) for _ in range(n_fields)]
     worst_gap, worst_formula = 0.0, -np.inf

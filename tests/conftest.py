@@ -18,8 +18,8 @@ def near_interface_spotcheck():
     labels = []
     label_of = characteristics.classify
 
-    def recording(curve, *args):
-        labels.append(label_of(curve, *args))
+    def recording(curve):
+        labels.append(label_of(curve))
         return labels[-1]
 
     with pytest.MonkeyPatch.context() as mp:

@@ -141,7 +141,7 @@ def test_criterion_4_no_surviving_runs(sweep_bundle):
 
 def test_criterion_5_constant_rigidity():
     t0 = time.perf_counter()
-    rep = ps.scenario_constant(QUAD, -1.0, 0.0, t_max=10.0, n=256)
+    rep = ps.scenario_constant(QUAD, -1.0, 0.0, t_max=10.0)
     elapsed = time.perf_counter() - t0
     ok = rep.verdict == "pass" and rep.metrics["deviation"] < 1e-10 \
         and elapsed < 10.0

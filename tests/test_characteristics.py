@@ -136,7 +136,8 @@ def test_predict_blowup_continuation_bound(constant_traj):
 def test_classify_constant_is_A(constant_traj):
     c = trace(constant_traj, 0.25, Family.first)
     assert classify(c) is ClassLabel.A_plus
-    cb = trace(constant_traj, 0.25, Family.first, Direction.backward)
+    (cb,) = trace_batch(constant_traj, [(0.25, Family.first)],
+                        Direction.backward).values()
     assert classify(cb) is ClassLabel.A_minus
 
 
@@ -153,7 +154,8 @@ def test_classify_undetermined_when_growth_turns_back():
 
 
 def test_backward_trace_starts_at_window_end(constant_traj):
-    c = trace(constant_traj, 0.5, Family.first, Direction.backward)
+    (c,) = trace_batch(constant_traj, [(0.5, Family.first)],
+                       Direction.backward).values()
     assert c.t[0] == pytest.approx(3.0, abs=1e-9)
     assert np.all(np.diff(c.t) < 0.0)
     assert abs(c.t[-1]) < 1e-9
@@ -414,12 +416,11 @@ def test_batch_matches_single_traces(direction):
     assert list(batch) == starts
     outcomes = set()
     for (x0, fam), got in batch.items():
+        (ref,) = trace_batch(traj, [(x0, fam)], direction).values()
         if isinstance(got, EllipticStart):
-            with pytest.raises(EllipticStart):
-                trace(traj, x0, fam, direction)
+            assert isinstance(ref, EllipticStart)
             outcomes.add("elliptic")
             continue
-        ref = trace(traj, x0, fam, direction)
         assert (got.family, got.direction) == (ref.family, ref.direction)
         assert (got.t_hit is None) == (ref.t_hit is None)
         if ref.t_hit is not None:

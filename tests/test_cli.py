@@ -139,6 +139,10 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     # steps (about 8e7 and 6.4e9)
     ["preset=constant", "t_max=1e6"],
     ["cfl_safety=1e-7"],
+    # deleted: trace labels by characteristics.GROWTH_FACTOR, and energy
+    # reports every gauge
+    ["growth_factor=10"],
+    ["gauge=log1p"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -150,6 +154,8 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     if "t_max=1e15" in overrides or "t_max=1e17" in overrides:
         # refused for its span, not for a key or value
         assert "does not exceed the time resolution" in err
+    if overrides[0] in ("growth_factor=10", "gauge=log1p"):
+        assert "unknown key" in err
     assert not (tmp_path / "out" / "run.json").exists()
 
 
@@ -164,10 +170,8 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("verify", ["verify_seeds=1000000"]),
     ("verify", ["t_max=0"]),
     ("verify", ["t_max=1e-13"]),
-    ("trace", ["growth_factor=-2"]),
     ("verify", ["preset=simple_wave", "u0=0.5"]),
     ("verify", ["wave_n=8192"]),
-    ("energy", ["gauge=cubic"]),
     ("predict", ["preset=random_trig", "amplitude=1e300"]),
     ("trace", ["preset=constant", "v0=1e308"]),
     # about 1.02e6 steps, under MAX_STEPS, but 204,800 kept snapshots of
@@ -181,8 +185,7 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
         "verify_million_seeds", "verify_zero_t_max",
         "verify_t_max_below_resolution",
-        "growth_factor_negative", "verify_bad_preset",
-        "wave_n_too_large", "energy_bad_gauge",
+        "verify_bad_preset", "wave_n_too_large",
         "predict_overflowing_state", "trace_overflowing_state",
         "trace_keeps_13_GB", "energy_overflowing_state",
         "trace_keeps_100000_curves"])
@@ -254,7 +257,7 @@ def test_main_echoes_every_config_key_unless_quiet(tmp_path, capsys):
             if line.startswith("config: ")]
     assert echo == [f"config: {f.name} = {getattr(cfg, f.name)}"
                     for f in dataclasses.fields(cfg)]
-    assert len(echo) == 23
+    assert len(echo) == 21
     assert run_cli(*args, "simulate") == 0
     assert "config: " not in capsys.readouterr().err
 
@@ -677,6 +680,28 @@ def test_trace_emits_curves_and_classification(tmp_path):
     assert cls["thresholds"]["growth_factor"] == 10.0
 
 
+def test_trace_labels_by_the_spot_checks_growth_factor(tmp_path, monkeypatch):
+    # the value that plants a dual-growth violation in verify's sweep
+    # (test_scenario_sweep_fails_a_dual_growth_violation) moves trace's
+    # labels and its reported threshold too: one B rule for both
+    import psyslab.characteristics as characteristics
+
+    def labels_and_threshold(name):
+        out = tmp_path / name
+        assert run_cli(*sets(WAVE + ["family=both", "direction=both",
+                                     f"outdir={out}"]), "trace") == 0
+        cls = json.loads((out / "classification.json").read_text())
+        return ([c["label"] for c in cls["curves"]],
+                cls["thresholds"]["growth_factor"])
+
+    labels, threshold = labels_and_threshold("clean")
+    monkeypatch.setattr(characteristics, "GROWTH_FACTOR", 1.0)
+    planted, planted_threshold = labels_and_threshold("planted")
+    assert (threshold, planted_threshold) == (10.0, 1.0)
+    assert len(planted) == len(labels) == 32
+    assert "B_plus" not in labels and "B_plus" in planted
+
+
 @pytest.mark.parametrize("command, report", [("trace", "classification.json"),
                                              ("predict", "predict.json")])
 @pytest.mark.parametrize("preset", [["preset=elliptic_random"],
@@ -787,8 +812,12 @@ def test_energy_elliptic_field(tmp_path):
                    "--set", "n=64", "--set", f"outdir={out}", "energy")
     assert code == 0
     rep = json.loads((out / "energy.json").read_text())
-    assert rep["E"] == pytest.approx(0.6931471805599453)  # log 2
-    assert rep["identity_gap"] < 1e-12
+    # E = f(1) on the unit circle: log 2 under log1p, 1/2 under rational
+    assert rep["log1p"]["E"] == pytest.approx(0.6931471805599453)
+    assert rep["rational"]["E"] == pytest.approx(0.5)
+    for gauge in ("log1p", "rational"):
+        assert rep[gauge]["identity_gap"] < 1e-12
+    assert "gauge" not in rep
 
 
 def test_energy_rejects_hyperbolic_field(tmp_path, capsys):
@@ -819,8 +848,9 @@ def test_energy_elliptic_random_preset(tmp_path):
                    "--set", "n=128", "--set", f"outdir={out}", "energy")
     assert code == 0
     rep = json.loads((out / "energy.json").read_text())
-    assert rep["ddot_formula"] <= 1e-10
-    assert rep["identity_gap"] < 1e-8
+    for gauge in ("log1p", "rational"):
+        assert rep[gauge]["ddot_formula"] <= 1e-10
+        assert rep[gauge]["identity_gap"] < 1e-8
 
 
 SMALL_VERIFY = ["verify_seeds=2", "t_max=10", "n=128", "wave_n=256"]
@@ -1057,8 +1087,6 @@ _FUZZ_KEYS = {
     "curve_seeds": st.integers(1, 4),
     "family": st.sampled_from(["first", "second", "both"]),
     "direction": st.sampled_from(["forward", "backward", "both"]),
-    "growth_factor": st.sampled_from([10.0, 1.0]),
-    "gauge": st.sampled_from(["log1p", "rational"]),
 }
 
 #: at most one of these follows the drawn keys: each is refused by every
@@ -1067,9 +1095,8 @@ _FUZZ_KEYS = {
 _FUZZ_BAD = ["n=48", "preset=bogus", "quartic_a=-0.1", "u0=0.5", "amplitude=0",
              "amplitude=-0.5", "amplitude=1e-300", "mode=0", "mode=40",
              "modes=0", "modes=40", "seed=-1", "snapshot_stride=0",
-             "curve_seeds=0", "family=third", "growth_factor=0.5",
-             "gauge=cubic", "hyperbolicity_eps=0", "cfl_safety=1e-7",
-             "t_max=1e6"]
+             "curve_seeds=0", "family=third", "hyperbolicity_eps=0",
+             "cfl_safety=1e-7", "t_max=1e6"]
 
 #: verify's sizes, at their smallest
 _FUZZ_VERIFY = ["verify_seeds=1", "t_max=0.5", "n=16", "wave_n=16"]

@@ -14,8 +14,8 @@ The checker parses each module and reports three kinds of dead code:
 - an attribute that a class stores on ``self`` and that no module of
   the package reads, on any object;
 - a defaulted parameter of a function that no call by the function's
-  name, in ``src``, ``tests`` or ``perfbench``, passes: a knob that can
-  hold only its default.
+  name, in ``src`` or ``perfbench`` outside a test module, passes: a
+  knob that only tests turn holds its default in every program.
 """
 import ast
 import symtable
@@ -336,6 +336,9 @@ PLANTED_KNOBS = {
         def h(a=1):
             return a
 
+        def k(a, b=1):
+            return a + b
+
         class Box:
             def __init__(self, size=1, shape=2):
                 self.size, self.shape = size, shape
@@ -360,24 +363,38 @@ PLANTED_KNOBS = {
 }
 
 
+#: a test module that passes ``a.k``'s default, which no other module does
+PLANTED_TEST_CALLER = {"test_a.py": "import a\n\na.k(0, b=2)\n"}
+
+
 def test_checker_reports_exactly_the_planted_unpassed_defaults():
     # a parameter passed by position or keyword is live, and every one
     # is under *args or **kwargs; a method's position leaves out self,
-    # a static method's does not, and a class's name calls __init__
-    assert unpassed_defaults(PLANTED_KNOBS, PLANTED_KNOBS) == [
+    # a static method's does not, and a class's name calls __init__; a
+    # parameter that only a module left out of the callers passes is not
+    unpassed = [
         "a.py: f defaults c, never passed",
         "a.py: f defaults e, never passed",
+        "a.py: k defaults b, never passed",
         "a.py: __init__ defaults size, never passed",
         "a.py: grow defaults twice, never passed",
         "a.py: make defaults size, never passed"]
+    assert unpassed_defaults(PLANTED_KNOBS, PLANTED_KNOBS) == unpassed
+    callers = {**PLANTED_KNOBS, **PLANTED_TEST_CALLER}
+    assert unpassed_defaults(PLANTED_KNOBS, callers) == [
+        entry for entry in unpassed if " k " not in entry]
 
 
 def test_package_passes_every_defaulted_parameter():
+    """A knob needs a caller that is not a test: a default that only tests
+    pass is a setting no program turns, so calls count from ``src`` and
+    ``perfbench`` only, and not from their test modules."""
     sources = {str(path): path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     callers = {str(path): path.read_text(encoding="utf-8")
-               for top in ("src", "tests", "perfbench")
-               for path in sorted((ROOT / top).rglob("*.py"))}
+               for top in ("src", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))
+               if not path.name.startswith("test_")}
     assert unpassed_defaults(sources, callers) == []
 
 

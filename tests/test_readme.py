@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from psyslab import PressureLaw, scenario_ramp_residual
-from psyslab.cli import parse_config
+from psyslab.cli import RunConfig, parse_config
 from psyslab.solver import RunStatus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -93,3 +94,11 @@ def test_readme_example_config_parses(tmp_path):
     path.write_text(CONFIG.group(1))
     cfg = parse_config(path)
     assert (cfg.preset, cfg.n, cfg.t_max) == ("simple_wave", 512, 2.2)
+
+
+def test_readme_names_every_config_key():
+    # a key added to RunConfig but never documented fails here; each is
+    # named in backticks, as `key`, at least once
+    text = README.read_text()
+    assert [f.name for f in dataclasses.fields(RunConfig)
+            if f"`{f.name}`" not in text] == []

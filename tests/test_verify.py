@@ -170,7 +170,7 @@ def test_solver_error_against_the_exact_wave_at_n_1024():
 def test_scenario_constant_passes():
     for law, u0, v0 in ((QUAD, -1.0, 0.0), (QUAD, -4.0, 2.5),
                         (PressureLaw(0.1), -1.0, 0.0)):
-        rep = scenario_constant(law, u0, v0, t_max=2.0, n=64)
+        rep = scenario_constant(law, u0, v0, t_max=2.0)
         assert rep.verdict == "pass"
         assert rep.metrics["deviation"] < 1e-10
         assert rep.gates == [("n_completed", "==", 1.0),
@@ -200,7 +200,7 @@ def test_constant_deviation_gate_fails_a_planted_defect(monkeypatch, defect):
 
 def test_scenario_constant_fails_on_elliptic():
     # admission refuses the data, so the run takes no step
-    rep = scenario_constant(QUAD, 1.0, 0.0, t_max=1.0, n=64)
+    rep = scenario_constant(QUAD, 1.0, 0.0, t_max=1.0)
     assert rep.verdict == "fail"
     assert rep.failed_gates() == [("n_completed", "==", 1.0)]
     assert rep.reason == "n_completed 0 fails == 1"
@@ -389,16 +389,12 @@ def test_scenario_sweep_small():
 
 @pytest.mark.parametrize("defect", [None, "growth_factor"])
 def test_scenario_sweep_fails_a_dual_growth_violation(monkeypatch, defect):
-    # classify with a tenth of its growth factor finds both families
+    # classify at a tenth of GROWTH_FACTOR, 1.0, finds both families
     # growing on one run: a violation of the A/B dichotomy, which fails
     # the sweep that passes without the defect
     import psyslab.characteristics as characteristics
     if defect == "growth_factor":
-        classify = characteristics.classify
-        monkeypatch.setattr(
-            characteristics, "classify",
-            lambda curve, growth_factor=characteristics.GROWTH_FACTOR:
-                classify(curve, 0.1 * growth_factor))
+        monkeypatch.setattr(characteristics, "GROWTH_FACTOR", 1.0)
     rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128,
                                            spotcheck_seeds=4)
     violations = rep.metrics["spotcheck_violations"]
@@ -409,11 +405,19 @@ def test_scenario_sweep_fails_a_dual_growth_violation(monkeypatch, defect):
         assert rep.reason == f"spotcheck_violations {violations:.0f} fails == 0"
 
 
-def test_scenario_sweep_fails_on_interface():
+def _planted_trig_data(monkeypatch, amplitude, u0):
+    """The sweep draws its seeds' data with ``amplitude`` around ``u0``."""
+    import psyslab.verify as verify
+    monkeypatch.setattr(verify, "random_trig_state",
+                        lambda grid, seed, modes, _amplitude, _u0:
+                            random_trig_state(grid, seed, modes, amplitude, u0))
+
+
+def test_scenario_sweep_fails_on_interface(monkeypatch):
     # near-interface data with strong v: every run reaches u ~ 0, some
     # before their second snapshot, and none counts as a blow-up
-    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 5.0, n=64, amplitude=0.6,
-                                           u0=-0.06, spotcheck_seeds=2)
+    _planted_trig_data(monkeypatch, 0.6, -0.06)
+    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 5.0, n=64, spotcheck_seeds=2)
     assert rep.verdict == "fail"
     assert rep.metrics["n_interface_reached"] == 3.0
     assert rep.metrics["n_blow_up_detected"] + rep.metrics["n_resolution_lost"] == 0.0
@@ -421,9 +425,9 @@ def test_scenario_sweep_fails_on_interface():
     assert "interface_reached" in rep.reason
 
 
-def test_scenario_sweep_noise_floor_inconclusive():
-    rep = scenario_random_hyperbolic_sweep(QUAD, 1, 5.0, n=64,
-                                           amplitude=1e-14)
+def test_scenario_sweep_noise_floor_inconclusive(monkeypatch):
+    _planted_trig_data(monkeypatch, 1e-14, -1.0)
+    rep = scenario_random_hyperbolic_sweep(QUAD, 1, 5.0, n=64)
     assert rep.verdict == "inconclusive"
 
 
@@ -511,7 +515,7 @@ def test_scenario_energy_identity_domain_gate(monkeypatch):
     bad = StateField(g, u, np.zeros(64))
     monkeypatch.setattr(verify, "random_elliptic_state", lambda grid, rng: bad)
     with pytest.raises(DomainError, match="u >= 0") as raised:
-        scenario_energy_identity(QUAD, 1, seed=0, n=64)
+        scenario_energy_identity(QUAD, 1, seed=0)
     reports = {rep.scenario_id: rep for rep in default_suite(QUAD, 1, 0.5, 16, 16)}
     rep = reports["energy_identity"]
     assert rep.verdict == "fail"

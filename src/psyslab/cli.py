@@ -70,7 +70,7 @@ PRESETS = ("constant", "simple_wave", "random_trig", "elliptic_random")
 #: steps, t_max over the first CFL step: a float64 series row a
 #: step, and for ``trace`` and ``predict`` 16n a kept snapshot and
 #: ``CURVE_BYTES`` a traced curve plus ``CURVE_SAMPLE_BYTES`` a sample.
-#: The default ``trace`` (n = 256, t_max = 10) keeps 3.1 MB
+#: The default ``trace`` (n = 256, t_max = 10) keeps 3.9 MB
 MAX_KEPT_BYTES = 2**32
 
 #: a traced curve's bytes a sample: ``trace_batch`` peaks at 106 with its
@@ -109,8 +109,6 @@ class RunConfig:
     snapshot_stride: int = SolverConfig.snapshot_stride
     outdir: str = "out"
     curve_seeds: int = 8
-    family: str = "first"
-    direction: str = "forward"
     verify_seeds: int = 5
     wave_n: int = 512
 
@@ -147,30 +145,16 @@ def _coerce(key: str, raw: str, where: str):
     return value
 
 
-#: the members each ``family`` and ``direction`` value names
-_FAMILIES = {"first": [Family.first], "second": [Family.second],
-             "both": [Family.first, Family.second]}
-_DIRECTIONS = {"forward": [Direction.forward], "backward": [Direction.backward],
-               "both": [Direction.forward, Direction.backward]}
-
-
 def _validate(cfg: RunConfig, command=None) -> RunConfig:
     """Build every library object the config names and make the solver's
     up-front checks (``solver.start``, its step budget included) on the
     preset's state, turning their ValueErrors into ConfigErrors; check
     here only what none of them holds: the bytes ``command``, when given,
     keeps (``trace`` and ``predict`` keep their snapshots and curves)."""
-    for key, table in (("family", _FAMILIES), ("direction", _DIRECTIONS)):
-        if getattr(cfg, key) not in table:
-            raise ConfigError(f"{key} must be one of {', '.join(table)}, "
-                              f"got {getattr(cfg, key)!r}")
     if cfg.curve_seeds < 1:
         raise ConfigError(f"curve_seeds = {cfg.curve_seeds} must be >= 1")
     if not 1 <= cfg.verify_seeds <= MAX_VERIFY_SEEDS:
         raise ConfigError(f"verify_seeds must be in [1, {MAX_VERIFY_SEEDS}]")
-    if command == "predict" and cfg.family == "both":
-        raise ConfigError("predict traces one family: family must be "
-                          "first or second")
     where = ""  # names the keys or preset an error comes from
     try:
         for key in ("n", "wave_n"):
@@ -191,9 +175,8 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
             steps = cfg.t_max / dt0
             kept = 8 * len(SERIES_COLUMNS) * steps
             if command in ("trace", "predict"):
-                curves = cfg.curve_seeds * (
-                    len(_FAMILIES[cfg.family]) * len(_DIRECTIONS[cfg.direction])
-                    if command == "trace" else 1)
+                curves = cfg.curve_seeds * len(Family) * (
+                    len(Direction) if command == "trace" else 1)
                 samples = steps / (STEP_FACTOR * cfg.snapshot_stride) + 1
                 kept += ((steps // cfg.snapshot_stride + 2) * 16 * cfg.n
                          + curves * (samples * CURVE_SAMPLE_BYTES
@@ -397,16 +380,16 @@ def _traced(traj, starts, directions):
 
 
 def cmd_trace(cfg: RunConfig) -> int:
-    """Curve CSVs and ``classification.json``; an untraceable run gets no
-    curves, its reason as the JSON's ``error``, then WindowTooShort."""
+    """Curve CSVs, each family's in each direction from each start, and
+    ``classification.json``; an untraceable run gets no curves, its
+    reason as the JSON's ``error``, then WindowTooShort."""
     traj = _run(cfg)
-    families = _FAMILIES[cfg.family]
     seeds = spotcheck_points(cfg.curve_seeds)
-    batches, error = _traced(traj, [(x0, fam) for fam in families for x0 in seeds],
-                             _DIRECTIONS[cfg.direction])
+    batches, error = _traced(traj, [(x0, fam) for fam in Family for x0 in seeds],
+                             Direction)
     with _Outputs(cfg) as out:
         entries = []
-        for fam in families:
+        for fam in Family:
             for direction, curves in batches.items():
                 for i, x0 in enumerate(seeds):
                     curve = curves[(x0, fam)]
@@ -440,26 +423,28 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    """``predictions.csv`` and ``predict.json``; an untraceable run gets
-    only the JSON, its reason as ``error``, then WindowTooShort."""
-    fam = Family[cfg.family]
+    """``predictions.csv``, a row for each family's forward curve from
+    each start, family 1's first, and ``predict.json``, whose minimum
+    covers both; an untraceable run gets only the JSON, its reason as
+    ``error``, then WindowTooShort."""
     traj = _run(cfg)
-    seeds = np.arange(cfg.curve_seeds) / cfg.curve_seeds
-    batches, error = _traced(traj, [(x0, fam) for x0 in seeds],
-                             [Direction.forward])
+    starts = [(x0, fam) for fam in Family
+              for x0 in np.arange(cfg.curve_seeds) / cfg.curve_seeds]
+    batches, error = _traced(traj, starts, [Direction.forward])
     with _Outputs(cfg) as out:
-        # rows x0, beta0, t_predicted; an elliptic start keeps nan in both
-        table = np.full((len(seeds), 3), np.nan)
-        table[:, 0] = seeds
+        # rows family, x0, beta0, t_predicted; an elliptic start keeps nan
+        # in the last two
+        table = np.full((len(starts), 4), np.nan)
+        table[:, :2] = [(fam.value, x0) for x0, fam in starts]
         for row, curve in zip(table, batches.get(Direction.forward, {}).values()):
             if not isinstance(curve, EllipticStart):
                 t = predict_blowup(curve)
-                row[1:] = curve.beta[0], np.nan if t is None else t
+                row[2:] = curve.beta[0], np.nan if t is None else t
         if not error:
-            out.csv("predictions.csv", ("x0", "beta0", "t_predicted"), table)
-        predictions = table[~np.isnan(table[:, 2]), 2].tolist()
+            out.csv("predictions.csv", ("family", "x0", "beta0", "t_predicted"),
+                    table)
+        predictions = table[~np.isnan(table[:, 3]), 3].tolist()
         out.json("predict.json", {
-            "family": fam.name,
             "t_predicted_min": min(predictions) if predictions else None,
             "n_predicting": len(predictions),
             "solver_status": traj.status.value,

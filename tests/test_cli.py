@@ -179,7 +179,7 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     ("trace", ["n=4096", "t_max=200"]),
     # the state overflows the monitor, as it does under simulate
     ("energy", ["preset=constant", "u0=1e200"]),
-    # 100,000 curves of 641 samples: about 7.0 GB
+    # 400,000 curves, 4 a start, of 641 samples: about 28 GB
     ("trace", ["n=256", "t_max=20", "curve_seeds=100000"]),
 ], ids=["wave_n", "verify_bad_n",
         "predict_both", "trace_no_seeds", "predict_no_seeds", "verify_no_seeds",
@@ -199,7 +199,11 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
     for item in items:
         args += ["--set", item]
     assert run_cli(*args, command) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if overrides == ["family=both"]:
+        # predict traces both families: the key is gone
+        assert "unknown key" in err
     assert not out.exists()
 
 
@@ -224,11 +228,11 @@ def test_curve_budget_bounds_the_tracers_peak(overrides, curves):
 
 
 @pytest.mark.parametrize("item, message", [
-    ("family=third", "family must be one of first, second, both, got 'third'"),
-    ("direction=sideways",
-     "direction must be one of forward, backward, both, got 'sideways'"),
+    ("family=first", "--set family: unknown key 'family'"),
+    ("direction=both", "--set direction: unknown key 'direction'"),
 ], ids=["family", "direction"])
 def test_unknown_family_or_direction_exits_2(tmp_path, capsys, item, message):
+    # trace follows both families in both directions: neither is a key
     assert run_cli("--set", item, "--set", f"outdir={tmp_path}", "trace") == 2
     assert f"config error: {message}" in capsys.readouterr().err
 
@@ -257,7 +261,7 @@ def test_main_echoes_every_config_key_unless_quiet(tmp_path, capsys):
             if line.startswith("config: ")]
     assert echo == [f"config: {f.name} = {getattr(cfg, f.name)}"
                     for f in dataclasses.fields(cfg)]
-    assert len(echo) == 21
+    assert len(echo) == 19
     assert run_cli(*args, "simulate") == 0
     assert "config: " not in capsys.readouterr().err
 
@@ -670,10 +674,10 @@ def test_trace_emits_curves_and_classification(tmp_path):
     out = tmp_path / "out"
     code = run_cli("--set", "preset=simple_wave", "--set", "n=256",
                    "--set", "t_max=1.0", "--set", "curve_seeds=2",
-                   "--set", "family=both", "--set", f"outdir={out}", "trace")
+                   "--set", f"outdir={out}", "trace")
     assert code == 0
     cls = json.loads((out / "classification.json").read_text())
-    assert len(cls["curves"]) == 4
+    assert len(cls["curves"]) == 8
     assert (out / "curve_first_forward_0.csv").exists()
     header = (out / "curve_first_forward_0.csv").read_text().splitlines()[1]
     assert header == "t,x,u,r1,r2,beta,K_accum"
@@ -688,8 +692,7 @@ def test_trace_labels_by_the_spot_checks_growth_factor(tmp_path, monkeypatch):
 
     def labels_and_threshold(name):
         out = tmp_path / name
-        assert run_cli(*sets(WAVE + ["family=both", "direction=both",
-                                     f"outdir={out}"]), "trace") == 0
+        assert run_cli(*sets(WAVE + [f"outdir={out}"]), "trace") == 0
         cls = json.loads((out / "classification.json").read_text())
         return ([c["label"] for c in cls["curves"]],
                 cls["thresholds"]["growth_factor"])
@@ -765,8 +768,25 @@ def test_predict_table(tmp_path):
     # prediction should agree with the analytic crossing time ~1.0487
     assert abs(pred["t_predicted_min"] - 1.0487) < 0.06
     rows = (out / "predictions.csv").read_text().splitlines()
-    assert rows[1] == "x0,beta0,t_predicted"
-    assert len(rows) == 10
+    assert rows[1] == "family,x0,beta0,t_predicted"
+    assert [row.split(",")[0] for row in rows[2:]] == ["1"] * 8 + ["2"] * 8
+
+
+def test_predict_follows_both_families(tmp_path):
+    # predict once followed family 1 alone, and wrote a null minimum for
+    # this run, though it ends resolution_lost at 0.907 and a family-2
+    # curve predicts 0.968
+    out = tmp_path / "out"
+    assert run_cli(*sets(["preset=random_trig", "seed=3", "t_max=5",
+                          f"outdir={out}"]), "predict") == 0
+    pred = json.loads((out / "predict.json").read_text())
+    assert pred["solver_status"] == "resolution_lost"
+    assert pred["t_predicted_min"] is not None
+    rows = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=2)
+    predicting = rows[~np.isnan(rows[:, 3])]
+    assert pred["n_predicting"] == len(predicting) >= 1
+    assert pred["t_predicted_min"] == predicting[:, 3].min()
+    assert predicting[predicting[:, 3].argmin(), 0] == 2
 
 
 def test_predict_elliptic_start_gives_nan_row(tmp_path):
@@ -780,8 +800,10 @@ def test_predict_elliptic_start_gives_nan_row(tmp_path):
         args += ["--set", item]
     assert run_cli(*args, "predict") == 0
     rows = (out / "predictions.csv").read_text().splitlines()[2:]
-    assert rows.pop(5) == "%.17g,nan,nan" % (5 / 7)
-    assert all(row.split(",")[1] != "nan" for row in rows)
+    # family 1's rows, then family 2's: each family's start 5 is elliptic
+    assert rows.pop(12) == "2,%.17g,nan,nan" % (5 / 7)
+    assert rows.pop(5) == "1,%.17g,nan,nan" % (5 / 7)
+    assert all(row.split(",")[2] != "nan" for row in rows)
     pred = json.loads((out / "predict.json").read_text())
     assert pred["n_predicting"] == 0 and pred["t_predicted_min"] is None
 
@@ -797,13 +819,16 @@ def test_trace_labels_an_elliptic_start_undetermined(tmp_path):
         args += ["--set", item]
     assert run_cli(*args, "trace") == 0
     curves = json.loads((out / "classification.json").read_text())["curves"]
-    assert [c["x0"] for c in curves] == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9])
-    elliptic = curves[3]
-    assert elliptic["label"] == "undetermined" and elliptic["error"]
-    assert "artifact" not in elliptic
-    assert all("error" not in c for i, c in enumerate(curves) if i != 3)
-    assert not (out / "curve_first_forward_3.csv").exists()
-    assert (out / "curve_first_forward_2.csv").exists()
+    # each family's curves in each direction, the start 0.7 of each elliptic
+    assert [c["x0"] for c in curves] == pytest.approx([0.1, 0.3, 0.5, 0.7, 0.9] * 4)
+    for i, curve in enumerate(curves):
+        if i % 5 == 3:
+            assert curve["label"] == "undetermined" and curve["error"]
+            assert "artifact" not in curve
+        else:
+            assert "error" not in curve
+    assert not list(out.glob("curve_*_3.csv"))
+    assert len(list(out.glob("curve_*.csv"))) == 16
 
 
 def test_energy_elliptic_field(tmp_path):
@@ -1024,7 +1049,7 @@ MANIFEST = Path(__file__).with_name("outputs.sha256")
 #: the small verify suite
 CONTRACT_RUNS = (
     ("simulate", WAVE, "simulate"),
-    ("trace", WAVE + ["family=both", "direction=both"], "trace"),
+    ("trace", WAVE, "trace"),
     ("predict", WAVE, "predict"),
     ("energy", ["preset=elliptic_random", "seed=5"], "energy"),
     ("trace_quartic", WAVE + ["quartic_a=0.3"], "trace"),
@@ -1037,6 +1062,11 @@ def _digest(data: bytes) -> str:
     """sha256 of ``data`` with its config hash zeroed, so that adding or
     removing a config key leaves the digest as it was."""
     return hashlib.sha256(_CONFIG_HASH.sub(rb"\g<1>" + b"0" * 16, data)).hexdigest()
+
+
+def _manifest() -> dict:
+    """The manifest's digest of each file, by its path."""
+    return dict(line.split()[::-1] for line in MANIFEST.read_text().splitlines())
 
 
 def test_outputs_match_manifest(tmp_path, small_verify):
@@ -1054,12 +1084,21 @@ def test_outputs_match_manifest(tmp_path, small_verify):
         assert run_cli(*sets(overrides + [f"outdir={out}"]), command) == 0
         digests.update((f"{name}/{path.name}", _digest(path.read_bytes()))
                        for path in out.iterdir())
-    expected = dict(line.split()[::-1]
-                    for line in MANIFEST.read_text().splitlines())
+    expected = _manifest()
     if digests != expected:
         (tmp_path / MANIFEST.name).write_text("".join(
             f"{digest}  {name}\n" for name, digest in sorted(digests.items())))
     assert digests == expected
+
+
+def test_default_trace_follows_both_families_both_directions(tmp_path):
+    # trace once followed family 1 forward alone unless told otherwise;
+    # by default it now writes what it wrote when told both and both
+    out = tmp_path / "out"
+    assert run_cli(*sets(WAVE + [f"outdir={out}"]), "trace") == 0
+    assert len(list(out.glob("curve_*.csv"))) == 32
+    assert (_digest((out / "classification.json").read_bytes())
+            == _manifest()["trace/classification.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -1085,8 +1124,6 @@ _FUZZ_KEYS = {
     "hyperbolicity_eps": st.sampled_from([1e-3, 0.5]),
     "snapshot_stride": st.integers(1, 6),
     "curve_seeds": st.integers(1, 4),
-    "family": st.sampled_from(["first", "second", "both"]),
-    "direction": st.sampled_from(["forward", "backward", "both"]),
 }
 
 #: at most one of these follows the drawn keys: each is refused by every
@@ -1095,7 +1132,7 @@ _FUZZ_KEYS = {
 _FUZZ_BAD = ["n=48", "preset=bogus", "quartic_a=-0.1", "u0=0.5", "amplitude=0",
              "amplitude=-0.5", "amplitude=1e-300", "mode=0", "mode=40",
              "modes=0", "modes=40", "seed=-1", "snapshot_stride=0",
-             "curve_seeds=0", "family=third", "hyperbolicity_eps=0",
+             "curve_seeds=0", "hyperbolicity_eps=0",
              "cfl_safety=1e-7", "t_max=1e6"]
 
 #: verify's sizes, at their smallest

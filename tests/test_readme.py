@@ -96,6 +96,26 @@ def test_readme_example_config_parses(tmp_path):
     assert (cfg.preset, cfg.n, cfg.t_max) == ("simple_wave", 512, 2.2)
 
 
+def _unknown_keys_set(text: str) -> list:
+    """The keys ``text`` sets that RunConfig lacks: each ``key = value``
+    line of a plain code block, and each ``--set key=value``."""
+    plain = re.findall(r"^```\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    keys = [key for block in plain
+            for key in re.findall(r"^(\w+) *=", block, flags=re.MULTILINE)]
+    keys += re.findall(r"--set ([a-z]\w*)=", text)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return [key for key in keys if key not in fields]
+
+
+def test_readme_sets_only_config_keys():
+    # a key deleted from RunConfig but still set in a README command
+    # fails here, rather than as exit 2 in a reader's first run
+    planted = ("```\nfamily = both\nn = 64\n```\n"
+               "`psyslab --set n=16 --set direction=both trace`\n")
+    assert _unknown_keys_set(planted) == ["family", "direction"]
+    assert _unknown_keys_set(README.read_text()) == []
+
+
 def test_readme_names_every_config_key():
     # a key added to RunConfig but never documented fails here; each is
     # named in backticks, as `key`, at least once

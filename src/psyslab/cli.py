@@ -51,9 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _snapshot_writer, characteristics
-from .characteristics import (CURVE_COLUMNS, STEP_FACTOR, ClassLabel,
-                              Direction, classify, predict_blowup,
-                              spotcheck_points, trace_batch)
+from .characteristics import (CONTINUATION, CURVE_COLUMNS, STEP_FACTOR,
+                              ClassLabel, Direction, classify, predict_blowup,
+                              spotcheck_points, spotcheck_report, trace_batch)
 from .energy import (ConcaveGauge, energy, energy_ddot_direct,
                      energy_ddot_formula)
 from .errors import ConfigError, EllipticStart, PsyslabError, WindowTooShort
@@ -381,8 +381,8 @@ def _traced(traj, starts, directions):
 
 def cmd_trace(cfg: RunConfig) -> int:
     """Curve CSVs, each family's in each direction from each start, and
-    ``classification.json``; an untraceable run gets no curves, its
-    reason as the JSON's ``error``, then WindowTooShort."""
+    ``classification.json``, their labels and spot check; an untraceable run
+    gets no curves, a null spot check, its ``error``, then WindowTooShort."""
     traj = _run(cfg)
     seeds = spotcheck_points(cfg.curve_seeds)
     batches, error = _traced(traj, [(x0, fam) for fam in Family for x0 in seeds],
@@ -393,8 +393,7 @@ def cmd_trace(cfg: RunConfig) -> int:
             for direction, curves in batches.items():
                 for i, x0 in enumerate(seeds):
                     curve = curves[(x0, fam)]
-                    entry = {"x0": x0, "family": fam.name,
-                             "direction": direction.name}
+                    entry = {"x0": x0, "family": fam.name, "direction": direction.name}
                     if isinstance(curve, EllipticStart):
                         entries.append({**entry, "error": str(curve),
                                         "label": ClassLabel.undetermined.value})
@@ -411,6 +410,8 @@ def cmd_trace(cfg: RunConfig) -> int:
         out.json("classification.json", {
             "run_status": traj.status.value,
             "curves": entries,
+            "spotcheck_violations":
+                None if error else spotcheck_report(seeds, batches).violations,
             # each curve is classified over the whole window the run computed
             "thresholds": {"horizon": traj.t_end - traj.t0,
                            "growth_factor": characteristics.GROWTH_FACTOR,
@@ -425,8 +426,8 @@ def cmd_trace(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     """``predictions.csv``, a row for each family's forward curve from
     each start, family 1's first, and ``predict.json``, whose minimum
-    covers both; an untraceable run gets only the JSON, its reason as
-    ``error``, then WindowTooShort."""
+    covers both, or whose ``reason`` says why it is null; an untraceable
+    run gets only the JSON, its reason as ``error``, then WindowTooShort."""
     traj = _run(cfg)
     starts = [(x0, fam) for fam in Family
               for x0 in np.arange(cfg.curve_seeds) / cfg.curve_seeds]
@@ -449,7 +450,9 @@ def cmd_predict(cfg: RunConfig) -> int:
             "n_predicting": len(predictions),
             "solver_status": traj.status.value,
             "solver_t_detect": traj.t_detect,
-            **({"error": error} if error else {}),
+            **({"error": error} if error else {} if predictions else {"reason": (
+                "no forward curve's 1 + beta0 K reaches 0 in the run's window "
+                f"or within CONTINUATION = {CONTINUATION:g} of its span past it")}),
         })
     if error:
         raise WindowTooShort(error)

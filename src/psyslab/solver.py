@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,7 +113,6 @@ MAX_STEPS = 2**20
 #: the columns of ``Trajectory.series``: t and its ``_state_metrics``
 SERIES_COLUMNS = ("t", "max_u", "min_u", "max_abs_ux", "max_abs_vx",
                   "tail_ratio")
-_SERIES_ROWS = 64  # rows of a run's series before its first doubling
 
 
 @dataclass
@@ -423,9 +423,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     """
     c, rows, m0, dt0 = start(law, state0, t0, config)
     grid = state0.grid
-    # doubled when full and trimmed at the end, in place: it has no views
-    series = np.empty((_SERIES_ROWS, len(SERIES_COLUMNS)))
-    series[0] = t0, *m0
+    series = array("d", (t0, *m0))  # a row a step, made one array at the end
     snapshots = []
     store = on_snapshot or (lambda t, state: snapshots.append((t, state)))
     store(t0, state0)
@@ -453,9 +451,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         # t + (t_max - t) can round past t_max while t < t_max / 2
         t = min(t + dt, config.t_max)
         steps += 1
-        if steps == len(series):
-            series.resize((2 * steps, len(SERIES_COLUMNS)), refcheck=False)
-        series[steps] = t, *m
+        series.extend((t, *m))
         fired = _monitor_from_metrics(m, initial_scale, config)
         if fired is not None:
             status, t_detect = fired, t
@@ -463,5 +459,5 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
                 fired is not None or t == config.t_max
                 or steps % config.snapshot_stride == 0):
             store(t, StateField(grid, *rows[:2]))
-    series.resize((steps + 1, len(SERIES_COLUMNS)), refcheck=False)
+    series = np.frombuffer(series).reshape(-1, len(SERIES_COLUMNS)).copy()
     return Trajectory(law, snapshots, status, t_detect, series, config)

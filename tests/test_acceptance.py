@@ -130,6 +130,7 @@ def test_criterion_4_no_surviving_runs(sweep_bundle):
     rep, elapsed = sweep_bundle
     m = rep.metrics
     ok = (rep.verdict == "pass" and m["n_completed"] == 0.0
+          and rep.parameters["spotcheck_points"] == 4
           and m["n_blow_up_detected"] + m["n_resolution_lost"] == 20.0
           and elapsed < 300.0)
     report(4, ok,
@@ -141,9 +142,10 @@ def test_criterion_4_no_surviving_runs(sweep_bundle):
 
 def test_criterion_5_constant_rigidity():
     t0 = time.perf_counter()
-    rep = ps.scenario_constant(QUAD, -1.0, 0.0, t_max=10.0)
+    rep = ps.scenario_constant(QUAD)
     elapsed = time.perf_counter() - t0
     ok = rep.verdict == "pass" and rep.metrics["deviation"] < 1e-10 \
+        and rep.parameters == {"u0": -1.0, "v0": 0.0, "t_max": 10.0} \
         and elapsed < 10.0
     report(5, ok, f"deviation {rep.metrics['deviation']:.3e} at t=10, "
            f"{elapsed:.1f}s")
@@ -151,13 +153,14 @@ def test_criterion_5_constant_rigidity():
 
 def test_criterion_6_energy_identity():
     t0 = time.perf_counter()
-    rep = ps.scenario_energy_identity(QUAD, 50, seed=42)
+    rep = ps.scenario_energy_identity(QUAD)
     grid = ps.PeriodicGrid(256)
     s = ps.StateField(grid, np.ones(256), np.sin(2 * np.pi * grid.nodes))
     analytic_err = abs(ps.energy_ddot_formula(QUAD, s, ps.ConcaveGauge.log1p)
                        + np.pi**2 / 2.0)
     elapsed = time.perf_counter() - t0
-    ok = (rep.verdict == "pass"
+    ok = (rep.verdict == "pass" and rep.metrics["n_fields"] == 50.0
+          and rep.parameters == {"seed": 42}
           and rep.metrics["worst_identity_gap"] < 1e-8
           and rep.metrics["worst_ddot_formula"] <= 1e-10
           and analytic_err < 1e-8 and elapsed < 5.0)

@@ -542,8 +542,8 @@ def test_simulate_run_keeps_no_snapshots(tmp_path):
 
 def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
                                                            monkeypatch):
-    # past its first rows the series doubles in place, and is trimmed to
-    # one 48-byte row at t = 0 and one per step; series.csv holds those
+    # the run's rows are made one array at its end: one 48-byte row at
+    # t = 0 and one per step, owning its memory; series.csv holds those
     # rows
     runs = []
 
@@ -557,7 +557,6 @@ def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
     assert cli.cmd_simulate(cfg) == 0
     (traj,) = runs
     series, steps = traj.series, traj.steps
-    assert steps > solver._SERIES_ROWS
     assert series.dtype == np.float64 and series.shape == (steps + 1, 6)
     assert series.nbytes == 48 * (steps + 1) and series.base is None
     assert series.flags.c_contiguous
@@ -684,6 +683,36 @@ def test_trace_emits_curves_and_classification(tmp_path):
     assert cls["thresholds"]["growth_factor"] == 10.0
 
 
+def test_trace_reports_the_spot_check_of_its_curves(tmp_path, monkeypatch,
+                                                   near_interface_spotcheck):
+    # criterion 9 on trace's own run: the near-interface wave of the spot
+    # check fixture, traced once, lists its B labels beside a spot check
+    # of the same curves that finds no (B, B) pair
+    import psyslab.characteristics as characteristics
+    traced = []
+    original = cli.trace_batch
+
+    def counting(traj, starts, direction):
+        traced.append(len(starts))
+        return original(traj, starts, direction)
+
+    monkeypatch.setattr(cli, "trace_batch", counting)
+    # a spot check that traced its own curves would call this, and fail
+    monkeypatch.setattr(characteristics, "trace_batch", None)
+    t_star = psyslab.crossing_time_oracle(psyslab.PressureLaw.quadratic(),
+                                          -0.55, 0.5, 1)
+    out = tmp_path / "out"
+    assert run_cli(*sets(["preset=simple_wave", "u0=-0.55", "amplitude=0.5",
+                          "n=512", f"t_max={2.0 * t_star!r}", "curve_seeds=32",
+                          f"outdir={out}"]), "trace") == 0
+    assert traced == [64, 64]  # one batch a direction, no curve twice
+    cls = json.loads((out / "classification.json").read_text())
+    violations, labels = near_interface_spotcheck
+    assert cls["spotcheck_violations"] == violations == []
+    assert sorted(c["label"] for c in cls["curves"]) == sorted(labels)
+    assert {"B_plus", "B_minus"} & {c["label"] for c in cls["curves"]}
+
+
 def test_trace_labels_by_the_spot_checks_growth_factor(tmp_path, monkeypatch):
     # the value that plants a dual-growth violation in verify's sweep
     # (test_scenario_sweep_fails_a_dual_growth_violation) moves trace's
@@ -726,7 +755,10 @@ def test_untraceable_run_reports_status(tmp_path, capsys, command, report, prese
     traced = tmp_path / "traced"
     assert run_cli("--set", "n=16", "--set", "t_max=0.05", "--set", "curve_seeds=1",
                    "--set", f"outdir={traced}", command) == 0
-    assert set(rep) == set(json.loads((traced / report).read_text())) | {"error"}
+    # predict's reason for a null minimum is the error's to give here
+    traced_keys = set(json.loads((traced / report).read_text()))
+    assert set(rep) == traced_keys - {"reason"} | {"error"}
+    assert rep.get("spotcheck_violations") is None
 
 
 @pytest.mark.parametrize("command, report", [("trace", "classification.json"),
@@ -787,6 +819,21 @@ def test_predict_follows_both_families(tmp_path):
     assert pred["n_predicting"] == len(predicting) >= 1
     assert pred["t_predicted_min"] == predicting[:, 3].min()
     assert predicting[predicting[:, 3].argmin(), 0] == 2
+
+
+def test_predict_says_why_no_curve_predicts(tmp_path):
+    # the run ends resolution_lost at t = 0.631, yet predict.json held a
+    # null t_predicted_min and n_predicting 0 with no word of why
+    out = tmp_path / "out"
+    assert run_cli(*sets(["preset=random_trig", "seed=0", "t_max=5",
+                          f"outdir={out}"]), "predict") == 0
+    pred = json.loads((out / "predict.json").read_text())
+    assert pred["solver_status"] == "resolution_lost"
+    assert pred["t_predicted_min"] is None and pred["n_predicting"] == 0
+    assert pred["reason"] == (
+        "no forward curve's 1 + beta0 K reaches 0 in the run's window or "
+        "within CONTINUATION = 0.25 of its span past it")
+    assert "error" not in pred
 
 
 def test_predict_elliptic_start_gives_nan_row(tmp_path):
@@ -941,18 +988,26 @@ def test_verify_counts_every_run_by_status(small_verify):
 
 def test_verify_sweeps_on_n_and_t_max(tmp_path, capsys):
     # the sweep runs on the grid and horizon the config checks were made
-    # on, so its report is the library scenario's at those sizes
+    # on, so its report is the library scenario's at those sizes; the
+    # constant and energy scenarios, which no key sizes, write the
+    # library's one definition of each, the acceptance suite's
     out = tmp_path / "out"
     assert run_cli(*sets(["n=64", "t_max=5", "verify_seeds=2",
                           f"outdir={out}"]), "verify") == 0
-    path = out / "scenario_random_hyperbolic_sweep.json"
-    rep = json.loads(path.read_text())
-    lib = psyslab.scenario_random_hyperbolic_sweep(
-        psyslab.PressureLaw.quadratic(), 2, 5.0, n=64, spotcheck_seeds=2)
-    assert rep["metrics"] == lib.metrics
-    assert rep["gates"] == lib.to_dict()["gates"]
-    assert rep["parameters"] == lib.parameters == {
-        "t_max": 5.0, "min_relative_amplitude": 1e-12}
+    quad = psyslab.PressureLaw.quadratic()
+    written = {}
+    for lib in (psyslab.scenario_random_hyperbolic_sweep(quad, 2, 5.0, n=64),
+                psyslab.scenario_constant(quad),
+                psyslab.scenario_energy_identity(quad)):
+        rep = json.loads((out / f"scenario_{lib.scenario_id}.json").read_text())
+        del rep["tool_version"], rep["config_hash"]
+        assert rep == lib.to_dict(), lib.scenario_id
+        written[lib.scenario_id] = rep["parameters"]
+    assert written == {
+        "random_hyperbolic_sweep": {"t_max": 5.0, "min_relative_amplitude": 1e-12,
+                                    "spotcheck_points": 4},
+        "constant_rigidity": {"u0": -1.0, "v0": 0.0, "t_max": 10.0},
+        "energy_identity": {"seed": 42}}
 
 
 @pytest.mark.parametrize("item", ["verify_n=64", "verify_t_max=5"])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from psyslab import (ConcaveGauge, PeriodicGrid, PressureLaw,
+from psyslab import (ConcaveGauge, PeriodicGrid, PressureLaw, constant_state,
                      crossing_time_oracle, default_suite, q_of_u,
                      random_trig_state, scenario_constant,
                      scenario_energy_identity, scenario_ramp_residual,
@@ -167,12 +167,23 @@ def test_solver_error_against_the_exact_wave_at_n_1024():
         assert _error_against_exact_wave(1024, fraction) < bound
 
 
+def _planted_constant_data(monkeypatch, u0, v0):
+    """The constant scenario runs u = ``u0``, v = ``v0``."""
+    import psyslab.verify as verify
+    monkeypatch.setattr(verify, "constant_state",
+                        lambda grid, _u0, _v0: constant_state(grid, u0, v0))
+
+
 def test_scenario_constant_passes():
     for law, u0, v0 in ((QUAD, -1.0, 0.0), (QUAD, -4.0, 2.5),
                         (PressureLaw(0.1), -1.0, 0.0)):
-        rep = scenario_constant(law, u0, v0, t_max=2.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _planted_constant_data(monkeypatch, u0, v0)
+            rep = scenario_constant(law)
         assert rep.verdict == "pass"
         assert rep.metrics["deviation"] < 1e-10
+        assert rep.metrics["t_final"] == 10.0
+        assert rep.parameters == {"u0": -1.0, "v0": 0.0, "t_max": 10.0}
         assert rep.gates == [("n_completed", "==", 1.0),
                              ("deviation", "<", 1e-10)]
 
@@ -191,16 +202,17 @@ def test_constant_deviation_gate_fails_a_planted_defect(monkeypatch, defect):
             self.sigma[0] = 1.0 - 1e-12
 
         monkeypatch.setattr(solver._Workspace, "__init__", damping_init)
-    rep = scenario_constant(QUAD, -1.0, 0.0, 10.0)
+    rep = scenario_constant(QUAD)
     assert rep.metrics["deviation"] == (0.0 if defect is None else
                                         pytest.approx(3.2e-9, rel=0.01))
     assert rep.failed_gates() == ([] if defect is None
                                   else [("deviation", "<", 1e-10)])
 
 
-def test_scenario_constant_fails_on_elliptic():
+def test_scenario_constant_fails_on_elliptic(monkeypatch):
     # admission refuses the data, so the run takes no step
-    rep = scenario_constant(QUAD, 1.0, 0.0, t_max=1.0)
+    _planted_constant_data(monkeypatch, 1.0, 0.0)
+    rep = scenario_constant(QUAD)
     assert rep.verdict == "fail"
     assert rep.failed_gates() == [("n_completed", "==", 1.0)]
     assert rep.reason == "n_completed 0 fails == 1"
@@ -379,9 +391,10 @@ def test_scenario_simple_wave_quartic_n_1024_passes_its_gates():
 
 
 def test_scenario_sweep_small():
-    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128,
-                                           spotcheck_seeds=2)
+    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128)
     assert rep.verdict == "pass"
+    assert rep.parameters == {"t_max": 20.0, "min_relative_amplitude": 1e-12,
+                              "spotcheck_points": 4}
     assert rep.metrics["n_completed"] == 0.0
     assert rep.metrics["n_interface_reached"] == 0.0
     assert rep.metrics["spotcheck_violations"] == 0.0
@@ -395,8 +408,7 @@ def test_scenario_sweep_fails_a_dual_growth_violation(monkeypatch, defect):
     import psyslab.characteristics as characteristics
     if defect == "growth_factor":
         monkeypatch.setattr(characteristics, "GROWTH_FACTOR", 1.0)
-    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128,
-                                           spotcheck_seeds=4)
+    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128)
     violations = rep.metrics["spotcheck_violations"]
     assert (violations > 0) == (defect is not None)
     assert rep.verdict == ("fail" if violations else "pass")
@@ -417,7 +429,7 @@ def test_scenario_sweep_fails_on_interface(monkeypatch):
     # near-interface data with strong v: every run reaches u ~ 0, some
     # before their second snapshot, and none counts as a blow-up
     _planted_trig_data(monkeypatch, 0.6, -0.06)
-    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 5.0, n=64, spotcheck_seeds=2)
+    rep = scenario_random_hyperbolic_sweep(QUAD, 3, 5.0, n=64)
     assert rep.verdict == "fail"
     assert rep.metrics["n_interface_reached"] == 3.0
     assert rep.metrics["n_blow_up_detected"] + rep.metrics["n_resolution_lost"] == 0.0
@@ -432,8 +444,9 @@ def test_scenario_sweep_noise_floor_inconclusive(monkeypatch):
 
 
 def test_scenario_energy_identity_passes():
-    rep = scenario_energy_identity(QUAD, 10, seed=42)
+    rep = scenario_energy_identity(QUAD)
     assert rep.verdict == "pass"
+    assert rep.parameters == {"seed": 42} and rep.metrics["n_fields"] == 50.0
     assert rep.metrics["worst_identity_gap"] < 1e-8
     assert rep.metrics["worst_ddot_formula"] <= 1e-10
 
@@ -454,9 +467,9 @@ class _ConvexGauge:
 
 @pytest.mark.parametrize("defect", [None, "ddot_direct", "convex_gauge"])
 def test_energy_gates_fail_a_planted_defect(monkeypatch, defect):
-    # over the suite's 20 fields, a direct d2E/dt2 off by 1e-4 reads an
+    # over the scenario's 50 fields, a direct d2E/dt2 off by 1e-4 reads an
     # identity gap of 5.2e-3 (clean 7.1e-15, bound 1e-8); a convex gauge
-    # reads a worst ddot_formula of 39.8 (clean -6.71, bound <= 1e-10),
+    # reads a worst ddot_formula of 39.8 (clean -5.35, bound <= 1e-10),
     # and leaves the identity gap as it was
     import psyslab.verify as verify
     if defect == "ddot_direct":
@@ -465,7 +478,7 @@ def test_energy_gates_fail_a_planted_defect(monkeypatch, defect):
                             (1.0 + 1e-4) * direct(law, state, gauge))
     if defect == "convex_gauge":
         monkeypatch.setattr(verify, "ConcaveGauge", [_ConvexGauge()])
-    rep = scenario_energy_identity(QUAD, 20, 42)
+    rep = scenario_energy_identity(QUAD)
     gap, formula = rep.metrics["worst_identity_gap"], rep.metrics["worst_ddot_formula"]
     assert gap < 1e-9 if defect != "ddot_direct" else gap > 1e-3
     assert formula < -1.0 if defect != "convex_gauge" else formula > 1.0
@@ -501,7 +514,7 @@ def test_scenario_energy_identity_fails_on_non_finite_diagnostics():
     # it passed with worst_identity_gap 0.0 (every gap NaN, dropped by
     # max) and worst_ddot_formula -inf, which no JSON file can hold
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = scenario_energy_identity(OVERFLOWING, 3, 42)
+        rep = scenario_energy_identity(OVERFLOWING)
     _non_finite_fails(rep, ["worst_identity_gap", "worst_ddot_formula"])
 
 
@@ -515,7 +528,7 @@ def test_scenario_energy_identity_domain_gate(monkeypatch):
     bad = StateField(g, u, np.zeros(64))
     monkeypatch.setattr(verify, "random_elliptic_state", lambda grid, rng: bad)
     with pytest.raises(DomainError, match="u >= 0") as raised:
-        scenario_energy_identity(QUAD, 1, seed=0)
+        scenario_energy_identity(QUAD)
     reports = {rep.scenario_id: rep for rep in default_suite(QUAD, 1, 0.5, 16, 16)}
     rep = reports["energy_identity"]
     assert rep.verdict == "fail"
@@ -524,11 +537,11 @@ def test_scenario_energy_identity_domain_gate(monkeypatch):
 
 
 def test_scenarios_are_deterministic():
-    a = scenario_energy_identity(QUAD, 5, seed=7)
-    b = scenario_energy_identity(QUAD, 5, seed=7)
+    a = scenario_energy_identity(QUAD)
+    b = scenario_energy_identity(QUAD)
     assert a.metrics == b.metrics
-    c = scenario_random_hyperbolic_sweep(QUAD, 2, 10.0, n=128, spotcheck_seeds=2)
-    d = scenario_random_hyperbolic_sweep(QUAD, 2, 10.0, n=128, spotcheck_seeds=2)
+    c = scenario_random_hyperbolic_sweep(QUAD, 2, 10.0, n=128)
+    d = scenario_random_hyperbolic_sweep(QUAD, 2, 10.0, n=128)
     assert c.metrics == d.metrics
 
 

@@ -28,13 +28,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import solver
 from .errors import EllipticStart
 from .field import SpaceTimeField
 from .riemann import Family, beta_from_gradient, q_of_u, riccati_k
 from .solver import Trajectory
 
 #: RK4 step of a curve, in median snapshot spacings.  Finer steps read
-#: worse: on ``verify``'s n=256 wave (cfl_safety 0.8, 16/4/4 curves) the
+#: worse: on ``verify``'s n=256 wave (CFL_SAFETY 0.8, 16/4/4 curves) the
 #: r2 drift is 5.8e-5 at 2, 1.12e-4 at 1 and 8.4e-4 at 0.5: the error is
 #: the field's between snapshots.  4 halves the field evaluations, but
 #: coarsens ``t_hit`` to its step grid (``test_boundary_hit_in_mixed_field``
@@ -154,7 +155,7 @@ def trace_batch(trajectory: Trajectory, starts,
     direction.  Forward curves start at the first snapshot, backward
     curves at the last (the only part of the window behind them).  A
     curve stops at the window edge, or as soon as the interpolated u
-    rises above -eps, with eps the run's ``hyperbolicity_eps``: it
+    rises above -eps, with eps ``solver.HYPERBOLICITY_EPS`` at the call: it
     reached the hyperbolic boundary, records that time as ``t_hit`` and
     leaves the batch.  The boundary sample is recorded with u clamped to
     0 in the derived quantities and K_accum carried from the previous
@@ -167,7 +168,7 @@ def trace_batch(trajectory: Trajectory, starts,
     """
     law = trajectory.law
     fld = SpaceTimeField(trajectory.snapshots, law)
-    eps = trajectory.config.hyperbolicity_eps
+    eps = solver.HYPERBOLICITY_EPS
     keys = list(dict.fromkeys(starts))
     x = np.array([x0 for x0, _ in keys], dtype=float)
     if not np.isfinite(x).all():

@@ -12,8 +12,9 @@ the solver's up-front checks on that state: each rule lives in the
 object that holds it, and its ValueError is a config error.  So no
 command raises a config error once it has started, but for an outdir
 it cannot make.
-The solver config's ``hyperbolicity_eps`` places the interface both for
-the run and for the curves ``trace`` and ``predict`` follow through it.
+The solver's step control and stop thresholds are its constants, not
+keys: ``solver.HYPERBOLICITY_EPS`` places the interface both for the
+run and for the curves ``trace`` and ``predict`` follow through it.
 
 All emission is data-only (plotting is left to external tools), floats
 carry 17 significant digits, and identical config + seed reproduces
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _snapshot_writer, characteristics
+from . import __version__, _snapshot_writer, characteristics, solver
 from .characteristics import (CONTINUATION, CURVE_COLUMNS, STEP_FACTOR,
                               ClassLabel, Direction, classify, predict_blowup,
                               spotcheck_points, spotcheck_report, trace_batch)
@@ -102,11 +103,6 @@ class RunConfig:
     seed: int = 0
     modes: int = 3
     t_max: float = 10.0
-    cfl_safety: float = SolverConfig.cfl_safety
-    grad_blowup_factor: float = SolverConfig.grad_blowup_factor
-    tail_ratio_max: float = SolverConfig.tail_ratio_max
-    hyperbolicity_eps: float = SolverConfig.hyperbolicity_eps
-    snapshot_stride: int = SolverConfig.snapshot_stride
     outdir: str = "out"
     curve_seeds: int = 8
     verify_seeds: int = 5
@@ -114,10 +110,6 @@ class RunConfig:
 
     def law_obj(self) -> PressureLaw:
         return PressureLaw(self.quartic_a)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(**{f.name: getattr(self, f.name)
-                               for f in dataclasses.fields(SolverConfig)})
 
     def config_hash(self) -> str:
         """Hash of the run-defining keys (output location excluded)."""
@@ -165,11 +157,10 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
             PeriodicGrid(n)
         where = ""
         law = cfg.law_obj()
-        config = cfg.solver_config()
         where = f"preset {cfg.preset}: "
         state0 = build_initial_state(cfg, PeriodicGrid(cfg.n))
         where = ""
-        *_, dt0 = start(law, state0, 0.0, config)
+        *_, dt0 = start(law, state0, 0.0, SolverConfig(cfg.t_max))
         # data that admission refuses takes no step
         if dt0 is not None:
             steps = cfg.t_max / dt0
@@ -177,8 +168,8 @@ def _validate(cfg: RunConfig, command=None) -> RunConfig:
             if command in ("trace", "predict"):
                 curves = cfg.curve_seeds * len(Family) * (
                     len(Direction) if command == "trace" else 1)
-                samples = steps / (STEP_FACTOR * cfg.snapshot_stride) + 1
-                kept += ((steps // cfg.snapshot_stride + 2) * 16 * cfg.n
+                samples = steps / (STEP_FACTOR * solver.SNAPSHOT_STRIDE) + 1
+                kept += ((steps // solver.SNAPSHOT_STRIDE + 2) * 16 * cfg.n
                          + curves * (samples * CURVE_SAMPLE_BYTES
                                      + CURVE_BYTES))
             if kept > MAX_KEPT_BYTES:
@@ -242,7 +233,7 @@ def _run(cfg: RunConfig, on_snapshot=None):
     """Solve the config's initial-value problem from t = 0, through the
     module's ``run``, so that a wrapper installed on it sees the call."""
     return run(cfg.law_obj(), build_initial_state(cfg, PeriodicGrid(cfg.n)),
-               0.0, cfg.solver_config(), on_snapshot)
+               0.0, SolverConfig(cfg.t_max), on_snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +406,7 @@ def cmd_trace(cfg: RunConfig) -> int:
             # each curve is classified over the whole window the run computed
             "thresholds": {"horizon": traj.t_end - traj.t0,
                            "growth_factor": characteristics.GROWTH_FACTOR,
-                           "hyperbolicity_eps": cfg.hyperbolicity_eps},
+                           "hyperbolicity_eps": solver.HYPERBOLICITY_EPS},
             **({"error": error} if error else {}),
         })
     if error:
@@ -489,7 +480,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             "reports": [rep.to_dict() for rep in reports],
             "n_pass": counts["pass"],
             "n_fail": counts["fail"],
-            "n_inconclusive": counts["inconclusive"],
             "all_pass": counts["pass"] == len(reports),
         })
     for rep in reports:

@@ -8,7 +8,7 @@ u^_t = -i k v^, v^_t = -i k c_bar^2 u^ (c_bar^2 = -p'(u_bar)) is solved
 exactly, a rotation of each mode that costs no transform, and RK4
 integrates the rest, N = (0, i k rfft(p(u) - p'(u_bar) u)), in the
 rotating frame.  So the step is no longer limited by RK4's damping of
-the resolved waves, and the default ``cfl_safety`` is 0.8.  ``run``
+the resolved waves, and ``CFL_SAFETY`` is 0.8.  ``run``
 carries the state between steps as its rfft coefficients (u^, v^).  N
 reads only a stage's u^ row, so stages 1 and 3 need no slope and
 stages 2 and 4 only n1 and n3: the step evaluates N on two stacked
@@ -33,13 +33,14 @@ there.  Runs end in one of five recorded statuses:
 
 * ``completed``: t_max reached;
 * ``admission_refused``: the initial data is not strictly hyperbolic;
-* ``interface_reached``: a step took max u above -hyperbolicity_eps;
-* ``blow_up_detected``: max|u_x| passed its threshold, or a step
-  produced non-finite values;
-* ``resolution_lost``: the spectral tail passed its threshold.
+* ``interface_reached``: a step took max u above -HYPERBOLICITY_EPS;
+* ``blow_up_detected``: max|u_x| passed GRAD_BLOWUP_FACTOR times its
+  initial scale, or a step produced non-finite values;
+* ``resolution_lost``: the spectral tail passed TAIL_RATIO_MAX.
 
 Gradient blow-up, resolution loss and reaching the interface are
-results, not exceptions.
+results, not exceptions.  The step control and these thresholds are
+the module's constants, which every reader looks up here at call time.
 """
 
 from __future__ import annotations
@@ -65,44 +66,45 @@ class RunStatus(str, enum.Enum):
     interface_reached = "interface_reached"
 
 
+#: the CFL step's fraction of dx over the largest characteristic speed.
+#: At most 1: the simple wave runs stably to its stop at 1.0 at every n
+#: up to 4096, and at 1.2 it went unstable at n = 4096.  Against 0.4 the
+#: stop moves by 0.07% of t* at n = 512, by none at 256 and 1024, and by
+#: at most 0.12% on 20 random seeds
+CFL_SAFETY = 0.8
+
+#: max|u_x| past this multiple of its initial scale is blow_up_detected
+GRAD_BLOWUP_FACTOR = 1e4
+
+#: the combined (u, v) spectral tail ratio past which a run ends
+#: resolution_lost, calibrated to the filter: once the energy fraction in
+#: the top third of modes exceeds 1e-4, the steepening front has reached
+#: the grid scale and the smooth solution is over.  On the quadratic wave
+#: u = -1 + 0.3 sin 2 pi x, ``t_detect`` misses the analytic t* by -0.69%
+#: at n=256, +1.27% at 512, +2.19% at 1024, +3.49% at 2048 and +6.82% at
+#: 4096 (past the 5% gate).  Larger values delay or miss detection: the
+#: filter caps the tail's growth
+TAIL_RATIO_MAX = 1e-4
+
+#: the one interface threshold: admission refuses, the monitor stops and
+#: the tracer ends a curve where max u, or a curve's u, rises above
+#: -HYPERBOLICITY_EPS
+HYPERBOLICITY_EPS = 1e-3
+
+#: a run stores the state of every SNAPSHOT_STRIDE-th step
+SNAPSHOT_STRIDE = 5
+
+
 @dataclass
 class SolverConfig:
-    """Thresholds and step control for a run.
-
-    ``tail_ratio_max`` is calibrated to the filter: once the energy
-    fraction in the top third of modes exceeds 1e-4, the steepening
-    front has reached the grid scale and the smooth solution is over.
-    On the quadratic wave u = -1 + 0.3 sin 2 pi x, ``t_detect`` misses
-    the analytic t* by -0.69% at n=256, +1.27% at 512, +2.19% at 1024,
-    +3.49% at 2048 and +6.82% at 4096 (past the 5% gate).  Larger
-    values delay or miss detection: the filter caps the tail's growth.
-
-    ``cfl_safety`` is at most 1: the simple wave runs stably to its
-    stop at 1.0 at every n up to 4096, and at 1.2 it went unstable at
-    n = 4096.  Against 0.4 the stop moves by 0.07% of t* at n = 512, by
-    none at 256 and 1024, and by at most 0.12% on 20 random seeds.
-    """
+    """A run's end time; its step control and stop thresholds are the
+    module's constants."""
 
     t_max: float
-    cfl_safety: float = 0.8
-    grad_blowup_factor: float = 1e4
-    tail_ratio_max: float = 1e-4
-    hyperbolicity_eps: float = 1e-3
-    snapshot_stride: int = 5
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
         if not math.isfinite(self.t_max):
             raise ValueError("t_max must be finite")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must be in (0, 1]")
-        for name in ("grad_blowup_factor", "tail_ratio_max", "hyperbolicity_eps"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        stride = self.snapshot_stride
-        if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
-                or stride < 1):
-            raise ValueError("snapshot_stride must be an integer >= 1")
 
 
 #: the most steps a run may ask for, estimated as t_max - t0 over its
@@ -119,10 +121,8 @@ SERIES_COLUMNS = ("t", "max_u", "min_u", "max_abs_ux", "max_abs_vx",
 class Trajectory:
     """Time-ordered snapshots plus per-step series and termination status.
 
-    ``config`` is the SolverConfig the run used; its hyperbolicity_eps is
-    also where a traced curve counts as reaching the interface.  A run
-    whose snapshots went to an ``on_snapshot`` consumer keeps none; only
-    ``t_end`` and the tracer need kept snapshots.
+    A run whose snapshots went to an ``on_snapshot`` consumer keeps none;
+    only ``t_end`` and the tracer need kept snapshots.
     """
 
     law: object
@@ -130,7 +130,6 @@ class Trajectory:
     status: RunStatus
     t_detect: Optional[float]
     series: np.ndarray  # (steps + 1, 6): SERIES_COLUMNS at t0 and each step
-    config: SolverConfig
 
     @property
     def steps(self) -> int:
@@ -159,20 +158,19 @@ def _nonlinear(law, ws: _Workspace, u_hat: np.ndarray, u: np.ndarray,
     np.multiply(ws.ik, out, out=out)
 
 
-def cfl_dt(law, grid: PeriodicGrid, max_u: float, min_u: float,
-           cfl_safety: float) -> float:
-    """CFL step: cfl_safety * dx / max |characteristic speed| over a
+def cfl_dt(law, grid: PeriodicGrid, max_u: float, min_u: float) -> float:
+    """CFL step: CFL_SAFETY * dx / max |characteristic speed| over a
     state whose samples of u lie in [min_u, max_u].
 
     The speed magnitude is |p'(u)|^(1/2), and p' is increasing, so its
     largest magnitude is at max_u or min_u.  Degenerate states with
-    maximum speed below 1e-12 fall back to cfl_safety * dx; an infinite
+    maximum speed below 1e-12 fall back to CFL_SAFETY * dx; an infinite
     speed gives 0.
     """
     speed = math.sqrt(max(abs(law.dp(max_u)), abs(law.dp(min_u))))
     if speed < 1e-12:
-        return cfl_safety * grid.dx
-    return cfl_safety * grid.dx / speed
+        return CFL_SAFETY * grid.dx
+    return CFL_SAFETY * grid.dx / speed
 
 
 class _Workspace:
@@ -337,23 +335,23 @@ def _state_metrics(c: np.ndarray, rows: np.ndarray, energy=None) -> tuple:
             _tail_ratio(c, (max(max_u, -min_u), max_v), energy))
 
 
-def _monitor_from_metrics(metrics: tuple, initial_scale: float,
-                          config: SolverConfig) -> Optional[RunStatus]:
+def _monitor_from_metrics(metrics: tuple,
+                          initial_scale: float) -> Optional[RunStatus]:
     """The status a run ends in after a step with these ``_state_metrics``,
     or None when it goes on.
 
     Fires ``interface_reached`` when max u rises above
-    -hyperbolicity_eps (the test admission applies to the initial data),
-    ``blow_up_detected`` when max|u_x| exceeds grad_blowup_factor times
+    -HYPERBOLICITY_EPS (the test admission applies to the initial data),
+    ``blow_up_detected`` when max|u_x| exceeds GRAD_BLOWUP_FACTOR times
     the initial gradient scale, and ``resolution_lost`` when the combined
-    (u, v) spectral tail ratio exceeds tail_ratio_max.
+    (u, v) spectral tail ratio exceeds TAIL_RATIO_MAX.
     """
     max_u, _, max_ux, _, tail = metrics
-    if max_u > -config.hyperbolicity_eps:
+    if max_u > -HYPERBOLICITY_EPS:
         return RunStatus.interface_reached
-    if max_ux > config.grad_blowup_factor * initial_scale:
+    if max_ux > GRAD_BLOWUP_FACTOR * initial_scale:
         return RunStatus.blow_up_detected
-    if tail > config.tail_ratio_max:
+    if tail > TAIL_RATIO_MAX:
         return RunStatus.resolution_lost
     return None
 
@@ -384,9 +382,9 @@ def start(law, state0: StateField, t0: float, config: SolverConfig):
             m0 = _state_metrics(c, rows)
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"the initial state overflows the monitor: {exc}") from None
-    if m0[0] > -config.hyperbolicity_eps:
+    if m0[0] > -HYPERBOLICITY_EPS:
         return c, rows, m0, None
-    dt0 = cfl_dt(law, state0.grid, *m0[:2], config.cfl_safety)
+    dt0 = cfl_dt(law, state0.grid, *m0[:2])
     if not dt0 > t_slack:
         raise ValueError(f"the first CFL step {dt0:g} does not exceed the "
                          f"time resolution {t_slack:g} at t0 = {t0:g}")
@@ -401,11 +399,11 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
         on_snapshot=None) -> Trajectory:
     """Integrate from (t0, state0) until t_max or a monitor fires.
 
-    Data that is not strictly hyperbolic (max u > -hyperbolicity_eps) is
+    Data that is not strictly hyperbolic (max u > -HYPERBOLICITY_EPS) is
     refused with status ``admission_refused``.  After each step the
     monitor may end the run (see ``_monitor_from_metrics``), and the
     step's series record is kept.  A step's state is stored when the
-    step is a ``snapshot_stride`` multiple, reaches t_max or fires a
+    step is a ``SNAPSHOT_STRIDE`` multiple, reaches t_max or fires a
     monitor, unless that monitor is ``interface_reached``: that state
     lies outside the regime the run covers.
 
@@ -422,7 +420,7 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     and an ``admission_refused`` run passes its one snapshot.
     """
     c, rows, m0, dt0 = start(law, state0, t0, config)
-    grid = state0.grid
+    grid, t_max = state0.grid, config.t_max
     series = array("d", (t0, *m0))  # a row a step, made one array at the end
     snapshots = []
     store = on_snapshot or (lambda t, state: snapshots.append((t, state)))
@@ -438,9 +436,8 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
     t_detect = None
     m = m0
 
-    while status is RunStatus.completed and t < config.t_max:
-        dt = min(cfl_dt(law, grid, *m[:2], config.cfl_safety),
-                 config.t_max - t)
+    while status is RunStatus.completed and t < t_max:
+        dt = min(cfl_dt(law, grid, *m[:2]), t_max - t)
         c, rows = _advance(law, ws, c, rows[0], dt)
         try:
             m = _state_metrics(c, rows, ws.energy)
@@ -449,15 +446,15 @@ def run(law, state0: StateField, t0: float, config: SolverConfig,
             t_detect = t + dt
             break
         # t + (t_max - t) can round past t_max while t < t_max / 2
-        t = min(t + dt, config.t_max)
+        t = min(t + dt, t_max)
         steps += 1
         series.extend((t, *m))
-        fired = _monitor_from_metrics(m, initial_scale, config)
+        fired = _monitor_from_metrics(m, initial_scale)
         if fired is not None:
             status, t_detect = fired, t
         if fired is not RunStatus.interface_reached and (
-                fired is not None or t == config.t_max
-                or steps % config.snapshot_stride == 0):
+                fired is not None or t == t_max
+                or steps % SNAPSHOT_STRIDE == 0):
             store(t, StateField(grid, *rows[:2]))
     series = np.frombuffer(series).reshape(-1, len(SERIES_COLUMNS)).copy()
-    return Trajectory(law, snapshots, status, t_detect, series, config)
+    return Trajectory(law, snapshots, status, t_detect, series)

@@ -35,7 +35,6 @@ from .solver import RunStatus, SolverConfig, run
 
 PASS = "pass"
 FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 #: statuses of a run that ended in the gradient catastrophe
 TERMINATED = (RunStatus.blow_up_detected, RunStatus.resolution_lost)
@@ -103,9 +102,8 @@ class ScenarioReport:
 def _judge(report: ScenarioReport) -> ScenarioReport:
     """Set the report's verdict.  A non-finite metric fails it, named in
     the reason and written as None, JSON having no NaN or inf.  Else a
-    report with a reason stopped before its gates: it fails, unless its
-    scenario made it inconclusive.  Any other fails for its failing
-    gates, or passes."""
+    report with a reason stopped before its gates, and fails.  Any other
+    fails for its failing gates, or passes."""
     bad = {k: v for k, v in report.metrics.items() if not math.isfinite(v)}
     if bad:
         report.metrics.update(dict.fromkeys(bad))
@@ -322,15 +320,15 @@ def scenario_simple_wave_blowup(law, u0: float, amplitude: float,
     by ``drift_gradient_factor`` must stay below 1e-4.  The run goes to
     twice the oracle time, and must end in a status of TERMINATED.  The
     dual-growth spot check on the same run must find no violation.
+    Raises ValueError for data with no compression, whose oracle time is
+    None (zero amplitude, say: the constant scenario's case).
     """
     report = ScenarioReport("simple_wave_blowup", law.describe(),
                             parameters={"drift_gradient_factor": 10.0})
     t_oracle = crossing_time_oracle(law, u0, amplitude, mode)
     if t_oracle is None:
-        report.verdict, report.reason = INCONCLUSIVE, (
-            "no compression in the initial data (zero amplitude); "
-            "degenerates to the constant scenario by design")
-        return _judge(report)
+        raise ValueError(f"amplitude = {amplitude!r} gives the wave no "
+                         "compression, so no crossing time")
 
     state0 = simple_wave_state(law, PeriodicGrid(n), u0, amplitude, mode)
     traj = run(law, state0, 0.0, SolverConfig(t_max=2.0 * t_oracle))
@@ -383,25 +381,18 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
 
     Each seed draws ``random_trig_state`` data with 3 modes and amplitude
     0.25 around u0 = -1, and every run must end in blow_up_detected or
-    resolution_lost; runs whose data is numerically constant (relative
-    amplitude below 1e-12) are reported inconclusive rather than
-    counted.  A run that reaches the interface (interface_reached) fails
-    the scenario: it left the strictly hyperbolic setting the statement
-    is about, and so does a dual-growth violation on any run's spot
-    check, from 4 points.
+    resolution_lost.  A run that reaches the interface (interface_reached)
+    fails the scenario: it left the strictly hyperbolic setting the
+    statement is about, and so does a dual-growth violation on any run's
+    spot check, from 4 points.
     """
     report = ScenarioReport("random_hyperbolic_sweep", law.describe(), parameters={
-        "t_max": t_max, "min_relative_amplitude": 1e-12, "spotcheck_points": 4})
+        "t_max": t_max, "spotcheck_points": 4})
     grid = PeriodicGrid(n)
     statuses = []
-    n_inconclusive, violations, worst_t = 0, 0, 0.0
+    violations, worst_t = 0, 0.0
     for seed in range(n_seeds):
         state0 = random_trig_state(grid, seed, 3, 0.25, -1.0)
-        rel_amp = max(float(np.ptp(state0.u)), float(np.ptp(state0.v))) / \
-            max(1.0, float(np.max(np.abs(state0.u))), float(np.max(np.abs(state0.v))))
-        if rel_amp < report.parameters["min_relative_amplitude"]:
-            n_inconclusive += 1
-            continue
         traj = run(law, state0, 0.0, SolverConfig(t_max=t_max))
         statuses.append(traj.status)
         if traj.status in TERMINATED:
@@ -412,14 +403,10 @@ def scenario_random_hyperbolic_sweep(law, n_seeds: int, t_max: float,
 
     report.metrics = {
         "n_seeds": float(n_seeds),
-        **_status_counts(statuses),  # they partition the judged seeds
-        "n_inconclusive_data": float(n_inconclusive),
+        **_status_counts(statuses),  # they partition the seeds
         "latest_detection": worst_t,
         "spotcheck_violations": float(violations),
     }
-    if n_inconclusive == n_seeds:
-        report.verdict = INCONCLUSIVE
-        report.reason = "all seeds below the amplitude noise floor"
     return _judge(report)
 
 

@@ -17,17 +17,17 @@ from psyslab import (ClassLabel, Direction, EllipticStart, Family,
 from psyslab.characteristics import (CONTINUATION, CURVE_COLUMNS,
                                      GROWTH_FACTOR, CharacteristicCurve,
                                      _median_spacing, spotcheck_points)
+from psyslab import solver
 from psyslab.solver import RunStatus, Trajectory
 
 QUAD = PressureLaw.quadratic()
 
 
-def completed(snaps, hyperbolicity_eps=1e-3):
+def completed(snaps):
     """A completed Trajectory holding these (t, StateField) snapshots; its
     series is one row at t0, with no monitor readings."""
-    config = SolverConfig(t_max=snaps[-1][0], hyperbolicity_eps=hyperbolicity_eps)
     series = np.array([[snaps[0][0]] + [np.nan] * 5])
-    return Trajectory(QUAD, snaps, RunStatus.completed, None, series, config)
+    return Trajectory(QUAD, snaps, RunStatus.completed, None, series)
 
 
 def synthetic_trajectory(u_of_t, v_value, times, n=64):
@@ -39,10 +39,10 @@ def synthetic_trajectory(u_of_t, v_value, times, n=64):
                       for t in times])
 
 
-def static_trajectory(u_samples, v_samples, times, n, hyperbolicity_eps=1e-3):
+def static_trajectory(u_samples, v_samples, times, n):
     g = PeriodicGrid(n)
     s = StateField(g, u_samples, v_samples)
-    return completed([(float(t), s) for t in times], hyperbolicity_eps)
+    return completed([(float(t), s) for t in times])
 
 
 @pytest.fixture(scope="module")
@@ -162,14 +162,14 @@ def test_backward_trace_starts_at_window_end(constant_traj):
 
 
 @pytest.mark.parametrize("eps, t_hit", [(1e-3, 1.0), (0.05, 0.5)])
-def test_boundary_hit_in_mixed_field(eps, t_hit):
+def test_boundary_hit_in_mixed_field(monkeypatch, eps, t_hit):
     # static mixed-type field: u crosses 0; the curve slides toward the
     # interface with speed ~ sqrt(-u) and reaches it in finite time, where
-    # u first rises above the run's -hyperbolicity_eps
+    # u first rises above -HYPERBOLICITY_EPS
+    monkeypatch.setattr(solver, "HYPERBOLICITY_EPS", eps)
     g = PeriodicGrid(256)
     u = -0.5 + 0.8 * np.sin(2 * np.pi * g.nodes)
-    traj = static_trajectory(u, np.zeros(256), np.arange(0, 41) * 0.25, 256,
-                             hyperbolicity_eps=eps)
+    traj = static_trajectory(u, np.zeros(256), np.arange(0, 41) * 0.25, 256)
     c = trace(traj, 0.75, Family.first)
     assert c.t_hit == c.t_end == pytest.approx(t_hit, abs=1e-12)
     assert c.u[-1] > -eps
@@ -198,14 +198,14 @@ def test_window_too_short():
         trace(traj, 0.5, Family.first)
 
 
-def test_field_keeps_a_last_snapshot_however_close():
+def test_field_keeps_a_last_snapshot_however_close(monkeypatch):
     # the run to 5e-12 past its second-to-last step stores that step's
     # state, and both directions trace through it: the field used to drop
     # a snapshot closer than 1e-9 of the largest spacing to the one before
     s0 = simple_wave_state(QUAD, PeriodicGrid(64), -1.0, 0.3, 1)
     t_k = float(run(QUAD, s0, 0.0, SolverConfig(t_max=0.05)).series[-2, 0])
-    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=t_k + 5e-12,
-                                           snapshot_stride=1))
+    monkeypatch.setattr(solver, "SNAPSHOT_STRIDE", 1)
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=t_k + 5e-12))
     assert SpaceTimeField(traj.snapshots, QUAD).times[-1] == traj.t_end
     starts = [(x0, fam) for fam in Family for x0 in spotcheck_points(4)]
     for direction in Direction:
@@ -377,7 +377,7 @@ def test_gradient_beta_is_the_first_curve_sample(wave_traj, fam):
     assert gradient_beta(traj, seeds, fam).tolist() == betas
 
 
-def test_drift_falls_with_snapshot_spacing_at_high_order():
+def test_drift_falls_with_snapshot_spacing_at_high_order(monkeypatch):
     # on a smooth run the drift measures the field's interpolation in t:
     # halving the snapshot spacing must cut it at least 8x (3rd order)
     g = PeriodicGrid(256)
@@ -385,7 +385,8 @@ def test_drift_falls_with_snapshot_spacing_at_high_order():
     seeds = [(j + 0.5) / 4 for j in range(4)]
     drift = {}
     for stride in (2, 4):
-        traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5, snapshot_stride=stride))
+        monkeypatch.setattr(solver, "SNAPSHOT_STRIDE", stride)
+        traj = run(QUAD, s0, 0.0, SolverConfig(t_max=0.5))
         curves = trace_batch(traj, [(x0, f) for f in Family for x0 in seeds])
         drift[stride] = max(invariant_drift(c) for c in curves.values())
     assert drift[2] < 1e-7
@@ -552,7 +553,7 @@ def test_field_rows_built_on_demand_match_eager_rows():
                                       eager_coefficients(traj.snapshots, QUAD, t))
 
 
-def test_field_memory_is_a_fraction_of_the_eager_rows():
+def test_field_memory_is_a_fraction_of_the_eager_rows(monkeypatch):
     # a full-window forward and backward pass on the n=1024 wave holds a
     # few snapshots' rows, not 3 rows x 544 padded modes x 16 B of each
     import tracemalloc
@@ -560,7 +561,8 @@ def test_field_memory_is_a_fraction_of_the_eager_rows():
     s0 = simple_wave_state(QUAD, PeriodicGrid(1024), -1.0, 0.3, 1)
     t_star = crossing_time_oracle(QUAD, -1.0, 0.3, 1)
     # stride 2 stores about 785 snapshots
-    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=2.0 * t_star, snapshot_stride=2))
+    monkeypatch.setattr(solver, "SNAPSHOT_STRIDE", 2)
+    traj = run(QUAD, s0, 0.0, SolverConfig(t_max=2.0 * t_star))
     tracemalloc.start()
     try:
         x0 = np.arange(16) / 16

@@ -54,9 +54,7 @@ u0 = -1
     assert cfg.law_obj() == psyslab.PressureLaw.quadratic()
     assert cfg.n == 256
     assert cfg.u0 == -1.0
-    assert cfg.cfl_safety == 0.8  # default applied
-    # the solver keys take SolverConfig's defaults, and every one reaches it
-    assert cfg.solver_config() == SolverConfig(t_max=cfg.t_max)
+    assert cfg.t_max == 10.0  # default applied
 
 
 def test_parse_rejects_bad_n(tmp_path):
@@ -103,13 +101,17 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     assert "config error:" in capsys.readouterr().err
 
 
+#: keys RunConfig once had, each now an unknown key
+DELETED_KEYS = {"growth_factor", "gauge", "cfl_safety", "grad_blowup_factor",
+                "tail_ratio_max", "hyperbolicity_eps", "snapshot_stride"}
+
+
 @pytest.mark.parametrize("overrides", [
     ["t_max=0"],
     ["preset=simple_wave", "u0=0.5"],
     ["preset=random_trig", "u0=0"],
     ["quartic_a=nan"],
     ["t_max=inf"],
-    ["grad_blowup_factor=0"],
     ["preset=elliptic_random", "seed=-1"],
     ["law=quadratic"],
     ["preset=bogus"],
@@ -135,14 +137,20 @@ def test_unreadable_config_exit_2(tmp_path, capsys, kind):
     ["preset=random_trig", "amplitude=1e300"],
     ["preset=simple_wave", "u0=-1e200", "amplitude=1"],
     ["preset=constant", "v0=1e308"],
-    # each was accepted, and would have run for hours: more than MAX_STEPS
-    # steps (about 8e7 and 6.4e9)
+    # accepted, and would have run for hours: more than MAX_STEPS steps
+    # (about 8e7)
     ["preset=constant", "t_max=1e6"],
-    ["cfl_safety=1e-7"],
     # deleted: trace labels by characteristics.GROWTH_FACTOR, and energy
     # reports every gauge
     ["growth_factor=10"],
     ["gauge=log1p"],
+    # deleted: the solver's step control and stop thresholds are its
+    # constants, and each old key is refused even at its old default
+    ["cfl_safety=0.8"],
+    ["grad_blowup_factor=1e4"],
+    ["tail_ratio_max=1e-4"],
+    ["hyperbolicity_eps=1e-3"],
+    ["snapshot_stride=5"],
 ])
 def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     args = []
@@ -154,7 +162,7 @@ def test_invalid_values_exit_2(tmp_path, capsys, overrides):
     if "t_max=1e15" in overrides or "t_max=1e17" in overrides:
         # refused for its span, not for a key or value
         assert "does not exceed the time resolution" in err
-    if overrides[0] in ("growth_factor=10", "gauge=log1p"):
+    if overrides[0].partition("=")[0] in DELETED_KEYS:
         assert "unknown key" in err
     assert not (tmp_path / "out" / "run.json").exists()
 
@@ -208,12 +216,14 @@ def test_command_config_errors_exit_2(tmp_path, capsys, command, overrides):
 
 
 @pytest.mark.parametrize("overrides, curves", [
-    (["preset=simple_wave", "n=64", "snapshot_stride=1"], 500),  # 44 samples
+    (["preset=simple_wave", "n=64"], 500),  # stride 1, 44 samples
     (["preset=simple_wave", "n=256"], 200),  # stride 5, 39 samples
 ])
-def test_curve_budget_bounds_the_tracers_peak(overrides, curves):
+def test_curve_budget_bounds_the_tracers_peak(monkeypatch, overrides, curves):
     # the budget once counted CURVE_SAMPLE_BYTES a sample and nothing a
     # curve, and read 19-25% under the tracer's peak at these shapes
+    if "n=64" in overrides:  # the n=64 run stores every step
+        monkeypatch.setattr(solver, "SNAPSHOT_STRIDE", 1)
     traj = cli._run(parse_config(None, overrides))
     starts = [(x0, psyslab.Family.first) for x0 in np.arange(curves) / curves]
     tracemalloc.start()
@@ -225,6 +235,24 @@ def test_curve_budget_bounds_the_tracers_peak(overrides, curves):
     samples = sum(len(curve.t) for curve in traced.values())
     estimate = samples * cli.CURVE_SAMPLE_BYTES + curves * cli.CURVE_BYTES
     assert peak <= estimate < 1.25 * peak, (peak, estimate)
+
+
+def test_commands_read_the_solver_constants_at_call_time(tmp_path, monkeypatch):
+    # one patch on the solver module reaches the trace budget and what
+    # trace reports: no command holds a copy of a constant
+    # stride 5 keeps 25,600 snapshots of 64 KiB, stride 1 five times that
+    budget = ["n=4096", "t_max=25"]
+    parse_config(None, budget, "trace")
+    monkeypatch.setattr(solver, "SNAPSHOT_STRIDE", 1)
+    with pytest.raises(ConfigError, match="MAX_KEPT_BYTES"):
+        parse_config(None, budget, "trace")
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "HYPERBOLICITY_EPS", 0.5)
+    out = tmp_path / "out"
+    assert run_cli(*sets(["preset=simple_wave", "n=64", "t_max=0.5",
+                          f"outdir={out}"]), "trace") == 0
+    report = json.loads((out / "classification.json").read_text())
+    assert report["thresholds"]["hyperbolicity_eps"] == 0.5
 
 
 @pytest.mark.parametrize("item, message", [
@@ -261,7 +289,7 @@ def test_main_echoes_every_config_key_unless_quiet(tmp_path, capsys):
             if line.startswith("config: ")]
     assert echo == [f"config: {f.name} = {getattr(cfg, f.name)}"
                     for f in dataclasses.fields(cfg)]
-    assert len(echo) == 19
+    assert len(echo) == 14
     assert run_cli(*args, "simulate") == 0
     assert "config: " not in capsys.readouterr().err
 
@@ -524,11 +552,13 @@ def test_simulate_memory_is_bounded_by_one_snapshot(tmp_path, monkeypatch,
     assert peak < (tmp_path / "snapshots.csv").stat().st_size / 4
 
 
-def test_simulate_run_keeps_no_snapshots(tmp_path):
+def test_simulate_run_keeps_no_snapshots(tmp_path, monkeypatch):
     # the solver itself, traced: it once kept every snapshot it sent to
     # the writer as well, and peaked at 1.4x their raw bytes here (1605
-    # snapshots of n=256), where it now peaks near the series' size
-    cfg = parse_config(None, WAVE + ["snapshot_stride=1", f"outdir={tmp_path}"])
+    # snapshots of n=256, the run storing every step), where it now peaks
+    # near the series' size
+    monkeypatch.setattr(solver, "SNAPSHOT_STRIDE", 1)
+    cfg = parse_config(None, WAVE + [f"outdir={tmp_path}"])
     tracemalloc.start()
     try:
         assert cli.cmd_simulate(cfg) == 0
@@ -566,7 +596,7 @@ def test_series_is_one_float64_array_written_as_series_csv(tmp_path,
     # its snapshots went to the writer: t0 comes from the series
     assert traj.snapshots == [] and traj.t0 == 0.0
     refused = solver.run(cfg.law_obj(), psyslab.constant_state(
-        PeriodicGrid(64), 0.0, 0.0), 0.25, cfg.solver_config())
+        PeriodicGrid(64), 0.0, 0.0), 0.25, SolverConfig(cfg.t_max))
     assert refused.status is solver.RunStatus.admission_refused
     assert refused.series.shape == (1, 6) and refused.series.base is None
 
@@ -968,8 +998,8 @@ def _lists_its_gates(rep: dict) -> bool:
 
 def test_verify_counts_every_run_by_status(small_verify):
     # the constant scenario and the simple wave each judge one run, the
-    # sweep each seed above the noise floor; a status left out of the
-    # counts would fail no gate on it
+    # sweep each seed; a status left out of the counts would fail no gate
+    # on it
     _, out, _ = small_verify
     reports = {rep["scenario_id"]: rep for rep in
                json.loads((out / "verify.json").read_text())["reports"]}
@@ -977,8 +1007,7 @@ def test_verify_counts_every_run_by_status(small_verify):
     keys = [f"n_{status.value}" for status in solver.RunStatus]
     sweep = reports["random_hyperbolic_sweep"]["metrics"]
     judged = {"constant_rigidity": 1.0, "simple_wave_blowup": 1.0,
-              "random_hyperbolic_sweep":
-                  sweep["n_seeds"] - sweep["n_inconclusive_data"]}
+              "random_hyperbolic_sweep": sweep["n_seeds"]}
     for scenario_id, runs in judged.items():
         metrics = reports[scenario_id]["metrics"]
         assert set(keys) <= set(metrics), scenario_id
@@ -1004,8 +1033,7 @@ def test_verify_sweeps_on_n_and_t_max(tmp_path, capsys):
         assert rep == lib.to_dict(), lib.scenario_id
         written[lib.scenario_id] = rep["parameters"]
     assert written == {
-        "random_hyperbolic_sweep": {"t_max": 5.0, "min_relative_amplitude": 1e-12,
-                                    "spotcheck_points": 4},
+        "random_hyperbolic_sweep": {"t_max": 5.0, "spotcheck_points": 4},
         "constant_rigidity": {"u0": -1.0, "v0": 0.0, "t_max": 10.0},
         "energy_identity": {"seed": 42}}
 
@@ -1173,11 +1201,6 @@ _FUZZ_KEYS = {
     "mode": st.sampled_from([1, 2, -1, 7]),
     "seed": st.integers(0, 3),
     "modes": st.integers(1, 7),
-    "cfl_safety": st.floats(0.05, 1.0, **_FLOATS),
-    "grad_blowup_factor": st.sampled_from([1e4, 10.0]),
-    "tail_ratio_max": st.sampled_from([1e-4, 1e-8]),
-    "hyperbolicity_eps": st.sampled_from([1e-3, 0.5]),
-    "snapshot_stride": st.integers(1, 6),
     "curve_seeds": st.integers(1, 4),
 }
 
@@ -1186,9 +1209,7 @@ _FUZZ_KEYS = {
 #: MAX_STEPS steps
 _FUZZ_BAD = ["n=48", "preset=bogus", "quartic_a=-0.1", "u0=0.5", "amplitude=0",
              "amplitude=-0.5", "amplitude=1e-300", "mode=0", "mode=40",
-             "modes=0", "modes=40", "seed=-1", "snapshot_stride=0",
-             "curve_seeds=0", "hyperbolicity_eps=0",
-             "cfl_safety=1e-7", "t_max=1e6"]
+             "modes=0", "modes=40", "seed=-1", "curve_seeds=0", "t_max=1e6"]
 
 #: verify's sizes, at their smallest
 _FUZZ_VERIFY = ["verify_seeds=1", "t_max=0.5", "n=16", "wave_n=16"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psyslab import PressureLaw, scenario_ramp_residual
+from psyslab import PressureLaw, scenario_ramp_residual, solver
 from psyslab.cli import RunConfig, parse_config
 from psyslab.solver import RunStatus
 
@@ -49,6 +49,34 @@ def test_readme_budget_numbers_match_the_code():
         expected = int(base) ** int(exp) if exp else int(base)
         actual = getattr(importlib.import_module(f"psyslab.{module}"), name)
         assert actual == expected, f"{module}.{name} = {value}"
+
+
+#: the solver constants the README states as "`NAME` value"
+SOLVER_CONSTANTS = ("CFL_SAFETY", "GRAD_BLOWUP_FACTOR", "TAIL_RATIO_MAX",
+                    "HYPERBOLICITY_EPS", "SNAPSHOT_STRIDE")
+
+
+def _solver_constants_stated(text: str) -> list:
+    """(name, value) of each solver constant ``text`` states as
+    "`NAME` value"."""
+    return [(name, float(value)) for name, value in re.findall(
+        rf"`({'|'.join(SOLVER_CONSTANTS)})` (\d+(?:\.\d+)?(?:e[+-]?\d+)?)",
+        " ".join(text.split()))]
+
+
+def _misstated(text: str) -> list:
+    """The solver constants ``text`` states with a value not the code's."""
+    return [name for name, value in _solver_constants_stated(text)
+            if value != getattr(solver, name)]
+
+
+def test_readme_solver_constants_match_the_code():
+    # a constant retuned in psyslab.solver fails here rather than leaving
+    # the README stating the old value
+    assert _misstated("`CFL_SAFETY` 0.9, `SNAPSHOT_STRIDE`\n5") == ["CFL_SAFETY"]
+    stated = _solver_constants_stated(README.read_text())
+    assert {name for name, _ in stated} == set(SOLVER_CONSTANTS)
+    assert _misstated(README.read_text()) == []
 
 
 def _keys_named(subject: str) -> list:

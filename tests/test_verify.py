@@ -12,6 +12,7 @@ from psyslab import (ConcaveGauge, PeriodicGrid, PressureLaw, constant_state,
                      simple_wave_exact, simple_wave_state)
 from psyslab.errors import DomainError
 from psyslab.field import StateField
+from psyslab import solver
 from psyslab.solver import SolverConfig, run
 
 QUAD = PressureLaw.quadratic()
@@ -160,7 +161,7 @@ def test_solver_error_against_the_exact_wave_falls_with_n():
 
 
 def test_solver_error_against_the_exact_wave_at_n_1024():
-    # the integrating-factor step at cfl_safety 0.8 measured 1.2e-11,
+    # the integrating-factor step at CFL_SAFETY 0.8 measured 1.2e-11,
     # 4.1e-10 and 4.6e-8; each bound is 1.25x that, and below classical
     # RK4's error at half the step (1.7e-11, 1.8e-9 and 5.1e-7)
     for fraction, bound in ((0.5, 1.5e-11), (0.75, 5.1e-10), (0.9, 5.8e-8)):
@@ -351,10 +352,8 @@ def test_scenario_simple_wave_fails_a_run_without_detection(monkeypatch):
     # a tail ratio is a fraction, so it never passes 1, and no gradient
     # passes 1e300 of its start: the run to twice the oracle time ends
     # without a monitor firing, and the scenario fails its status gate
-    import functools
-    import psyslab.verify as verify
-    monkeypatch.setattr(verify, "SolverConfig", functools.partial(
-        SolverConfig, tail_ratio_max=1.0, grad_blowup_factor=1e300))
+    monkeypatch.setattr(solver, "TAIL_RATIO_MAX", 1.0)
+    monkeypatch.setattr(solver, "GRAD_BLOWUP_FACTOR", 1e300)
     rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.3, 1, n=64,
                                       n_curve_seeds=4, drift_seeds=2,
                                       spotcheck_seeds=2)
@@ -364,10 +363,18 @@ def test_scenario_simple_wave_fails_a_run_without_detection(monkeypatch):
     assert "t_detect" not in rep.metrics
 
 
-def test_scenario_simple_wave_zero_amplitude_inconclusive():
-    rep = scenario_simple_wave_blowup(QUAD, -1.0, 0.0, 1, n=64)
-    assert rep.verdict == "inconclusive"
-    assert "constant scenario" in rep.reason
+def test_scenario_simple_wave_zero_amplitude_raises(monkeypatch):
+    # data with no compression has no crossing time to triangulate, and
+    # the suite fails a wave whose oracle finds none, the error its reason
+    with pytest.raises(ValueError, match="no compression"):
+        scenario_simple_wave_blowup(QUAD, -1.0, 0.0, 1, n=64)
+    import psyslab.verify as verify
+    monkeypatch.setattr(verify, "crossing_time_oracle", lambda *args: None)
+    reports = {rep.scenario_id: rep for rep in default_suite(QUAD, 1, 0.5, 16, 16)}
+    rep = reports["simple_wave_blowup"]
+    assert rep.verdict == "fail"
+    assert rep.reason == ("amplitude = 0.3 gives the wave no compression, "
+                          "so no crossing time")
 
 
 def test_scenario_simple_wave_quartic_law():
@@ -393,8 +400,7 @@ def test_scenario_simple_wave_quartic_n_1024_passes_its_gates():
 def test_scenario_sweep_small():
     rep = scenario_random_hyperbolic_sweep(QUAD, 3, 20.0, n=128)
     assert rep.verdict == "pass"
-    assert rep.parameters == {"t_max": 20.0, "min_relative_amplitude": 1e-12,
-                              "spotcheck_points": 4}
+    assert rep.parameters == {"t_max": 20.0, "spotcheck_points": 4}
     assert rep.metrics["n_completed"] == 0.0
     assert rep.metrics["n_interface_reached"] == 0.0
     assert rep.metrics["spotcheck_violations"] == 0.0
@@ -435,12 +441,6 @@ def test_scenario_sweep_fails_on_interface(monkeypatch):
     assert rep.metrics["n_blow_up_detected"] + rep.metrics["n_resolution_lost"] == 0.0
     assert rep.metrics["latest_detection"] == 0.0
     assert "interface_reached" in rep.reason
-
-
-def test_scenario_sweep_noise_floor_inconclusive(monkeypatch):
-    _planted_trig_data(monkeypatch, 1e-14, -1.0)
-    rep = scenario_random_hyperbolic_sweep(QUAD, 1, 5.0, n=64)
-    assert rep.verdict == "inconclusive"
 
 
 def test_scenario_energy_identity_passes():
@@ -579,4 +579,4 @@ def test_report_embeds_thresholds():
                            "bound": 1e-6, "passed": True}]
     assert d["parameters"] == {}
     assert d["scenario_id"] == "riccati_crosscheck_constant"
-    assert d["verdict"] in ("pass", "fail", "inconclusive")
+    assert d["verdict"] in ("pass", "fail")

@@ -22,10 +22,6 @@ import numpy as np
 
 from .errors import LengthMismatch, WindowTooShort
 
-#: non-mean spectral energy below (NOISE_FLOOR * n * scale)^2 is treated
-#: as FFT roundoff; tail ratios of such fields are reported as 0
-NOISE_FLOOR = 1e-13
-
 #: width of the low block in SpaceTimeField's phase split m = _BLOCK * a + b
 _BLOCK = 32
 
@@ -125,23 +121,6 @@ def trig_coefficients(samples: np.ndarray) -> np.ndarray:
     one row of weights per row of samples (the last axis is x)."""
     n = samples.shape[-1]
     return np.fft.rfft(samples) * _parseval_weights(n) / n
-
-
-def _tail_ratio(c: np.ndarray, scales, out=None) -> float:
-    """Energy fraction in the top third of the non-mean modes of the rfft
-    rows ``c``, summed over the rows (Parseval weights).
-
-    Reads 0 when the non-mean energy is at the level of pure FFT roundoff
-    for fields whose largest |sample| are ``scales`` (one per row).  The
-    energies go into ``out``, a float array of c's shape, when given.
-    """
-    n = 2 * (c.shape[-1] - 1)
-    e = np.abs(c, out=out)
-    np.multiply(_parseval_weights(n), np.square(e, out=e), out=e)
-    total = float(e[:, 1:].sum(axis=1).sum())
-    tail = float(e[:, n // 3 + 1:].sum(axis=1).sum())
-    floor = sum((NOISE_FLOOR * n * max(1.0, scale)) ** 2 for scale in scales)
-    return tail / total if total > floor else 0.0
 
 
 class SpaceTimeField:

@@ -36,7 +36,8 @@ there.  Runs end in one of five recorded statuses:
 * ``interface_reached``: a step took max u above -HYPERBOLICITY_EPS;
 * ``blow_up_detected``: max|u_x| passed GRAD_BLOWUP_FACTOR times its
   initial scale, or a step produced non-finite values;
-* ``resolution_lost``: the spectral tail passed TAIL_RATIO_MAX.
+* ``resolution_lost``: the spectral tail passed TAIL_RATIO_MAX (a tail
+  at the level of FFT roundoff, set by NOISE_FLOOR, reads 0).
 
 Gradient blow-up, resolution loss and reaching the interface are
 results, not exceptions.  The step control and these thresholds are
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import NonFiniteState
 from .field import (PeriodicGrid, StateField, _derivative_multipliers,
-                    _tail_ratio)
+                    _parseval_weights)
 
 
 class RunStatus(str, enum.Enum):
@@ -85,6 +86,10 @@ GRAD_BLOWUP_FACTOR = 1e4
 #: 4096 (past the 5% gate).  Larger values delay or miss detection: the
 #: filter caps the tail's growth
 TAIL_RATIO_MAX = 1e-4
+
+#: non-mean spectral energy below (NOISE_FLOOR * n * scale)^2 is treated
+#: as FFT roundoff; tail ratios of such fields are reported as 0
+NOISE_FLOOR = 1e-13
 
 #: the one interface threshold: admission refuses, the monitor stops and
 #: the tracer ends a curve where max u, or a curve's u, rises above
@@ -319,10 +324,14 @@ def step_rk4(law, state: StateField, dt: float) -> StateField:
 
 
 def _state_metrics(c: np.ndarray, rows: np.ndarray, energy=None) -> tuple:
-    """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio of combined spectrum)
-    of a state given as its rfft rows c = (u^, v^) and samples
-    (u, v, u_x, v_x); ``energy``, when given, is the (2, m) float array
-    the tail ratio writes its energies into (see ``_tail_ratio``).
+    """(max_u, min_u, max|u_x|, max|v_x|, tail_ratio) of a state given as
+    its rfft rows c = (u^, v^) and samples (u, v, u_x, v_x).
+
+    The tail ratio is the energy fraction in the top third of the
+    non-mean modes of both rows (Parseval weights; the energies go into
+    ``energy``, a (2, m) float array, when given).  It reads 0 when the
+    non-mean energy is at the FFT-roundoff level NOISE_FLOOR sets for
+    fields whose largest |sample| are max|u| and max|v|.
 
     Raises NonFiniteState when a sample is not finite: NaN and +-inf
     carry into these extremes, so no separate pass looks for them.
@@ -331,8 +340,15 @@ def _state_metrics(c: np.ndarray, rows: np.ndarray, energy=None) -> tuple:
     max_v, max_ux, max_vx = np.abs(rows[1:]).max(axis=1).tolist()
     if not all(map(math.isfinite, (max_u, min_u, max_v, max_ux, max_vx))):
         raise NonFiniteState("time step produced non-finite entries")
+    n = 2 * (c.shape[-1] - 1)
+    e = np.abs(c, out=energy)
+    np.multiply(_parseval_weights(n), np.square(e, out=e), out=e)
+    total = float(e[:, 1:].sum(axis=1).sum())
+    tail = float(e[:, n // 3 + 1:].sum(axis=1).sum())
+    floor = sum((NOISE_FLOOR * n * max(1.0, scale)) ** 2
+                for scale in (max(max_u, -min_u), max_v))
     return (max_u, min_u, max_ux, max_vx,
-            _tail_ratio(c, (max(max_u, -min_u), max_v), energy))
+            tail / total if total > floor else 0.0)
 
 
 def _monitor_from_metrics(metrics: tuple,

@@ -1,6 +1,8 @@
-"""No module under ``src/psyslab`` computes a value that nothing reads.
+"""No module under ``src/psyslab`` computes a value that nothing reads,
+or defines a private that only one other module reads.
 
-The checker parses each module and reports three kinds of dead code:
+The checker parses each module and reports these kinds of dead or
+misplaced code:
 
 - a local that a function assigns and that neither the function nor a
   scope nested in it reads (names starting with ``_`` are exempt, and
@@ -11,6 +13,9 @@ The checker parses each module and reports three kinds of dead code:
 - a private function, class or constant (``_name``, not a dunder)
   defined or assigned at module level that no module of the package
   reads, by name or as an attribute;
+- a private function, class or constant defined or assigned at module
+  level that its own module never reads and exactly one other module
+  of the package reads: it belongs in that reader;
 - an attribute that a class stores on ``self`` and that no module of
   the package reads, on any object;
 - a defaulted parameter of a function that no call by the function's
@@ -114,6 +119,11 @@ def _read_names(trees) -> set:
     return read
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
 def unread_privates(sources: dict) -> list:
     """Every module-level private function, class or constant in
     ``sources`` (path to source) that no module of ``sources`` reads."""
@@ -122,9 +132,24 @@ def unread_privates(sources: dict) -> list:
     return [f"{path}: defines {name}, never read"
             for path, tree in trees.items() for node in tree.body
             for name in _module_names(node)
-            if name.startswith("_")
-            and not (name.startswith("__") and name.endswith("__"))
-            and name not in read]
+            if _is_private(name) and name not in read]
+
+
+def misplaced_privates(sources: dict) -> list:
+    """Every module-level private function, class or constant in
+    ``sources`` (path to source) that its own module never reads and
+    exactly one other module of ``sources`` reads."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = {path: _read_names([tree]) for path, tree in trees.items()}
+    found = []
+    for path, tree in trees.items():
+        for name in (name for node in tree.body for name in _module_names(node)
+                     if _is_private(name) and name not in read[path]):
+            readers = [other for other in trees if name in read[other]]
+            if len(readers) == 1:
+                found.append(f"{path}: defines {name}, read only by "
+                             f"{readers[0]}")
+    return found
 
 
 def unread_attributes(sources: dict) -> list:
@@ -293,6 +318,47 @@ def test_checker_reports_exactly_the_planted_unread_constants():
         "a.py: defines _PAIR_UNREAD, never read"]
 
 
+PLANTED_MISPLACED = {
+    "a.py": textwrap.dedent("""\
+        _READ_BY_B = 1
+
+        def _read_here_and_by_b():
+            return 2
+
+        def _read_by_b_and_c():
+            return 3
+
+        class _ReadByC:
+            pass
+
+        def f():
+            return _read_here_and_by_b()
+    """),
+    "b.py": textwrap.dedent("""\
+        import a
+
+        def g():
+            return (a._READ_BY_B + a._read_here_and_by_b()
+                    + a._read_by_b_and_c())
+    """),
+    "c.py": textwrap.dedent("""\
+        from a import _ReadByC, _read_by_b_and_c
+
+        def h():
+            return _ReadByC(), _read_by_b_and_c()
+    """),
+}
+
+
+def test_checker_reports_exactly_the_planted_misplaced_privates():
+    # a private its own module reads stays, and so does one two other
+    # modules read; one only a single other module reads, by attribute
+    # or by an imported name, is not where it is read
+    assert misplaced_privates(PLANTED_MISPLACED) == [
+        "a.py: defines _READ_BY_B, read only by b.py",
+        "a.py: defines _ReadByC, read only by c.py"]
+
+
 PLANTED_ATTRIBUTES = {
     "a.py": textwrap.dedent("""\
         class Box:
@@ -406,6 +472,11 @@ def test_package_reads_every_attribute_it_stores():
 def test_package_reads_every_private_it_defines():
     assert unread_privates({str(path): path.read_text(encoding="utf-8")
                             for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_package_defines_each_private_where_it_is_read():
+    assert misplaced_privates({str(path): path.read_text(encoding="utf-8")
+                               for path in sorted(SRC.glob("*.py"))}) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

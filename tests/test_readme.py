@@ -53,7 +53,7 @@ def test_readme_budget_numbers_match_the_code():
 
 #: the solver constants the README states as "`NAME` value"
 SOLVER_CONSTANTS = ("CFL_SAFETY", "GRAD_BLOWUP_FACTOR", "TAIL_RATIO_MAX",
-                    "HYPERBOLICITY_EPS", "SNAPSHOT_STRIDE")
+                    "NOISE_FLOOR", "HYPERBOLICITY_EPS", "SNAPSHOT_STRIDE")
 
 
 def _solver_constants_stated(text: str) -> list:

@@ -10,9 +10,9 @@ from psyslab import (NonFiniteState, PeriodicGrid, PressureLaw, RunStatus,
                      random_trig_state, run, simple_wave_state,
                      spectral_derivative, step_rk4)
 from psyslab import solver
-from psyslab.field import NOISE_FLOOR, _derivative_multipliers, _parseval_weights
-from psyslab.solver import (_advance, _monitor_from_metrics, _spectral,
-                            _state_metrics, _Workspace, start)
+from psyslab.field import _derivative_multipliers, _parseval_weights
+from psyslab.solver import (NOISE_FLOOR, _advance, _monitor_from_metrics,
+                            _spectral, _state_metrics, _Workspace, start)
 
 QUAD = PressureLaw.quadratic()
 
@@ -429,6 +429,19 @@ def test_state_metrics_match_spectral_derivative():
     assert max_ux == np.max(np.abs(spectral_derivative(g, u)))
     assert max_vx == np.max(np.abs(spectral_derivative(g, v)))
     assert 0.1 < tail < 0.6  # white noise: about a third
+
+
+def test_state_metrics_read_the_noise_floor_at_call_time(monkeypatch):
+    # a constant field plus roundoff-level noise reads tail 0 at the
+    # module's floor and a real ratio once a planted floor lies below it
+    g = PeriodicGrid(128)
+    rng = np.random.default_rng(12)
+    u = -4.0 + 1e-15 * rng.standard_normal(128)
+    c, rows = _spectral(StateField(g, u, np.zeros(128)))
+    assert solver.NOISE_FLOOR == 1e-13
+    assert _state_metrics(c, rows)[4] == 0.0
+    monkeypatch.setattr(solver, "NOISE_FLOOR", 1e-20)
+    assert _state_metrics(c, rows)[4] > 0.0
 
 
 def test_solver_config_validation():
